@@ -22,7 +22,7 @@ from .assembler import read_ledger, verify_ledger_blocks, write_ledger
 from .batcher import required_sample_size
 from .sim.report import report_to_json, summarize, write_csv
 from .sim.runner import run_scenario
-from .sim.scenario import ConfigError, ScenarioConfig
+from .sim.scenario import ConfigError, ScenarioConfig, seconds
 
 
 def _cmd_run(args) -> int:
@@ -39,18 +39,11 @@ def _cmd_run(args) -> int:
 
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     write_csv(report, out / "series.csv")
-    from .crypto import keygen  # local import to keep CLI import light
-    from .core import sha256, u64
-
-    party_keys = {
-        p: keygen(sha256(b"party" + u64(cfg.seed) + u64(p)), cfg.scheme).public
-        for p in range(cfg.n_parties)
-    }
     keys_doc = {
         "scheme": cfg.scheme,
         "parties": cfg.n_parties,
         "faults": cfg.f,
-        "party_keys": {str(p): k.hex() for p, k in party_keys.items()},
+        "party_keys": {str(p): k.hex() for p, k in report.party_keys.items()},
     }
     (out / "keys.json").write_text(json.dumps(keys_doc, indent=2, sort_keys=True), encoding="utf-8")
     for party, blocks in sorted(report.ledgers.items()):
@@ -59,7 +52,11 @@ def _cmd_run(args) -> int:
     for name, entry in sorted(report.checks.items()):
         print(f"{name}: {'PASS' if entry['pass'] else 'FAIL'}")
     if not report.quiescent:
-        print("run incomplete: wall budget hit before quiescence", file=sys.stderr)
+        limit_s = seconds(cfg.duration_us + cfg.drain_us)
+        print(
+            f"run incomplete: not quiescent by the virtual time limit of {limit_s:g} s (duration + drain)",
+            file=sys.stderr,
+        )
     return 0 if report.all_checks_pass() and report.quiescent else 1
 
 

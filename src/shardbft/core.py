@@ -36,6 +36,32 @@ def read_u64(buf: bytes, off: int) -> tuple[int, int]:
     return _U64.unpack_from(buf, off)[0], off + 8
 
 
+# Decoders read untrusted bytes (ledger files): every length and count is
+# checked against the bytes that remain, so a corrupt one is a ValueError.
+
+
+def _read_bytes(buf: bytes, off: int, length: int) -> tuple[bytes, int]:
+    end = off + length
+    if end > len(buf):
+        raise ValueError("length exceeds remaining bytes")
+    return bytes(buf[off:end]), end
+
+
+def _read_count(buf: bytes, off: int, min_item_len: int) -> tuple[int, int]:
+    """A u64 item count, each item taking at least ``min_item_len`` bytes."""
+    count, off = read_u64(buf, off)
+    if count * min_item_len > len(buf) - off:
+        raise ValueError("count exceeds remaining bytes")
+    return count, off
+
+
+# Encoded sizes that bound item counts in the decoders.
+_BATCH_KEY_LEN = 8 + 8 + DIGEST_LEN + 8
+_BATCH_HEADER_LEN = 5 * 8  # shard, seq, term, primary, tx count
+_LEN_PREFIXED_TX = 8 + 3 * 8  # length prefix, then client id and two lengths
+_QUORUM_SIG_LEN = 2 * 8  # signer, signature length
+
+
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -79,10 +105,11 @@ class Transaction:
     client_id: int
     payload: bytes
     signature: Signature
+    # Computed once at construction; derived, so not part of ==, hash or repr.
+    tx_id: bytes = field(init=False, compare=False, repr=False)
 
-    @property
-    def tx_id(self) -> bytes:
-        return sha256(tx_signing_bytes(self.client_id, self.payload))
+    def __post_init__(self):
+        object.__setattr__(self, "tx_id", sha256(tx_signing_bytes(self.client_id, self.payload)))
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -100,11 +127,9 @@ def encode_transaction(tx: Transaction) -> bytes:
 def decode_transaction(buf: bytes, off: int, scheme: str) -> tuple[Transaction, int]:
     client_id, off = read_u64(buf, off)
     plen, off = read_u64(buf, off)
-    payload = bytes(buf[off : off + plen])
-    off += plen
+    payload, off = _read_bytes(buf, off, plen)
     slen, off = read_u64(buf, off)
-    sig = bytes(buf[off : off + slen])
-    off += slen
+    sig, off = _read_bytes(buf, off, slen)
     return Transaction(client_id, payload, Signature(scheme, sig)), off
 
 
@@ -147,7 +172,7 @@ def decode_batch(buf: bytes, off: int, scheme: str) -> tuple[Batch, int]:
     seq, off = read_u64(buf, off)
     term, off = read_u64(buf, off)
     primary, off = read_u64(buf, off)
-    count, off = read_u64(buf, off)
+    count, off = _read_count(buf, off, _LEN_PREFIXED_TX)
     txs = []
     for _ in range(count):
         tlen, off = read_u64(buf, off)
@@ -183,6 +208,14 @@ class BatchKey:
     def slot(self) -> tuple[int, int, int]:
         # The ledger position a key occupies, independent of content digest.
         return (self.shard, self.seq, self.primary)
+
+
+def _decode_batch_key(buf: bytes, off: int) -> tuple[BatchKey, int]:
+    seq, off = read_u64(buf, off)
+    shard, off = read_u64(buf, off)
+    digest, off = _read_bytes(buf, off, DIGEST_LEN)
+    primary, off = read_u64(buf, off)
+    return BatchKey(seq, shard, digest, primary), off
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,20 +260,15 @@ def decode_bas_payload(buf: bytes) -> tuple[int, bytes, int, int, int, tuple[Bat
         raise ValueError("not an attestation payload")
     off = 1
     seq, off = read_u64(buf, off)
-    digest = bytes(buf[off : off + DIGEST_LEN])
-    off += DIGEST_LEN
+    digest, off = _read_bytes(buf, off, DIGEST_LEN)
     shard, off = read_u64(buf, off)
     primary, off = read_u64(buf, off)
     epoch, off = read_u64(buf, off)
-    count, off = read_u64(buf, off)
+    count, off = _read_count(buf, off, _BATCH_KEY_LEN)
     refs = []
     for _ in range(count):
-        rseq, off = read_u64(buf, off)
-        rshard, off = read_u64(buf, off)
-        rdigest = bytes(buf[off : off + DIGEST_LEN])
-        off += DIGEST_LEN
-        rprimary, off = read_u64(buf, off)
-        refs.append(BatchKey(rseq, rshard, rdigest, rprimary))
+        ref, off = _decode_batch_key(buf, off)
+        refs.append(ref)
     if off != len(buf):
         raise ValueError("trailing bytes in attestation payload")
     return seq, digest, shard, primary, epoch, tuple(refs)
@@ -328,30 +356,25 @@ def decode_header_payload(buf: bytes, off: int) -> tuple[BlockHeader, int]:
         raise ValueError("not a header payload")
     off += 1
     block_seq, off = read_u64(buf, off)
-    prev = bytes(buf[off : off + DIGEST_LEN])
-    off += DIGEST_LEN
-    count, off = read_u64(buf, off)
+    prev, off = _read_bytes(buf, off, DIGEST_LEN)
+    count, off = _read_count(buf, off, _BATCH_KEY_LEN)
     keys = []
     for _ in range(count):
-        seq, off = read_u64(buf, off)
-        shard, off = read_u64(buf, off)
-        digest = bytes(buf[off : off + DIGEST_LEN])
-        off += DIGEST_LEN
-        primary, off = read_u64(buf, off)
-        keys.append(BatchKey(seq, shard, digest, primary))
+        key, off = _decode_batch_key(buf, off)
+        keys.append(key)
     return BlockHeader(block_seq, prev, tuple(keys)), off
 
 
 def decode_block(buf: bytes, off: int, scheme: str) -> tuple[Block, int]:
     header, off = decode_header_payload(buf, off)
-    nsigs, off = read_u64(buf, off)
+    nsigs, off = _read_count(buf, off, _QUORUM_SIG_LEN)
     sigs = []
     for _ in range(nsigs):
         signer, off = read_u64(buf, off)
         slen, off = read_u64(buf, off)
-        sigs.append((signer, Signature(scheme, bytes(buf[off : off + slen]))))
-        off += slen
-    nbatches, off = read_u64(buf, off)
+        data, off = _read_bytes(buf, off, slen)
+        sigs.append((signer, Signature(scheme, data)))
+    nbatches, off = _read_count(buf, off, 8 + _BATCH_HEADER_LEN)
     batches = []
     for _ in range(nbatches):
         blen, off = read_u64(buf, off)

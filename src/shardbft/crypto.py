@@ -12,6 +12,11 @@ Two schemes share one interface:
 
 Key generation is deterministic in the seed so that whole simulations replay
 bit-for-bit.
+
+``verify`` is a pure function of its full ``(public, message, signature)``
+arguments, so it is memoized: a simulation runs every party in one process
+and re-checks the same triple at each of them. Every caller still calls it;
+only the primitive runs once per distinct triple (see ``verify.cache_info()``).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -32,6 +38,12 @@ SCHEME_ED25519 = "standard_signature"
 SCHEMES = (SCHEME_TEST_MAC, SCHEME_ED25519)
 
 _SIG_LEN = {SCHEME_TEST_MAC: 32, SCHEME_ED25519: 64}
+
+# Distinct (public, message, signature) verdicts kept by ``verify``: several
+# times the largest per-run working set seen (about 6.7k triples).
+VERIFY_CACHE_SIZE = 1 << 14
+# Ed25519 key objects kept, keyed by raw key bytes: one per party and client.
+_KEY_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +66,7 @@ def keygen(seed: bytes, scheme: str = SCHEME_TEST_MAC) -> KeyPair:
         return KeyPair(scheme, secret, secret)
     if scheme == SCHEME_ED25519:
         raw = hashlib.sha256(b"ed25519-key" + seed).digest()
-        sk = Ed25519PrivateKey.from_private_bytes(raw)
-        pub = sk.public_key().public_bytes_raw()
+        pub = _private_key(raw).public_key().public_bytes_raw()
         return KeyPair(scheme, raw, pub)
     raise ValueError(f"unknown signature scheme: {scheme!r}")
 
@@ -64,15 +75,29 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     if key.scheme == SCHEME_TEST_MAC:
         return Signature(key.scheme, hmac.new(key.secret, message, hashlib.sha256).digest())
     if key.scheme == SCHEME_ED25519:
-        sk = Ed25519PrivateKey.from_private_bytes(key.secret)
-        return Signature(key.scheme, sk.sign(message))
+        return Signature(key.scheme, _private_key(key.secret).sign(message))
     raise ValueError(f"unknown signature scheme: {key.scheme!r}")
 
 
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _private_key(raw: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(raw)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _public_key(raw: bytes) -> Ed25519PublicKey:
+    # A malformed key raises ValueError, which lru_cache never stores.
+    return Ed25519PublicKey.from_public_bytes(raw)
+
+
+@lru_cache(maxsize=VERIFY_CACHE_SIZE)
 def verify(public: bytes, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` is a valid signature over ``message`` under ``public``.
 
-    Malformed signature bytes yield False, never an exception.
+    Malformed signature or key bytes yield False, never an exception.
+    Memoized on the full argument triple (equal bytes, not identity); both
+    verdicts are cached, which is sound because verification is
+    deterministic.
     """
     expected = _SIG_LEN.get(sig.scheme)
     if expected is None or len(sig.data) != expected:
@@ -81,7 +106,7 @@ def verify(public: bytes, message: bytes, sig: Signature) -> bool:
         want = hmac.new(public, message, hashlib.sha256).digest()
         return hmac.compare_digest(want, sig.data)
     try:
-        Ed25519PublicKey.from_public_bytes(public).verify(sig.data, message)
+        _public_key(public).verify(sig.data, message)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -63,6 +63,7 @@ class RunReport:
     # In-memory artifacts, serialized separately as ledger files.
     ledgers: dict = field(default_factory=dict, repr=False)
     inclusion: dict = field(default_factory=dict, repr=False)  # party -> {tx_id: t}
+    party_keys: dict = field(default_factory=dict, repr=False)  # party -> public key
 
     def committed_latencies_us(self) -> list[int]:
         return [

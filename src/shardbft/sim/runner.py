@@ -31,7 +31,7 @@ from ..core import (
     tx_signing_bytes,
     u64,
 )
-from ..crypto import keygen, sign
+from ..crypto import KeyPair, keygen, sign
 from ..router import RouterConfig, RouterNode, map_to_shard, validate_transaction
 from .checks import (
     check_agreement,
@@ -46,6 +46,11 @@ SEQUENCER = 0
 HUB = 1
 
 _NEVER = 1 << 62
+
+
+def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, KeyPair]:
+    """The keypairs of parties (``b"party"``) or clients (``b"client"``) for a seed."""
+    return {i: keygen(sha256(role + u64(seed) + u64(i)), scheme) for i in range(count)}
 
 
 class _Ctx:
@@ -79,9 +84,9 @@ class _Runner:
         self.rng_client = random.Random(self._derive(b"client"))
 
         n, k = cfg.n_parties, cfg.shard_count
-        self.party_keys_full = {p: keygen(sha256(b"party" + u64(cfg.seed) + u64(p)), cfg.scheme) for p in range(n)}
+        self.party_keys_full = derive_keys(b"party", cfg.seed, n, cfg.scheme)
         self.party_pubs = {p: kp.public for p, kp in self.party_keys_full.items()}
-        self.client_keys = {c: keygen(sha256(b"client" + u64(cfg.seed) + u64(c)), cfg.scheme) for c in range(cfg.clients)}
+        self.client_keys = derive_keys(b"client", cfg.seed, cfg.clients, cfg.scheme)
         self.client_directory = {c: kp.public for c, kp in self.client_keys.items()}
 
         behaviors = {a.party: a.behavior() for a in cfg.adversaries}
@@ -439,6 +444,7 @@ class _Runner:
             checks={},
             ledgers=ledgers,
             inclusion=inclusion,
+            party_keys=self.party_pubs,
         )
         report.checks["agreement"] = check_agreement(ledgers)
         report.checks["no_loss_no_unbounded_dup"] = check_no_loss_no_unbounded_dup(report)

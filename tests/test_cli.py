@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardbft.cli import main
 
@@ -94,6 +98,65 @@ def test_verify_rejects_tampered_ledger(run_dir, tmp_path):
     mutated.write_bytes(bytes(data))
     code = main(["verify", "--ledger", str(mutated), "--keys", str(run_dir / "keys.json")])
     assert code == 1
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    root = tmp_path_factory.mktemp("produced")
+    (root / "scenario.json").write_text(json.dumps(BASE_CONFIG))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(root / "scenario.json"), "--out", str(root)]) == 0
+    return root
+
+
+_chunks = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.integers(0, 2**64 - 1).map(lambda v: v.to_bytes(8, "big")),  # a whole length field
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), _chunks), min_size=1, max_size=3),
+    keep=st.one_of(st.none(), st.floats(0, 1)),
+)
+def test_verify_always_prints_a_verdict(produced, edits, keep):
+    data = bytearray((produced / "ledger_party0.bin").read_bytes())
+    for where, chunk in edits:
+        pos = int(where * len(data))
+        data[pos : pos + len(chunk)] = chunk
+    if keep is not None:
+        del data[int(keep * len(data)) :]
+    mutated = produced / "mutated.bin"
+    mutated.write_bytes(bytes(data))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--ledger", str(mutated), "--keys", str(produced / "keys.json")])
+    assert code in (0, 1)
+    assert out.getvalue().startswith("ledger valid" if code == 0 else "ledger INVALID")
+
+
+def test_verify_huge_length_is_invalid_not_a_crash(produced, capsys):
+    # An 8-byte overwrite that makes a length field huge used to push the
+    # next read offset past ssize_t and raise OverflowError.
+    data = bytearray((produced / "ledger_party0.bin").read_bytes())
+    rng = random.Random(1)
+    mutated = produced / "huge.bin"
+    for _ in range(300):
+        buf = bytearray(data)
+        off = rng.randrange(4, len(data) - 8)
+        buf[off : off + 8] = b"\xff" * 8
+        mutated.write_bytes(bytes(buf))
+        assert main(["verify", "--ledger", str(mutated), "--keys", str(produced / "keys.json")]) == 1
+        assert capsys.readouterr().out.startswith("ledger INVALID")
+
+
+def test_run_reports_virtual_time_limit_when_not_quiescent(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "drain": 0.05}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "virtual time limit of 1.05 s (duration + drain)" in err
+    assert "wall" not in err
 
 
 def test_verify_missing_inputs_exit_2(tmp_path, run_dir):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,22 @@ from hypothesis import strategies as st
 from shardbft.core import (
     Batch,
     BatchKey,
+    Block,
+    BlockHeader,
     Transaction,
     attestation_threshold,
     compute_batch_digest,
     decode_bas_payload,
     decode_batch,
+    decode_block,
+    decode_transaction,
     encode_bas_payload,
     encode_batch,
+    encode_block,
+    encode_transaction,
     quorum_size,
     sha256,
+    tx_signing_bytes,
 )
 from shardbft.crypto import Signature
 
@@ -175,3 +184,52 @@ def test_tx_id_stable_under_resigning(client_keys):
     tx2 = Transaction(1, b"same payload", Signature(tx1.signature.scheme, b"\x00" * 32))
     assert tx1.tx_id == tx2.tx_id
     assert sha256(b"x") != tx1.tx_id
+
+
+def test_tx_id_is_hash_of_signing_bytes_and_survives_encoding(client_keys, scheme):
+    tx = make_tx(2, b"tx id payload", client_keys)
+    assert tx.tx_id == sha256(tx_signing_bytes(2, b"tx id payload"))
+    decoded, _ = decode_transaction(encode_transaction(tx), 0, scheme)
+    assert decoded == tx
+    assert decoded.tx_id == tx.tx_id
+
+
+def test_tx_id_excluded_from_eq_hash_repr(client_keys):
+    tx = make_tx(3, b"derived field", client_keys)
+    twin = Transaction(tx.client_id, tx.payload, tx.signature)
+    object.__setattr__(twin, "tx_id", b"\x00" * 32)
+    assert twin == tx
+    assert hash(twin) == hash(tx)
+    assert repr(twin) == repr(tx)
+    assert "tx_id" not in repr(tx)
+    assert [f.name for f in dataclasses.fields(Transaction) if f.compare] == ["client_id", "payload", "signature"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.tx_id = b"x"
+
+
+def _corruptions(encoded: bytes):
+    """Every 8-byte window overwritten with a huge or a just-too-large value."""
+    for value in (2**64 - 1, 2**62, len(encoded)):
+        for i in range(len(encoded) - 7):
+            yield encoded[:i] + struct.pack(">Q", value) + encoded[i + 8 :]
+
+
+def test_decoders_bound_lengths_and_counts(client_keys, party_keys, scheme):
+    txs = [make_tx(c, bytes([c]) * 12, client_keys) for c in range(3)]
+    batches = (make_batch(txs[:2], seq=1), make_batch(txs[2:], shard=1, seq=4))
+    header = BlockHeader(0, b"\x11" * 32, tuple(b.key() for b in batches))
+    block = Block(header, ((0, txs[0].signature), (2, txs[1].signature)), batches)
+    refs = tuple(b.key() for b in batches)
+    cases = [
+        (lambda buf: decode_transaction(buf, 0, scheme), encode_transaction(txs[0])),
+        (lambda buf: decode_batch(buf, 0, scheme), encode_batch(batches[0])),
+        (decode_bas_payload, encode_bas_payload(1, b"\x22" * 32, 0, 0, 0, refs)),
+        (lambda buf: decode_block(buf, 0, scheme), encode_block(block)),
+    ]
+    for decode, encoded in cases:
+        decode(encoded)
+        for corrupt in _corruptions(encoded):
+            try:
+                decode(corrupt)
+            except (ValueError, struct.error):
+                pass

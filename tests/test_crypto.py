@@ -75,3 +75,64 @@ def test_signature_lengths_fixed():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         keygen(b"\x00" * 32, "unknown")
+
+
+# --- the verify memo ---------------------------------------------------------
+
+
+def _flip(data: bytes, i: int) -> bytes:
+    out = bytearray(data)
+    out[i] ^= 0x01
+    return bytes(out)
+
+
+@pytest.mark.parametrize("scheme", BOTH)
+def test_memo_one_flipped_byte_turns_true_to_false(scheme):
+    kp = keygen(b"\x05" * 32, scheme)
+    message = b"memoized message"
+    sig = sign(kp, message)
+    assert verify(kp.public, message, sig)
+    for i in (0, len(kp.public) // 2, len(kp.public) - 1):
+        assert not verify(_flip(kp.public, i), message, sig)
+    for i in (0, len(message) - 1):
+        assert not verify(kp.public, _flip(message, i), sig)
+    for i in (0, len(sig.data) - 1):
+        assert not verify(kp.public, message, Signature(scheme, _flip(sig.data, i)))
+    assert verify(kp.public, message, sig)
+
+
+def _fresh(public: bytes, message: bytes, sig: Signature):
+    """Equal arguments in new objects: the memo keys on bytes, not identity."""
+    return bytes(bytearray(public)), bytes(bytearray(message)), Signature(sig.scheme, bytes(bytearray(sig.data)))
+
+
+@pytest.mark.parametrize("scheme", BOTH)
+def test_memo_repeated_calls_agree_and_hit(scheme):
+    kp = keygen(b"\x06" * 32, scheme)
+    good = (kp.public, b"m", sign(kp, b"m"))
+    bad = (kp.public, b"m", Signature(scheme, _flip(good[2].data, 3)))
+    assert verify(*good) and not verify(*bad)
+    hits = verify.cache_info().hits
+    for _ in range(3):
+        assert verify(*_fresh(*good)) and not verify(*_fresh(*bad))
+    assert verify.cache_info().hits == hits + 6
+
+
+@pytest.mark.parametrize("scheme", BOTH)
+def test_memo_cached_false_never_turns_true(scheme):
+    kp = keygen(b"\x07" * 32, scheme)
+    other = keygen(b"\x08" * 32, scheme)
+    message = b"who signed this"
+    forged = sign(other, message)
+    assert not verify(kp.public, message, forged)
+    # Warm the cache with the genuine triple; the forged one stays False.
+    assert verify(kp.public, message, sign(kp, message))
+    assert verify(other.public, message, forged)
+    assert not verify(kp.public, message, forged)
+
+
+@pytest.mark.parametrize("public", [b"", b"\x01" * 31, b"\x01" * 33])
+def test_malformed_ed25519_public_key_false_on_every_call(public):
+    sig = sign(keygen(b"\x09" * 32, SCHEME_ED25519), b"m")
+    assert verify(public, b"m", sig) is False
+    assert verify(public, b"m", sig) is False
