@@ -17,11 +17,10 @@ from .core import (
     ComplaintVote,
     Transaction,
     attestation_threshold,
-    compute_batch_digest,
     primary_for_term,
     quorum_size,
 )
-from .batcher import SamplingPolicy, required_sample_size, sample_verify
+from .batcher import required_sample_size, sample_verify
 from .crypto import KeyPair, Signature, keygen, sign, verify
 from .router import map_to_shard, validate_transaction
 
@@ -35,11 +34,9 @@ __all__ = [
     "BlockHeader",
     "ComplaintVote",
     "KeyPair",
-    "SamplingPolicy",
     "Signature",
     "Transaction",
     "attestation_threshold",
-    "compute_batch_digest",
     "keygen",
     "map_to_shard",
     "primary_for_term",

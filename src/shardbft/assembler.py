@@ -20,7 +20,6 @@ from .core import (
     Block,
     BlockHeader,
     ZERO_DIGEST,
-    compute_batch_digest,
     decode_block,
     encode_block,
     encode_header_payload,
@@ -114,7 +113,7 @@ class AssemblerNode:
 
     def _index_batch(self, batch: Batch) -> None:
         # Persist-then-index; duplicates are idempotent.
-        digest = compute_batch_digest(batch)
+        digest = batch.digest()
         if digest not in self.index:
             self.index[digest] = batch
         self.fetching.pop(BatchKey(batch.seq, batch.shard, digest, batch.primary), None)
@@ -238,7 +237,7 @@ def verify_ledger_blocks(blocks, party_keys, n_parties: int, f: int):
         if len(block.batches) != len(block.header.batch_digests):
             return False, i, REJECT_CONTENT_MISMATCH
         for key, batch in zip(block.header.batch_digests, block.batches):
-            if compute_batch_digest(batch) != key.digest:
+            if batch.digest() != key.digest:
                 return False, i, REJECT_CONTENT_MISMATCH
             if batch.shard != key.shard or batch.seq != key.seq or batch.primary != key.primary:
                 return False, i, REJECT_CONTENT_MISMATCH

@@ -62,17 +62,6 @@ def required_sample_size(alpha: float, p_fail: float) -> int:
     return max(1, k)
 
 
-@dataclass(frozen=True)
-class SamplingPolicy:
-    alpha: float
-    p_fail: float
-    sample_count: int
-
-    @classmethod
-    def from_bounds(cls, alpha: float, p_fail: float) -> "SamplingPolicy":
-        return cls(alpha, p_fail, required_sample_size(alpha, p_fail))
-
-
 def sample_verify(batch: Batch, sample_count: int, rng: random.Random, is_valid) -> int | None:
     """Draw indices uniformly with replacement and verify the hit transactions.
 

@@ -31,12 +31,8 @@ BEHAVIOR_KINDS = (
 @dataclass(frozen=True)
 class AdversaryBehavior:
     kind: str
-    crash_at_us: int = 0
     censor_clients: frozenset = field(default_factory=frozenset)
-    censor_tx_ids: frozenset = field(default_factory=frozenset)
     bogus_fraction: float = 0.5
 
     def censors(self, tx) -> bool:
-        if self.kind != CENSOR_TX:
-            return False
-        return tx.client_id in self.censor_clients or tx.tx_id in self.censor_tx_ids
+        return self.kind == CENSOR_TX and tx.client_id in self.censor_clients

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .assembler import read_ledger, verify_ledger_blocks, write_ledger
 from .batcher import required_sample_size
+from .crypto import SCHEMES
 from .sim.report import report_to_json, summarize, write_csv
 from .sim.runner import run_scenario
 from .sim.scenario import ConfigError, ScenarioConfig, seconds
@@ -60,17 +61,29 @@ def _cmd_run(args) -> int:
     return 0 if report.all_checks_pass() and report.quiescent else 1
 
 
+def _read_keys(path):
+    """(scheme, parties, faults, party_keys) of a keys.json; ValueError if malformed."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("the root must be a JSON object")
+    scheme, n, f, keys = doc["scheme"], doc["parties"], doc["faults"], doc["party_keys"]
+    if not isinstance(scheme, str) or scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if type(n) is not int or type(f) is not int or f < 0 or n < 3 * f + 1:
+        raise ValueError(f"need integer parties >= 3*faults+1, got parties={n!r}, faults={f!r}")
+    if not isinstance(keys, dict) or not all(isinstance(k, str) for k in keys.values()):
+        raise ValueError("party_keys must map party ids to hex strings")
+    return scheme, n, f, {int(p): bytes.fromhex(k) for p, k in keys.items()}
+
+
 def _cmd_verify(args) -> int:
     try:
-        keys_doc = json.loads(Path(args.keys).read_text(encoding="utf-8"))
-        party_keys = {int(p): bytes.fromhex(k) for p, k in keys_doc["party_keys"].items()}
-        n = keys_doc["parties"]
-        f = keys_doc["faults"]
-    except (OSError, KeyError, ValueError) as exc:
+        scheme, n, f, party_keys = _read_keys(args.keys)
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         print(f"cannot read keys: {exc}", file=sys.stderr)
         return 2
     try:
-        blocks = read_ledger(args.ledger, keys_doc["scheme"])
+        blocks = read_ledger(args.ledger, scheme)
     except OSError as exc:
         print(f"cannot read ledger: {exc}", file=sys.stderr)
         return 2

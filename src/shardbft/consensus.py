@@ -208,6 +208,8 @@ class ConsensusNode:
         self.node_id = node_id
         self.state = ConsensusState(cfg.f, cfg.epoch_window)
         self.orphan_votes = OrphanVotes()
+        self.next_round = 1  # the sequencer numbers rounds from 1
+        self.early_rounds: dict[int, msg.RoundDelivery] = {}
         self.headers: dict[int, tuple[BlockHeader, bytes, bytes]] = {}
         self.collected: dict[int, dict[int, Signature]] = {}
         self.share_buffer: dict[int, list[msg.HeaderShare]] = {}
@@ -224,7 +226,12 @@ class ConsensusNode:
         if isinstance(message, msg.ConsensusSubmission):
             self._on_submission(message.event, ctx)
         elif isinstance(message, msg.RoundDelivery):
-            self._on_round(message, ctx)
+            # The network may reorder rounds; apply them in round_no order.
+            if message.round_no >= self.next_round:
+                self.early_rounds[message.round_no] = message
+            while self.next_round in self.early_rounds:
+                self._on_round(self.early_rounds.pop(self.next_round), ctx)
+                self.next_round += 1
         elif isinstance(message, msg.HeaderShare):
             self._on_share(message, ctx)
 
@@ -265,7 +272,6 @@ class ConsensusNode:
         for share in shares:
             if share.epoch < horizon:
                 continue
-            self.orphan_votes.observe(share)
             if share.key().slot() in state.dedup:
                 orphans_by_shard.setdefault(share.shard, []).append(share.key())
             fresh.append(share)
@@ -290,9 +296,7 @@ class ConsensusNode:
         for key, _group in thresholds:
             state.dedup[key.slot()] = (key.digest, state.ordered_epoch)
 
-        ripe = self.orphan_votes.ripe_keys(self.cfg.f)
-        if ripe:
-            state.pending = [s for s in state.pending if s.key() not in ripe]
+        state.pending = purge_orphans(state.pending, fresh, self.cfg.f, self.orphan_votes)
         state.pending_index = {(s.signer, s.key()) for s in state.pending}
 
         for slot in [s for s, (_, ep) in state.dedup.items() if ep < horizon]:

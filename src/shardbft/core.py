@@ -148,6 +148,7 @@ class Batch:
     txs: tuple[Transaction, ...]
 
     def digest(self) -> bytes:
+        """sha256 of the canonical encoding: shard, seq, term, primary and the ordered txs."""
         cached = self.__dict__.get("_digest")
         if cached is None:
             cached = sha256(encode_batch(self))
@@ -182,14 +183,6 @@ def decode_batch(buf: bytes, off: int, scheme: str) -> tuple[Batch, int]:
         txs.append(tx)
         off = end
     return Batch(shard, seq, term, primary, tuple(txs)), off
-
-
-def compute_batch_digest(batch: Batch) -> bytes:
-    """Collision-resistant digest over the canonical batch encoding.
-
-    Covers (shard, seq, term, primary, tx list); order-sensitive.
-    """
-    return batch.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,6 @@ class NodeContext(Protocol):
         """Whether a co-located component of the same party has crashed."""
 
 
-# Enqueue confirmation statuses.
-ENQ_ACCEPTED = "accepted"
-ENQ_DUPLICATE = "duplicate"
-ENQ_BACKPRESSURE = "backpressure"
-
-
 # --- client <-> router <-> batcher -----------------------------------------
 
 
@@ -54,7 +48,7 @@ class ForwardTx:
 @dataclass(frozen=True, slots=True)
 class EnqueueResult:
     submission_id: int
-    status: str
+    status: str  # a pools.INSERT_* status
 
 
 @dataclass(frozen=True, slots=True)

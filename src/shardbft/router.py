@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import messages as msg
-from .core import Transaction
+from .core import Transaction, tx_signing_bytes
 from .crypto import verify
-from .core import tx_signing_bytes
+from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE
 
 MAX_TX_SIZE_DEFAULT = 1 << 20  # 1 MiB
 
@@ -65,7 +65,7 @@ class RouterNode:
     cfg: RouterConfig
     node_id: int
     batcher_ids: Mapping[int, int]  # shard -> node id of this party's batcher
-    _pending: dict[int, tuple[int, int]] = field(default_factory=dict)  # submission -> (client node, client id)
+    _pending: dict[int, int] = field(default_factory=dict)  # submission -> client node
 
     def start(self, ctx) -> None:
         pass
@@ -89,15 +89,14 @@ class RouterNode:
                 ctx.send(m.reply_to, msg.SubmissionReply(m.submission_id, False, REASON_UNAVAILABLE))
             return
         if m.reply_to is not None:
-            self._pending[m.submission_id] = (m.reply_to, m.tx.client_id)
+            self._pending[m.submission_id] = m.reply_to
         ctx.send(batcher, msg.ForwardTx(m.tx, m.submission_id if m.reply_to is not None else None, self.node_id))
 
     def _on_enqueue_result(self, m: msg.EnqueueResult, ctx) -> None:
-        entry = self._pending.pop(m.submission_id, None)
-        if entry is None:
+        reply_to = self._pending.pop(m.submission_id, None)
+        if reply_to is None:
             return
-        reply_to, _client = entry
-        if m.status in (msg.ENQ_ACCEPTED, msg.ENQ_DUPLICATE):
+        if m.status in (INSERT_ACCEPTED, INSERT_DUPLICATE):
             # A duplicate is already in the pool or the ledger: the submission
             # goal is met, so it still acknowledges.
             ctx.send(reply_to, msg.SubmissionReply(m.submission_id, True, m.status))

@@ -3,12 +3,19 @@
 Configs are plain JSON (see docs/formats.md for the schema). All durations
 in the file are seconds; internally everything runs on an integer
 microsecond clock (one tick = 1 microsecond).
+
+Each key is declared once, as a dataclass field: its default is the field
+default and its metadata gives the JSON name, the kind and the allowed
+range. ``_decode`` and ``_encode`` walk those fields, so parsing, per-key
+checks and serialization read one table; ``validate`` keeps only the rules
+that span keys.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 from ..batcher import required_sample_size
 from ..behaviors import BEHAVIOR_KINDS, AdversaryBehavior
@@ -27,10 +34,34 @@ def seconds(micros: int) -> float:
     return micros / 1_000_000
 
 
+# Key kinds. SECONDS is a JSON number of seconds stored as integer
+# microseconds; OBJECT and OBJECTS hold one or a list of nested dataclasses.
+# Durations are capped at MAX_SECONDS so that every microsecond count writes
+# back to the same seconds value; TICK is the least positive duration.
+INT, NUMBER, SECONDS, CHOICE, INTS, OBJECT, OBJECTS = (
+    "integer", "number", "seconds", "choice", "list of integers", "object", "list of objects"
+)
+MAX_SECONDS = 10**9
+TICK = 1e-6
+
+
+def _key(name: str, kind: str, default=MISSING, *, lo=None, hi=None, of=None, omit_unset=False):
+    """One config key. ``lo``/``hi`` bound the JSON value inclusively; ``of``
+    is a CHOICE's options or the dataclass of an OBJECT/OBJECTS. A None
+    default makes the key nullable; with ``omit_unset`` an unset key is left
+    out of ``to_dict``."""
+    if kind == SECONDS:
+        hi = MAX_SECONDS
+    meta = {"key": name, "kind": kind, "lo": lo, "hi": hi, "of": of, "omit_unset": omit_unset}
+    if kind == OBJECT:
+        return field(default_factory=of, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class LatencyModel:
-    base_us: int = 5_000
-    jitter_us: int = 20_000
+    base_us: int = _key("base", SECONDS, us(0.005), lo=0)
+    jitter_us: int = _key("jitter", SECONDS, us(0.02), lo=0)
 
     @property
     def max_us(self) -> int:
@@ -39,16 +70,15 @@ class LatencyModel:
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    party: int
-    kind: str
-    crash_at_us: int = 0
-    censor_clients: tuple[int, ...] = ()
-    bogus_fraction: float = 0.5
+    party: int = _key("party", INT, lo=0)
+    kind: str = _key("kind", CHOICE, of=BEHAVIOR_KINDS)
+    crash_at_us: int = _key("crash_at", SECONDS, 0, lo=0)
+    censor_clients: tuple[int, ...] = _key("censor_clients", INTS, ())
+    bogus_fraction: float = _key("bogus_fraction", NUMBER, 0.5, lo=0, hi=1)
 
     def behavior(self) -> AdversaryBehavior:
         return AdversaryBehavior(
             kind=self.kind,
-            crash_at_us=self.crash_at_us,
             censor_clients=frozenset(self.censor_clients),
             bogus_fraction=self.bogus_fraction,
         )
@@ -56,22 +86,23 @@ class AdversarySpec:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    max_batch_size: int = 10_000
-    max_batch_latency_us: int = us(0.5)
-    min_propose_interval_us: int = us(0.01)
-    bucket_period_us: int = us(0.1)
-    t_forward_us: int = us(2.0)
-    t_complain_us: int = us(2.0)
-    epoch_length_us: int = us(10.0)
-    epoch_window: int = 2
-    alpha: float = 0.5
-    p_fail: float = 2.0**-30
-    sample_count: int | None = None  # derived from (alpha, p_fail) when None
-    max_orphan_refs: int = 8
-    round_interval_us: int = us(0.05)
-    fetch_timeout_us: int = us(0.25)
-    pool_capacity: int | None = None
-    max_tx_size: int = 1 << 20
+    max_batch_size: int = _key("max_batch_size", INT, 10_000, lo=1)
+    max_batch_latency_us: int = _key("max_batch_latency", SECONDS, us(0.5), lo=TICK)
+    min_propose_interval_us: int = _key("min_propose_interval", SECONDS, us(0.01), lo=0)
+    bucket_period_us: int = _key("bucket_period", SECONDS, us(0.1), lo=TICK)
+    t_forward_us: int = _key("t_forward", SECONDS, us(2.0), lo=0)
+    t_complain_us: int = _key("t_complain", SECONDS, us(2.0), lo=0)
+    epoch_length_us: int = _key("epoch_length", SECONDS, us(10.0), lo=TICK)
+    epoch_window: int = _key("epoch_window", INT, 2, lo=1)
+    alpha: float = _key("alpha", NUMBER, 0.5)
+    p_fail: float = _key("p_fail", NUMBER, 2.0**-30)
+    # Derived from (alpha, p_fail) when None.
+    sample_count: int | None = _key("sample_count", INT, None, lo=0)
+    max_orphan_refs: int = _key("max_orphan_refs", INT, 8, lo=0)
+    round_interval_us: int = _key("round_interval", SECONDS, us(0.05), lo=TICK)
+    fetch_timeout_us: int = _key("fetch_timeout", SECONDS, us(0.25), lo=0)
+    pool_capacity: int | None = _key("pool_capacity", INT, None, lo=1)
+    max_tx_size: int = _key("max_tx_size", INT, 1 << 20, lo=1)
 
     def resolved_sample_count(self) -> int:
         if self.sample_count is not None:
@@ -85,26 +116,28 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_parties: int = 4
-    f: int = 1
-    shard_count: int = 1
-    seed: int = 0
-    clients: int = 4
-    tx_rate: float = 100.0
-    tx_size: int = 64
-    duration_us: int = us(1.0)
-    tx_count: int | None = None  # overrides tx_rate * duration when set
-    gst_us: int = 0
-    delta_us: int = us(1.0)  # declared post-GST delivery bound
-    tob_delay_bound_us: int = us(0.5)  # declared total-order latency bound
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    scheme: str = SCHEME_TEST_MAC
-    adversaries: tuple[AdversarySpec, ...] = ()
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
-    drain_us: int = us(30.0)
+    n_parties: int = _key("parties", INT, 4, lo=1)
+    f: int = _key("faults", INT, 1, lo=0)
+    shard_count: int = _key("shards", INT, 1, lo=1)
+    seed: int = _key("seed", INT, 0, lo=0, hi=2**64 - 1)
+    clients: int = _key("clients", INT, 4, lo=1)
+    tx_rate: float = _key("tx_rate", NUMBER, 100.0, lo=0)
+    tx_size: int = _key("tx_size", INT, 64, lo=1)
+    duration_us: int = _key("duration", SECONDS, us(1.0), lo=TICK)
+    # Overrides tx_rate * duration when set.
+    tx_count: int | None = _key("tx_count", INT, None, lo=1)
+    gst_us: int = _key("gst", SECONDS, 0, lo=0)
+    # Declared post-GST delivery bound and total-order latency bound.
+    delta_us: int = _key("delta", SECONDS, us(1.0), lo=0)
+    tob_delay_bound_us: int = _key("tob_delay_bound", SECONDS, us(0.5), lo=0)
+    latency: LatencyModel = _key("latency", OBJECT, of=LatencyModel)
+    scheme: str = _key("scheme", CHOICE, SCHEME_TEST_MAC, of=SCHEMES)
+    adversaries: tuple[AdversarySpec, ...] = _key("adversaries", OBJECTS, (), of=AdversarySpec)
+    protocol: ProtocolParams = _key("protocol", OBJECT, of=ProtocolParams)
+    drain_us: int = _key("drain", SECONDS, us(30.0), lo=0)
     # Test-only fault injection: drop all traffic to this party after GST,
     # deliberately violating the delivery model so checks must flag it.
-    lossy_party: int | None = None
+    lossy_party: int | None = _key("lossy_party", INT, None, lo=0, omit_unset=True)
 
     # --- derived --------------------------------------------------------
 
@@ -125,174 +158,30 @@ class ScenarioConfig:
         return self.f * self.protocol.t_censor_us + self.tob_delay_bound_us + 2 * self.delta_us
 
     def validate(self) -> None:
+        """The rules that span keys; each key's own range is in its field."""
         p = self.protocol
-        if self.f < 0 or self.n_parties < 3 * self.f + 1:
+        if self.n_parties < 3 * self.f + 1:
             raise ConfigError(f"need parties >= 3*faults+1, got parties={self.n_parties}, faults={self.f}")
-        if self.shard_count < 1:
-            raise ConfigError("shards must be >= 1")
-        if self.clients < 1:
-            raise ConfigError("clients must be >= 1")
-        if self.tx_size < 1:
-            raise ConfigError("tx_size must be >= 1")
-        if self.duration_us <= 0:
-            raise ConfigError("duration must be positive")
         if len(self.adversary_parties()) > self.f:
             raise ConfigError("more adversary parties than the fault bound allows")
         for a in self.adversaries:
-            if not 0 <= a.party < self.n_parties:
+            if a.party >= self.n_parties:
                 raise ConfigError(f"adversary party {a.party} out of range")
-            if a.kind not in BEHAVIOR_KINDS:
-                raise ConfigError(f"unknown adversary kind {a.kind!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown signature scheme {self.scheme!r}")
-        if self.latency.base_us < 0 or self.latency.jitter_us < 0:
-            raise ConfigError("latency values must be non-negative")
         if self.latency.max_us > self.delta_us:
             raise ConfigError("latency model exceeds the declared post-GST delivery bound")
         if p.round_interval_us + 3 * self.latency.max_us > self.tob_delay_bound_us:
             raise ConfigError("declared total-order latency bound is below what the model can deliver")
-        if not 0.0 < p.alpha < 1.0 and p.sample_count is None:
-            raise ConfigError("alpha must be in (0, 1)")
-        if p.sample_count is not None and p.sample_count < 0:
-            raise ConfigError("sample_count must be >= 0")
-        if p.max_batch_size < 1 or p.max_batch_latency_us <= 0:
-            raise ConfigError("invalid batching parameters")
-        if p.epoch_length_us <= 0 or p.epoch_window < 1:
-            raise ConfigError("invalid epoch parameters")
+        if p.sample_count is None and not (0.0 < p.alpha < 1.0 and 0.0 < p.p_fail < 1.0):
+            raise ConfigError("alpha and p_fail must be in (0, 1) unless sample_count is set")
 
     # --- (de)serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        p = self.protocol
-        out = {
-            "parties": self.n_parties,
-            "faults": self.f,
-            "shards": self.shard_count,
-            "seed": self.seed,
-            "clients": self.clients,
-            "tx_rate": self.tx_rate,
-            "tx_size": self.tx_size,
-            "duration": seconds(self.duration_us),
-            "tx_count": self.tx_count,
-            "gst": seconds(self.gst_us),
-            "delta": seconds(self.delta_us),
-            "tob_delay_bound": seconds(self.tob_delay_bound_us),
-            "latency": {"base": seconds(self.latency.base_us), "jitter": seconds(self.latency.jitter_us)},
-            "scheme": self.scheme,
-            "drain": seconds(self.drain_us),
-            "adversaries": [
-                {
-                    "party": a.party,
-                    "kind": a.kind,
-                    "crash_at": seconds(a.crash_at_us),
-                    "censor_clients": list(a.censor_clients),
-                    "bogus_fraction": a.bogus_fraction,
-                }
-                for a in self.adversaries
-            ],
-            "protocol": {
-                "max_batch_size": p.max_batch_size,
-                "max_batch_latency": seconds(p.max_batch_latency_us),
-                "min_propose_interval": seconds(p.min_propose_interval_us),
-                "bucket_period": seconds(p.bucket_period_us),
-                "t_forward": seconds(p.t_forward_us),
-                "t_complain": seconds(p.t_complain_us),
-                "epoch_length": seconds(p.epoch_length_us),
-                "epoch_window": p.epoch_window,
-                "alpha": p.alpha,
-                "p_fail": p.p_fail,
-                "sample_count": p.sample_count,
-                "max_orphan_refs": p.max_orphan_refs,
-                "round_interval": seconds(p.round_interval_us),
-                "fetch_timeout": seconds(p.fetch_timeout_us),
-                "pool_capacity": p.pool_capacity,
-                "max_tx_size": p.max_tx_size,
-            },
-        }
-        if self.lossy_party is not None:
-            out["lossy_party"] = self.lossy_party
-        return out
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {
-            "parties", "faults", "shards", "seed", "clients", "tx_rate", "tx_size",
-            "duration", "tx_count", "gst", "delta", "tob_delay_bound", "latency",
-            "scheme", "drain", "adversaries", "protocol", "lossy_party",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        defaults = cls()
-        lat = data.get("latency", {})
-        if not isinstance(lat, dict):
-            raise ConfigError("latency must be an object")
-        latency = LatencyModel(
-            base_us=us(lat.get("base", seconds(defaults.latency.base_us))),
-            jitter_us=us(lat.get("jitter", seconds(defaults.latency.jitter_us))),
-        )
-        proto_in = data.get("protocol", {})
-        known_proto = {
-            "max_batch_size", "max_batch_latency", "min_propose_interval", "bucket_period",
-            "t_forward", "t_complain", "epoch_length", "epoch_window", "alpha", "p_fail",
-            "sample_count", "max_orphan_refs", "round_interval", "fetch_timeout",
-            "pool_capacity", "max_tx_size",
-        }
-        unknown = set(proto_in) - known_proto
-        if unknown:
-            raise ConfigError(f"unknown protocol keys: {sorted(unknown)}")
-        dp = ProtocolParams()
-        proto = ProtocolParams(
-            max_batch_size=proto_in.get("max_batch_size", dp.max_batch_size),
-            max_batch_latency_us=us(proto_in.get("max_batch_latency", seconds(dp.max_batch_latency_us))),
-            min_propose_interval_us=us(proto_in.get("min_propose_interval", seconds(dp.min_propose_interval_us))),
-            bucket_period_us=us(proto_in.get("bucket_period", seconds(dp.bucket_period_us))),
-            t_forward_us=us(proto_in.get("t_forward", seconds(dp.t_forward_us))),
-            t_complain_us=us(proto_in.get("t_complain", seconds(dp.t_complain_us))),
-            epoch_length_us=us(proto_in.get("epoch_length", seconds(dp.epoch_length_us))),
-            epoch_window=proto_in.get("epoch_window", dp.epoch_window),
-            alpha=proto_in.get("alpha", dp.alpha),
-            p_fail=proto_in.get("p_fail", dp.p_fail),
-            sample_count=proto_in.get("sample_count", dp.sample_count),
-            max_orphan_refs=proto_in.get("max_orphan_refs", dp.max_orphan_refs),
-            round_interval_us=us(proto_in.get("round_interval", seconds(dp.round_interval_us))),
-            fetch_timeout_us=us(proto_in.get("fetch_timeout", seconds(dp.fetch_timeout_us))),
-            pool_capacity=proto_in.get("pool_capacity", dp.pool_capacity),
-            max_tx_size=proto_in.get("max_tx_size", dp.max_tx_size),
-        )
-        adversaries = []
-        for entry in data.get("adversaries", []):
-            if "party" not in entry or "kind" not in entry:
-                raise ConfigError("adversary entries need 'party' and 'kind'")
-            adversaries.append(
-                AdversarySpec(
-                    party=entry["party"],
-                    kind=entry["kind"],
-                    crash_at_us=us(entry.get("crash_at", 0.0)),
-                    censor_clients=tuple(entry.get("censor_clients", ())),
-                    bogus_fraction=entry.get("bogus_fraction", 0.5),
-                )
-            )
-        cfg = cls(
-            n_parties=data.get("parties", defaults.n_parties),
-            f=data.get("faults", defaults.f),
-            shard_count=data.get("shards", defaults.shard_count),
-            seed=data.get("seed", defaults.seed),
-            clients=data.get("clients", defaults.clients),
-            tx_rate=data.get("tx_rate", defaults.tx_rate),
-            tx_size=data.get("tx_size", defaults.tx_size),
-            duration_us=us(data.get("duration", seconds(defaults.duration_us))),
-            tx_count=data.get("tx_count", defaults.tx_count),
-            gst_us=us(data.get("gst", 0.0)),
-            delta_us=us(data.get("delta", seconds(defaults.delta_us))),
-            tob_delay_bound_us=us(data.get("tob_delay_bound", seconds(defaults.tob_delay_bound_us))),
-            latency=latency,
-            scheme=data.get("scheme", defaults.scheme),
-            adversaries=tuple(adversaries),
-            protocol=proto,
-            drain_us=us(data.get("drain", seconds(defaults.drain_us))),
-            lossy_party=data.get("lossy_party", None),
-        )
+        cfg = _decode(cls, data, "config")
         cfg.validate()
         return cfg
 
@@ -301,13 +190,86 @@ class ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
         return cls.from_dict(data)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         d = self.to_dict()
         d["seed"] = seed
         return type(self).from_dict(d)
+
+
+def _decode(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    spec = {f.metadata["key"]: f for f in fields(cls)}
+    unknown = set(data) - set(spec)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {sorted(unknown, key=str)}")
+    values = {}
+    for key, f in spec.items():
+        if key in data:
+            values[f.name] = _decode_value(f, data[key], f"{where}.{key}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{key} is required")
+    return cls(**values)
+
+
+def _decode_value(f, value, where: str):
+    kind, lo, hi, of = (f.metadata[k] for k in ("kind", "lo", "hi", "of"))
+    if value is None and f.default is None:
+        return None
+    if kind == OBJECT:
+        return _decode(of, value, where)
+    if kind == OBJECTS:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return tuple(_decode(of, item, f"{where}[{i}]") for i, item in enumerate(value))
+    if kind == INTS:
+        if not isinstance(value, list) or not all(_is_int(v) for v in value):
+            raise ConfigError(f"{where} must be a list of integers")
+        return tuple(value)
+    if kind == CHOICE:
+        if not isinstance(value, str) or value not in of:
+            raise ConfigError(f"{where} must be one of {list(of)}")
+        return value
+    typed = _is_int(value) or (kind != INT and isinstance(value, float))
+    finite = typed and (kind == INT or _finite(value))
+    if not finite or (lo is not None and value < lo) or (hi is not None and value > hi):
+        text = {INT: "an integer", NUMBER: "a finite number", SECONDS: "a number of seconds"}[kind]
+        if lo is not None:
+            text += f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ConfigError(f"{where} must be {text}")
+    return us(value) if kind == SECONDS else value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _encode(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        meta, value = f.metadata, getattr(obj, f.name)
+        if value is None and meta["omit_unset"]:
+            continue
+        if value is not None:
+            kind = meta["kind"]
+            if kind == SECONDS:
+                value = seconds(value)
+            elif kind == OBJECT:
+                value = _encode(value)
+            elif kind == OBJECTS:
+                value = [_encode(item) for item in value]
+            elif kind == INTS:
+                value = list(value)
+        out[meta["key"]] = value
+    return out

@@ -7,7 +7,6 @@ from shardbft import messages as msg
 from shardbft.batcher import (
     BatcherConfig,
     BatcherNode,
-    SamplingPolicy,
     required_sample_size,
     sample_verify,
     scan_pool,
@@ -89,12 +88,6 @@ def test_required_sample_size_rejects_degenerate():
     for p in (0.0, 1.0):
         with pytest.raises(ValueError):
             required_sample_size(0.5, p)
-
-
-def test_sampling_policy_from_bounds():
-    policy = SamplingPolicy.from_bounds(0.5, 2.0**-30)
-    assert policy.sample_count == 30
-    assert policy.sample_count >= 1
 
 
 def test_sample_verify_all_valid(client_keys, client_directory):

@@ -204,3 +204,74 @@ def test_seed_override_changes_run(tmp_path, config_path):
     assert main(["run", "--config", str(config_path), "--out", str(out_b), "--seed", "123"]) == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "ledger_party0.bin").read_bytes() == (out_b / "ledger_party0.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({**BASE_CONFIG, "protocol": {**BASE_CONFIG["protocol"], "round_interval": 0}}),
+        json.dumps({**BASE_CONFIG, "protocol": {**BASE_CONFIG["protocol"], "bucket_period": 0}}),
+        json.dumps({**BASE_CONFIG, "seed": "x"}),
+        json.dumps({**BASE_CONFIG, "latency": []}),
+        json.dumps({**BASE_CONFIG, "adversaries": [{"party": 0, "kind": "crash", "typo": 1}]}),
+        json.dumps([BASE_CONFIG]),
+        "{not json",
+    ],
+    ids=["zero_round_interval", "zero_bucket_period", "string_seed", "list_latency", "adversary_typo", "list_root", "not_json"],
+)
+def test_run_malformed_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_seed_out_of_range_exits_2(tmp_path, capsys, config_path, seed):
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.seed must be an integer in [0, ")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "parties": "4"},
+        lambda doc: {**doc, "party_keys": {**doc["party_keys"], "0": 5}},
+        lambda doc: {**doc, "party_keys": {**doc["party_keys"], "0": "zz"}},
+        lambda doc: {**doc, "party_keys": []},
+        lambda doc: {**doc, "faults": 2},
+        lambda doc: {**doc, "scheme": "rsa"},
+        lambda doc: {k: v for k, v in doc.items() if k != "scheme"},
+    ],
+    ids=["list_root", "string_parties", "int_key", "non_hex_key", "list_keys", "too_many_faults", "unknown_scheme", "no_scheme"],
+)
+def test_verify_malformed_keys_exit_2(produced, tmp_path, capsys, edit):
+    keys = tmp_path / "keys.json"
+    keys.write_text(json.dumps(edit(json.loads((produced / "keys.json").read_text()))))
+    assert main(["verify", "--ledger", str(produced / "ledger_party0.bin"), "--keys", str(keys)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read keys: ") and not captured.out
+
+
+# Bytes that json cannot read: invalid UTF-8, and nesting beyond the recursion limit.
+unreadable_json = pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000], ids=["bad_utf8", "deep_nesting"]
+)
+
+
+@unreadable_json
+def test_run_unreadable_config_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+
+
+@unreadable_json
+def test_verify_unreadable_keys_exit_2(produced, tmp_path, capsys, raw):
+    keys = tmp_path / "keys.json"
+    keys.write_bytes(raw)
+    assert main(["verify", "--ledger", str(produced / "ledger_party0.bin"), "--keys", str(keys)]) == 2
+    assert capsys.readouterr().err.startswith("cannot read keys: ")

@@ -337,6 +337,24 @@ def test_chain_continuity_across_rounds(party_keys):
     assert h1.prev_header_hash == b"\x00" * 32
 
 
+def test_rounds_apply_in_round_order_whatever_the_arrival_order(party_keys):
+    rounds = [
+        msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))),
+        msg.RoundDelivery(2, tuple(make_share(party_keys, s, 1) for s in (0, 1))),
+    ]
+    in_order, reordered = make_node(party_keys), make_node(party_keys)
+    ctx_in, ctx_re = StubCtx(), StubCtx()
+    for m in rounds:
+        in_order.handle(m, ctx_in)
+    reordered.handle(rounds[1], ctx_re)
+    assert reordered.state.next_block_seq == 0 and not ctx_re.sent  # round 2 waits for round 1
+    reordered.handle(rounds[0], ctx_re)
+    reordered.handle(rounds[0], ctx_re)  # a late copy of an applied round is ignored
+    assert reordered.state == in_order.state
+    assert reordered.headers == in_order.headers
+    assert ctx_re.sent == ctx_in.sent
+
+
 def test_conflicting_share_flagged_not_counted(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()

@@ -14,7 +14,6 @@ from shardbft.core import (
     BlockHeader,
     Transaction,
     attestation_threshold,
-    compute_batch_digest,
     decode_bas_payload,
     decode_batch,
     decode_block,
@@ -128,21 +127,21 @@ def test_batch_digest_deterministic(client_keys):
     txs = [make_tx(c % 4, bytes([c]) * 8, client_keys) for c in range(5)]
     batch = make_batch(txs)
     again = make_batch(txs)
-    assert compute_batch_digest(batch) == compute_batch_digest(again)
+    assert batch.digest() == again.digest()
 
 
 def test_batch_digest_order_sensitive(client_keys):
     txs = [make_tx(c % 4, bytes([c]) * 8, client_keys) for c in range(5)]
-    assert compute_batch_digest(make_batch(txs)) != compute_batch_digest(make_batch(txs[::-1]))
+    assert make_batch(txs).digest() != make_batch(txs[::-1]).digest()
 
 
 def test_batch_digest_metadata_sensitive(client_keys):
     txs = [make_tx(0, b"payload", client_keys)]
     base = make_batch(txs)
-    assert compute_batch_digest(base) != compute_batch_digest(make_batch(txs, seq=1))
-    assert compute_batch_digest(base) != compute_batch_digest(make_batch(txs, term=1))
-    assert compute_batch_digest(base) != compute_batch_digest(make_batch(txs, primary=1))
-    assert compute_batch_digest(base) != compute_batch_digest(make_batch(txs, shard=1))
+    assert base.digest() != make_batch(txs, seq=1).digest()
+    assert base.digest() != make_batch(txs, term=1).digest()
+    assert base.digest() != make_batch(txs, primary=1).digest()
+    assert base.digest() != make_batch(txs, shard=1).digest()
 
 
 def test_batch_digest_perturbations_no_collisions(client_keys):
@@ -150,7 +149,7 @@ def test_batch_digest_perturbations_no_collisions(client_keys):
     txs = [make_tx(c % 4, rng.randbytes(16), client_keys) for c in range(8)]
     base = make_batch(txs)
     seen_inputs = {(None, None)}
-    seen_digests = {compute_batch_digest(base)}
+    seen_digests = {base.digest()}
     checked = 0
     while checked < 1000:
         i = rng.randrange(len(txs))
@@ -163,7 +162,7 @@ def test_batch_digest_perturbations_no_collisions(client_keys):
         payload = bytearray(mutated[i].payload)
         payload[pos] ^= 1 << bit
         mutated[i] = Transaction(mutated[i].client_id, bytes(payload), mutated[i].signature)
-        digest = compute_batch_digest(make_batch(mutated))
+        digest = make_batch(mutated).digest()
         assert digest not in seen_digests
         seen_digests.add(digest)
         checked += 1
@@ -176,7 +175,7 @@ def test_batch_encoding_round_trip(client_keys, scheme):
     decoded, end = decode_batch(encode_batch(batch), 0, scheme)
     assert end == len(encode_batch(batch))
     assert decoded == batch
-    assert compute_batch_digest(decoded) == compute_batch_digest(batch)
+    assert decoded.digest() == batch.digest()
 
 
 def test_tx_id_stable_under_resigning(client_keys):

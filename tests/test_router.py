@@ -4,6 +4,7 @@ from collections import Counter
 from shardbft import messages as msg
 from shardbft.core import Transaction
 from shardbft.crypto import Signature
+from shardbft.pools import INSERT_ACCEPTED, INSERT_BACKPRESSURE, INSERT_DUPLICATE
 from shardbft.router import (
     REASON_BAD_SIGNATURE,
     REASON_MALFORMED,
@@ -91,7 +92,7 @@ def test_submission_ack_after_enqueue_confirmation(client_directory, client_keys
     assert dest == 100 + map_to_shard(tx.tx_id, 2)
     assert isinstance(fwd, msg.ForwardTx) and fwd.submission_id == 7
     # No reply yet: the ack is tied to the batcher confirming the enqueue.
-    router.handle(msg.EnqueueResult(7, msg.ENQ_ACCEPTED), ctx)
+    router.handle(msg.EnqueueResult(7, INSERT_ACCEPTED), ctx)
     (dest, reply), = ctx.take_sent()
     assert dest == 55 and reply.ok
 
@@ -121,7 +122,7 @@ def test_duplicate_enqueue_still_acks(client_directory, client_keys):
     tx = make_tx(1, b"payload", client_keys)
     router.handle(msg.SubmitTx(tx, 1, reply_to=55), ctx)
     ctx.take_sent()
-    router.handle(msg.EnqueueResult(1, msg.ENQ_DUPLICATE), ctx)
+    router.handle(msg.EnqueueResult(1, INSERT_DUPLICATE), ctx)
     (_, reply), = ctx.take_sent()
     assert reply.ok
 
@@ -132,7 +133,7 @@ def test_backpressure_rejects(client_directory, client_keys):
     tx = make_tx(1, b"payload", client_keys)
     router.handle(msg.SubmitTx(tx, 2, reply_to=55), ctx)
     ctx.take_sent()
-    router.handle(msg.EnqueueResult(2, msg.ENQ_BACKPRESSURE), ctx)
+    router.handle(msg.EnqueueResult(2, INSERT_BACKPRESSURE), ctx)
     (_, reply), = ctx.take_sent()
     assert not reply.ok
 

@@ -97,6 +97,18 @@ def test_crash_failover_recovers():
     assert all(v["pass"] for v in report.checks.values())
 
 
+def test_rounds_reordered_before_gst_still_commit_everywhere():
+    # Criterion 1's grid config at N=7, F=2, k=3 with GST at 0.5 s: the
+    # pre-GST network delivers some sequencer rounds out of order.
+    report = run_scenario(
+        _cfg(parties=7, faults=2, shards=3, seed=246614, gst=0.5, duration=0.6, drain=20.0)
+    )
+    assert report.quiescent
+    assert report.checks["agreement"]["pass"]
+    assert report.checks["no_loss_no_unbounded_dup"]["pass"]
+    assert {len(blocks) for blocks in report.ledgers.values()} == {6}
+
+
 def test_censorship_recovered_within_bound():
     report = run_scenario(
         _cfg(adversaries=[{"party": 0, "kind": "censor_tx", "censor_clients": [0]}], seed=4)
