@@ -22,8 +22,6 @@ from .core import (
     ZERO_DIGEST,
     decode_block,
     encode_block,
-    encode_header_payload,
-    header_digest,
     quorum_size,
     read_u64,
     u64,
@@ -56,7 +54,7 @@ def verify_header(
     quorum = quorum_size(n_parties, f)
     if len({signer for signer, _ in sigs}) < quorum:
         return REJECT_INSUFFICIENT_QUORUM
-    payload = encode_header_payload(header)
+    payload = header.signing_payload
     valid = set()
     for signer, sig in sigs:
         public = party_keys.get(signer)
@@ -154,7 +152,7 @@ class AssemblerNode:
         batches = tuple(self.index[key.digest] for key in header.batch_digests)
         block = Block(header, tuple(sigs), batches)
         self.ledger.append(block)
-        self.prev_hash = header_digest(header)
+        self.prev_hash = header.header_hash
         self.next_seq += 1
         self.waiting = None
         now = ctx.now()
@@ -241,5 +239,5 @@ def verify_ledger_blocks(blocks, party_keys, n_parties: int, f: int):
                 return False, i, REJECT_CONTENT_MISMATCH
             if batch.shard != key.shard or batch.seq != key.seq or batch.primary != key.primary:
                 return False, i, REJECT_CONTENT_MISMATCH
-        prev = header_digest(block.header)
+        prev = block.header.header_hash
     return True, None, None

@@ -20,12 +20,7 @@ from .core import (
     BatchKey,
     BlockHeader,
     ComplaintVote,
-    DIGEST_LEN,
     ZERO_DIGEST,
-    bas_payload,
-    encode_complaint_payload,
-    encode_header_payload,
-    header_digest,
     quorum_size,
 )
 from .crypto import KeyPair, Signature, sign, verify
@@ -53,11 +48,10 @@ class ConsensusState:
     ordered_epoch: int = 0  # watermark: max epoch seen in ordered shares
 
 
-def event_signing_payload(event) -> bytes:
-    if isinstance(event, BatchAttestationShare):
-        return bas_payload(event)
-    if isinstance(event, ComplaintVote):
-        return encode_complaint_payload(event.term, event.shard)
+def event_signing_payload(event) -> bytes | None:
+    """The payload the event's signer signed; None for a malformed share."""
+    if isinstance(event, (BatchAttestationShare, ComplaintVote)):
+        return event.signing_payload
     raise TypeError(f"not a consensus event: {type(event).__name__}")
 
 
@@ -65,9 +59,10 @@ def verify_event(event, party_keys) -> bool:
     public = party_keys.get(event.signer)
     if public is None:
         return False
-    if isinstance(event, BatchAttestationShare) and len(event.digest) != DIGEST_LEN:
+    payload = event_signing_payload(event)
+    if payload is None:
         return False
-    return verify(public, event_signing_payload(event), event.signature)
+    return verify(public, payload, event.signature)
 
 
 def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> tuple[bool, str | None]:
@@ -128,19 +123,25 @@ def process_round(
 
 
 class OrphanVotes:
-    """Cross-round counting of orphan references, per referenced key."""
+    """Cross-round counting of orphan references, per referenced key.
 
-    def __init__(self):
+    A key joins ``ripe`` as its F+1st distinct signer is observed, so no
+    round rescans the votes.
+    """
+
+    def __init__(self, f: int):
+        self.f = f
         self.votes: dict[BatchKey, set[int]] = {}
+        self.ripe: set[BatchKey] = set()
 
     def observe(self, share: BatchAttestationShare) -> None:
         for ref in share.orphan_refs:
             # Only same-shard, strictly backward references count.
             if ref.shard == share.shard and ref.seq < share.seq:
-                self.votes.setdefault(ref, set()).add(share.signer)
-
-    def ripe_keys(self, f: int) -> set[BatchKey]:
-        return {key for key, signers in self.votes.items() if len(signers) >= f + 1}
+                signers = self.votes.setdefault(ref, set())
+                signers.add(share.signer)
+                if len(signers) > self.f:
+                    self.ripe.add(ref)
 
 
 def purge_orphans(
@@ -150,11 +151,11 @@ def purge_orphans(
     votes: OrphanVotes | None = None,
 ) -> list[BatchAttestationShare]:
     """Drop pending shares referenced by F+1 distinct same-shard signers."""
-    votes = votes if votes is not None else OrphanVotes()
+    votes = votes if votes is not None else OrphanVotes(f)
     for event in round_events:
         if isinstance(event, BatchAttestationShare):
             votes.observe(event)
-    ripe = votes.ripe_keys(f)
+    ripe = votes.ripe
     if not ripe:
         return pending
     return [share for share in pending if share.key() not in ripe]
@@ -181,7 +182,7 @@ def apply_complaints(complaints, state: ConsensusState, f: int) -> list[tuple[in
 def make_block_header(state: ConsensusState, keys) -> BlockHeader:
     """Chain a new header over the given keys and advance the chain state."""
     header = BlockHeader(state.next_block_seq, state.prev_hash, tuple(keys))
-    state.prev_hash = header_digest(header)
+    state.prev_hash = header.header_hash
     state.next_block_seq += 1
     return header
 
@@ -207,7 +208,7 @@ class ConsensusNode:
         self.cfg = cfg
         self.node_id = node_id
         self.state = ConsensusState(cfg.f, cfg.epoch_window)
-        self.orphan_votes = OrphanVotes()
+        self.orphan_votes = OrphanVotes(cfg.f)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
         self.headers: dict[int, tuple[BlockHeader, bytes, bytes]] = {}
@@ -299,8 +300,15 @@ class ConsensusNode:
         state.pending = purge_orphans(state.pending, fresh, self.cfg.f, self.orphan_votes)
         state.pending_index = {(s.signer, s.key()) for s in state.pending}
 
-        for slot in [s for s, (_, ep) in state.dedup.items() if ep < horizon]:
-            del state.dedup[slot]
+        # Slots enter dedup with the non-decreasing ordered_epoch and a live
+        # slot is never rewritten, so the dict is in epoch order: expire from
+        # the front.
+        dedup = state.dedup
+        while dedup:
+            slot = next(iter(dedup))
+            if dedup[slot][1] >= horizon:
+                break
+            del dedup[slot]
 
         if thresholds:
             self._emit_header(thresholds, ctx)
@@ -310,8 +318,8 @@ class ConsensusNode:
 
     def _emit_header(self, thresholds, ctx) -> None:
         header = make_block_header(self.state, [key for key, _ in thresholds])
-        payload = encode_header_payload(header)
-        hhash = header_digest(header)
+        payload = header.signing_payload
+        hhash = header.header_hash
         signature = sign(self.cfg.keypair, payload)
         seq = header.block_seq
         self.headers[seq] = (header, hhash, payload)

@@ -223,9 +223,23 @@ class BatchAttestationShare:
     epoch: int
     orphan_refs: tuple[BatchKey, ...]
     signature: Signature
+    # Computed once at construction; derived, so not part of ==, hash or repr.
+    # The payload is None when the digest has the wrong length: such a share
+    # has no signing payload and never verifies.
+    batch_key: BatchKey = field(init=False, compare=False, repr=False)
+    signing_payload: bytes | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "batch_key", BatchKey(self.seq, self.shard, self.digest, self.primary))
+        payload = None
+        if len(self.digest) == DIGEST_LEN:
+            payload = encode_bas_payload(
+                self.seq, self.digest, self.shard, self.primary, self.epoch, self.orphan_refs
+            )
+        object.__setattr__(self, "signing_payload", payload)
 
     def key(self) -> BatchKey:
-        return BatchKey(self.seq, self.shard, self.digest, self.primary)
+        return self.batch_key
 
 
 def encode_bas_payload(
@@ -267,12 +281,6 @@ def decode_bas_payload(buf: bytes) -> tuple[int, bytes, int, int, int, tuple[Bat
     return seq, digest, shard, primary, epoch, tuple(refs)
 
 
-def bas_payload(share: BatchAttestationShare) -> bytes:
-    return encode_bas_payload(
-        share.seq, share.digest, share.shard, share.primary, share.epoch, share.orphan_refs
-    )
-
-
 # ---------------------------------------------------------------------------
 # Complaints
 
@@ -285,6 +293,11 @@ class ComplaintVote:
     term: int
     shard: int
     signature: Signature
+    # Computed once at construction; derived, so not part of ==, hash or repr.
+    signing_payload: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signing_payload", encode_complaint_payload(self.term, self.shard))
 
 
 def encode_complaint_payload(term: int, shard: int) -> bytes:
@@ -300,6 +313,14 @@ class BlockHeader:
     block_seq: int
     prev_header_hash: bytes
     batch_digests: tuple[BatchKey, ...]
+    # Computed once at construction; derived, so not part of ==, hash or repr.
+    signing_payload: bytes = field(init=False, compare=False, repr=False)
+    header_hash: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        payload = encode_header_payload(self)
+        object.__setattr__(self, "signing_payload", payload)
+        object.__setattr__(self, "header_hash", sha256(payload))
 
 
 def encode_header_payload(header: BlockHeader) -> bytes:
@@ -313,7 +334,7 @@ def encode_header_payload(header: BlockHeader) -> bytes:
 
 
 def header_digest(header: BlockHeader) -> bytes:
-    return sha256(encode_header_payload(header))
+    return header.header_hash
 
 
 @dataclass(frozen=True)
@@ -331,7 +352,7 @@ class Block:
 
 
 def encode_block(block: Block) -> bytes:
-    parts = [encode_header_payload(block.header), u64(len(block.quorum_sigs))]
+    parts = [block.header.signing_payload, u64(len(block.quorum_sigs))]
     for signer, sig in block.quorum_sigs:
         parts.append(u64(signer))
         parts.append(u64(len(sig.data)))

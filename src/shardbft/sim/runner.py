@@ -53,6 +53,29 @@ def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, Ke
     return {i: keygen(sha256(role + u64(seed) + u64(i)), scheme) for i in range(count)}
 
 
+def link_delay_sampler(rng: random.Random, base_us: int, jitter_us: int):
+    """A function returning ``base_us + rng.randint(0, jitter_us)`` (no draw
+    when ``jitter_us`` is 0).
+
+    It inlines CPython's ``randint``: one ``getrandbits`` of the width's bit
+    length, redrawn while out of range. The calls on ``rng`` are the same,
+    so the stream and every later draw are unchanged.
+    """
+    if not jitter_us:
+        return lambda: base_us
+    width = jitter_us + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+
+    def link_delay() -> int:
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return base_us + r
+
+    return link_delay
+
+
 class _Ctx:
     __slots__ = ("runner", "node_id")
 
@@ -81,6 +104,7 @@ class _Runner:
         self.heap: list = []
         self.send_seq: dict[int, int] = {}
         self.rng_net = random.Random(self._derive(b"net"))
+        self._link_delay = link_delay_sampler(self.rng_net, cfg.latency.base_us, cfg.latency.jitter_us)
         self.rng_client = random.Random(self._derive(b"client"))
 
         n, k = cfg.n_parties, cfg.shard_count
@@ -198,10 +222,6 @@ class _Runner:
         seq = self.send_seq.get(sender, 0)
         self.send_seq[sender] = seq + 1
         heapq.heappush(self.heap, (t, sender, seq, dest, message))
-
-    def _link_delay(self) -> int:
-        lat = self.cfg.latency
-        return lat.base_us + (self.rng_net.randint(0, lat.jitter_us) if lat.jitter_us else 0)
 
     def delivery_time(self, at: int) -> int:
         gst = self.cfg.gst_us

@@ -191,6 +191,16 @@ def test_stats_missing_report_exit_2(tmp_path):
     assert main(["stats", "--report", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("doc", ["[]", '{"txs": 5}', '{"txs": [1]}'])
+def test_stats_malformed_report_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "report.json"
+    path.write_text(doc)
+    assert main(["stats", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read report: ")
+
+
 def test_unknown_flags_rejected(config_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(config_path), "--out", str(tmp_path), "--bogus-flag"])

@@ -15,6 +15,7 @@ from shardbft.consensus import (
     filter_event,
     process_round,
     purge_orphans,
+    verify_event,
 )
 from shardbft.core import (
     BatchAttestationShare,
@@ -241,13 +242,38 @@ def test_purge_orphans_ignores_cross_shard_refs(party_keys):
 
 
 def test_orphan_votes_accumulate_across_rounds(party_keys):
-    votes = OrphanVotes()
+    votes = OrphanVotes(f=1)
     orphan = make_share(party_keys, 2, 0)
     k = orphan.key()
     pending = purge_orphans([orphan], [make_share(party_keys, 0, 5, refs=(k,))], 1, votes)
     assert pending == [orphan]
     pending = purge_orphans(pending, [make_share(party_keys, 1, 6, refs=(k,))], 1, votes)
     assert pending == []
+
+
+def test_incremental_ripe_set_matches_a_full_rescan():
+    for f in (1, 2):
+        rng = random.Random(40 + f)
+        candidates = [BatchKey(seq, shard, sha256(u64(seq) + u64(shard)), 0) for seq in range(6) for shard in (0, 1)]
+        votes = OrphanVotes(f)
+        seen = []
+        partly_ripe = False
+        for _ in range(300):
+            refs = tuple(rng.sample(candidates, rng.randrange(4)))
+            share = BatchAttestationShare(
+                rng.randrange(3 * f + 1), rng.randrange(8), sha256(b"s"), rng.randrange(2), 0, 0, refs,
+                Signature("test_mac", b""),
+            )
+            votes.observe(share)
+            seen.append(share)
+            signers = {}
+            for s in seen:
+                for ref in s.orphan_refs:
+                    if ref.shard == s.shard and ref.seq < s.seq:
+                        signers.setdefault(ref, set()).add(s.signer)
+            assert votes.ripe == {key for key, who in signers.items() if len(who) >= f + 1}
+            partly_ripe |= 0 < len(votes.ripe) < len(votes.votes)
+        assert partly_ripe
 
 
 # --- complaints -------------------------------------------------------------------
@@ -493,3 +519,17 @@ def test_byzantine_garbage_in_round_is_ignored(party_keys):
     node.handle(msg.RoundDelivery(1, (forged, unknown_signer, *good)), ctx)
     assert node.state.next_block_seq == 1
     assert node.headers[0][0].batch_digests[0] == good[0].key()
+
+
+def test_share_with_a_short_digest_never_verifies(party_keys):
+    node = make_node(party_keys)
+    ctx = StubCtx()
+    good = make_share(party_keys, 0, 0)
+    short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, (), sign(party_keys[1], good.signing_payload))
+    assert short.signing_payload is None
+    assert not verify_event(short, pubs(party_keys))
+    ok, reason = filter_event(short, ConsensusState(f=1, epoch_window=2), 0, pubs(party_keys))
+    assert not ok and reason == DROP_BAD_SIGNATURE
+    node.handle(msg.RoundDelivery(1, (good, short)), ctx)
+    assert node.state.next_block_seq == 0
+    assert node.state.pending == [good]

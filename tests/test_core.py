@@ -1,17 +1,21 @@
 import dataclasses
 import itertools
 import random
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardbft.assembler import read_ledger, write_ledger
 from shardbft.core import (
     Batch,
+    BatchAttestationShare,
     BatchKey,
     Block,
     BlockHeader,
+    ComplaintVote,
     Transaction,
     attestation_threshold,
     decode_bas_payload,
@@ -21,7 +25,10 @@ from shardbft.core import (
     encode_bas_payload,
     encode_batch,
     encode_block,
+    encode_complaint_payload,
+    encode_header_payload,
     encode_transaction,
+    header_digest,
     quorum_size,
     sha256,
     tx_signing_bytes,
@@ -204,6 +211,66 @@ def test_tx_id_excluded_from_eq_hash_repr(client_keys):
     assert [f.name for f in dataclasses.fields(Transaction) if f.compare] == ["client_id", "payload", "signature"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         tx.tx_id = b"x"
+
+
+def _assert_derived(obj, names, compared):
+    """``names`` are derived fields: outside ==, hash and repr, and frozen."""
+    twin = dataclasses.replace(obj)
+    for name in names:
+        object.__setattr__(twin, name, None)
+        assert not re.search(rf"\b{name}=", repr(obj))
+    assert twin == obj
+    assert hash(twin) == hash(obj)
+    assert repr(twin) == repr(obj)
+    assert [f.name for f in dataclasses.fields(obj) if f.compare] == compared
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, names[0], b"x")
+
+
+@settings(max_examples=200)
+@given(_payload_args, st.integers(0, 6), st.binary(max_size=40))
+def test_share_caches_its_key_and_signing_payload(args, signer, sig):
+    seq, digest, shard, primary, epoch, refs = args
+    share = BatchAttestationShare(signer, seq, digest, shard, primary, epoch, refs, Signature("test_mac", sig))
+    assert share.signing_payload == encode_bas_payload(seq, digest, shard, primary, epoch, refs)
+    assert share.key() == BatchKey(seq, shard, digest, primary)
+    _assert_derived(
+        share,
+        ("batch_key", "signing_payload"),
+        ["signer", "seq", "digest", "shard", "primary", "epoch", "orphan_refs", "signature"],
+    )
+
+
+def test_share_with_a_short_digest_constructs_without_a_payload():
+    share = BatchAttestationShare(0, 1, b"\x01" * 31, 0, 0, 0, (), Signature("test_mac", b""))
+    assert share.signing_payload is None
+    assert share.key() == BatchKey(1, 0, b"\x01" * 31, 0)
+
+
+def test_complaint_caches_its_signing_payload():
+    vote = ComplaintVote(2, 5, 1, Signature("test_mac", b"\x07" * 32))
+    assert vote.signing_payload == encode_complaint_payload(5, 1)
+    _assert_derived(vote, ("signing_payload",), ["signer", "term", "shard", "signature"])
+
+
+def test_header_caches_payload_and_hash_through_the_ledger(client_keys, scheme, tmp_path):
+    txs = [make_tx(c, bytes([c]) * 12, client_keys) for c in range(3)]
+    batches = (make_batch(txs[:2], seq=1), make_batch(txs[2:], shard=1, seq=4))
+    header = BlockHeader(3, b"\x11" * 32, tuple(b.key() for b in batches))
+    assert header.signing_payload == encode_header_payload(header)
+    assert header.header_hash == sha256(encode_header_payload(header))
+    assert header_digest(header) is header.header_hash
+    _assert_derived(
+        header, ("signing_payload", "header_hash"), ["block_seq", "prev_header_hash", "batch_digests"]
+    )
+    block = Block(header, ((0, txs[0].signature),), batches)
+    decoded, _ = decode_block(encode_block(block), 0, scheme)
+    path = tmp_path / "ledger.bin"
+    write_ledger(path, [block])
+    for got in (decoded.header, read_ledger(path, scheme)[0].header):
+        assert got == header
+        assert got.signing_payload == header.signing_payload
+        assert got.header_hash == header.header_hash
 
 
 def _corruptions(encoded: bytes):

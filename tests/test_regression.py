@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from shardbft import crypto
+from shardbft import core, crypto
 from shardbft.cli import main
 from shardbft.sim.runner import run_scenario
 from shardbft.sim.scenario import ScenarioConfig
@@ -29,15 +29,37 @@ def _ed25519_short() -> dict:
     return doc
 
 
+def _ordering_short() -> dict:
+    # Ripe orphan keys, term changes and the pre-GST delay branch: the
+    # ordering paths the shipped configs do not reach.
+    doc = json.loads((CONFIGS / "censorship.json").read_text())
+    doc.update(
+        parties=7,
+        faults=2,
+        shards=3,
+        duration=1.0,
+        tx_rate=200,
+        gst=0.5,
+        seed=11,
+        adversaries=[
+            {"party": 0, "kind": "censor_tx", "censor_clients": [0]},
+            {"party": 1, "kind": "equivocate_batch"},
+        ],
+    )
+    return doc
+
+
 SCENARIOS = {
     "baseline": lambda: json.loads((CONFIGS / "baseline.json").read_text()),
     "censorship": lambda: json.loads((CONFIGS / "censorship.json").read_text()),
     "failover": lambda: json.loads((CONFIGS / "failover.json").read_text()),
     "ed25519_short": _ed25519_short,
+    "ordering_short": _ordering_short,
 }
 
 # sha256 of every file `shardbft run` writes, recorded before verify was
-# memoized and tx_id cached.
+# memoized and tx_id cached (`ordering_short`: before the ordering payloads
+# were cached).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
@@ -73,6 +95,16 @@ GOLDEN = {
         "report.json": "adbbb5e6cec7fb336922e22c99177fab02c93b5279920445a2badbea1284f56e",
         "series.csv": "f849a943320d9223dc6b7a946cba8791ffe741c4e70fa02ca1feef8e077741f7",
     },
+    "ordering_short": {
+        "keys.json": "158ffa11e8285c4f3fbd9fbab16bc581beaca0d383c16120a9c86b74d509baf5",
+        "ledger_party2.bin": "d392728db7abb83d3e06c7693c682b57c29922658026ed6caf983efa1fea71b2",
+        "ledger_party3.bin": "262151833a3c709562904417c06adf79adbd4de4eb928b03d84cea298f27eeca",
+        "ledger_party4.bin": "e4e7e05f1ecd0d7de240d107edee18e6c1d90998ef63c4424b90669a6aa27cd7",
+        "ledger_party5.bin": "b669619803d16c21b754b9c2ab9c264b45f3805e45ac6690b6ecc1f2e3f602e3",
+        "ledger_party6.bin": "2237ad9ba6cf008f4181a40c6626c7003c7416864432e300c64f5d608d9b8e90",
+        "report.json": "13e645e8cb337c0893e9f67cd910227776d6fa8ea9ce97ceaa1e59796ea4f7b4",
+        "series.csv": "e1c6c7b5e23a797e1e406d8b11f40dd91c56d7307812e7eb8a7d3ae6e7689581",
+    },
 }
 
 
@@ -87,6 +119,15 @@ def test_run_artifacts_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN[name]
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Rebind every module-level name for ``original``, wherever it was imported."""
+    for name, module in list(sys.modules.items()):
+        if name == "shardbft" or name.startswith("shardbft."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
     memo = crypto.verify
     calls = []
@@ -95,12 +136,7 @@ def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
         calls.append((public, message, sig))
         return memo(public, message, sig)
 
-    # Rebind every module-level name for verify, wherever it was imported.
-    for name, module in list(sys.modules.items()):
-        if name == "shardbft" or name.startswith("shardbft."):
-            for attr, value in list(vars(module).items()):
-                if value is memo:
-                    monkeypatch.setattr(module, attr, counting)
+    _rebind(monkeypatch, memo, counting)
     memo.cache_clear()
     run_scenario(ScenarioConfig.from_dict(_ed25519_short()))
     distinct = len(set(calls))
@@ -110,3 +146,39 @@ def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
     assert info.hits == len(calls) - distinct
     # Every party re-checks what the others checked: the memo must pay off.
     assert len(calls) > 3 * distinct
+
+
+def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
+    # Each share, complaint and header is encoded when it is built, and a
+    # share or complaint once more where its batcher signs it. No node
+    # encodes one again: 7 consensus nodes check every event twice.
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("encode_bas_payload", "encode_complaint_payload", "encode_header_payload"):
+        _rebind(monkeypatch, getattr(core, name), counted(name, getattr(core, name)))
+    for cls in (core.BatchAttestationShare, core.ComplaintVote, core.BlockHeader):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    signed = {b"\x42": 0, b"\x43": 0}
+    sign = crypto.sign
+
+    def counting_sign(keypair, message):
+        if message[:1] in signed:
+            signed[message[:1]] += 1
+        return sign(keypair, message)
+
+    _rebind(monkeypatch, sign, counting_sign)
+    report = run_scenario(ScenarioConfig.from_dict(_ordering_short()))
+    assert report.quiescent and report.all_checks_pass()
+    assert calls["BatchAttestationShare"] == signed[b"\x42"] > 0
+    assert calls["ComplaintVote"] == signed[b"\x43"] > 0
+    assert calls["BlockHeader"] > 0
+    assert calls["encode_bas_payload"] == calls["BatchAttestationShare"] + signed[b"\x42"]
+    assert calls["encode_complaint_payload"] == calls["ComplaintVote"] + signed[b"\x43"]
+    assert calls["encode_header_payload"] == calls["BlockHeader"]

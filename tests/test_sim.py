@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
+from shardbft.consensus import ConsensusNode
 from shardbft.core import Batch, Block, BlockHeader, ZERO_DIGEST, header_digest
 from shardbft.sim.checks import check_agreement
 from shardbft.sim.report import report_to_json
-from shardbft.sim.runner import run_scenario
+from shardbft.sim.runner import link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
 from conftest import make_tx
@@ -184,6 +187,39 @@ def test_standard_signature_scheme_end_to_end():
     assert report.quiescent
     assert _committed(report) == len(report.tx_records)
     assert all(v["pass"] for v in report.checks.values())
+
+
+@pytest.mark.parametrize("jitter", [0, 1, 2**30, 2**31 - 1, 2**32 + 12345, 2**40 + 7])
+def test_link_delay_sampler_draws_exactly_what_randint_draws(jitter):
+    # Widths of 31, 32, 33 and 41 bits; 2**31 is a power of two (no redraws).
+    base = 2000
+    ours, reference = random.Random(77), random.Random(77)
+    draw = link_delay_sampler(ours, base, jitter)
+    for _ in range(2000):
+        assert draw() == base + (reference.randint(0, jitter) if jitter else 0)
+    assert ours.getstate() == reference.getstate()
+
+
+def test_dedup_stays_in_epoch_order_and_expires_from_the_front(monkeypatch):
+    apply_round = ConsensusNode._on_round
+    expired = 0
+
+    def checked(node, m, ctx):
+        nonlocal expired
+        before = set(node.state.dedup)
+        apply_round(node, m, ctx)
+        state = node.state
+        epochs = [epoch for _digest, epoch in state.dedup.values()]
+        assert epochs == sorted(epochs)
+        # What a scan of every slot would leave: nothing below the horizon.
+        assert all(epoch >= state.ordered_epoch - state.epoch_window for epoch in epochs)
+        expired += len(before - set(state.dedup))
+
+    monkeypatch.setattr(ConsensusNode, "_on_round", checked)
+    protocol = dict(BASE["protocol"], epoch_length=0.1, epoch_window=1)
+    report = run_scenario(_cfg(duration=1.5, protocol=protocol))
+    assert report.checks["no_loss_no_unbounded_dup"]["pass"]
+    assert expired > 0
 
 
 def test_throughput_series_matches_committed_total():
