@@ -71,8 +71,8 @@ class AssemblerConfig:
     n_parties: int
     f: int
     party_keys: dict[int, bytes]
+    fetch_timeout_us: int
     batcher_ids: dict[tuple[int, int], int] = field(default_factory=dict)  # (party, shard) -> node
-    fetch_timeout_us: int = 250_000
 
 
 class AssemblerNode:

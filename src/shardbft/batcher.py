@@ -126,9 +126,9 @@ class BatcherConfig:
     t_complain_us: int
     epoch_length_us: int
     sample_count: int
-    max_orphan_refs: int = 8
+    max_orphan_refs: int
+    max_tx_size: int
     pool_capacity: int | None = None
-    max_tx_size: int = 1 << 20
     behavior: AdversaryBehavior | None = None
     # Wiring: node ids in the host.
     router_ids: Mapping[int, int] = field(default_factory=dict)  # party -> router node

@@ -35,9 +35,30 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     report = run_scenario(cfg)
+    try:
+        _write_outputs(out, cfg, report)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
+    for name, entry in sorted(report.checks.items()):
+        print(f"{name}: {'PASS' if entry['pass'] else 'FAIL'}")
+    if not report.quiescent:
+        limit_s = seconds(cfg.duration_us + cfg.drain_us)
+        print(
+            f"run incomplete: not quiescent by the virtual time limit of {limit_s:g} s (duration + drain)",
+            file=sys.stderr,
+        )
+    return 0 if report.all_checks_pass() and report.quiescent else 1
+
+
+def _write_outputs(out: Path, cfg: ScenarioConfig, report) -> None:
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     write_csv(report, out / "series.csv")
     keys_doc = {
@@ -49,16 +70,6 @@ def _cmd_run(args) -> int:
     (out / "keys.json").write_text(json.dumps(keys_doc, indent=2, sort_keys=True), encoding="utf-8")
     for party, blocks in sorted(report.ledgers.items()):
         write_ledger(out / f"ledger_party{party}.bin", blocks)
-
-    for name, entry in sorted(report.checks.items()):
-        print(f"{name}: {'PASS' if entry['pass'] else 'FAIL'}")
-    if not report.quiescent:
-        limit_s = seconds(cfg.duration_us + cfg.drain_us)
-        print(
-            f"run incomplete: not quiescent by the virtual time limit of {limit_s:g} s (duration + drain)",
-            file=sys.stderr,
-        )
-    return 0 if report.all_checks_pass() and report.quiescent else 1
 
 
 def _read_keys(path):

@@ -106,10 +106,13 @@ class Transaction:
     payload: bytes
     signature: Signature
     # Computed once at construction; derived, so not part of ==, hash or repr.
+    signing_bytes: bytes = field(init=False, compare=False, repr=False)
     tx_id: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tx_id", sha256(tx_signing_bytes(self.client_id, self.payload)))
+        signing_bytes = tx_signing_bytes(self.client_id, self.payload)
+        object.__setattr__(self, "signing_bytes", signing_bytes)
+        object.__setattr__(self, "tx_id", sha256(signing_bytes))
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -197,6 +200,15 @@ class BatchKey:
     shard: int
     digest: bytes
     primary: int
+    # The hash the generated one would give, computed once: keys are hashed
+    # on every set and dict operation in consensus.
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.seq, self.shard, self.digest, self.primary)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def slot(self) -> tuple[int, int, int]:
         # The ledger position a key occupies, independent of content digest.

@@ -3,6 +3,12 @@
 Every node is a single-threaded state machine with a ``handle(message, ctx)``
 entry point. The context is provided by the host (the simulator, or a unit
 test stub) and is the only way a node interacts with the world.
+
+Messages are plain slotted records, not frozen ones: a frozen dataclass
+stores each field through ``object.__setattr__``, which roughly triples the
+cost of building one, and a run builds about one per event. No node
+assigns to a message once it is sent (``tests/test_regression.py`` checks
+every message of a run).
 """
 
 from __future__ import annotations
@@ -31,27 +37,27 @@ class NodeContext(Protocol):
 # --- client <-> router <-> batcher -----------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SubmitTx:
     tx: Transaction
     submission_id: int
     reply_to: int | None  # client sink node; None for peer forwards
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ForwardTx:
     tx: Transaction
     submission_id: int | None
     reply_router: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EnqueueResult:
     submission_id: int
     status: str  # a pools.INSERT_* status
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SubmissionReply:
     submission_id: int
     ok: bool
@@ -61,7 +67,7 @@ class SubmissionReply:
 # --- batch dissemination -----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PullRequest:
     shard: int
     seq: int
@@ -69,7 +75,7 @@ class PullRequest:
     requester_party: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PullResponse:
     shard: int
     seq: int
@@ -77,7 +83,7 @@ class PullResponse:
     responder_party: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BatchStored:
     """Push of a freshly persisted batch to the same party's assembler."""
 
@@ -87,23 +93,23 @@ class BatchStored:
 # --- consensus ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ConsensusSubmission:
     event: BatchAttestationShare | ComplaintVote
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SequencerSubmit:
     event: BatchAttestationShare | ComplaintVote
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundDelivery:
     round_no: int
     events: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HeaderShare:
     block_seq: int
     header_hash: bytes
@@ -111,13 +117,13 @@ class HeaderShare:
     signature: Signature
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PublishedHeader:
     header: BlockHeader
     quorum_sigs: tuple[tuple[int, Signature], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OrderedUpdate:
     """Per-shard digest of one ordered round, consensus -> own batcher."""
 
@@ -130,14 +136,14 @@ class OrderedUpdate:
 # --- assembler ------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AssemblerPull:
     shard: int
     seq: int
     requester: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AssemblerPullResponse:
     shard: int
     seq: int
@@ -148,27 +154,27 @@ class AssemblerPullResponse:
 # --- timers -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BatchTimer:
     opened_at: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProposeKick:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BucketTick:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundTick:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FetchRetry:
     key: BatchKey
     attempt: int

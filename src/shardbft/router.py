@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import messages as msg
-from .core import Transaction, tx_signing_bytes
+from .core import Transaction
 from .crypto import verify
 from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE
-
-MAX_TX_SIZE_DEFAULT = 1 << 20  # 1 MiB
 
 REASON_MALFORMED = "malformed"
 REASON_UNKNOWN_CLIENT = "unknown_client"
@@ -32,7 +30,7 @@ class RouterConfig:
     shard_count: int
     party: int
     client_directory: Mapping[int, bytes]
-    max_tx_size: int = MAX_TX_SIZE_DEFAULT
+    max_tx_size: int
 
 
 def validate_transaction(tx: Transaction, cfg: RouterConfig) -> str | None:
@@ -42,7 +40,7 @@ def validate_transaction(tx: Transaction, cfg: RouterConfig) -> str | None:
     public = cfg.client_directory.get(tx.client_id)
     if public is None:
         return REASON_UNKNOWN_CLIENT
-    if not verify(public, tx_signing_bytes(tx.client_id, tx.payload), tx.signature):
+    if not verify(public, tx.signing_bytes, tx.signature):
         return REASON_BAD_SIGNATURE
     return None
 

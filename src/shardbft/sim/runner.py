@@ -2,9 +2,11 @@
 
 One virtual clock (integer microseconds), one event heap. Events are
 ordered by (time, sender id, per-sender sequence) so ties are broken
-deterministically. Per-link latency is sampled from a seeded RNG; messages
-sent before GST may be delayed arbitrarily (but land by GST + Delta), after
-GST every correct-to-correct message lands within the declared bound.
+deterministically. The heap holds only traffic in flight: client arrivals
+wait in a sorted list and are fed onto it in chunks. Per-link latency is
+sampled from a seeded RNG; messages sent before GST may be delayed
+arbitrarily (but land by GST + Delta), after GST every correct-to-correct
+message lands within the declared bound.
 Node CPU time is free: this is a protocol-logic simulator, not a
 performance model.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import chain
 
 from .. import messages as msg
 from ..assembler import AssemblerConfig, AssemblerNode
@@ -46,6 +49,13 @@ SEQUENCER = 0
 HUB = 1
 
 _NEVER = 1 << 62
+
+# Client arrivals move from the held-back list onto the heap this many at a time.
+ARRIVAL_CHUNK = 256
+# Sender of the heap entry that feeds the next chunk. It is due when the
+# first held-back arrival is, and at equal time sorts before every real
+# sender, so every entry pops in the order it would from one big heap.
+_FEED = -1
 
 
 def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, KeyPair]:
@@ -102,6 +112,7 @@ class _Runner:
         self.cfg = cfg
         self.now_us = 0
         self.heap: list = []
+        self.held_arrivals: list = []  # heap entries, latest first
         self.send_seq: dict[int, int] = {}
         self.rng_net = random.Random(self._derive(b"net"))
         self._link_delay = link_delay_sampler(self.rng_net, cfg.latency.base_us, cfg.latency.jitter_us)
@@ -206,7 +217,7 @@ class _Runner:
                 self.batchers[(p, s)] = node
                 self.nodes[self.batcher_id[(p, s)]] = node
 
-        self.ctxs = {nid: _Ctx(self, nid) for nid in self.nodes}
+        self.ctxs = [_Ctx(self, nid) if nid in self.nodes else None for nid in range(total_nodes)]
         self.tx_records: list[TxRecord] = []
         # Sequencer state.
         self.round_buffer: list = []
@@ -233,7 +244,11 @@ class _Runner:
         return at + self._link_delay()
 
     def network_send(self, sender: int, dest: int, message) -> None:
-        self.push(self.delivery_time(self.now_us), sender, dest, message)
+        now = self.now_us
+        if now >= self.cfg.gst_us:
+            self.push(now + self._link_delay(), sender, dest, message)
+        else:
+            self.push(self.delivery_time(now), sender, dest, message)
 
     def node_down(self, node_id: int) -> bool:
         party = self.party_of[node_id]
@@ -245,6 +260,10 @@ class _Runner:
         cfg = self.cfg
         count = cfg.resolved_tx_count()
         censoring = [a for a in cfg.adversaries if a.kind == CENSOR_TX]
+        # Arrivals take their delays from rng_net and their HUB sequence
+        # numbers in submission order, exactly as if each were pushed.
+        seq = self.send_seq.get(HUB, 0)
+        arrivals = []
         for i in range(count):
             t = cfg.duration_us * i // count
             client = i % cfg.clients
@@ -267,7 +286,21 @@ class _Runner:
             self.tx_records.append(record)
             for p in range(cfg.n_parties):
                 sid = i * cfg.n_parties + p
-                self.push(self.delivery_time(t), HUB, self.router_id[p], msg.SubmitTx(tx, sid, HUB))
+                submit = msg.SubmitTx(tx, sid, HUB)
+                arrivals.append((self.delivery_time(t), HUB, seq, self.router_id[p], submit))
+                seq += 1
+        self.send_seq[HUB] = seq
+        arrivals.sort(reverse=True)
+        self.held_arrivals = arrivals
+        self._feed_arrivals()
+
+    def _feed_arrivals(self) -> None:
+        """Move the next chunk of held-back arrivals onto the heap."""
+        held, heap = self.held_arrivals, self.heap
+        for _ in range(min(ARRIVAL_CHUNK, len(held))):
+            heapq.heappush(heap, held.pop())
+        if held:
+            heapq.heappush(heap, (held[-1][0], _FEED, 0, SEQUENCER, None))
 
     def _on_hub(self, message) -> None:
         if not isinstance(message, msg.SubmissionReply):
@@ -315,29 +348,42 @@ class _Runner:
             node.start(self.ctxs[nid])
         self.push(cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick())
 
-        limit = cfg.duration_us + cfg.drain_us
-        gst = cfg.gst_us
+        # Bound here, not in __init__, so handlers patched after construction count.
+        handles = [None] * len(self.party_of)
+        for nid, node in self.nodes.items():
+            handles[nid] = node.handle
+        ctxs, party_of = self.ctxs, self.party_of
+        crash_us = [self.crash_at.get(party, _NEVER) if party >= 0 else _NEVER for party in party_of]
         lossy = cfg.lossy_party
+        filtered = bool(self.crash_at) or lossy is not None
+
+        heap, heappop = self.heap, heapq.heappop
+        limit = cfg.duration_us + cfg.drain_us
+        duration = cfg.duration_us
+        gst = cfg.gst_us
         quiescent = False
         processed = 0
-        while self.heap:
-            t, sender, _seq, dest, message = heapq.heappop(self.heap)
+        while heap:
+            t, sender, _seq, dest, message = heappop(heap)
             if t > limit:
                 break
             self.now_us = t
-            party = self.party_of[dest] if dest < len(self.party_of) else -1
-            if party >= 0 and self.crash_at.get(party, _NEVER) <= t:
-                continue
-            if lossy is not None and party == lossy and t >= gst and sender != dest:
-                continue
+            if filtered:
+                if crash_us[dest] <= t:
+                    continue
+                if lossy is not None and party_of[dest] == lossy and t >= gst and sender != dest:
+                    continue
             if dest == SEQUENCER:
+                if sender == _FEED:
+                    self._feed_arrivals()
+                    continue
                 self._on_sequencer(message)
             elif dest == HUB:
                 self._on_hub(message)
             else:
-                self.nodes[dest].handle(message, self.ctxs[dest])
+                handles[dest](message, ctxs[dest])
             processed += 1
-            if processed % 128 == 0 and self.now_us > cfg.duration_us and self._goal_met():
+            if processed % 128 == 0 and t > duration and self._goal_met():
                 quiescent = True
                 break
         if not quiescent:
@@ -348,10 +394,10 @@ class _Runner:
         """Nothing in flight except self-timers and traffic to dead nodes."""
         gst = self.cfg.gst_us
         lossy = self.cfg.lossy_party
-        for t, sender, _seq, dest, _message in self.heap:
-            if sender == dest:
+        for t, sender, _seq, dest, _message in chain(self.heap, self.held_arrivals):
+            if sender == dest or sender == _FEED:
                 continue
-            party = self.party_of[dest] if dest < len(self.party_of) else -1
+            party = self.party_of[dest]
             if party >= 0 and self.crash_at.get(party, _NEVER) <= t:
                 continue
             if lossy is not None and party == lossy and t >= gst:

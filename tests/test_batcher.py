@@ -45,6 +45,8 @@ def _cfg(party, client_directory, party_keys, n=4, f=1, sample_count=30, behavio
         t_complain_us=200_000,
         epoch_length_us=10 * US,
         sample_count=sample_count,
+        max_orphan_refs=8,
+        max_tx_size=1 << 20,
         router_ids=ROUTERS,
         batcher_ids=BATCHERS,
         consensus_ids=CONSENSUS[:n],
@@ -93,7 +95,7 @@ def test_required_sample_size_rejects_degenerate():
 def test_sample_verify_all_valid(client_keys, client_directory):
     txs = [make_tx(c % 4, bytes([c + 1]) * 4, client_keys) for c in range(10)]
     batch = Batch(0, 0, 0, 0, tuple(txs))
-    cfg = RouterConfig(1, 0, client_directory)
+    cfg = RouterConfig(1, 0, client_directory, 1 << 20)
     ok = lambda tx: validate_transaction(tx, cfg) is None
     assert sample_verify(batch, 5, random.Random(1), ok) is None
 
@@ -101,7 +103,7 @@ def test_sample_verify_all_valid(client_keys, client_directory):
 def test_sample_verify_all_invalid_certain(client_directory):
     txs = [Transaction(90 + i, b"x", Signature("test_mac", b"\x00" * 32)) for i in range(100)]
     batch = Batch(0, 0, 0, 0, tuple(txs))
-    cfg = RouterConfig(1, 0, client_directory)
+    cfg = RouterConfig(1, 0, client_directory, 1 << 20)
     ok = lambda tx: validate_transaction(tx, cfg) is None
     for seed in range(20):
         found = sample_verify(batch, 1, random.Random(seed), ok)

@@ -159,6 +159,27 @@ def test_run_reports_virtual_time_limit_when_not_quiescent(tmp_path, capsys):
     assert "wall" not in err
 
 
+def _out_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return tmp_path / "taken"
+
+
+def _out_under_a_file(tmp_path):
+    return _out_is_a_file(tmp_path) / "out"
+
+
+def _report_is_a_directory(tmp_path):
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize("make_out", [_out_is_a_file, _out_under_a_file, _report_is_a_directory])
+def test_run_unwritable_out_exits_2(tmp_path, capsys, config_path, make_out):
+    out = make_out(tmp_path)
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+
+
 def test_verify_missing_inputs_exit_2(tmp_path, run_dir):
     assert main(["verify", "--ledger", str(tmp_path / "no.bin"), "--keys", str(run_dir / "keys.json")]) == 2
     assert main(["verify", "--ledger", str(run_dir / "ledger_party0.bin"), "--keys", str(tmp_path / "no.json")]) == 2

@@ -194,23 +194,42 @@ def test_tx_id_stable_under_resigning(client_keys):
 
 def test_tx_id_is_hash_of_signing_bytes_and_survives_encoding(client_keys, scheme):
     tx = make_tx(2, b"tx id payload", client_keys)
+    assert tx.signing_bytes == tx_signing_bytes(2, b"tx id payload")
     assert tx.tx_id == sha256(tx_signing_bytes(2, b"tx id payload"))
     decoded, _ = decode_transaction(encode_transaction(tx), 0, scheme)
     assert decoded == tx
     assert decoded.tx_id == tx.tx_id
+    assert decoded.signing_bytes == tx.signing_bytes
 
 
 def test_tx_id_excluded_from_eq_hash_repr(client_keys):
     tx = make_tx(3, b"derived field", client_keys)
     twin = Transaction(tx.client_id, tx.payload, tx.signature)
     object.__setattr__(twin, "tx_id", b"\x00" * 32)
+    object.__setattr__(twin, "signing_bytes", b"")
     assert twin == tx
     assert hash(twin) == hash(tx)
     assert repr(twin) == repr(tx)
     assert "tx_id" not in repr(tx)
+    assert "signing_bytes" not in repr(tx)
     assert [f.name for f in dataclasses.fields(Transaction) if f.compare] == ["client_id", "payload", "signature"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         tx.tx_id = b"x"
+
+
+@given(_keys)
+def test_batch_key_hash_is_computed_once_and_unchanged(key):
+    # The generated hash's value: set and dict order, and so every report
+    # byte, depend on it.
+    assert hash(key) == hash((key.seq, key.shard, key.digest, key.primary))
+    twin = BatchKey(key.seq, key.shard, key.digest, key.primary)
+    assert twin == key and hash(twin) == hash(key) and repr(twin) == repr(key)
+    assert "_hash" not in repr(key)
+    assert [f.name for f in dataclasses.fields(BatchKey) if f.compare] == ["seq", "shard", "digest", "primary"]
+    object.__setattr__(twin, "_hash", 0)
+    assert twin == key
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        key.seq = 1
 
 
 def _assert_derived(obj, names, compared):

@@ -1,7 +1,7 @@
 """Regression guards that need no timing: call counts and golden digests.
 
 The digests pin the exact bytes `shardbft run` writes for each shipped
-config and for one short Ed25519 scenario. A change that only makes the
+config and for a few short scenarios that reach paths those do not. A change that only makes the
 simulator faster must leave every one of them as it is; a change that is
 meant to alter behaviour updates them and says why.
 """
@@ -11,13 +11,14 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from shardbft import core, crypto
 from shardbft.cli import main
-from shardbft.sim.runner import run_scenario
+from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -49,17 +50,58 @@ def _ordering_short() -> dict:
     return doc
 
 
+def _late_gst() -> dict:
+    # Every arrival is acked after `duration`, so goal checks run while
+    # client arrivals are still held back from the event heap.
+    doc = json.loads((CONFIGS / "baseline.json").read_text())
+    doc.update(duration=0.3, gst=0.6, tx_rate=1000)
+    return doc
+
+
+def _lossy() -> dict:
+    # All traffic to party 2 is dropped after GST: the loop's lossy filter.
+    return {
+        "parties": 4,
+        "faults": 1,
+        "shards": 2,
+        "seed": 9,
+        "clients": 4,
+        "tx_rate": 100.0,
+        "tx_size": 32,
+        "duration": 1.0,
+        "delta": 0.2,
+        "tob_delay_bound": 0.3,
+        "latency": {"base": 0.002, "jitter": 0.008},
+        "protocol": {
+            "max_batch_size": 50,
+            "max_batch_latency": 0.1,
+            "round_interval": 0.02,
+            "t_forward": 0.3,
+            "t_complain": 0.3,
+            "bucket_period": 0.05,
+        },
+        "drain": 3.0,
+        "lossy_party": 2,
+    }
+
+
 SCENARIOS = {
     "baseline": lambda: json.loads((CONFIGS / "baseline.json").read_text()),
     "censorship": lambda: json.loads((CONFIGS / "censorship.json").read_text()),
     "failover": lambda: json.loads((CONFIGS / "failover.json").read_text()),
     "ed25519_short": _ed25519_short,
     "ordering_short": _ordering_short,
+    "late_gst": _late_gst,
+    "lossy": _lossy,
 }
+
+# `shardbft run` exits 1 for a run that loses acked txs or is not quiescent.
+EXIT_CODES = {"lossy": 1}
 
 # sha256 of every file `shardbft run` writes, recorded before verify was
 # memoized and tx_id cached (`ordering_short`: before the ordering payloads
-# were cached).
+# were cached; `late_gst` and `lossy`: before client arrivals were held
+# back from the event heap).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
@@ -105,6 +147,24 @@ GOLDEN = {
         "report.json": "13e645e8cb337c0893e9f67cd910227776d6fa8ea9ce97ceaa1e59796ea4f7b4",
         "series.csv": "e1c6c7b5e23a797e1e406d8b11f40dd91c56d7307812e7eb8a7d3ae6e7689581",
     },
+    "late_gst": {
+        "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
+        "ledger_party0.bin": "00ef7c49541c20bd93a9fd4e32b619d8cade1808245c520542530bc35c1a5b3c",
+        "ledger_party1.bin": "75c44a5a45b2e85ce0f880dc698041fd2ba66752684b880d9622a9cdc4a6fcf4",
+        "ledger_party2.bin": "2f5c2faedc63ef761c3141afd75f94a011d08c4794b84154bdaddbcaf6b31a6e",
+        "ledger_party3.bin": "a08e13ba44b7083c5df60eff9fa120e0b0292fbc3fca704732ca548ad860e07a",
+        "report.json": "a09dba9d3dcc73d72a953f5e6665dafd19d8672ac8d06f546cbb364c0ea7c6a5",
+        "series.csv": "dcc65c520e444e8a57fa85168a7f62253a9c8e928319cb24404b7fad43b7d59a",
+    },
+    "lossy": {
+        "keys.json": "e1d82b639313285163f455ba185b4412eb704ce542a317b00fefbd49ba9440e1",
+        "ledger_party0.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
+        "ledger_party1.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
+        "ledger_party2.bin": "32b2d992dfa2db0388b9101e8ba3886d5ccc5656eea17007c075500a054d60c5",
+        "ledger_party3.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
+        "report.json": "0d4fd0771fba85417da060209b98f6fec11c5648d51db53949081c18e8d6eeb2",
+        "series.csv": "3856cd9fe0f02bca4f1a19fad9da857e3e7683bd6dbd6f7db747e845f62d29f2",
+    },
 }
 
 
@@ -113,8 +173,8 @@ def test_run_artifacts_match_golden_digests(name, tmp_path):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(SCENARIOS[name]()))
     out = tmp_path / "out"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CODES.get(name, 0)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == GOLDEN[name]
 
@@ -182,3 +242,54 @@ def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
     assert calls["encode_bas_payload"] == calls["BatchAttestationShare"] + signed[b"\x42"]
     assert calls["encode_complaint_payload"] == calls["ComplaintVote"] + signed[b"\x43"]
     assert calls["encode_header_payload"] == calls["BlockHeader"]
+
+
+def _observe_pushes(runner, observe):
+    """Call ``observe(message)`` after every push, as the tracer wraps it."""
+    push = runner.push
+
+    def observed(t, sender, dest, message):
+        push(t, sender, dest, message)
+        observe(message)
+
+    runner.push = observed
+
+
+def test_event_count_and_heap_size_on_baseline():
+    cfg = ScenarioConfig.from_dict(SCENARIOS["baseline"]())
+    runner = _Runner(cfg)
+    peak = [0]
+
+    def track(_message):
+        peak[0] = max(peak[0], len(runner.heap))
+
+    _observe_pushes(runner, track)
+    runner.run()
+    # The count perfbench's host_events_per_s divides by, as before client
+    # arrivals were held back from the heap.
+    assert sum(runner.send_seq.values()) == 9481
+    submissions = cfg.resolved_tx_count() * cfg.n_parties
+    assert 0 < peak[0] < submissions
+
+
+def test_no_node_mutates_a_message_once_sent():
+    runner = _Runner(ScenarioConfig.from_dict(_ordering_short()))
+    sent = []
+
+    def snapshot(message):
+        sent.append((message, [getattr(message, f.name) for f in fields(message)]))
+
+    _observe_pushes(runner, snapshot)
+    schedule_clients = runner._schedule_clients
+
+    def snapshot_arrivals():
+        schedule_clients()
+        for *_key, message in [*runner.heap, *runner.held_arrivals]:
+            if message is not None:  # not the entry that feeds arrivals
+                snapshot(message)
+
+    runner._schedule_clients = snapshot_arrivals
+    runner.run()
+    assert len(sent) > 10_000
+    for message, values in sent:
+        assert [getattr(message, f.name) for f in fields(message)] == values, message

@@ -70,8 +70,8 @@ def test_map_to_shard_uniformity():
 
 
 def test_two_router_instances_agree(client_directory, client_keys):
-    cfg_a = RouterConfig(8, 0, client_directory)
-    cfg_b = RouterConfig(8, 1, client_directory)  # same party config, another instance
+    cfg_a = RouterConfig(8, 0, client_directory, 1 << 20)
+    cfg_b = RouterConfig(8, 1, client_directory, 1 << 20)  # same party config, another instance
     rng = random.Random(8)
     for _ in range(200):
         tx = make_tx(rng.randrange(8), rng.randbytes(12), client_keys)

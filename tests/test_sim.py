@@ -6,7 +6,8 @@ from shardbft.consensus import ConsensusNode
 from shardbft.core import Batch, Block, BlockHeader, ZERO_DIGEST, header_digest
 from shardbft.sim.checks import check_agreement
 from shardbft.sim.report import report_to_json
-from shardbft.sim.runner import link_delay_sampler, run_scenario
+from shardbft.sim import runner as sim_runner
+from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
 from conftest import make_tx
@@ -178,6 +179,26 @@ def test_pre_gst_delays_do_not_break_anything():
     assert report.quiescent
     assert _committed(report) == len(report.tx_records)
     assert all(v["pass"] for v in report.checks.values())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+def test_arrival_chunk_size_does_not_change_the_run(monkeypatch, chunk):
+    # Pre-GST delays reorder arrivals against submission order.
+    cfg = _cfg(gst=0.3, seed=10, duration=0.5)
+    expected = report_to_json(run_scenario(cfg))
+    monkeypatch.setattr(sim_runner, "ARRIVAL_CHUNK", chunk)
+    assert report_to_json(run_scenario(cfg)) == expected
+
+
+def test_held_back_arrivals_count_as_in_flight(monkeypatch):
+    monkeypatch.setattr(sim_runner, "ARRIVAL_CHUNK", 16)
+    runner = _Runner(_cfg(gst=0.3, seed=10, duration=0.5))
+    runner._schedule_clients()
+    assert not runner._network_idle()
+    runner.heap.clear()  # the first chunk and the entry that feeds the next
+    assert runner.held_arrivals and not runner._network_idle()
+    runner.held_arrivals.clear()
+    assert runner._network_idle()
 
 
 def test_standard_signature_scheme_end_to_end():
