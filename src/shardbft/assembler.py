@@ -89,7 +89,6 @@ class AssemblerNode:
         self.rejects: list[tuple[int, str]] = []
         # Commit bookkeeping for reports.
         self.inclusion_times: dict[bytes, int] = {}
-        self.tx_commit_counts: dict[bytes, int] = {}
         self.committed_txs = 0
         self.throughput_series: list[tuple[int, int]] = []
 
@@ -150,17 +149,15 @@ class AssemblerNode:
 
     def _append(self, header: BlockHeader, sigs, ctx) -> None:
         batches = tuple(self.index[key.digest] for key in header.batch_digests)
-        block = Block(header, tuple(sigs), batches)
-        self.ledger.append(block)
+        self.ledger.append(Block(header, tuple(sigs), batches))
         self.prev_hash = header.header_hash
         self.next_seq += 1
         self.waiting = None
         now = ctx.now()
-        for tx in block.txs:
-            tx_id = tx.tx_id
-            self.inclusion_times.setdefault(tx_id, now)
-            self.tx_commit_counts[tx_id] = self.tx_commit_counts.get(tx_id, 0) + 1
-            self.committed_txs += 1
+        for batch in batches:
+            for tx in batch.txs:
+                self.inclusion_times.setdefault(tx.tx_id, now)
+            self.committed_txs += len(batch.txs)
         self.throughput_series.append((now, self.committed_txs))
 
     # --- batch fetching --------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import messages as msg
 from .behaviors import (
@@ -22,7 +22,6 @@ from .behaviors import (
     INJECT_BOGUS,
     SILENT_SECONDARY,
     WITHHOLD_BAS,
-    AdversaryBehavior,
 )
 from .core import (
     Batch,
@@ -44,6 +43,9 @@ from .pools import (
     SecondaryPool,
 )
 from .router import RouterConfig, validate_transaction
+
+if TYPE_CHECKING:
+    from .sim.scenario import AdversarySpec
 
 _LONG_AGO = -(10**18)
 
@@ -113,7 +115,6 @@ class BatcherConfig:
     party: int
     shard: int
     n_parties: int
-    f: int
     keypair: KeyPair
     client_directory: Mapping[int, bytes]
     scheme: str
@@ -129,7 +130,7 @@ class BatcherConfig:
     max_orphan_refs: int
     max_tx_size: int
     pool_capacity: int | None = None
-    behavior: AdversaryBehavior | None = None
+    adversary: AdversarySpec | None = None  # this party's scenario entry, if any
     # Wiring: node ids in the host.
     router_ids: Mapping[int, int] = field(default_factory=dict)  # party -> router node
     batcher_ids: Mapping[int, int] = field(default_factory=dict)  # party -> batcher node (this shard)
@@ -161,10 +162,7 @@ class BatcherNode:
             int.from_bytes(sha256(b"adv" + u64(cfg.sim_seed) + u64(cfg.party) + u64(cfg.shard)), "big")
         )
         self._validator_cfg = RouterConfig(1, cfg.party, cfg.client_directory, cfg.max_tx_size)
-        if self.is_primary:
-            self.pool: PrimaryPool | SecondaryPool = PrimaryPool(cfg.max_batch_size, cfg.pool_capacity)
-        else:
-            self.pool = SecondaryPool(cfg.pool_capacity)
+        self.pool = self._new_pool()
 
     # --- role -----------------------------------------------------------
 
@@ -176,8 +174,15 @@ class BatcherNode:
     def height(self) -> int:
         return len(self.ledger)
 
+    def _new_pool(self) -> PrimaryPool | SecondaryPool:
+        # The only place a pool is built: at term 0, and in _change_term
+        # exactly when the role flips. So the pool's class follows the role.
+        if self.is_primary:
+            return PrimaryPool(self.cfg.max_batch_size, self.cfg.pool_capacity)
+        return SecondaryPool(self.cfg.pool_capacity)
+
     def _behaves(self, kind: str) -> bool:
-        return self.cfg.behavior is not None and self.cfg.behavior.kind == kind
+        return self.cfg.adversary is not None and self.cfg.adversary.kind == kind
 
     # --- lifecycle --------------------------------------------------------
 
@@ -219,7 +224,7 @@ class BatcherNode:
             ctx.send(m.reply_router, msg.EnqueueResult(m.submission_id, status))
 
     def _insert(self, tx: Transaction, ctx) -> str:
-        if self.cfg.behavior is not None and self.cfg.behavior.censors(tx):
+        if self.cfg.adversary is not None and self.cfg.adversary.censors(tx):
             # A censoring party drops the transaction but acknowledges it, so
             # the client cannot tell this party apart from an honest one.
             return INSERT_ACCEPTED
@@ -256,7 +261,7 @@ class BatcherNode:
     # --- primary: proposing ----------------------------------------------
 
     def _try_propose(self, ctx, timer_expired: bool = False) -> None:
-        if not self.is_primary or not isinstance(self.pool, PrimaryPool):
+        if not self.is_primary:
             return
         now = ctx.now()
         if now - self.last_propose_at < self.cfg.min_propose_interval_us:
@@ -292,7 +297,7 @@ class BatcherNode:
 
     def _inject_bogus(self, txs: tuple[Transaction, ...]) -> tuple[Transaction, ...]:
         out = list(txs)
-        count = max(1, int(len(out) * self.cfg.behavior.bogus_fraction))
+        count = max(1, int(len(out) * self.cfg.adversary.bogus_fraction))
         slots = self._adv_rng.sample(range(len(out)), min(count, len(out)))
         for i in slots:
             fake_client = (1 << 40) + self._adv_rng.randrange(1 << 20)
@@ -423,9 +428,7 @@ class BatcherNode:
         ctx.schedule(self.cfg.bucket_period_us, msg.BucketTick())
         if self._behaves(FALSE_COMPLAINT) and not self.is_primary:
             self._send_complaint(ctx)
-        if self.is_primary or not isinstance(self.pool, SecondaryPool):
-            return
-        if self.halted or self._behaves(SILENT_SECONDARY):
+        if self.is_primary or self.halted or self._behaves(SILENT_SECONDARY):
             return
         to_forward, complain = scan_pool(
             self.pool, ctx.now(), self.cfg.t_forward_us, self.cfg.t_complain_us
@@ -456,13 +459,16 @@ class BatcherNode:
         self.term = new_term
         self.halted = False
         self.forwarded.clear()
+        self.outstanding_pull = None
+        if self.is_primary != was_primary:
+            carried = self.pool.drain()
+            self.pool = self._new_pool()
+            for tx in carried:
+                if tx.tx_id not in self.persisted_ids:
+                    self.pool.insert(tx)
+        elif not self.is_primary:
+            self.pool.reset_timers(ctx.now())
         if self.is_primary:
-            if isinstance(self.pool, SecondaryPool):
-                carried = self.pool.drain()
-                self.pool = PrimaryPool(self.cfg.max_batch_size, self.cfg.pool_capacity)
-                for tx in carried:
-                    if tx.tx_id not in self.persisted_ids:
-                        self.pool.insert(tx)
             redo: list[Transaction] = []
             for batch in self.ledger:
                 if batch.key() not in self.thresholded:
@@ -472,18 +478,8 @@ class BatcherNode:
                 if added:
                     self.reproposed_tx_ids.extend(tx.tx_id for tx in redo)
             self.batch_opened_at = None
-            self.outstanding_pull = None
             self._arm_proposal(ctx)
         else:
-            if was_primary and isinstance(self.pool, PrimaryPool):
-                carried = self.pool.drain()
-                self.pool = SecondaryPool(self.cfg.pool_capacity)
-                for tx in carried:
-                    if tx.tx_id not in self.persisted_ids:
-                        self.pool.insert(tx)
-            elif isinstance(self.pool, SecondaryPool):
-                self.pool.reset_timers(ctx.now())
-            self.outstanding_pull = None
             self._issue_pull(ctx)
             if self._behaves(FALSE_COMPLAINT):
                 self._send_complaint(ctx)

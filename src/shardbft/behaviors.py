@@ -1,13 +1,10 @@
-"""Injectable fault behaviors for adversary parties.
+"""The kinds of injectable fault behavior for adversary parties.
 
-A behavior is attached to every node of an adversary party; correct parties
-carry none. Behaviors are deliberately simple and deterministic so runs
-replay exactly.
+A scenario's adversary entry (``sim.scenario.AdversarySpec``) names one
+kind; every batcher of that party carries the entry, correct parties carry
+none. Behaviors are deliberately simple and deterministic so runs replay
+exactly.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 CRASH = "crash"
 CENSOR_TX = "censor_tx"
@@ -26,13 +23,3 @@ BEHAVIOR_KINDS = (
     EQUIVOCATE_BATCH,
     FALSE_COMPLAINT,
 )
-
-
-@dataclass(frozen=True)
-class AdversaryBehavior:
-    kind: str
-    censor_clients: frozenset = field(default_factory=frozenset)
-    bogus_fraction: float = 0.5
-
-    def censors(self, tx) -> bool:
-        return self.kind == CENSOR_TX and tx.client_id in self.censor_clients

@@ -29,12 +29,10 @@ DROP_BAD_SIGNATURE = "bad_signature"
 DROP_STALE_EPOCH = "stale_epoch"
 DROP_DUPLICATE = "duplicate"
 DROP_STALE_TERM = "stale_term"
-DROP_MALFORMED = "malformed"
 
 
 @dataclass
 class ConsensusState:
-    f: int
     epoch_window: int
     pending: list[BatchAttestationShare] = field(default_factory=list)
     pending_index: set[tuple[int, BatchKey]] = field(default_factory=set)
@@ -48,21 +46,13 @@ class ConsensusState:
     ordered_epoch: int = 0  # watermark: max epoch seen in ordered shares
 
 
-def event_signing_payload(event) -> bytes | None:
-    """The payload the event's signer signed; None for a malformed share."""
-    if isinstance(event, (BatchAttestationShare, ComplaintVote)):
-        return event.signing_payload
-    raise TypeError(f"not a consensus event: {type(event).__name__}")
-
-
 def verify_event(event, party_keys) -> bool:
+    """Whether a share or complaint is signed by its signer; a malformed
+    share has no signing payload and never verifies."""
     public = party_keys.get(event.signer)
-    if public is None:
+    if public is None or event.signing_payload is None:
         return False
-    payload = event_signing_payload(event)
-    if payload is None:
-        return False
-    return verify(public, payload, event.signature)
+    return verify(public, event.signing_payload, event.signature)
 
 
 def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> tuple[bool, str | None]:
@@ -77,14 +67,12 @@ def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> 
         if (event.signer, event.key()) in state.pending_index:
             return False, DROP_DUPLICATE
         return True, None
-    if isinstance(event, ComplaintVote):
-        if event.term < state.terms.get(event.shard, 0):
-            return False, DROP_STALE_TERM
-        signers = state.complaint_signers.get((event.shard, event.term))
-        if signers and event.signer in signers:
-            return False, DROP_DUPLICATE
-        return True, None
-    return False, DROP_MALFORMED
+    if event.term < state.terms.get(event.shard, 0):
+        return False, DROP_STALE_TERM
+    signers = state.complaint_signers.get((event.shard, event.term))
+    if signers and event.signer in signers:
+        return False, DROP_DUPLICATE
+    return True, None
 
 
 def process_round(
@@ -207,11 +195,11 @@ class ConsensusNode:
     def __init__(self, cfg: ConsensusConfig, node_id: int):
         self.cfg = cfg
         self.node_id = node_id
-        self.state = ConsensusState(cfg.f, cfg.epoch_window)
+        self.state = ConsensusState(cfg.epoch_window)
         self.orphan_votes = OrphanVotes(cfg.f)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
-        self.headers: dict[int, tuple[BlockHeader, bytes, bytes]] = {}
+        self.headers: dict[int, BlockHeader] = {}
         self.collected: dict[int, dict[int, Signature]] = {}
         self.share_buffer: dict[int, list[msg.HeaderShare]] = {}
         self.published: set[int] = set()
@@ -318,13 +306,11 @@ class ConsensusNode:
 
     def _emit_header(self, thresholds, ctx) -> None:
         header = make_block_header(self.state, [key for key, _ in thresholds])
-        payload = header.signing_payload
-        hhash = header.header_hash
-        signature = sign(self.cfg.keypair, payload)
+        signature = sign(self.cfg.keypair, header.signing_payload)
         seq = header.block_seq
-        self.headers[seq] = (header, hhash, payload)
+        self.headers[seq] = header
         self.collected.setdefault(seq, {})[self.cfg.party] = signature
-        share = msg.HeaderShare(seq, hhash, self.cfg.party, signature)
+        share = msg.HeaderShare(seq, header.header_hash, self.cfg.party, signature)
         for peer in self.cfg.peer_ids:
             ctx.send(peer, share)
         for buffered in self.share_buffer.pop(seq, []):
@@ -362,12 +348,12 @@ class ConsensusNode:
         self._try_publish(m.block_seq, ctx)
 
     def _absorb_share(self, m: msg.HeaderShare) -> None:
-        header, hhash, payload = self.headers[m.block_seq]
-        if m.header_hash != hhash:
+        header = self.headers[m.block_seq]
+        if m.header_hash != header.header_hash:
             self.evidence.append(("conflicting_header", m.block_seq, m.signer))
             return
         public = self.cfg.party_keys.get(m.signer)
-        if public is None or not verify(public, payload, m.signature):
+        if public is None or not verify(public, header.signing_payload, m.signature):
             self.evidence.append(("bad_share_signature", m.block_seq, m.signer))
             return
         self.collected.setdefault(m.block_seq, {})[m.signer] = m.signature
@@ -379,7 +365,7 @@ class ConsensusNode:
         if len(sigs) < quorum_size(self.cfg.n_parties, self.cfg.f):
             return
         self.published.add(seq)
-        header, _hhash, _payload = self.headers[seq]
+        header = self.headers[seq]
         # Exactly a quorum, lowest signer ids first: every published byte is
         # load-bearing for offline verification.
         ordered = tuple(sorted(sigs.items())[: quorum_size(self.cfg.n_parties, self.cfg.f)])

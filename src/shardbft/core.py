@@ -274,25 +274,6 @@ def encode_bas_payload(
     return b"".join(parts)
 
 
-def decode_bas_payload(buf: bytes) -> tuple[int, bytes, int, int, int, tuple[BatchKey, ...]]:
-    if buf[:1] != _TAG_BAS:
-        raise ValueError("not an attestation payload")
-    off = 1
-    seq, off = read_u64(buf, off)
-    digest, off = _read_bytes(buf, off, DIGEST_LEN)
-    shard, off = read_u64(buf, off)
-    primary, off = read_u64(buf, off)
-    epoch, off = read_u64(buf, off)
-    count, off = _read_count(buf, off, _BATCH_KEY_LEN)
-    refs = []
-    for _ in range(count):
-        ref, off = _decode_batch_key(buf, off)
-        refs.append(ref)
-    if off != len(buf):
-        raise ValueError("trailing bytes in attestation payload")
-    return seq, digest, shard, primary, epoch, tuple(refs)
-
-
 # ---------------------------------------------------------------------------
 # Complaints
 
@@ -356,11 +337,6 @@ class Block:
     header: BlockHeader
     quorum_sigs: tuple[tuple[int, Signature], ...]  # (signer, signature), signer-sorted
     batches: tuple[Batch, ...]
-
-    txs: tuple[Transaction, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "txs", tuple(tx for b in self.batches for tx in b.txs))
 
 
 def encode_block(block: Block) -> bytes:

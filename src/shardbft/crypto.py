@@ -73,7 +73,7 @@ def keygen(seed: bytes, scheme: str = SCHEME_TEST_MAC) -> KeyPair:
 
 def sign(key: KeyPair, message: bytes) -> Signature:
     if key.scheme == SCHEME_TEST_MAC:
-        return Signature(key.scheme, hmac.new(key.secret, message, hashlib.sha256).digest())
+        return Signature(key.scheme, hmac.digest(key.secret, message, "sha256"))
     if key.scheme == SCHEME_ED25519:
         return Signature(key.scheme, _private_key(key.secret).sign(message))
     raise ValueError(f"unknown signature scheme: {key.scheme!r}")
@@ -103,7 +103,7 @@ def verify(public: bytes, message: bytes, sig: Signature) -> bool:
     if expected is None or len(sig.data) != expected:
         return False
     if sig.scheme == SCHEME_TEST_MAC:
-        want = hmac.new(public, message, hashlib.sha256).digest()
+        want = hmac.digest(public, message, "sha256")
         return hmac.compare_digest(want, sig.data)
     try:
         _public_key(public).verify(sig.data, message)

@@ -30,9 +30,6 @@ class NodeContext(Protocol):
     def schedule(self, delay_us: int, message) -> None:
         """Deliver a message back to the calling node after a delay."""
 
-    def is_down(self, node_id: int) -> bool:
-        """Whether a co-located component of the same party has crashed."""
-
 
 # --- client <-> router <-> batcher -----------------------------------------
 

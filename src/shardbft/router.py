@@ -21,7 +21,6 @@ from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE
 REASON_MALFORMED = "malformed"
 REASON_UNKNOWN_CLIENT = "unknown_client"
 REASON_BAD_SIGNATURE = "bad_signature"
-REASON_UNAVAILABLE = "unavailable"
 REASON_BACKPRESSURE = "backpressure"
 
 
@@ -80,12 +79,7 @@ class RouterNode:
             if m.reply_to is not None:
                 ctx.send(m.reply_to, msg.SubmissionReply(m.submission_id, False, reason))
             return
-        shard = map_to_shard(m.tx.tx_id, self.cfg.shard_count)
-        batcher = self.batcher_ids.get(shard)
-        if batcher is None or ctx.is_down(batcher):
-            if m.reply_to is not None:
-                ctx.send(m.reply_to, msg.SubmissionReply(m.submission_id, False, REASON_UNAVAILABLE))
-            return
+        batcher = self.batcher_ids[map_to_shard(m.tx.tx_id, self.cfg.shard_count)]
         if m.reply_to is not None:
             self._pending[m.submission_id] = m.reply_to
         ctx.send(batcher, msg.ForwardTx(m.tx, m.submission_id if m.reply_to is not None else None, self.node_id))

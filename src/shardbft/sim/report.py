@@ -65,13 +65,6 @@ class RunReport:
     inclusion: dict = field(default_factory=dict, repr=False)  # party -> {tx_id: t}
     party_keys: dict = field(default_factory=dict, repr=False)  # party -> public key
 
-    def committed_latencies_us(self) -> list[int]:
-        return [
-            r.first_commit_us - r.submit_us
-            for r in self.tx_records
-            if r.first_commit_us is not None
-        ]
-
     def all_checks_pass(self) -> bool:
         return all(entry["pass"] for entry in self.checks.values())
 

@@ -102,9 +102,6 @@ class _Ctx:
     def schedule(self, delay_us: int, message) -> None:
         self.runner.push(self.runner.now_us + delay_us, self.node_id, self.node_id, message)
 
-    def is_down(self, node_id: int) -> bool:
-        return self.runner.node_down(node_id)
-
 
 class _Runner:
     def __init__(self, cfg: ScenarioConfig):
@@ -124,7 +121,7 @@ class _Runner:
         self.client_keys = derive_keys(b"client", cfg.seed, cfg.clients, cfg.scheme)
         self.client_directory = {c: kp.public for c, kp in self.client_keys.items()}
 
-        behaviors = {a.party: a.behavior() for a in cfg.adversaries}
+        adversaries = {a.party: a for a in cfg.adversaries}
         self.crash_at = {
             a.party: a.crash_at_us for a in cfg.adversaries if a.kind == CRASH
         }
@@ -146,14 +143,12 @@ class _Runner:
         proto = cfg.protocol
         sample_count = proto.resolved_sample_count()
         self.nodes: dict[int, object] = {}
-        self.routers: dict[int, RouterNode] = {}
         self.batchers: dict[tuple[int, int], BatcherNode] = {}
         self.consensus: dict[int, ConsensusNode] = {}
         self.assemblers: dict[int, AssemblerNode] = {}
         for p in range(n):
             rcfg = RouterConfig(k, p, self.client_directory, proto.max_tx_size)
             router = RouterNode(rcfg, self.router_id[p], {s: self.batcher_id[(p, s)] for s in range(k)})
-            self.routers[p] = router
             self.nodes[self.router_id[p]] = router
 
             ccfg = ConsensusConfig(
@@ -191,7 +186,6 @@ class _Runner:
                     party=p,
                     shard=s,
                     n_parties=n,
-                    f=cfg.f,
                     keypair=self.party_keys_full[p],
                     client_directory=self.client_directory,
                     scheme=cfg.scheme,
@@ -207,7 +201,7 @@ class _Runner:
                     max_orphan_refs=proto.max_orphan_refs,
                     pool_capacity=proto.pool_capacity,
                     max_tx_size=proto.max_tx_size,
-                    behavior=behaviors.get(p),
+                    adversary=adversaries.get(p),
                     router_ids={q: self.router_id[q] for q in range(n)},
                     batcher_ids={q: self.batcher_id[(q, s)] for q in range(n)},
                     consensus_ids=tuple(self.consensus_id[q] for q in range(n)),
@@ -249,10 +243,6 @@ class _Runner:
             self.push(now + self._link_delay(), sender, dest, message)
         else:
             self.push(self.delivery_time(now), sender, dest, message)
-
-    def node_down(self, node_id: int) -> bool:
-        party = self.party_of[node_id]
-        return party >= 0 and self.crash_at.get(party, _NEVER) <= self.now_us
 
     # --- clients -----------------------------------------------------------
 
@@ -302,9 +292,7 @@ class _Runner:
         if held:
             heapq.heappush(heap, (held[-1][0], _FEED, 0, SEQUENCER, None))
 
-    def _on_hub(self, message) -> None:
-        if not isinstance(message, msg.SubmissionReply):
-            return
+    def _on_hub(self, message: msg.SubmissionReply) -> None:
         record = self.tx_records[message.submission_id // self.cfg.n_parties]
         party = message.submission_id % self.cfg.n_parties
         if message.ok:
@@ -441,14 +429,7 @@ class _Runner:
         ref = correct[0]
         ref_asm = self.assemblers[ref]
         ref_cons = self.consensus[ref]
-
-        inclusion = {p: dict(self.assemblers[p].inclusion_times) for p in correct}
-        for record in self.tx_records:
-            times = [inclusion[p].get(record.tx_id) for p in correct]
-            known = [x for x in times if x is not None]
-            record.first_commit_us = min(known) if known else None
-            record.last_commit_us = max(known) if len(known) == len(correct) else None
-            record.commit_count = ref_asm.tx_commit_counts.get(record.tx_id, 0)
+        kinds = {a.kind for a in cfg.adversaries}
 
         reproposed: list[str] = []
         seen_repro: set[bytes] = set()
@@ -468,6 +449,10 @@ class _Runner:
             s: {"batches": 0, "txs": 0, "duplicates": 0} for s in range(cfg.shard_count)
         }
         shard_seen: dict[int, set] = {s: set() for s in range(cfg.shard_count)}
+        commit_counts: dict[bytes, int] = {}
+        # Only an inject_bogus primary builds a tx that its router did not
+        # validate, so without one the count is 0 and is not taken.
+        count_bogus = INJECT_BOGUS in kinds
         bogus_batches = 0
         vcfg = RouterConfig(cfg.shard_count, ref, self.client_directory, cfg.protocol.max_tx_size)
         alpha = cfg.protocol.alpha
@@ -477,10 +462,11 @@ class _Runner:
                 stats["batches"] += 1
                 stats["txs"] += len(batch.txs)
                 for tx in batch.txs:
+                    commit_counts[tx.tx_id] = commit_counts.get(tx.tx_id, 0) + 1
                     if tx.tx_id in shard_seen[batch.shard]:
                         stats["duplicates"] += 1
                     shard_seen[batch.shard].add(tx.tx_id)
-                if batch.txs:
+                if count_bogus and batch.txs:
                     invalid = sum(1 for tx in batch.txs if validate_transaction(tx, vcfg) is not None)
                     if invalid > (1 - alpha) * len(batch.txs):
                         bogus_batches += 1
@@ -490,7 +476,14 @@ class _Runner:
             for reason, count in self.consensus[p].drops.items():
                 drops[reason] = drops.get(reason, 0) + count
 
-        duplicate_commits = sum(c - 1 for c in ref_asm.tx_commit_counts.values() if c > 1)
+        inclusion = {p: dict(self.assemblers[p].inclusion_times) for p in correct}
+        for record in self.tx_records:
+            times = [inclusion[p].get(record.tx_id) for p in correct]
+            known = [x for x in times if x is not None]
+            record.first_commit_us = min(known) if known else None
+            record.last_commit_us = max(known) if len(known) == len(correct) else None
+            record.commit_count = commit_counts.get(record.tx_id, 0)
+        duplicate_commits = sum(c - 1 for c in commit_counts.values() if c > 1)
 
         report = RunReport(
             config=cfg.to_dict(),
@@ -514,7 +507,6 @@ class _Runner:
         )
         report.checks["agreement"] = check_agreement(ledgers)
         report.checks["no_loss_no_unbounded_dup"] = check_no_loss_no_unbounded_dup(report)
-        kinds = {a.kind for a in cfg.adversaries}
         if CENSOR_TX in kinds:
             report.checks["censorship_bound"] = check_censorship_bound(report, cfg.censorship_bound_us())
         if INJECT_BOGUS in kinds:

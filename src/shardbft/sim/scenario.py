@@ -18,7 +18,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from ..batcher import required_sample_size
-from ..behaviors import BEHAVIOR_KINDS, AdversaryBehavior
+from ..behaviors import BEHAVIOR_KINDS, CENSOR_TX
 from ..crypto import SCHEMES, SCHEME_TEST_MAC
 
 
@@ -76,12 +76,8 @@ class AdversarySpec:
     censor_clients: tuple[int, ...] = _key("censor_clients", INTS, ())
     bogus_fraction: float = _key("bogus_fraction", NUMBER, 0.5, lo=0, hi=1)
 
-    def behavior(self) -> AdversaryBehavior:
-        return AdversaryBehavior(
-            kind=self.kind,
-            censor_clients=frozenset(self.censor_clients),
-            bogus_fraction=self.bogus_fraction,
-        )
+    def censors(self, tx) -> bool:
+        return self.kind == CENSOR_TX and tx.client_id in self.censor_clients
 
 
 @dataclass(frozen=True)

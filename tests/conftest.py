@@ -36,7 +36,6 @@ class StubCtx:
         self.time = now_us
         self.sent: list[tuple[int, object]] = []
         self.timers: list[tuple[int, object]] = []
-        self.down: set[int] = set()
 
     def now(self) -> int:
         return self.time
@@ -46,9 +45,6 @@ class StubCtx:
 
     def schedule(self, delay_us, message):
         self.timers.append((self.time + delay_us, message))
-
-    def is_down(self, node_id) -> bool:
-        return node_id in self.down
 
     def take_sent(self):
         out = self.sent

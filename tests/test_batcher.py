@@ -14,7 +14,7 @@ from shardbft.batcher import (
 )
 from shardbft.core import Batch, BatchAttestationShare, BatchKey, ComplaintVote, Transaction
 from shardbft.crypto import Signature
-from shardbft.pools import SecondaryPool
+from shardbft.pools import PrimaryPool, SecondaryPool
 from shardbft.router import RouterConfig, validate_transaction
 
 from conftest import StubCtx, make_tx
@@ -27,12 +27,11 @@ CONSENSUS = tuple(400 + p for p in range(4))
 ASSEMBLER = 500
 
 
-def _cfg(party, client_directory, party_keys, n=4, f=1, sample_count=30, behavior=None, **over):
+def _cfg(party, client_directory, party_keys, n=4, sample_count=30, **over):
     defaults = dict(
         party=party,
         shard=0,
         n_parties=n,
-        f=f,
         keypair=party_keys[party],
         client_directory=client_directory,
         scheme="test_mac",
@@ -51,7 +50,6 @@ def _cfg(party, client_directory, party_keys, n=4, f=1, sample_count=30, behavio
         batcher_ids=BATCHERS,
         consensus_ids=CONSENSUS[:n],
         assembler_id=ASSEMBLER,
-        behavior=behavior,
     )
     defaults.update(over)
     return BatcherConfig(**defaults)
@@ -383,6 +381,30 @@ def test_term_change_back_to_secondary(client_directory, client_keys, party_keys
     assert tx.tx_id in node.pool.tx_index
     pulls = _sent_of(ctx, msg.PullRequest)
     assert pulls and pulls[0][0] == BATCHERS[1]
+
+
+def test_pool_class_follows_the_role_across_term_changes(client_directory, client_keys, party_keys):
+    # Party 1 of 4 is the primary of terms 1, 5, 9, ... Its ledger holds one
+    # batch that never reached the threshold, so each term it leads re-queues
+    # those persisted txs; a tx it only pooled must survive every change.
+    txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(2)]
+    node, ctx, _batch = _secondary_with_batch(client_directory, client_keys, party_keys, txs)
+    persisted = {tx.tx_id for tx in txs}
+    pooled = make_tx(2, b"pooled", client_keys)
+    node.handle(msg.ForwardTx(pooled, 0, 200), ctx)
+    # secondary -> primary -> secondary, a 2-term jump without and with a
+    # role flip, and a 4-term jump that keeps the same primary.
+    for term, primary in ((1, True), (2, False), (4, False), (5, True), (9, True), (11, False)):
+        pool = node.pool
+        node.handle(msg.OrderedUpdate(0, (), (), new_term=term), ctx)
+        assert node.term == term and node.is_primary == primary
+        assert isinstance(node.pool, PrimaryPool) == node.is_primary
+        assert (node.pool is pool) == (term not in (1, 2, 5, 11))
+        assert pooled.tx_id in node.pool.tx_index
+        if primary:
+            assert persisted <= node.pool.tx_index
+        else:
+            assert not persisted & node.pool.tx_index
 
 
 def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_keys):

@@ -75,14 +75,14 @@ def pubs(party_keys, n=4):
 
 
 def test_filter_accepts_fresh_valid_share(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0)
     ok, reason = filter_event(share, state, local_epoch=0, party_keys=pubs(party_keys))
     assert ok and reason is None
 
 
 def test_filter_drops_stale_epoch(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0, epoch=0)
     ok, reason = filter_event(share, state, local_epoch=3, party_keys=pubs(party_keys))
     assert not ok and reason == DROP_STALE_EPOCH
@@ -91,7 +91,7 @@ def test_filter_drops_stale_epoch(party_keys):
 
 
 def test_filter_drops_duplicate_signer_key(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0)
     state.pending.append(share)
     state.pending_index.add((share.signer, share.key()))
@@ -100,7 +100,7 @@ def test_filter_drops_duplicate_signer_key(party_keys):
 
 
 def test_filter_drops_dedup_slot(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0)
     state.dedup[share.key().slot()] = (share.digest, 0)
     ok, reason = filter_event(share, state, 0, pubs(party_keys))
@@ -112,13 +112,13 @@ def test_filter_drops_bad_signature(party_keys):
     forged = BatchAttestationShare(
         1, share.seq, share.digest, share.shard, share.primary, share.epoch, (), share.signature
     )
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     ok, reason = filter_event(forged, state, 0, pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
 
 
 def test_filter_drops_stale_term_complaint(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     state.terms[0] = 2
     vote = make_complaint(party_keys, 1, term=1)
     ok, reason = filter_event(vote, state, 0, pubs(party_keys))
@@ -280,7 +280,7 @@ def test_incremental_ripe_set_matches_a_full_rescan():
 
 
 def test_complaints_reach_threshold(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     votes = [make_complaint(party_keys, s, 0) for s in (1, 2)]
     changes = apply_complaints(votes, state, f=1)
     assert changes == [(0, 1)]
@@ -288,20 +288,20 @@ def test_complaints_reach_threshold(party_keys):
 
 
 def test_complaints_distinct_signers_required(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     votes = [make_complaint(party_keys, 1, 0)] * 3
     assert apply_complaints(votes, state, f=1) == []
     assert state.terms.get(0, 0) == 0
 
 
 def test_f_adversary_complaints_never_change_term(party_keys):
-    state = ConsensusState(f=2, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     votes = [make_complaint(party_keys, s, 0) for s in (0, 1)]  # only F distinct
     assert apply_complaints(votes, state, f=2) == []
 
 
 def test_stale_complaints_discarded_after_change(party_keys):
-    state = ConsensusState(f=1, epoch_window=2)
+    state = ConsensusState(epoch_window=2)
     apply_complaints([make_complaint(party_keys, s, 0) for s in (1, 2)], state, f=1)
     # Late votes for the old term no longer count and do not accumulate.
     assert apply_complaints([make_complaint(party_keys, 3, 0)], state, f=1) == []
@@ -357,8 +357,8 @@ def test_chain_continuity_across_rounds(party_keys):
     ctx = StubCtx()
     node.handle(msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))), ctx)
     node.handle(msg.RoundDelivery(2, tuple(make_share(party_keys, s, 1) for s in (0, 1))), ctx)
-    h1 = node.headers[0][0]
-    h2 = node.headers[1][0]
+    h1 = node.headers[0]
+    h2 = node.headers[1]
     assert h2.prev_header_hash == header_digest(h1)
     assert h1.prev_header_hash == b"\x00" * 32
 
@@ -385,7 +385,7 @@ def test_conflicting_share_flagged_not_counted(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
     node.handle(msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))), ctx)
-    header, hhash, payload = node.headers[0]
+    hhash = node.headers[0].header_hash
     evil = msg.HeaderShare(0, sha256(b"other header"), 1, sign(party_keys[1], b"whatever"))
     node.handle(evil, ctx)
     assert node.evidence and node.evidence[0][0] == "conflicting_header"
@@ -422,7 +422,7 @@ def test_same_slot_two_digests_single_winner(party_keys):
     )
     node.handle(msg.RoundDelivery(1, events), ctx)
     assert node.state.next_block_seq == 1
-    keys = node.headers[0][0].batch_digests
+    keys = node.headers[0].batch_digests
     assert len(keys) == 1 and keys[0].digest == d1
     # The loser's shares stay pending and are reported as orphaned.
     assert {s.digest for s in node.state.pending} == {d2}
@@ -495,15 +495,15 @@ def test_deterministic_headers_across_replicas(party_keys):
         for node, ctx in zip(replicas, ctxs):
             node.handle(msg.RoundDelivery(round_no, events), ctx)
     reference = [
-        encode_header_payload(replicas[0].headers[i][0]) for i in range(replicas[0].state.next_block_seq)
+        encode_header_payload(replicas[0].headers[i]) for i in range(replicas[0].state.next_block_seq)
     ]
     for node in replicas[1:]:
-        mine = [encode_header_payload(node.headers[i][0]) for i in range(node.state.next_block_seq)]
+        mine = [encode_header_payload(node.headers[i]) for i in range(node.state.next_block_seq)]
         assert mine == reference
     # Safety independence: no slot ever appears in two different headers.
     seen_slots = {}
     for i in range(replicas[0].state.next_block_seq):
-        for key in replicas[0].headers[i][0].batch_digests:
+        for key in replicas[0].headers[i].batch_digests:
             assert key.slot() not in seen_slots, "slot committed twice"
             seen_slots[key.slot()] = i
 
@@ -518,7 +518,7 @@ def test_byzantine_garbage_in_round_is_ignored(party_keys):
     unknown_signer = make_share({**party_keys, 9: party_keys[0]}, 9, 0)
     node.handle(msg.RoundDelivery(1, (forged, unknown_signer, *good)), ctx)
     assert node.state.next_block_seq == 1
-    assert node.headers[0][0].batch_digests[0] == good[0].key()
+    assert node.headers[0].batch_digests[0] == good[0].key()
 
 
 def test_share_with_a_short_digest_never_verifies(party_keys):
@@ -528,7 +528,7 @@ def test_share_with_a_short_digest_never_verifies(party_keys):
     short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, (), sign(party_keys[1], good.signing_payload))
     assert short.signing_payload is None
     assert not verify_event(short, pubs(party_keys))
-    ok, reason = filter_event(short, ConsensusState(f=1, epoch_window=2), 0, pubs(party_keys))
+    ok, reason = filter_event(short, ConsensusState(epoch_window=2), 0, pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
     node.handle(msg.RoundDelivery(1, (good, short)), ctx)
     assert node.state.next_block_seq == 0

@@ -18,7 +18,6 @@ from shardbft.core import (
     ComplaintVote,
     Transaction,
     attestation_threshold,
-    decode_bas_payload,
     decode_batch,
     decode_block,
     decode_transaction,
@@ -112,14 +111,6 @@ _payload_args = st.tuples(
     st.integers(0, 2**32),
     st.lists(_keys, max_size=4).map(tuple),
 )
-
-
-@settings(max_examples=200)
-@given(_payload_args)
-def test_bas_payload_round_trip(args):
-    seq, digest, shard, primary, epoch, refs = args
-    encoded = encode_bas_payload(seq, digest, shard, primary, epoch, refs)
-    assert decode_bas_payload(encoded) == (seq, digest, shard, primary, epoch, refs)
 
 
 @settings(max_examples=200)
@@ -304,11 +295,9 @@ def test_decoders_bound_lengths_and_counts(client_keys, party_keys, scheme):
     batches = (make_batch(txs[:2], seq=1), make_batch(txs[2:], shard=1, seq=4))
     header = BlockHeader(0, b"\x11" * 32, tuple(b.key() for b in batches))
     block = Block(header, ((0, txs[0].signature), (2, txs[1].signature)), batches)
-    refs = tuple(b.key() for b in batches)
     cases = [
         (lambda buf: decode_transaction(buf, 0, scheme), encode_transaction(txs[0])),
         (lambda buf: decode_batch(buf, 0, scheme), encode_batch(batches[0])),
-        (decode_bas_payload, encode_bas_payload(1, b"\x22" * 32, 0, 0, 0, refs)),
         (lambda buf: decode_block(buf, 0, scheme), encode_block(block)),
     ]
     for decode, encoded in cases:

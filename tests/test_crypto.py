@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -33,6 +35,16 @@ def test_sign_verify_round_trip(scheme):
     kp = keygen(b"\x01" * 32, scheme)
     sig = sign(kp, b"hello")
     assert verify(kp.public, b"hello", sig)
+
+
+def test_test_mac_is_hmac_sha256():
+    # The reference is the HMAC object the one-shot digest replaced.
+    kp = keygen(b"\x05" * 32, SCHEME_TEST_MAC)
+    for message in (b"", b"hello", bytes(range(256)) * 9):
+        want = hmac.new(kp.secret, message, hashlib.sha256).digest()
+        assert sign(kp, message) == Signature(SCHEME_TEST_MAC, want)
+        assert verify(kp.public, message, Signature(SCHEME_TEST_MAC, want))
+        assert not verify(kp.public, message + b"!", Signature(SCHEME_TEST_MAC, want))
 
 
 @pytest.mark.parametrize("scheme", BOTH)

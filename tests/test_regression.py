@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from shardbft import core, crypto
+from shardbft import core, crypto, router
 from shardbft.cli import main
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
@@ -85,6 +85,31 @@ def _lossy() -> dict:
     }
 
 
+def _adversarial_short(adversaries: list) -> dict:
+    doc = json.loads((CONFIGS / "censorship.json").read_text())
+    doc.update(
+        parties=7, faults=2, shards=2, duration=1.0, tx_rate=200, seed=13, adversaries=adversaries
+    )
+    return doc
+
+
+def _bogus_short() -> dict:
+    # Bogus batches and a false complaint: two term changes and the
+    # validity check.
+    return _adversarial_short(
+        [
+            {"party": 0, "kind": "inject_bogus", "bogus_fraction": 0.5},
+            {"party": 1, "kind": "false_complaint"},
+        ]
+    )
+
+
+def _withhold_short() -> dict:
+    return _adversarial_short(
+        [{"party": 1, "kind": "withhold_bas"}, {"party": 2, "kind": "silent_secondary"}]
+    )
+
+
 SCENARIOS = {
     "baseline": lambda: json.loads((CONFIGS / "baseline.json").read_text()),
     "censorship": lambda: json.loads((CONFIGS / "censorship.json").read_text()),
@@ -93,6 +118,8 @@ SCENARIOS = {
     "ordering_short": _ordering_short,
     "late_gst": _late_gst,
     "lossy": _lossy,
+    "bogus_short": _bogus_short,
+    "withhold_short": _withhold_short,
 }
 
 # `shardbft run` exits 1 for a run that loses acked txs or is not quiescent.
@@ -101,7 +128,8 @@ EXIT_CODES = {"lossy": 1}
 # sha256 of every file `shardbft run` writes, recorded before verify was
 # memoized and tx_id cached (`ordering_short`: before the ordering payloads
 # were cached; `late_gst` and `lossy`: before client arrivals were held
-# back from the event heap).
+# back from the event heap; `bogus_short` and `withhold_short`: before the
+# adversary types were merged and the pool carry-over was folded into one).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
@@ -164,6 +192,26 @@ GOLDEN = {
         "ledger_party3.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
         "report.json": "0d4fd0771fba85417da060209b98f6fec11c5648d51db53949081c18e8d6eeb2",
         "series.csv": "3856cd9fe0f02bca4f1a19fad9da857e3e7683bd6dbd6f7db747e845f62d29f2",
+    },
+    "bogus_short": {
+        "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
+        "ledger_party2.bin": "d480c289869b3990a78ceb1c8b1b123fb43df36b6300673b80eef964eea21530",
+        "ledger_party3.bin": "97ec181b7eedd0fb4c1e4b570cf31cddb0bdb24e0c6fd241295bf6e0b4410fc0",
+        "ledger_party4.bin": "89d45e4a2f54023f393d4337ffc1695bca7dc5ca731b0da093ece361b27b75ad",
+        "ledger_party5.bin": "ff6a0ce46f963d8989b02f139de75bf5ecce3981c73c4b34378c3c06cc1cb11c",
+        "ledger_party6.bin": "e258d5a0c2fd6e69b0eb2ad061dfef0c19ec248d3ca9770eadee95ce17c03599",
+        "report.json": "4fcd4e7700e7eabf1f20148da181c2dd0bac80e55034ded09832588f60d788ff",
+        "series.csv": "0349dbaf51df8ec9aa6952761047e8045cd53e8d085edb39747948693dba648b",
+    },
+    "withhold_short": {
+        "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
+        "ledger_party0.bin": "7c8f698cc77e2b77854cc1c99fcab12a7e52c0eef63f520fc5d1c20cd4a81cd2",
+        "ledger_party3.bin": "9605068b2bbda9ef868bfb35ce12807745bfe565520659ffc37a071f4fa5c25b",
+        "ledger_party4.bin": "f44975ae514ea01503b010e04510a57c93b1a59080b3f46ee4c086c9e392966c",
+        "ledger_party5.bin": "69a320ede04d6f050e00730ea629b6fd8ff998fbe0ed7f0f5b1fbfa0e3100c38",
+        "ledger_party6.bin": "d1bd0ad4cb585737b0163e06707931fc4bba100a76805fe44a9897646e91a663",
+        "report.json": "00d2dddee9e45713f044cd9d031e423a516d3d1648108878221ee2231924c946",
+        "series.csv": "e2eca0d808323456e4af44d9cf144cdd724e9c61e21875f5939f3a623e7d23b9",
     },
 }
 
@@ -242,6 +290,35 @@ def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
     assert calls["encode_bas_payload"] == calls["BatchAttestationShare"] + signed[b"\x42"]
     assert calls["encode_complaint_payload"] == calls["ComplaintVote"] + signed[b"\x43"]
     assert calls["encode_header_payload"] == calls["BlockHeader"]
+
+
+def test_report_validates_txs_only_with_a_bogus_adversary(monkeypatch):
+    # Without an inject_bogus party every committed tx passed its router's
+    # check, so the report does not validate any again.
+    validate = router.validate_transaction
+    in_report, calls = [False], [0]
+
+    def counting(tx, cfg):
+        calls[0] += in_report[0]
+        return validate(tx, cfg)
+
+    _rebind(monkeypatch, validate, counting)
+    for name, revalidates in (("baseline", False), ("bogus_short", True)):
+        runner = _Runner(ScenarioConfig.from_dict(SCENARIOS[name]()))
+        build = runner._build_report
+
+        def observed(quiescent, build=build):
+            in_report[0] = True
+            try:
+                return build(quiescent)
+            finally:
+                in_report[0] = False
+
+        runner._build_report = observed
+        calls[0] = 0
+        report = runner.run()
+        assert report.quiescent and report.all_checks_pass()
+        assert (calls[0] > 0) == revalidates, name
 
 
 def _observe_pushes(runner, observe):

@@ -8,7 +8,6 @@ from shardbft.pools import INSERT_ACCEPTED, INSERT_BACKPRESSURE, INSERT_DUPLICAT
 from shardbft.router import (
     REASON_BAD_SIGNATURE,
     REASON_MALFORMED,
-    REASON_UNAVAILABLE,
     REASON_UNKNOWN_CLIENT,
     RouterConfig,
     RouterNode,
@@ -104,16 +103,6 @@ def test_invalid_submission_rejected_without_forwarding(client_directory, scheme
     router.handle(msg.SubmitTx(tx, 3, reply_to=55), ctx)
     (dest, reply), = ctx.take_sent()
     assert dest == 55 and not reply.ok and reply.reason == REASON_UNKNOWN_CLIENT
-
-
-def test_crashed_batcher_yields_unavailable(client_directory, client_keys):
-    router = _router(client_directory)
-    ctx = StubCtx()
-    ctx.down.update({100, 101})
-    tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 9, reply_to=55), ctx)
-    (dest, reply), = ctx.take_sent()
-    assert dest == 55 and not reply.ok and reply.reason == REASON_UNAVAILABLE
 
 
 def test_duplicate_enqueue_still_acks(client_directory, client_keys):
