@@ -150,11 +150,19 @@ class Batch:
     primary: int
     txs: tuple[Transaction, ...]
 
+    def encoded(self) -> bytes:
+        """``encode_batch(self)``, computed once: the digest and every ledger file reuse it."""
+        cached = self.__dict__.get("_encoded")
+        if cached is None:
+            cached = encode_batch(self)
+            self.__dict__["_encoded"] = cached
+        return cached
+
     def digest(self) -> bytes:
         """sha256 of the canonical encoding: shard, seq, term, primary and the ordered txs."""
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = sha256(encode_batch(self))
+            cached = sha256(self.encoded())
             self.__dict__["_digest"] = cached
         return cached
 
@@ -347,7 +355,7 @@ def encode_block(block: Block) -> bytes:
         parts.append(sig.data)
     parts.append(u64(len(block.batches)))
     for batch in block.batches:
-        enc = encode_batch(batch)
+        enc = batch.encoded()
         parts.append(u64(len(enc)))
         parts.append(enc)
     return b"".join(parts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -50,6 +50,15 @@ _KEY_CACHE_SIZE = 256
 class Signature:
     scheme: str
     data: bytes
+    # The hash the generated one would give, computed once: ``verify``'s
+    # memo hashes its signature argument on every call.
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.scheme, self.data)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)

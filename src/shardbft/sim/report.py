@@ -8,10 +8,11 @@ and JSON is emitted with sorted keys.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     index: int
     tx_id: bytes
@@ -19,7 +20,7 @@ class TxRecord:
     shard: int
     submit_us: int
     censored: bool = False
-    acks: set = field(default_factory=set)
+    acks: int = 0  # bitmask of the parties that acked
     ack_quorum_us: int | None = None
     rejects: dict = field(default_factory=dict)
     first_commit_us: int | None = None
@@ -34,7 +35,7 @@ class TxRecord:
             "shard": self.shard,
             "submit_us": self.submit_us,
             "censored": self.censored,
-            "acks": len(self.acks),
+            "acks": self.acks.bit_count(),
             "ack_quorum_us": self.ack_quorum_us,
             "rejects": dict(sorted(self.rejects.items())),
             "first_commit_us": self.first_commit_us,
@@ -114,18 +115,21 @@ def write_csv(report: RunReport, path) -> None:
     pending = report.pending_series
     rows = ["time_s,committed_txs,mean_latency_s,p95_latency_s,pending_size"]
     lat_idx = 0
-    seen: list[int] = []
+    # The latencies committed so far, kept sorted, and their exact sum.
+    ordered: list[int] = []
+    total = 0
     pend_idx = 0
     last_pending = 0
     for t, committed in report.throughput_series:
         while lat_idx < len(lat_by_time) and lat_by_time[lat_idx][0] <= t:
-            seen.append(lat_by_time[lat_idx][1])
+            latency = lat_by_time[lat_idx][1]
+            insort(ordered, latency)
+            total += latency
             lat_idx += 1
         while pend_idx < len(pending) and pending[pend_idx][0] <= t:
             last_pending = pending[pend_idx][1]
             pend_idx += 1
-        ordered = sorted(seen)
-        mean = sum(ordered) / len(ordered) / 1e6 if ordered else 0.0
+        mean = total / len(ordered) / 1e6 if ordered else 0.0
         p95 = _percentile(ordered, 0.95) / 1e6
         rows.append(f"{t / 1e6:.6f},{committed},{mean:.6f},{p95:.6f},{last_pending}")
     with open(path, "w", encoding="utf-8") as fh:

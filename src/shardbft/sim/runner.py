@@ -296,8 +296,8 @@ class _Runner:
         record = self.tx_records[message.submission_id // self.cfg.n_parties]
         party = message.submission_id % self.cfg.n_parties
         if message.ok:
-            record.acks.add(party)
-            if record.ack_quorum_us is None and len(record.acks) >= self.cfg.n_parties - self.cfg.f:
+            record.acks |= 1 << party
+            if record.ack_quorum_us is None and record.acks.bit_count() >= self.cfg.n_parties - self.cfg.f:
                 record.ack_quorum_us = self.now_us
         else:
             record.rejects[message.reason] = record.rejects.get(message.reason, 0) + 1
@@ -476,7 +476,8 @@ class _Runner:
             for reason, count in self.consensus[p].drops.items():
                 drops[reason] = drops.get(reason, 0) + count
 
-        inclusion = {p: dict(self.assemblers[p].inclusion_times) for p in correct}
+        # The run is over: nothing writes these maps again, so they are not copied.
+        inclusion = {p: self.assemblers[p].inclusion_times for p in correct}
         for record in self.tx_records:
             times = [inclusion[p].get(record.tx_id) for p in correct]
             known = [x for x in times if x is not None]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import hmac
 import random
@@ -45,6 +46,20 @@ def test_test_mac_is_hmac_sha256():
         assert sign(kp, message) == Signature(SCHEME_TEST_MAC, want)
         assert verify(kp.public, message, Signature(SCHEME_TEST_MAC, want))
         assert not verify(kp.public, message + b"!", Signature(SCHEME_TEST_MAC, want))
+
+
+@pytest.mark.parametrize("scheme", BOTH)
+def test_signature_hash_is_computed_once_and_unchanged(scheme):
+    # The generated hash's value, computed at construction.
+    sig = sign(keygen(b"\x07" * 32, scheme), b"message")
+    assert hash(sig) == hash((sig.scheme, sig.data))
+    twin = Signature(sig.scheme, sig.data)
+    object.__setattr__(twin, "_hash", 0)
+    assert twin == sig and repr(twin) == repr(sig)
+    assert "_hash" not in repr(sig)
+    assert [f.name for f in dataclasses.fields(Signature) if f.compare] == ["scheme", "data"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.data = b"x"
 
 
 @pytest.mark.parametrize("scheme", BOTH)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from shardbft import core, crypto, router
+from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
 from shardbft.cli import main
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
@@ -319,6 +320,35 @@ def test_report_validates_txs_only_with_a_bogus_adversary(monkeypatch):
         report = runner.run()
         assert report.quiescent and report.all_checks_pass()
         assert (calls[0] > 0) == revalidates, name
+
+
+def test_each_batch_is_encoded_once(monkeypatch, tmp_path):
+    # The digest and every correct party's ledger file share one encoding.
+    encode = core.encode_batch
+    encoded = []
+
+    def counting(batch):
+        encoded.append(batch)  # holds each batch, so no id is reused
+        return encode(batch)
+
+    _rebind(monkeypatch, encode, counting)
+    cfg = ScenarioConfig.from_dict(SCENARIOS["baseline"]())
+    report = run_scenario(cfg)
+    assert report.quiescent and report.all_checks_pass()
+    for party, blocks in sorted(report.ledgers.items()):
+        write_ledger(tmp_path / f"ledger_party{party}.bin", blocks)
+    assert len(report.ledgers) == cfg.n_parties
+    assert encoded and len(encoded) == len({id(batch) for batch in encoded})
+    batches = {id(b): b for blocks in report.ledgers.values() for block in blocks for b in block.batches}
+    assert batches.keys() <= {id(batch) for batch in encoded}
+    for batch in batches.values():
+        assert batch.encoded() == encode(batch)
+        assert batch.digest() == core.sha256(batch.encoded())
+        twin = core.Batch(batch.shard, batch.seq, batch.term, batch.primary, batch.txs)
+        assert twin == batch and hash(twin) == hash(batch) and repr(twin) == repr(batch)
+    for party in report.ledgers:
+        blocks = read_ledger(tmp_path / f"ledger_party{party}.bin", cfg.scheme)
+        assert verify_ledger_blocks(blocks, report.party_keys, cfg.n_parties, cfg.f) == (True, None, None)
 
 
 def _observe_pushes(runner, observe):

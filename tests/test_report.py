@@ -1,0 +1,191 @@
+"""Run artifacts built once per transaction: the CSV series and the ack bitmask."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from shardbft import messages as msg
+from shardbft.sim.report import RunReport, TxRecord, _percentile, write_csv
+from shardbft.sim.runner import _Runner, run_scenario
+from shardbft.sim.scenario import ScenarioConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _reference_write_csv(report: RunReport, path) -> None:
+    """``write_csv`` as it was before the series was built incrementally:
+    it re-sorts every latency seen so far for every row."""
+    lat_by_time: list[tuple[int, int]] = []
+    for r in report.tx_records:
+        if r.first_commit_us is not None:
+            lat_by_time.append((r.first_commit_us, r.first_commit_us - r.submit_us))
+    lat_by_time.sort()
+    pending = report.pending_series
+    rows = ["time_s,committed_txs,mean_latency_s,p95_latency_s,pending_size"]
+    lat_idx = 0
+    seen: list[int] = []
+    pend_idx = 0
+    last_pending = 0
+    for t, committed in report.throughput_series:
+        while lat_idx < len(lat_by_time) and lat_by_time[lat_idx][0] <= t:
+            seen.append(lat_by_time[lat_idx][1])
+            lat_idx += 1
+        while pend_idx < len(pending) and pending[pend_idx][0] <= t:
+            last_pending = pending[pend_idx][1]
+            pend_idx += 1
+        ordered = sorted(seen)
+        mean = sum(ordered) / len(ordered) / 1e6 if ordered else 0.0
+        p95 = _percentile(ordered, 0.95) / 1e6
+        rows.append(f"{t / 1e6:.6f},{committed},{mean:.6f},{p95:.6f},{last_pending}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+def _both_series(report: RunReport, tmp_path) -> tuple[bytes, bytes]:
+    write_csv(report, tmp_path / "series.csv")
+    _reference_write_csv(report, tmp_path / "reference.csv")
+    return (tmp_path / "series.csv").read_bytes(), (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["baseline", "censorship", "failover"])
+def test_series_matches_the_reference_on_shipped_configs(name, tmp_path):
+    report = run_scenario(ScenarioConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text())))
+    series, reference = _both_series(report, tmp_path)
+    assert series == reference
+    assert series.count(b"\n") == len(report.throughput_series) + 1 > 1
+
+
+def test_series_matches_the_reference_with_zero_commits(tmp_path):
+    # The run ends 20 ms in, before any batch can be ordered.
+    doc = json.loads((CONFIGS / "baseline.json").read_text())
+    doc.update(duration=0.02, drain=0.0)
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    assert all(r.first_commit_us is None for r in report.tx_records)
+    series, reference = _both_series(report, tmp_path)
+    assert series == reference
+
+
+def _report(records, throughput, pending) -> RunReport:
+    return RunReport(
+        config={},
+        quiescent=True,
+        end_time_us=0,
+        tx_records=records,
+        term_changes=[],
+        reproposed_tx_ids=[],
+        pending_series=pending,
+        throughput_series=throughput,
+        ledger_digests={},
+        committed_total=0,
+        duplicate_commits=0,
+        bogus_batch_commits=0,
+        per_shard={},
+        drops={},
+        checks={},
+    )
+
+
+@st.composite
+def _reports(draw) -> RunReport:
+    # Small ranges: latencies repeat, commits share times, and pending
+    # points fall before, between and after the series times.
+    records = []
+    for i in range(draw(st.integers(0, 30))):
+        submit = draw(st.integers(0, 2_000_000))
+        latency = draw(st.none() | st.sampled_from([0, 1, 7, 150_000, 150_000, 2_345_678]))
+        commit = None if latency is None else submit + latency
+        records.append(TxRecord(i, b"", 0, 0, submit, first_commit_us=commit))
+    times = sorted(draw(st.lists(st.integers(0, 5_000_000), max_size=12)))
+    throughput = [(t, draw(st.integers(0, 500))) for t in times]
+    pending_times = sorted(draw(st.lists(st.integers(-1, 6_000_000), max_size=12)))
+    pending = [(t, draw(st.integers(0, 40))) for t in pending_times]
+    return _report(records, throughput, pending)
+
+
+def _hand_built_report() -> RunReport:
+    # Two commits at t=500 with latency 100, a third latency of 100 at t=900;
+    # pending points before the first row, between rows and after the last.
+    records = [
+        TxRecord(0, b"", 0, 0, 400, first_commit_us=500),
+        TxRecord(1, b"", 0, 0, 400, first_commit_us=500),
+        TxRecord(2, b"", 0, 0, 800, first_commit_us=900),
+        TxRecord(3, b"", 0, 0, 100, first_commit_us=900),
+        TxRecord(4, b"", 0, 0, 100),
+    ]
+    throughput = [(500, 2), (500, 2), (900, 4), (1000, 0)]
+    pending = [(0, 3), (600, 2), (900, 1), (2000, 7)]
+    return _report(records, throughput, pending)
+
+
+@settings(max_examples=100)
+@given(_reports())
+@example(_hand_built_report())
+def test_series_matches_the_reference_on_generated_reports(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        series, reference = _both_series(report, Path(tmp))
+    assert series == reference
+
+
+def _ack_runner() -> _Runner:
+    doc = json.loads((CONFIGS / "censorship.json").read_text())
+    doc.update(parties=7, faults=2, duration=0.2, tx_rate=50, adversaries=[])
+    return _Runner(ScenarioConfig.from_dict(doc))
+
+
+def test_ack_quorum_counts_distinct_parties():
+    runner = _ack_runner()
+    n, quorum = runner.cfg.n_parties, runner.cfg.n_parties - runner.cfg.f
+    assert (n, quorum) == (7, 5)
+    runner._schedule_clients()
+    record = runner.tx_records[3]
+
+    def reply(t, party, ok=True):
+        runner.now_us = t
+        runner._on_hub(msg.SubmissionReply(3 * n + party, ok, "" if ok else "full"))
+        return record.acks, record.ack_quorum_us
+
+    reply(1, 6)
+    assert reply(2, 6) == (1 << 6, None)  # a repeated ok reply changes nothing
+    assert reply(3, 2, ok=False) == (1 << 6, None)
+    for t, party in ((4, 2), (5, 0), (6, 2), (7, 4)):
+        reply(t, party)
+    # Four distinct parties acked, one of them twice: no quorum yet.
+    assert record.to_dict()["acks"] == 4
+    assert record.ack_quorum_us is None
+    assert record.rejects == {"full": 1}
+    # The fifth distinct party (N - F at N=7) makes the quorum.
+    assert reply(20, 5) == ((1 << 0) | (1 << 2) | (1 << 4) | (1 << 5) | (1 << 6), 20)
+    mask = record.acks
+    assert reply(21, 5) == (mask, 20)
+    assert reply(22, 1)[1] == 20
+    assert record.to_dict()["acks"] == 6
+    # Replies for one submission never touch another's record.
+    assert all(r.acks == 0 and r.ack_quorum_us is None for r in runner.tx_records if r is not record)
+
+
+def test_report_acks_equal_the_distinct_parties_that_acked():
+    runner = _ack_runner()
+    n, quorum = runner.cfg.n_parties, runner.cfg.n_parties - runner.cfg.f
+    acked: dict[int, set] = {}
+    quorum_at: dict[int, int] = {}
+    on_hub = runner._on_hub
+
+    def observed(message):
+        index, party = divmod(message.submission_id, n)
+        if message.ok:
+            parties = acked.setdefault(index, set())
+            parties.add(party)
+            if len(parties) == quorum:
+                quorum_at.setdefault(index, runner.now_us)
+        on_hub(message)
+
+    runner._on_hub = observed
+    report = runner.run()
+    assert report.quiescent and quorum_at
+    for record in report.tx_records:
+        assert record.to_dict()["acks"] == len(acked.get(record.index, ()))
+        assert record.ack_quorum_us == quorum_at.get(record.index)
