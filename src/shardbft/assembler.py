@@ -11,8 +11,6 @@ be re-verified offline with nothing but the consensus public keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import messages as msg
 from .core import (
     Batch,
@@ -65,20 +63,13 @@ def verify_header(
     return None
 
 
-@dataclass(frozen=True)
-class AssemblerConfig:
-    party: int
-    n_parties: int
-    f: int
-    party_keys: dict[int, bytes]
-    fetch_timeout_us: int
-    batcher_ids: dict[tuple[int, int], int] = field(default_factory=dict)  # (party, shard) -> node
-
-
 class AssemblerNode:
-    def __init__(self, cfg: AssemblerConfig, node_id: int):
-        self.cfg = cfg
-        self.node_id = node_id
+    """The assembler of party ``party`` in the deployment ``d``."""
+
+    def __init__(self, d, party: int):
+        self.d = d
+        self.party = party
+        self.node_id = d.assembler[party]
         self.index: dict[bytes, Batch] = {}
         self.ledger: list[Block] = []
         self.header_buffer: dict[int, tuple[BlockHeader, tuple]] = {}
@@ -91,9 +82,6 @@ class AssemblerNode:
         self.inclusion_times: dict[bytes, int] = {}
         self.committed_txs = 0
         self.throughput_series: list[tuple[int, int]] = []
-
-    def start(self, ctx) -> None:
-        pass
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.BatchStored):
@@ -128,10 +116,8 @@ class AssemblerNode:
                 return
             header, sigs = entry
             if self.waiting is None:
-                reason = verify_header(
-                    header, sigs, self.cfg.party_keys, self.prev_hash,
-                    self.next_seq, self.cfg.n_parties, self.cfg.f,
-                )
+                d = self.d
+                reason = verify_header(header, sigs, d.party_pubs, self.prev_hash, self.next_seq, d.n, d.f)
                 if reason is not None:
                     self.rejects.append((header.block_seq, reason))
                     del self.header_buffer[self.next_seq]
@@ -163,10 +149,9 @@ class AssemblerNode:
     # --- batch fetching --------------------------------------------------------
 
     def _fetch(self, key: BatchKey, attempt: int, ctx) -> None:
-        party = (self.cfg.party + attempt) % self.cfg.n_parties
-        batcher = self.cfg.batcher_ids[(party, key.shard)]
-        ctx.send(batcher, msg.AssemblerPull(key.shard, key.seq, self.node_id))
-        ctx.schedule(self.cfg.fetch_timeout_us, msg.FetchRetry(key, attempt))
+        party = (self.party + attempt) % self.d.n
+        ctx.send(self.d.batcher[party][key.shard], msg.AssemblerPull(key.shard, key.seq, self.node_id))
+        ctx.schedule(self.d.protocol.fetch_timeout_us, msg.FetchRetry(key, attempt))
 
     def _next_attempt(self, key: BatchKey, attempt: int, ctx) -> None:
         if key not in self.fetching or key.digest in self.index:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
 
 from . import messages as msg
 from .behaviors import (
@@ -35,17 +33,14 @@ from .core import (
     sha256,
     u64,
 )
-from .crypto import KeyPair, Signature, sign
+from .crypto import Signature, sign
 from .pools import (
     INSERT_ACCEPTED,
     INSERT_DUPLICATE,
     PrimaryPool,
     SecondaryPool,
 )
-from .router import RouterConfig, validate_transaction
-
-if TYPE_CHECKING:
-    from .sim.scenario import AdversarySpec
+from .router import validate_transaction
 
 _LONG_AGO = -(10**18)
 
@@ -110,38 +105,16 @@ def scan_pool(pool: SecondaryPool, now: int, t_forward: int, t_complain: int):
     return to_forward, complain
 
 
-@dataclass(frozen=True)
-class BatcherConfig:
-    party: int
-    shard: int
-    n_parties: int
-    keypair: KeyPair
-    client_directory: Mapping[int, bytes]
-    scheme: str
-    sim_seed: int
-    max_batch_size: int
-    max_batch_latency_us: int
-    min_propose_interval_us: int
-    bucket_period_us: int
-    t_forward_us: int
-    t_complain_us: int
-    epoch_length_us: int
-    sample_count: int
-    max_orphan_refs: int
-    max_tx_size: int
-    pool_capacity: int | None = None
-    adversary: AdversarySpec | None = None  # this party's scenario entry, if any
-    # Wiring: node ids in the host.
-    router_ids: Mapping[int, int] = field(default_factory=dict)  # party -> router node
-    batcher_ids: Mapping[int, int] = field(default_factory=dict)  # party -> batcher node (this shard)
-    consensus_ids: tuple[int, ...] = ()
-    assembler_id: int = -1
-
-
 class BatcherNode:
-    def __init__(self, cfg: BatcherConfig, node_id: int):
-        self.cfg = cfg
-        self.node_id = node_id
+    """The batcher of party ``party`` for shard ``shard`` in the deployment ``d``."""
+
+    def __init__(self, d, party: int, shard: int):
+        self.d = d
+        self.party = party
+        self.shard = shard
+        self.node_id = d.batcher[party][shard]
+        self.keypair = d.party_keys[party]
+        self.adversary = d.adversaries.get(party)  # this party's scenario entry, if any
         self.term = 0
         self.ledger: list[Batch] = []
         self.persisted_ids: set[bytes] = set()
@@ -159,16 +132,15 @@ class BatcherNode:
         self.kick_scheduled = False
         self.reproposed_tx_ids: list[bytes] = []
         self._adv_rng = random.Random(
-            int.from_bytes(sha256(b"adv" + u64(cfg.sim_seed) + u64(cfg.party) + u64(cfg.shard)), "big")
+            int.from_bytes(sha256(b"adv" + u64(d.seed) + u64(party) + u64(shard)), "big")
         )
-        self._validator_cfg = RouterConfig(1, cfg.party, cfg.client_directory, cfg.max_tx_size)
         self.pool = self._new_pool()
 
     # --- role -----------------------------------------------------------
 
     @property
     def is_primary(self) -> bool:
-        return primary_for_term(self.term, self.cfg.n_parties) == self.cfg.party
+        return primary_for_term(self.term, self.d.n) == self.party
 
     @property
     def height(self) -> int:
@@ -177,17 +149,18 @@ class BatcherNode:
     def _new_pool(self) -> PrimaryPool | SecondaryPool:
         # The only place a pool is built: at term 0, and in _change_term
         # exactly when the role flips. So the pool's class follows the role.
+        proto = self.d.protocol
         if self.is_primary:
-            return PrimaryPool(self.cfg.max_batch_size, self.cfg.pool_capacity)
-        return SecondaryPool(self.cfg.pool_capacity)
+            return PrimaryPool(proto.max_batch_size, proto.pool_capacity)
+        return SecondaryPool(proto.pool_capacity)
 
     def _behaves(self, kind: str) -> bool:
-        return self.cfg.adversary is not None and self.cfg.adversary.kind == kind
+        return self.adversary is not None and self.adversary.kind == kind
 
     # --- lifecycle --------------------------------------------------------
 
     def start(self, ctx) -> None:
-        ctx.schedule(self.cfg.bucket_period_us, msg.BucketTick())
+        ctx.schedule(self.d.protocol.bucket_period_us, msg.BucketTick())
         if not self.is_primary:
             self._issue_pull(ctx)
         if self._behaves(FALSE_COMPLAINT) and not self.is_primary:
@@ -213,7 +186,7 @@ class BatcherNode:
             batch = self.ledger[message.seq] if message.seq < self.height else None
             ctx.send(
                 message.requester,
-                msg.AssemblerPullResponse(message.shard, message.seq, batch, self.cfg.party),
+                msg.AssemblerPullResponse(message.shard, message.seq, batch, self.party),
             )
 
     # --- pool intake ------------------------------------------------------
@@ -224,7 +197,7 @@ class BatcherNode:
             ctx.send(m.reply_router, msg.EnqueueResult(m.submission_id, status))
 
     def _insert(self, tx: Transaction, ctx) -> str:
-        if self.cfg.adversary is not None and self.cfg.adversary.censors(tx):
+        if self.adversary is not None and self.adversary.censors(tx):
             # A censoring party drops the transaction but acknowledges it, so
             # the client cannot tell this party apart from an honest one.
             return INSERT_ACCEPTED
@@ -242,14 +215,14 @@ class BatcherNode:
         if self.pool.pending:
             if self.batch_opened_at is None:
                 self.batch_opened_at = ctx.now()
-                ctx.schedule(self.cfg.max_batch_latency_us, msg.BatchTimer(self.batch_opened_at))
+                ctx.schedule(self.d.protocol.max_batch_latency_us, msg.BatchTimer(self.batch_opened_at))
         else:
             self.batch_opened_at = None
 
     def _maybe_kick(self, ctx) -> None:
         if self.kick_scheduled:
             return
-        delay = max(0, self.last_propose_at + self.cfg.min_propose_interval_us - ctx.now())
+        delay = max(0, self.last_propose_at + self.d.protocol.min_propose_interval_us - ctx.now())
         self.kick_scheduled = True
         ctx.schedule(delay, msg.ProposeKick())
 
@@ -264,11 +237,12 @@ class BatcherNode:
         if not self.is_primary:
             return
         now = ctx.now()
-        if now - self.last_propose_at < self.cfg.min_propose_interval_us:
+        proto = self.d.protocol
+        if now - self.last_propose_at < proto.min_propose_interval_us:
             self._maybe_kick(ctx)
             return
         timed_out = self.batch_opened_at is not None and (
-            timer_expired or now - self.batch_opened_at >= self.cfg.max_batch_latency_us
+            timer_expired or now - self.batch_opened_at >= proto.max_batch_latency_us
         )
         if not self.pool.has_sealed() and not (self.pool.pending and timed_out):
             return
@@ -287,22 +261,22 @@ class BatcherNode:
         seq = self.height
         if self._behaves(INJECT_BOGUS) and txs:
             txs = self._inject_bogus(txs)
-        batch = Batch(self.cfg.shard, seq, self.term, self.cfg.party, txs)
+        batch = Batch(self.shard, seq, self.term, self.party, txs)
         if self._behaves(EQUIVOCATE_BATCH) and len(txs) > 1:
-            variant = Batch(self.cfg.shard, seq, self.term, self.cfg.party, tuple(reversed(txs)))
-            others = [p for p in range(self.cfg.n_parties) if p != self.cfg.party]
+            variant = Batch(self.shard, seq, self.term, self.party, tuple(reversed(txs)))
+            others = [p for p in range(self.d.n) if p != self.party]
             split = {p: (batch if i < len(others) // 2 else variant) for i, p in enumerate(others)}
             self.equiv_variants[seq] = split
         return batch
 
     def _inject_bogus(self, txs: tuple[Transaction, ...]) -> tuple[Transaction, ...]:
         out = list(txs)
-        count = max(1, int(len(out) * self.cfg.adversary.bogus_fraction))
+        count = max(1, int(len(out) * self.adversary.bogus_fraction))
         slots = self._adv_rng.sample(range(len(out)), min(count, len(out)))
         for i in slots:
             fake_client = (1 << 40) + self._adv_rng.randrange(1 << 20)
             payload = self._adv_rng.randbytes(max(1, len(out[i].payload)))
-            out[i] = Transaction(fake_client, payload, Signature(self.cfg.scheme, b"\x00" * 32))
+            out[i] = Transaction(fake_client, payload, Signature(self.d.scheme, b"\x00" * 32))
         return tuple(out)
 
     # --- persistence + attestation ------------------------------------------
@@ -314,26 +288,26 @@ class BatcherNode:
         if isinstance(self.pool, SecondaryPool):
             self.pool.remove(ids)
         self.forwarded.difference_update(ids)
-        ctx.send(self.cfg.assembler_id, msg.BatchStored(batch))
+        ctx.send(self.d.assembler[self.party], msg.BatchStored(batch))
         if not (self._behaves(WITHHOLD_BAS) or self._behaves(SILENT_SECONDARY)):
             self._send_attestation(batch, ctx)
         self._answer_pending_pulls(batch.seq, ctx)
 
     def _send_attestation(self, batch: Batch, ctx) -> None:
         refs = self._take_orphan_refs(batch.seq)
-        epoch = ctx.now() // self.cfg.epoch_length_us
+        epoch = ctx.now() // self.d.protocol.epoch_length_us
         payload = encode_bas_payload(batch.seq, batch.digest(), batch.shard, batch.primary, epoch, refs)
         share = BatchAttestationShare(
-            signer=self.cfg.party,
+            signer=self.party,
             seq=batch.seq,
             digest=batch.digest(),
             shard=batch.shard,
             primary=batch.primary,
             epoch=epoch,
             orphan_refs=refs,
-            signature=sign(self.cfg.keypair, payload),
+            signature=sign(self.keypair, payload),
         )
-        for cid in self.cfg.consensus_ids:
+        for cid in self.d.consensus:
             ctx.send(cid, msg.ConsensusSubmission(share))
 
     def _take_orphan_refs(self, seq: int) -> tuple[BatchKey, ...]:
@@ -341,7 +315,7 @@ class BatcherNode:
             return ()
         taken, kept = [], []
         for key in self.orphan_queue:
-            if key.seq < seq and len(taken) < self.cfg.max_orphan_refs:
+            if key.seq < seq and len(taken) < self.d.protocol.max_orphan_refs:
                 taken.append(key)
             else:
                 kept.append(key)
@@ -353,7 +327,7 @@ class BatcherNode:
     def _on_pull_request(self, m: msg.PullRequest, ctx) -> None:
         if m.seq < self.height:
             batch = self.equiv_variants.get(m.seq, {}).get(m.requester_party, self.ledger[m.seq])
-            ctx.send(m.requester, msg.PullResponse(m.shard, m.seq, batch, self.cfg.party))
+            ctx.send(m.requester, msg.PullResponse(m.shard, m.seq, batch, self.party))
         else:
             # Queue even while secondary: a request can race our own term
             # change. The requester ignores answers from non-primaries.
@@ -364,7 +338,7 @@ class BatcherNode:
     def _answer_pending_pulls(self, seq: int, ctx) -> None:
         for requester, party in self.pending_pulls.pop(seq, []):
             batch = self.equiv_variants.get(seq, {}).get(party, self.ledger[seq])
-            ctx.send(requester, msg.PullResponse(self.cfg.shard, seq, batch, self.cfg.party))
+            ctx.send(requester, msg.PullResponse(self.shard, seq, batch, self.party))
 
     # --- secondary: pulling, verifying, persisting --------------------------------
 
@@ -375,16 +349,16 @@ class BatcherNode:
         if self.outstanding_pull == seq:
             return
         self.outstanding_pull = seq
-        primary_party = primary_for_term(self.term, self.cfg.n_parties)
+        primary_party = primary_for_term(self.term, self.d.n)
         ctx.send(
-            self.cfg.batcher_ids[primary_party],
-            msg.PullRequest(self.cfg.shard, seq, self.node_id, self.cfg.party),
+            self.d.batcher[primary_party][self.shard],
+            msg.PullRequest(self.shard, seq, self.node_id, self.party),
         )
 
     def _on_pull_response(self, m: msg.PullResponse, ctx) -> None:
         if self.is_primary or self.halted:
             return
-        primary_party = primary_for_term(self.term, self.cfg.n_parties)
+        primary_party = primary_for_term(self.term, self.d.n)
         if m.responder_party != primary_party or m.batch is None:
             return
         if m.seq != self.height or m.batch.seq != self.height:
@@ -397,12 +371,13 @@ class BatcherNode:
             self._send_complaint(ctx)
             self.halted = True
             return
-        rng = verification_rng(self.cfg.sim_seed, self.cfg.party, self.cfg.shard, batch.seq)
+        d = self.d
+        rng = verification_rng(d.seed, self.party, self.shard, batch.seq)
         bad = sample_verify(
             batch,
-            self.cfg.sample_count,
+            d.sample_count,
             rng,
-            lambda tx: validate_transaction(tx, self._validator_cfg) is None,
+            lambda tx: validate_transaction(tx, d.client_directory, d.protocol.max_tx_size) is None,
         )
         if bad is not None:
             self._send_complaint(ctx)
@@ -419,22 +394,20 @@ class BatcherNode:
         if self.complained_term >= self.term and not force:
             return
         self.complained_term = self.term
-        payload = encode_complaint_payload(self.term, self.cfg.shard)
-        vote = ComplaintVote(self.cfg.party, self.term, self.cfg.shard, sign(self.cfg.keypair, payload))
-        for cid in self.cfg.consensus_ids:
+        payload = encode_complaint_payload(self.term, self.shard)
+        vote = ComplaintVote(self.party, self.term, self.shard, sign(self.keypair, payload))
+        for cid in self.d.consensus:
             ctx.send(cid, msg.ConsensusSubmission(vote))
 
     def _on_bucket_tick(self, ctx) -> None:
-        ctx.schedule(self.cfg.bucket_period_us, msg.BucketTick())
+        proto = self.d.protocol
+        ctx.schedule(proto.bucket_period_us, msg.BucketTick())
         if self._behaves(FALSE_COMPLAINT) and not self.is_primary:
             self._send_complaint(ctx)
         if self.is_primary or self.halted or self._behaves(SILENT_SECONDARY):
             return
-        to_forward, complain = scan_pool(
-            self.pool, ctx.now(), self.cfg.t_forward_us, self.cfg.t_complain_us
-        )
-        primary_party = primary_for_term(self.term, self.cfg.n_parties)
-        router = self.cfg.router_ids[primary_party]
+        to_forward, complain = scan_pool(self.pool, ctx.now(), proto.t_forward_us, proto.t_complain_us)
+        router = self.d.router[primary_for_term(self.term, self.d.n)]
         for tx in to_forward:
             if tx.tx_id in self.forwarded:
                 continue

@@ -23,7 +23,7 @@ from .core import (
     ZERO_DIGEST,
     quorum_size,
 )
-from .crypto import KeyPair, Signature, sign, verify
+from .crypto import Signature, sign, verify
 
 DROP_BAD_SIGNATURE = "bad_signature"
 DROP_STALE_EPOCH = "stale_epoch"
@@ -175,28 +175,16 @@ def make_block_header(state: ConsensusState, keys) -> BlockHeader:
     return header
 
 
-@dataclass(frozen=True)
-class ConsensusConfig:
-    party: int
-    n_parties: int
-    f: int
-    shard_count: int
-    keypair: KeyPair
-    party_keys: dict[int, bytes]
-    epoch_length_us: int
-    epoch_window: int
-    sequencer_id: int
-    peer_ids: tuple[int, ...] = ()  # consensus nodes of the other parties
-    batcher_ids: dict[int, int] = field(default_factory=dict)  # shard -> own batcher
-    assembler_id: int = -1
-
-
 class ConsensusNode:
-    def __init__(self, cfg: ConsensusConfig, node_id: int):
-        self.cfg = cfg
-        self.node_id = node_id
-        self.state = ConsensusState(cfg.epoch_window)
-        self.orphan_votes = OrphanVotes(cfg.f)
+    """The consensus node of party ``party`` in the deployment ``d``."""
+
+    def __init__(self, d, party: int):
+        self.d = d
+        self.party = party
+        self.node_id = d.consensus[party]
+        self.peers = tuple(c for c in d.consensus if c != self.node_id)
+        self.state = ConsensusState(d.protocol.epoch_window)
+        self.orphan_votes = OrphanVotes(d.f)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
         self.headers: dict[int, BlockHeader] = {}
@@ -207,9 +195,6 @@ class ConsensusNode:
         self.drops: dict[str, int] = {}
         self.term_change_log: list[tuple[int, int, int]] = []  # (time, shard, term)
         self.pending_series: list[tuple[int, int]] = []
-
-    def start(self, ctx) -> None:
-        pass
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.ConsensusSubmission):
@@ -227,10 +212,10 @@ class ConsensusNode:
     # --- intake ------------------------------------------------------------
 
     def _on_submission(self, event, ctx) -> None:
-        local_epoch = ctx.now() // self.cfg.epoch_length_us
-        ok, reason = filter_event(event, self.state, local_epoch, self.cfg.party_keys)
+        local_epoch = ctx.now() // self.d.protocol.epoch_length_us
+        ok, reason = filter_event(event, self.state, local_epoch, self.d.party_pubs)
         if ok:
-            ctx.send(self.cfg.sequencer_id, msg.SequencerSubmit(event))
+            ctx.send(self.d.sequencer, msg.SequencerSubmit(event))
         else:
             self.drops[reason] = self.drops.get(reason, 0) + 1
 
@@ -240,19 +225,20 @@ class ConsensusNode:
         state = self.state
         shares: list[BatchAttestationShare] = []
         complaints: list[ComplaintVote] = []
+        d = self.d
         for event in m.events:
-            if not verify_event(event, self.cfg.party_keys):
+            if not verify_event(event, d.party_pubs):
                 continue
             if isinstance(event, BatchAttestationShare):
                 shares.append(event)
-            elif isinstance(event, ComplaintVote) and event.shard < self.cfg.shard_count:
+            elif isinstance(event, ComplaintVote) and event.shard < d.k:
                 complaints.append(event)
 
         if shares:
             state.ordered_epoch = max(state.ordered_epoch, max(s.epoch for s in shares))
         horizon = state.ordered_epoch - state.epoch_window
 
-        term_changes = apply_complaints(complaints, state, self.cfg.f)
+        term_changes = apply_complaints(complaints, state, d.f)
         for shard, new_term in term_changes:
             self.term_change_log.append((ctx.now(), shard, new_term))
 
@@ -266,7 +252,7 @@ class ConsensusNode:
             fresh.append(share)
 
         state.pending, extracted = process_round(
-            state.pending, fresh, self.cfg.f, excluded_slots=state.dedup.keys()
+            state.pending, fresh, d.f, excluded_slots=state.dedup.keys()
         )
         # At most one key may win a ledger slot per round; an equivocating
         # proposer can push two same-slot keys past the count threshold in
@@ -285,7 +271,7 @@ class ConsensusNode:
         for key, _group in thresholds:
             state.dedup[key.slot()] = (key.digest, state.ordered_epoch)
 
-        state.pending = purge_orphans(state.pending, fresh, self.cfg.f, self.orphan_votes)
+        state.pending = purge_orphans(state.pending, fresh, d.f, self.orphan_votes)
         state.pending_index = {(s.signer, s.key()) for s in state.pending}
 
         # Slots enter dedup with the non-decreasing ordered_epoch and a live
@@ -306,12 +292,12 @@ class ConsensusNode:
 
     def _emit_header(self, thresholds, ctx) -> None:
         header = make_block_header(self.state, [key for key, _ in thresholds])
-        signature = sign(self.cfg.keypair, header.signing_payload)
+        signature = sign(self.d.party_keys[self.party], header.signing_payload)
         seq = header.block_seq
         self.headers[seq] = header
-        self.collected.setdefault(seq, {})[self.cfg.party] = signature
-        share = msg.HeaderShare(seq, header.header_hash, self.cfg.party, signature)
-        for peer in self.cfg.peer_ids:
+        self.collected.setdefault(seq, {})[self.party] = signature
+        share = msg.HeaderShare(seq, header.header_hash, self.party, signature)
+        for peer in self.peers:
             ctx.send(peer, share)
         for buffered in self.share_buffer.pop(seq, []):
             self._absorb_share(buffered)
@@ -322,12 +308,12 @@ class ConsensusNode:
         for key, _group in thresholds:
             per_shard.setdefault(key.shard, []).append(key)
         changed = dict(term_changes)
+        batchers = self.d.batcher[self.party]
         for shard in set(per_shard) | set(orphans_by_shard) | set(changed):
-            batcher = self.cfg.batcher_ids.get(shard)
-            if batcher is None:
+            if shard >= len(batchers):  # no batcher serves a shard past the last
                 continue
             ctx.send(
-                batcher,
+                batchers[shard],
                 msg.OrderedUpdate(
                     shard,
                     tuple(per_shard.get(shard, ())),
@@ -352,7 +338,7 @@ class ConsensusNode:
         if m.header_hash != header.header_hash:
             self.evidence.append(("conflicting_header", m.block_seq, m.signer))
             return
-        public = self.cfg.party_keys.get(m.signer)
+        public = self.d.party_pubs.get(m.signer)
         if public is None or not verify(public, header.signing_payload, m.signature):
             self.evidence.append(("bad_share_signature", m.block_seq, m.signer))
             return
@@ -362,11 +348,12 @@ class ConsensusNode:
         if seq in self.published or seq not in self.headers:
             return
         sigs = self.collected.get(seq, {})
-        if len(sigs) < quorum_size(self.cfg.n_parties, self.cfg.f):
+        quorum = quorum_size(self.d.n, self.d.f)
+        if len(sigs) < quorum:
             return
         self.published.add(seq)
         header = self.headers[seq]
         # Exactly a quorum, lowest signer ids first: every published byte is
         # load-bearing for offline verification.
-        ordered = tuple(sorted(sigs.items())[: quorum_size(self.cfg.n_parties, self.cfg.f)])
-        ctx.send(self.cfg.assembler_id, msg.PublishedHeader(header, ordered))
+        ordered = tuple(sorted(sigs.items())[:quorum])
+        ctx.send(self.d.assembler[self.party], msg.PublishedHeader(header, ordered))

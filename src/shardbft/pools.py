@@ -28,10 +28,6 @@ class PrimaryPool:
         self.pending: list[Transaction] = []
         self.full_queue: deque[list[Transaction]] = deque()
         self.tx_index: set[bytes] = set()
-        self.retrieval_ops = 0  # head touches per next_batch, for O(1) accounting
-
-    def __len__(self) -> int:
-        return len(self.tx_index)
 
     def insert(self, tx: Transaction) -> str:
         tx_id = tx.tx_id
@@ -62,7 +58,6 @@ class PrimaryPool:
 
     def next_batch(self) -> list[Transaction]:
         """Dequeue the oldest sealed batch, or seal and take the pending one."""
-        self.retrieval_ops += 1
         if self.full_queue:
             txs = self.full_queue.popleft()
         else:
@@ -97,9 +92,6 @@ class SecondaryPool:
         self.open_bucket: dict[bytes, Transaction] = {}
         self.sealed: deque[Bucket] = deque()
         self.tx_index: set[bytes] = set()
-
-    def __len__(self) -> int:
-        return len(self.tx_index)
 
     def insert(self, tx: Transaction) -> str:
         tx_id = tx.tx_id

@@ -10,7 +10,6 @@ counting acks knows the transaction actually sits in a memory pool.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import messages as msg
@@ -24,19 +23,13 @@ REASON_BAD_SIGNATURE = "bad_signature"
 REASON_BACKPRESSURE = "backpressure"
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    shard_count: int
-    party: int
-    client_directory: Mapping[int, bytes]
-    max_tx_size: int
-
-
-def validate_transaction(tx: Transaction, cfg: RouterConfig) -> str | None:
+def validate_transaction(
+    tx: Transaction, client_directory: Mapping[int, bytes], max_tx_size: int
+) -> str | None:
     """None when valid, otherwise the rejection reason."""
-    if not tx.payload or len(tx.payload) > cfg.max_tx_size:
+    if not tx.payload or len(tx.payload) > max_tx_size:
         return REASON_MALFORMED
-    public = cfg.client_directory.get(tx.client_id)
+    public = client_directory.get(tx.client_id)
     if public is None:
         return REASON_UNKNOWN_CLIENT
     if not verify(public, tx.signing_bytes, tx.signature):
@@ -51,21 +44,19 @@ def map_to_shard(tx_id: bytes, shard_count: int) -> int:
     return zlib.crc32(tx_id) % shard_count
 
 
-@dataclass
 class RouterNode:
-    """Event-driven router for one party.
+    """Event-driven router for party ``party`` of the deployment ``d``.
 
-    Decisions are a pure function of (tx, config); the only mutable state is
-    transport bookkeeping for pending enqueue confirmations.
+    Decisions are a pure function of (tx, deployment); the only mutable state
+    is transport bookkeeping for pending enqueue confirmations.
     """
 
-    cfg: RouterConfig
-    node_id: int
-    batcher_ids: Mapping[int, int]  # shard -> node id of this party's batcher
-    _pending: dict[int, int] = field(default_factory=dict)  # submission -> client node
-
-    def start(self, ctx) -> None:
-        pass
+    def __init__(self, d, party: int):
+        self.d = d
+        self.party = party
+        self.node_id = d.router[party]
+        self.batchers = d.batcher[party]  # shard -> this party's batcher
+        self._pending: dict[int, int] = {}  # submission -> client node
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.SubmitTx):
@@ -74,12 +65,13 @@ class RouterNode:
             self._on_enqueue_result(message, ctx)
 
     def _on_submit(self, m: msg.SubmitTx, ctx) -> None:
-        reason = validate_transaction(m.tx, self.cfg)
+        d = self.d
+        reason = validate_transaction(m.tx, d.client_directory, d.protocol.max_tx_size)
         if reason is not None:
             if m.reply_to is not None:
                 ctx.send(m.reply_to, msg.SubmissionReply(m.submission_id, False, reason))
             return
-        batcher = self.batcher_ids[map_to_shard(m.tx.tx_id, self.cfg.shard_count)]
+        batcher = self.batchers[map_to_shard(m.tx.tx_id, d.k)]
         if m.reply_to is not None:
             self._pending[m.submission_id] = m.reply_to
         ctx.send(batcher, msg.ForwardTx(m.tx, m.submission_id if m.reply_to is not None else None, self.node_id))

@@ -22,10 +22,10 @@ import random
 from itertools import chain
 
 from .. import messages as msg
-from ..assembler import AssemblerConfig, AssemblerNode
-from ..batcher import BatcherConfig, BatcherNode
+from ..assembler import AssemblerNode
+from ..batcher import BatcherNode
 from ..behaviors import CENSOR_TX, CRASH, INJECT_BOGUS
-from ..consensus import ConsensusConfig, ConsensusNode
+from ..consensus import ConsensusNode
 from ..core import (
     BatchAttestationShare,
     Transaction,
@@ -35,7 +35,7 @@ from ..core import (
     u64,
 )
 from ..crypto import KeyPair, keygen, sign
-from ..router import RouterConfig, RouterNode, map_to_shard, validate_transaction
+from ..router import RouterNode, map_to_shard, validate_transaction
 from .checks import (
     check_agreement,
     check_censorship_bound,
@@ -86,6 +86,35 @@ def link_delay_sampler(rng: random.Random, base_us: int, jitter_us: int):
     return link_delay
 
 
+class Deployment:
+    """The one description of a run that every node reads: the scenario's
+    parameters, the keys, and the node-id layout.
+
+    Ids run sequencer (0), hub (1), then one router, one consensus node and
+    one assembler per party, then the batchers party-major:
+    ``router[p]``, ``consensus[p]``, ``assembler[p]`` and ``batcher[p][s]``.
+    A party or shard past the last one raises IndexError.
+    """
+
+    sequencer = SEQUENCER
+
+    def __init__(self, cfg: ScenarioConfig):
+        n, k = self.n, self.k = cfg.n_parties, cfg.shard_count
+        self.f, self.seed, self.scheme, self.protocol = cfg.f, cfg.seed, cfg.scheme, cfg.protocol
+        self.sample_count = cfg.protocol.resolved_sample_count()
+        self.adversaries = {a.party: a for a in cfg.adversaries}
+        self.party_keys = derive_keys(b"party", cfg.seed, n, cfg.scheme)
+        self.party_pubs = {p: kp.public for p, kp in self.party_keys.items()}
+        self.client_keys = derive_keys(b"client", cfg.seed, cfg.clients, cfg.scheme)
+        self.client_directory = {c: kp.public for c, kp in self.client_keys.items()}
+        self.router = tuple(range(2, 2 + n))
+        self.consensus = tuple(range(2 + n, 2 + 2 * n))
+        self.assembler = tuple(range(2 + 2 * n, 2 + 3 * n))
+        first = 2 + 3 * n
+        self.batcher = tuple(tuple(range(first + p * k, first + (p + 1) * k)) for p in range(n))
+        self.node_count = first + n * k
+
+
 class _Ctx:
     __slots__ = ("runner", "node_id")
 
@@ -115,103 +144,21 @@ class _Runner:
         self._link_delay = link_delay_sampler(self.rng_net, cfg.latency.base_us, cfg.latency.jitter_us)
         self.rng_client = random.Random(self._derive(b"client"))
 
-        n, k = cfg.n_parties, cfg.shard_count
-        self.party_keys_full = derive_keys(b"party", cfg.seed, n, cfg.scheme)
-        self.party_pubs = {p: kp.public for p, kp in self.party_keys_full.items()}
-        self.client_keys = derive_keys(b"client", cfg.seed, cfg.clients, cfg.scheme)
-        self.client_directory = {c: kp.public for c, kp in self.client_keys.items()}
-
-        adversaries = {a.party: a for a in cfg.adversaries}
+        d = self.d = Deployment(cfg)
+        self.party_pubs = d.party_pubs
         self.crash_at = {
             a.party: a.crash_at_us for a in cfg.adversaries if a.kind == CRASH
         }
-
-        # Node id layout: sequencer, hub, then routers, consensus, assemblers, batchers.
-        self.router_id = {p: 2 + p for p in range(n)}
-        self.consensus_id = {p: 2 + n + p for p in range(n)}
-        self.assembler_id = {p: 2 + 2 * n + p for p in range(n)}
-        self.batcher_id = {(p, s): 2 + 3 * n + p * k + s for p in range(n) for s in range(k)}
-        total_nodes = 2 + 3 * n + n * k
-        self.party_of = [-1] * total_nodes
-        for p in range(n):
-            self.party_of[self.router_id[p]] = p
-            self.party_of[self.consensus_id[p]] = p
-            self.party_of[self.assembler_id[p]] = p
-            for s in range(k):
-                self.party_of[self.batcher_id[(p, s)]] = p
-
-        proto = cfg.protocol
-        sample_count = proto.resolved_sample_count()
-        self.nodes: dict[int, object] = {}
-        self.batchers: dict[tuple[int, int], BatcherNode] = {}
-        self.consensus: dict[int, ConsensusNode] = {}
-        self.assemblers: dict[int, AssemblerNode] = {}
-        for p in range(n):
-            rcfg = RouterConfig(k, p, self.client_directory, proto.max_tx_size)
-            router = RouterNode(rcfg, self.router_id[p], {s: self.batcher_id[(p, s)] for s in range(k)})
-            self.nodes[self.router_id[p]] = router
-
-            ccfg = ConsensusConfig(
-                party=p,
-                n_parties=n,
-                f=cfg.f,
-                shard_count=k,
-                keypair=self.party_keys_full[p],
-                party_keys=self.party_pubs,
-                epoch_length_us=proto.epoch_length_us,
-                epoch_window=proto.epoch_window,
-                sequencer_id=SEQUENCER,
-                peer_ids=tuple(self.consensus_id[q] for q in range(n) if q != p),
-                batcher_ids={s: self.batcher_id[(p, s)] for s in range(k)},
-                assembler_id=self.assembler_id[p],
-            )
-            cons = ConsensusNode(ccfg, self.consensus_id[p])
-            self.consensus[p] = cons
-            self.nodes[self.consensus_id[p]] = cons
-
-            acfg = AssemblerConfig(
-                party=p,
-                n_parties=n,
-                f=cfg.f,
-                party_keys=self.party_pubs,
-                batcher_ids=dict(self.batcher_id),
-                fetch_timeout_us=proto.fetch_timeout_us,
-            )
-            asm = AssemblerNode(acfg, self.assembler_id[p])
-            self.assemblers[p] = asm
-            self.nodes[self.assembler_id[p]] = asm
-
-            for s in range(k):
-                bcfg = BatcherConfig(
-                    party=p,
-                    shard=s,
-                    n_parties=n,
-                    keypair=self.party_keys_full[p],
-                    client_directory=self.client_directory,
-                    scheme=cfg.scheme,
-                    sim_seed=cfg.seed,
-                    max_batch_size=proto.max_batch_size,
-                    max_batch_latency_us=proto.max_batch_latency_us,
-                    min_propose_interval_us=proto.min_propose_interval_us,
-                    bucket_period_us=proto.bucket_period_us,
-                    t_forward_us=proto.t_forward_us,
-                    t_complain_us=proto.t_complain_us,
-                    epoch_length_us=proto.epoch_length_us,
-                    sample_count=sample_count,
-                    max_orphan_refs=proto.max_orphan_refs,
-                    pool_capacity=proto.pool_capacity,
-                    max_tx_size=proto.max_tx_size,
-                    adversary=adversaries.get(p),
-                    router_ids={q: self.router_id[q] for q in range(n)},
-                    batcher_ids={q: self.batcher_id[(q, s)] for q in range(n)},
-                    consensus_ids=tuple(self.consensus_id[q] for q in range(n)),
-                    assembler_id=self.assembler_id[p],
-                )
-                node = BatcherNode(bcfg, self.batcher_id[(p, s)])
-                self.batchers[(p, s)] = node
-                self.nodes[self.batcher_id[(p, s)]] = node
-
-        self.ctxs = [_Ctx(self, nid) if nid in self.nodes else None for nid in range(total_nodes)]
+        self.consensus = {p: ConsensusNode(d, p) for p in range(d.n)}
+        self.assemblers = {p: AssemblerNode(d, p) for p in range(d.n)}
+        self.batchers = {(p, s): BatcherNode(d, p, s) for p in range(d.n) for s in range(d.k)}
+        routers = [RouterNode(d, p) for p in range(d.n)]
+        self.nodes: list = [None] * d.node_count
+        self.party_of = [-1] * d.node_count
+        for node in chain(routers, self.consensus.values(), self.assemblers.values(), self.batchers.values()):
+            self.nodes[node.node_id] = node
+            self.party_of[node.node_id] = node.party
+        self.ctxs = [None if node is None else _Ctx(self, nid) for nid, node in enumerate(self.nodes)]
         self.tx_records: list[TxRecord] = []
         # Sequencer state.
         self.round_buffer: list = []
@@ -262,7 +209,7 @@ class _Runner:
             else:
                 payload = self.rng_client.randbytes(cfg.tx_size)
             tx = Transaction(
-                client, payload, sign(self.client_keys[client], tx_signing_bytes(client, payload))
+                client, payload, sign(self.d.client_keys[client], tx_signing_bytes(client, payload))
             )
             censored = any(client in a.censor_clients for a in censoring)
             record = TxRecord(
@@ -277,7 +224,7 @@ class _Runner:
             for p in range(cfg.n_parties):
                 sid = i * cfg.n_parties + p
                 submit = msg.SubmitTx(tx, sid, HUB)
-                arrivals.append((self.delivery_time(t), HUB, seq, self.router_id[p], submit))
+                arrivals.append((self.delivery_time(t), HUB, seq, self.d.router[p], submit))
                 seq += 1
         self.send_seq[HUB] = seq
         arrivals.sort(reverse=True)
@@ -321,8 +268,8 @@ class _Runner:
                 self.round_no += 1
                 delivery = msg.RoundDelivery(self.round_no, tuple(self.round_buffer))
                 self.round_buffer = []
-                for p in range(self.cfg.n_parties):
-                    self.network_send(SEQUENCER, self.consensus_id[p], delivery)
+                for dest in self.d.consensus:
+                    self.network_send(SEQUENCER, dest, delivery)
             self.push(
                 self.now_us + self.cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick()
             )
@@ -332,14 +279,12 @@ class _Runner:
     def run(self) -> RunReport:
         cfg = self.cfg
         self._schedule_clients()
-        for nid, node in self.nodes.items():
-            node.start(self.ctxs[nid])
+        for node in self.batchers.values():
+            node.start(self.ctxs[node.node_id])
         self.push(cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick())
 
         # Bound here, not in __init__, so handlers patched after construction count.
-        handles = [None] * len(self.party_of)
-        for nid, node in self.nodes.items():
-            handles[nid] = node.handle
+        handles = [None if node is None else node.handle for node in self.nodes]
         ctxs, party_of = self.ctxs, self.party_of
         crash_us = [self.crash_at.get(party, _NEVER) if party >= 0 else _NEVER for party in party_of]
         lossy = cfg.lossy_party
@@ -454,7 +399,7 @@ class _Runner:
         # validate, so without one the count is 0 and is not taken.
         count_bogus = INJECT_BOGUS in kinds
         bogus_batches = 0
-        vcfg = RouterConfig(cfg.shard_count, ref, self.client_directory, cfg.protocol.max_tx_size)
+        directory, max_tx_size = self.d.client_directory, cfg.protocol.max_tx_size
         alpha = cfg.protocol.alpha
         for block in ledgers[ref]:
             for batch in block.batches:
@@ -467,7 +412,9 @@ class _Runner:
                         stats["duplicates"] += 1
                     shard_seen[batch.shard].add(tx.tx_id)
                 if count_bogus and batch.txs:
-                    invalid = sum(1 for tx in batch.txs if validate_transaction(tx, vcfg) is not None)
+                    invalid = sum(
+                        1 for tx in batch.txs if validate_transaction(tx, directory, max_tx_size) is not None
+                    )
                     if invalid > (1 - alpha) * len(batch.txs):
                         bogus_batches += 1
 

@@ -406,7 +406,7 @@ def test_criterion_8_dedup_and_gc(party_keys):
 
     node = make_node(party_keys, epoch_length=10, window=2)
     from shardbft import messages as msg
-    from conftest import StubCtx
+    from helpers import StubCtx
 
     ctx = StubCtx()
     original = [make_share(party_keys, s, 0, epoch=0) for s in (0, 1)]

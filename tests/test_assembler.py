@@ -1,6 +1,5 @@
 from shardbft import messages as msg
 from shardbft.assembler import (
-    AssemblerConfig,
     AssemblerNode,
     REJECT_BAD_SEQ,
     REJECT_BAD_SIGNATURE,
@@ -22,7 +21,7 @@ from shardbft.core import (
 )
 from shardbft.crypto import Signature, sign
 
-from conftest import StubCtx, make_tx
+from helpers import StubCtx, make_deployment, make_tx
 
 
 def _pubs(party_keys, n=4):
@@ -42,15 +41,8 @@ def _batch(client_keys, n_txs=3, shard=0, seq=0, term=0, primary=0, tag=b""):
 
 
 def _node(party_keys, party=0, n=4, f=1, shards=1):
-    cfg = AssemblerConfig(
-        party=party,
-        n_parties=n,
-        f=f,
-        party_keys=_pubs(party_keys, n),
-        batcher_ids={(p, s): 300 + p * 8 + s for p in range(n) for s in range(shards)},
-        fetch_timeout_us=250_000,
-    )
-    return AssemblerNode(cfg, 500 + party)
+    d = make_deployment(party_keys, n=n, f=f, shards=shards, fetch_timeout_us=250_000)
+    return AssemblerNode(d, party)
 
 
 # --- header verification -----------------------------------------------------
@@ -128,7 +120,7 @@ def test_header_before_batch_waits_then_appends(party_keys, client_keys):
     assert len(node.ledger) == 0
     # It starts fetching from its own party's batcher.
     pulls = [(d, m) for d, m in ctx.sent if isinstance(m, msg.AssemblerPull)]
-    assert pulls and pulls[0][0] == node.cfg.batcher_ids[(0, 0)]
+    assert pulls and pulls[0][0] == node.d.batcher[0][0]
     node.handle(msg.BatchStored(batch), ctx)
     assert len(node.ledger) == 1
 
@@ -157,15 +149,15 @@ def test_fetch_falls_back_to_other_parties(party_keys, client_keys):
     header, sigs = _signed_header(party_keys, [wanted])
     node.handle(msg.PublishedHeader(header, sigs), ctx)
     (d0, pull0), = [(d, m) for d, m in ctx.take_sent() if isinstance(m, msg.AssemblerPull)]
-    assert d0 == node.cfg.batcher_ids[(0, 0)]
+    assert d0 == node.d.batcher[0][0]
     # Own batcher has nothing at that position.
     node.handle(msg.AssemblerPullResponse(0, 0, None, 0), ctx)
     (d1, _), = [(d, m) for d, m in ctx.take_sent() if isinstance(m, msg.AssemblerPull)]
-    assert d1 == node.cfg.batcher_ids[(1, 0)]
+    assert d1 == node.d.batcher[1][0]
     # The next party serves a diverged batch: digest mismatch, move on.
     node.handle(msg.AssemblerPullResponse(0, 0, wrong, 1), ctx)
     (d2, _), = [(d, m) for d, m in ctx.take_sent() if isinstance(m, msg.AssemblerPull)]
-    assert d2 == node.cfg.batcher_ids[(2, 0)]
+    assert d2 == node.d.batcher[2][0]
     node.handle(msg.AssemblerPullResponse(0, 0, wanted, 2), ctx)
     assert len(node.ledger) == 1
     assert node.ledger[0].batches[0].digest() == wanted.digest()
@@ -180,10 +172,10 @@ def test_fetch_retry_timeout_advances_party(party_keys, client_keys):
     ctx.take_sent()
     retries = [m for _, m in ctx.timers if isinstance(m, msg.FetchRetry)]
     assert retries
-    ctx.time += node.cfg.fetch_timeout_us
+    ctx.time += node.d.protocol.fetch_timeout_us
     node.handle(retries[0], ctx)  # no response at all: try the next party
     (d1, _), = [(d, m) for d, m in ctx.sent if isinstance(m, msg.AssemblerPull)]
-    assert d1 == node.cfg.batcher_ids[(1, 0)]
+    assert d1 == node.d.batcher[1][0]
 
 
 # --- ledger files ------------------------------------------------------------------

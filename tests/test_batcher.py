@@ -5,7 +5,6 @@ import pytest
 
 from shardbft import messages as msg
 from shardbft.batcher import (
-    BatcherConfig,
     BatcherNode,
     required_sample_size,
     sample_verify,
@@ -15,27 +14,14 @@ from shardbft.batcher import (
 from shardbft.core import Batch, BatchAttestationShare, BatchKey, ComplaintVote, Transaction
 from shardbft.crypto import Signature
 from shardbft.pools import PrimaryPool, SecondaryPool
-from shardbft.router import RouterConfig, validate_transaction
+from shardbft.router import validate_transaction
 
-from conftest import StubCtx, make_tx
+from helpers import StubCtx, make_deployment, make_tx
 
 US = 1_000_000
 
-ROUTERS = {p: 200 + p for p in range(8)}
-BATCHERS = {p: 300 + p for p in range(8)}
-CONSENSUS = tuple(400 + p for p in range(4))
-ASSEMBLER = 500
-
-
-def _cfg(party, client_directory, party_keys, n=4, sample_count=30, **over):
-    defaults = dict(
-        party=party,
-        shard=0,
-        n_parties=n,
-        keypair=party_keys[party],
-        client_directory=client_directory,
-        scheme="test_mac",
-        sim_seed=42,
+def _node(party, client_directory, party_keys, n=4, sample_count=30, **over):
+    protocol = dict(
         max_batch_size=100,
         max_batch_latency_us=100_000,
         min_propose_interval_us=5_000,
@@ -46,13 +32,9 @@ def _cfg(party, client_directory, party_keys, n=4, sample_count=30, **over):
         sample_count=sample_count,
         max_orphan_refs=8,
         max_tx_size=1 << 20,
-        router_ids=ROUTERS,
-        batcher_ids=BATCHERS,
-        consensus_ids=CONSENSUS[:n],
-        assembler_id=ASSEMBLER,
     )
-    defaults.update(over)
-    return BatcherConfig(**defaults)
+    protocol.update(over)
+    return BatcherNode(make_deployment(party_keys, client_directory, n=n, **protocol), party, 0)
 
 
 def _pump(node, ctx, until):
@@ -93,16 +75,14 @@ def test_required_sample_size_rejects_degenerate():
 def test_sample_verify_all_valid(client_keys, client_directory):
     txs = [make_tx(c % 4, bytes([c + 1]) * 4, client_keys) for c in range(10)]
     batch = Batch(0, 0, 0, 0, tuple(txs))
-    cfg = RouterConfig(1, 0, client_directory, 1 << 20)
-    ok = lambda tx: validate_transaction(tx, cfg) is None
+    ok = lambda tx: validate_transaction(tx, client_directory, 1 << 20) is None
     assert sample_verify(batch, 5, random.Random(1), ok) is None
 
 
 def test_sample_verify_all_invalid_certain(client_directory):
     txs = [Transaction(90 + i, b"x", Signature("test_mac", b"\x00" * 32)) for i in range(100)]
     batch = Batch(0, 0, 0, 0, tuple(txs))
-    cfg = RouterConfig(1, 0, client_directory, 1 << 20)
-    ok = lambda tx: validate_transaction(tx, cfg) is None
+    ok = lambda tx: validate_transaction(tx, client_directory, 1 << 20) is None
     for seed in range(20):
         found = sample_verify(batch, 1, random.Random(seed), ok)
         assert found is not None
@@ -177,26 +157,26 @@ def test_scan_pool_emptied_bucket_no_action(client_keys):
 
 
 def test_primary_batches_on_timer(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(0, client_directory, party_keys), 300)
+    node = _node(0, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     for i in range(3):
         node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 4, client_keys), i, 200), ctx)
     assert node.height == 0
-    _pump(node, ctx, until=node.cfg.max_batch_latency_us)
+    _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     assert node.height == 1
     batch = node.ledger[0]
     assert batch.seq == 0 and batch.primary == 0 and len(batch.txs) == 3
     shares = _sent_of(ctx, msg.ConsensusSubmission)
     bas = [m.event for _, m in shares if isinstance(m.event, BatchAttestationShare)]
-    assert len(bas) == len(CONSENSUS)
+    assert len(bas) == len(node.d.consensus)
     assert bas[0].seq == 0 and bas[0].digest == batch.digest()
     stored = _sent_of(ctx, msg.BatchStored)
-    assert stored and stored[0][0] == ASSEMBLER
+    assert stored and stored[0][0] == node.d.assembler[0]
 
 
 def test_primary_two_full_batches_disjoint(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(0, client_directory, party_keys, max_batch_size=3), 300)
+    node = _node(0, client_directory, party_keys, max_batch_size=3)
     ctx = StubCtx()
     node.start(ctx)
     for i in range(6):
@@ -210,7 +190,7 @@ def test_primary_two_full_batches_disjoint(client_directory, client_keys, party_
 
 
 def test_primary_empty_pool_no_batch(client_directory, party_keys):
-    node = BatcherNode(_cfg(0, client_directory, party_keys), 300)
+    node = _node(0, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     _pump(node, ctx, until=US)
@@ -219,13 +199,13 @@ def test_primary_empty_pool_no_batch(client_directory, party_keys):
 
 
 def test_primary_answers_queued_pull_on_persist(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(0, client_directory, party_keys), 300)
+    node = _node(0, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     node.handle(msg.PullRequest(0, 0, requester=301, requester_party=1), ctx)
     assert not _sent_of(ctx, msg.PullResponse)
     node.handle(msg.ForwardTx(make_tx(0, b"hello", client_keys), 0, 200), ctx)
-    _pump(node, ctx, until=node.cfg.max_batch_latency_us)
+    _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     responses = _sent_of(ctx, msg.PullResponse)
     assert len(responses) == 1
     dest, resp = responses[0]
@@ -236,11 +216,11 @@ def test_primary_answers_queued_pull_on_persist(client_directory, client_keys, p
 
 
 def _secondary_with_batch(client_directory, client_keys, party_keys, txs, primary=0, party=1):
-    node = BatcherNode(_cfg(party, client_directory, party_keys), 300 + party)
+    node = _node(party, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     pulls = _sent_of(ctx, msg.PullRequest)
-    assert pulls and pulls[0][0] == BATCHERS[primary]
+    assert pulls and pulls[0][0] == node.d.batcher[primary][0]
     ctx.take_sent()
     batch = Batch(0, 0, 0, primary, tuple(txs))
     node.handle(msg.PullResponse(0, 0, batch, primary), ctx)
@@ -262,15 +242,15 @@ def test_secondary_persists_and_attests(client_directory, client_keys, party_key
 
 
 def test_secondary_removes_pooled_txs_on_persist(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(1, client_directory, party_keys), 301)
+    node = _node(1, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     txs = [make_tx(i % 4, bytes([i + 7]) * 6, client_keys) for i in range(4)]
     for i, tx in enumerate(txs):
         node.handle(msg.ForwardTx(tx, i, 200), ctx)
-    assert len(node.pool) == 4
+    assert len(node.pool.tx_index) == 4
     node.handle(msg.PullResponse(0, 0, Batch(0, 0, 0, 0, tuple(txs)), 0), ctx)
-    assert len(node.pool) == 0
+    assert len(node.pool.tx_index) == 0
 
 
 def test_secondary_complains_on_bogus_batch(client_directory, client_keys, party_keys):
@@ -288,7 +268,7 @@ def test_secondary_complains_on_bogus_batch(client_directory, client_keys, party
 
 def test_secondary_ignores_stale_or_foreign_responses(client_directory, client_keys, party_keys):
     txs = [make_tx(0, b"only", client_keys)]
-    node = BatcherNode(_cfg(1, client_directory, party_keys), 301)
+    node = _node(1, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     ctx.take_sent()
@@ -303,7 +283,7 @@ def test_secondary_accepts_historical_batch_from_current_primary(
 ):
     # After a failover the new primary serves its ledger, which includes
     # batches minted under older terms; a catching-up secondary takes them.
-    node = BatcherNode(_cfg(3, client_directory, party_keys), 303)
+    node = _node(3, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     node.handle(msg.OrderedUpdate(0, (), (), new_term=1), ctx)
@@ -315,21 +295,21 @@ def test_secondary_accepts_historical_batch_from_current_primary(
 
 
 def test_censorship_forward_once_then_complain(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(1, client_directory, party_keys), 301)
+    node = _node(1, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     tx = make_tx(0, b"will be stuck", client_keys)
     node.handle(msg.ForwardTx(tx, 0, 200), ctx)
     ctx.take_sent()
-    _pump(node, ctx, until=node.cfg.bucket_period_us + node.cfg.t_forward_us)
+    _pump(node, ctx, until=node.d.protocol.bucket_period_us + node.d.protocol.t_forward_us)
     fwd = [(d, m) for d, m in ctx.sent if isinstance(m, msg.SubmitTx)]
     assert len(fwd) == 1
-    assert fwd[0][0] == ROUTERS[0]  # the primary party's router
+    assert fwd[0][0] == node.d.router[0]  # the primary party's router
     assert fwd[0][1].reply_to is None
     ctx.take_sent()
-    _pump(node, ctx, until=ctx.time + node.cfg.t_complain_us + node.cfg.bucket_period_us)
+    _pump(node, ctx, until=ctx.time + node.d.protocol.t_complain_us + node.d.protocol.bucket_period_us)
     votes = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)]
-    assert len(votes) == len(CONSENSUS) and isinstance(votes[0], ComplaintVote)
+    assert len(votes) == len(node.d.consensus) and isinstance(votes[0], ComplaintVote)
     # One complaint per term, and the tx is forwarded only once.
     ctx.take_sent()
     _pump(node, ctx, until=ctx.time + US)
@@ -369,7 +349,7 @@ def test_term_change_skips_thresholded_batches(client_directory, client_keys, pa
 
 
 def test_term_change_back_to_secondary(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(0, client_directory, party_keys), 300)
+    node = _node(0, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
     tx = make_tx(0, b"pooled", client_keys)
@@ -380,7 +360,7 @@ def test_term_change_back_to_secondary(client_directory, client_keys, party_keys
     assert isinstance(node.pool, SecondaryPool)
     assert tx.tx_id in node.pool.tx_index
     pulls = _sent_of(ctx, msg.PullRequest)
-    assert pulls and pulls[0][0] == BATCHERS[1]
+    assert pulls and pulls[0][0] == node.d.batcher[1][0]
 
 
 def test_pool_class_follows_the_role_across_term_changes(client_directory, client_keys, party_keys):
@@ -408,14 +388,14 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
 
 
 def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_keys):
-    node = BatcherNode(_cfg(0, client_directory, party_keys, max_orphan_refs=2), 300)
+    node = _node(0, client_directory, party_keys, max_orphan_refs=2)
     ctx = StubCtx()
     node.start(ctx)
     orphans = tuple(BatchKey(0, 0, bytes([i]) * 32, 0) for i in range(3))
     node.handle(msg.OrderedUpdate(0, (), orphans, None), ctx)
     for i in range(2):
         node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i, 200), ctx)
-    _pump(node, ctx, until=node.cfg.max_batch_latency_us)
+    _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     bas = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)][0]
     # seq 0 cannot reference seq-0 orphans (only strictly earlier), so the
     # refs wait for the next attestation.

@@ -3,7 +3,6 @@ from collections import Counter
 
 from shardbft import messages as msg
 from shardbft.consensus import (
-    ConsensusConfig,
     ConsensusNode,
     ConsensusState,
     DROP_BAD_SIGNATURE,
@@ -30,11 +29,7 @@ from shardbft.core import (
 )
 from shardbft.crypto import Signature, sign
 
-from conftest import StubCtx
-
-SEQUENCER = 99
-ASSEMBLER = 500
-BATCHER0 = 300
+from helpers import StubCtx, make_deployment
 
 
 def make_share(party_keys, signer, seq, digest=None, shard=0, primary=0, epoch=0, refs=()):
@@ -50,21 +45,10 @@ def make_complaint(party_keys, signer, term, shard=0):
 
 
 def make_node(party_keys, party=0, n=4, f=1, shards=1, epoch_length=10, window=2):
-    cfg = ConsensusConfig(
-        party=party,
-        n_parties=n,
-        f=f,
-        shard_count=shards,
-        keypair=party_keys[party],
-        party_keys={p: party_keys[p].public for p in range(n)},
-        epoch_length_us=epoch_length,
-        epoch_window=window,
-        sequencer_id=SEQUENCER,
-        peer_ids=tuple(400 + q for q in range(n) if q != party),
-        batcher_ids={s: BATCHER0 + s for s in range(shards)},
-        assembler_id=ASSEMBLER,
+    d = make_deployment(
+        party_keys, n=n, f=f, shards=shards, epoch_length_us=epoch_length, epoch_window=window
     )
-    return ConsensusNode(cfg, 400 + party)
+    return ConsensusNode(d, party)
 
 
 def pubs(party_keys, n=4):
@@ -321,7 +305,7 @@ def _cross_deliver_shares(nodes, ctxs):
         for dest, m in ctx.take_sent():
             if isinstance(m, msg.HeaderShare):
                 for j, node in enumerate(nodes):
-                    if j != i and dest == 400 + nodes[j].cfg.party:
+                    if j != i and dest == nodes[j].node_id:
                         node.handle(m, ctxs[j])
 
 
@@ -463,9 +447,21 @@ def test_term_change_notifies_batchers(party_keys):
     ctx = StubCtx()
     votes = tuple(make_complaint(party_keys, s, 0) for s in (1, 2))
     node.handle(msg.RoundDelivery(1, votes), ctx)
-    updates = [m for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate) and d == BATCHER0]
+    updates = [m for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate) and d == node.d.batcher[0][0]]
     assert updates and updates[0].new_term == 1
     assert node.term_change_log and node.term_change_log[0][1:] == (0, 1)
+
+
+def test_threshold_for_a_shard_past_the_last_sends_no_update(party_keys):
+    # A key for shard 2 of 2 reaches F+1 shares: it makes the header, but no
+    # batcher serves that shard, so only shard 1's batcher hears of the round.
+    node = make_node(party_keys, shards=2)
+    ctx = StubCtx()
+    events = [make_share(party_keys, s, 0, shard=shard) for shard in (1, 2) for s in (0, 1)]
+    node.handle(msg.RoundDelivery(1, tuple(events)), ctx)
+    assert [k.shard for k in node.headers[0].batch_digests] == [1, 2]
+    updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
+    assert [(d, m.shard) for d, m in updates] == [(node.d.batcher[0][1], 1)]
 
 
 def test_deterministic_headers_across_replicas(party_keys):

@@ -34,7 +34,7 @@ from shardbft.core import (
 )
 from shardbft.crypto import Signature
 
-from conftest import make_batch, make_tx
+from helpers import make_batch, make_tx
 
 
 def test_quorum_size_known_values():

@@ -8,7 +8,7 @@ from shardbft.pools import (
     SecondaryPool,
 )
 
-from conftest import make_tx
+from helpers import make_tx
 
 
 def _txs(client_keys, n, tag=b""):
@@ -20,7 +20,7 @@ def test_primary_insert_and_duplicate(client_keys):
     pool = PrimaryPool(max_batch_size=10)
     tx = _txs(client_keys, 1)[0]
     assert pool.insert(tx) == INSERT_ACCEPTED
-    assert len(pool) == 1
+    assert len(pool.tx_index) == 1
     assert pool.insert(tx) == INSERT_DUPLICATE
 
 
@@ -42,21 +42,21 @@ def test_primary_retrieval_is_fifo_and_disjoint(client_keys):
     assert [t.tx_id for t in first] == [t.tx_id for t in txs[:5]]
     assert [t.tx_id for t in second] == [t.tx_id for t in txs[5:]]
     assert not set(t.tx_id for t in first) & set(t.tx_id for t in second)
-    assert len(pool) == 0
+    assert len(pool.tx_index) == 0
 
 
 def test_primary_retrieval_constant_ops(client_keys):
-    # Next-batch touches only the queue head: the op counter grows by one per
-    # retrieval no matter how many sealed batches are queued behind it.
-    small = PrimaryPool(max_batch_size=2)
-    big = PrimaryPool(max_batch_size=2)
-    for tx in _txs(client_keys, 4, b"s"):
-        small.insert(tx)
+    # Next-batch touches only the queue head: the 199 sealed batches queued
+    # behind it stay the same list objects, in the same order, unchanged.
+    pool = PrimaryPool(max_batch_size=2)
     for tx in _txs(client_keys, 400, b"b"):
-        big.insert(tx)
-    small.next_batch()
-    big.next_batch()
-    assert small.retrieval_ops == big.retrieval_ops == 1
+        pool.insert(tx)
+    head, *behind = pool.full_queue
+    contents = [list(batch) for batch in behind]
+    assert pool.next_batch() is head
+    assert len(pool.full_queue) == len(behind) == 199
+    assert all(now is before for now, before in zip(pool.full_queue, behind))
+    assert [list(batch) for batch in pool.full_queue] == contents
 
 
 def test_primary_backpressure(client_keys):
@@ -95,7 +95,7 @@ def test_secondary_buckets_seal_and_remove(client_keys):
     # buckets are garbage collected.
     pool.remove([t.tx_id for t in txs[:3]])
     assert not pool.sealed
-    assert len(pool) == 3
+    assert len(pool.tx_index) == 3
 
 
 def test_secondary_duplicate_and_single_bucket_membership(client_keys):
@@ -104,7 +104,7 @@ def test_secondary_duplicate_and_single_bucket_membership(client_keys):
     assert pool.insert(tx) == INSERT_ACCEPTED
     pool.seal(now=10)
     assert pool.insert(tx) == INSERT_DUPLICATE
-    assert len(pool) == 1
+    assert len(pool.tx_index) == 1
 
 
 def test_secondary_drain_preserves_order(client_keys):
@@ -116,4 +116,4 @@ def test_secondary_drain_preserves_order(client_keys):
             pool.seal(now=i)
     drained = pool.drain()
     assert [t.tx_id for t in drained] == [t.tx_id for t in txs]
-    assert len(pool) == 0
+    assert len(pool.tx_index) == 0

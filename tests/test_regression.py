@@ -299,9 +299,9 @@ def test_report_validates_txs_only_with_a_bogus_adversary(monkeypatch):
     validate = router.validate_transaction
     in_report, calls = [False], [0]
 
-    def counting(tx, cfg):
+    def counting(tx, client_directory, max_tx_size):
         calls[0] += in_report[0]
-        return validate(tx, cfg)
+        return validate(tx, client_directory, max_tx_size)
 
     _rebind(monkeypatch, validate, counting)
     for name, revalidates in (("baseline", False), ("bogus_short", True)):

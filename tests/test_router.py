@@ -9,22 +9,21 @@ from shardbft.router import (
     REASON_BAD_SIGNATURE,
     REASON_MALFORMED,
     REASON_UNKNOWN_CLIENT,
-    RouterConfig,
     RouterNode,
     map_to_shard,
     validate_transaction,
 )
 
-from conftest import StubCtx, make_tx
+from helpers import StubCtx, make_deployment, make_tx
 
 
-def _cfg(client_directory, shards=4, max_tx_size=1 << 20):
-    return RouterConfig(shards, 0, client_directory, max_tx_size)
+def _valid(tx, client_directory, max_tx_size=1 << 20):
+    return validate_transaction(tx, client_directory, max_tx_size)
 
 
 def test_valid_tx_passes(client_directory, client_keys):
     tx = make_tx(1, b"payload", client_keys)
-    assert validate_transaction(tx, _cfg(client_directory)) is None
+    assert _valid(tx, client_directory) is None
 
 
 def test_flipped_payload_bit_fails_signature(client_directory, client_keys):
@@ -34,19 +33,19 @@ def test_flipped_payload_bit_fails_signature(client_directory, client_keys):
         payload = bytearray(tx.payload)
         payload[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
         bad = Transaction(tx.client_id, bytes(payload), tx.signature)
-        assert validate_transaction(bad, _cfg(client_directory)) == REASON_BAD_SIGNATURE
+        assert _valid(bad, client_directory) == REASON_BAD_SIGNATURE
 
 
 def test_unknown_client_rejected(client_directory, scheme):
     tx = Transaction(999, b"payload", Signature(scheme, b"\x00" * 32))
-    assert validate_transaction(tx, _cfg(client_directory)) == REASON_UNKNOWN_CLIENT
+    assert _valid(tx, client_directory) == REASON_UNKNOWN_CLIENT
 
 
 def test_malformed_rejected(client_directory, client_keys, scheme):
     empty = Transaction(1, b"", Signature(scheme, b"\x00" * 32))
-    assert validate_transaction(empty, _cfg(client_directory)) == REASON_MALFORMED
+    assert _valid(empty, client_directory) == REASON_MALFORMED
     big = make_tx(1, b"x" * 32, client_keys)
-    assert validate_transaction(big, _cfg(client_directory, max_tx_size=16)) == REASON_MALFORMED
+    assert _valid(big, client_directory, max_tx_size=16) == REASON_MALFORMED
 
 
 def test_map_to_shard_single_shard_and_determinism():
@@ -69,17 +68,23 @@ def test_map_to_shard_uniformity():
 
 
 def test_two_router_instances_agree(client_directory, client_keys):
-    cfg_a = RouterConfig(8, 0, client_directory, 1 << 20)
-    cfg_b = RouterConfig(8, 1, client_directory, 1 << 20)  # same party config, another instance
+    d = make_deployment(client_directory=client_directory, shards=8)
+    routers = [RouterNode(d, 0), RouterNode(d, 1)]  # same deployment, two parties
     rng = random.Random(8)
     for _ in range(200):
         tx = make_tx(rng.randrange(8), rng.randbytes(12), client_keys)
-        assert validate_transaction(tx, cfg_a) == validate_transaction(tx, cfg_b)
-        assert map_to_shard(tx.tx_id, 8) == map_to_shard(tx.tx_id, 8)
+        assert validate_transaction(tx, d.client_directory, 1 << 20) is None
+        shards = []
+        for router in routers:
+            ctx = StubCtx()
+            router.handle(msg.SubmitTx(tx, 0, None), ctx)
+            (dest, _fwd), = ctx.sent
+            shards.append(d.batcher[router.party].index(dest))
+        assert shards == [map_to_shard(tx.tx_id, 8)] * 2
 
 
 def _router(client_directory, shards=2):
-    return RouterNode(_cfg(client_directory, shards), node_id=10, batcher_ids={s: 100 + s for s in range(shards)})
+    return RouterNode(make_deployment(client_directory=client_directory, shards=shards), 0)
 
 
 def test_submission_ack_after_enqueue_confirmation(client_directory, client_keys):
@@ -88,7 +93,7 @@ def test_submission_ack_after_enqueue_confirmation(client_directory, client_keys
     tx = make_tx(1, b"payload", client_keys)
     router.handle(msg.SubmitTx(tx, 7, reply_to=55), ctx)
     (dest, fwd), = ctx.take_sent()
-    assert dest == 100 + map_to_shard(tx.tx_id, 2)
+    assert dest == router.d.batcher[0][map_to_shard(tx.tx_id, 2)]
     assert isinstance(fwd, msg.ForwardTx) and fwd.submission_id == 7
     # No reply yet: the ack is tied to the batcher confirming the enqueue.
     router.handle(msg.EnqueueResult(7, INSERT_ACCEPTED), ctx)

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from shardbft.assembler import AssemblerNode
+from shardbft.batcher import BatcherNode
 from shardbft.consensus import ConsensusNode
 from shardbft.core import Batch, Block, BlockHeader, ZERO_DIGEST, header_digest
 from shardbft.sim.checks import check_agreement
 from shardbft.sim.report import report_to_json
 from shardbft.sim import runner as sim_runner
+from shardbft.router import RouterNode
 from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
-from conftest import make_tx
+from helpers import make_tx
 
 BASE = {
     "parties": 4,
@@ -188,6 +191,40 @@ def test_arrival_chunk_size_does_not_change_the_run(monkeypatch, chunk):
     expected = report_to_json(run_scenario(cfg))
     monkeypatch.setattr(sim_runner, "ARRIVAL_CHUNK", chunk)
     assert report_to_json(run_scenario(cfg)) == expected
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 4), (7, 3)])
+def test_node_id_layout(n, k):
+    # Sequencer 0, hub 1, then routers, consensus nodes and assemblers, then
+    # the batchers party-major.
+    runner = _Runner(_cfg(parties=n, faults=(n - 1) // 3, shards=k))
+    d = runner.d
+    assert d.router == tuple(2 + p for p in range(n))
+    assert d.consensus == tuple(2 + n + p for p in range(n))
+    assert d.assembler == tuple(2 + 2 * n + p for p in range(n))
+    assert d.batcher == tuple(tuple(2 + 3 * n + p * k + s for s in range(k)) for p in range(n))
+    batcher_parties = [p for p in range(n) for _ in range(k)]
+    assert runner.party_of == [-1, -1, *range(n), *range(n), *range(n), *batcher_parties]
+    assert runner.nodes[:2] == [None, None] and len(runner.nodes) == 2 + 3 * n + n * k
+    for nid, node in enumerate(runner.nodes[2:], start=2):
+        assert node.node_id == nid and node.party == runner.party_of[nid]
+    assert [b.shard for b in runner.batchers.values()] == [s for _ in range(n) for s in range(k)]
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (7, 3)])
+def test_out_of_range_party_or_shard_raises(n, k):
+    d = _Runner(_cfg(parties=n, faults=(n - 1) // 3, shards=k)).d
+    for ids in (d.router, d.consensus, d.assembler, d.batcher):
+        with pytest.raises(IndexError):
+            ids[n]
+    with pytest.raises(IndexError):
+        d.batcher[0][k]
+    for build in (RouterNode, ConsensusNode, AssemblerNode):
+        with pytest.raises(IndexError):
+            build(d, n)
+    for party, shard in ((n, 0), (0, k)):
+        with pytest.raises(IndexError):
+            BatcherNode(d, party, shard)
 
 
 def test_held_back_arrivals_count_as_in_flight(monkeypatch):
