@@ -121,7 +121,6 @@ class BatcherNode:
         self.thresholded: set[BatchKey] = set()
         self.orphan_queue: list[BatchKey] = []
         self._orphan_seen: set[BatchKey] = set()
-        self.forwarded: set[bytes] = set()
         self.complained_term = -1
         self.halted = False
         self.outstanding_pull: int | None = None
@@ -287,7 +286,6 @@ class BatcherNode:
         self.persisted_ids.update(ids)
         if isinstance(self.pool, SecondaryPool):
             self.pool.remove(ids)
-        self.forwarded.difference_update(ids)
         ctx.send(self.d.assembler[self.party], msg.BatchStored(batch))
         if not (self._behaves(WITHHOLD_BAS) or self._behaves(SILENT_SECONDARY)):
             self._send_attestation(batch, ctx)
@@ -409,9 +407,6 @@ class BatcherNode:
         to_forward, complain = scan_pool(self.pool, ctx.now(), proto.t_forward_us, proto.t_complain_us)
         router = self.d.router[primary_for_term(self.term, self.d.n)]
         for tx in to_forward:
-            if tx.tx_id in self.forwarded:
-                continue
-            self.forwarded.add(tx.tx_id)
             ctx.send(router, msg.SubmitTx(tx, 0, None))
         if complain:
             self._send_complaint(ctx)
@@ -431,7 +426,6 @@ class BatcherNode:
         was_primary = self.is_primary
         self.term = new_term
         self.halted = False
-        self.forwarded.clear()
         self.outstanding_pull = None
         if self.is_primary != was_primary:
             carried = self.pool.drain()

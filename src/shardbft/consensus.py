@@ -2,12 +2,12 @@
 
 Batchers submit attestation shares and complaint votes; a pluggable total
 order broadcast delivers them back in rounds that are identical at every
-correct node. Round processing is fully deterministic: it extracts keys
-that reached the F+1 attestation threshold (keeping the rest pending),
-advances per-shard terms on F+1 distinct complaints, prunes orphaned
-attestations by reference votes, bounds replay with an epoch window, and
-assembles one hash-chained block header per productive round. Nodes sign
-the header, swap signature shares, and publish once a quorum accumulates.
+correct node. Round processing is deterministic: it keeps pending shares
+per batch key, gives each ledger slot the first key to reach F+1 distinct
+attestations, advances per-shard terms on F+1 distinct complaints, prunes
+orphaned attestations by reference votes, bounds replay with an epoch
+window, and chains one block header per productive round. Nodes sign the
+header, swap signature shares, and publish once a quorum accumulates.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     BlockHeader,
     ComplaintVote,
     ZERO_DIGEST,
+    attestation_threshold,
     quorum_size,
 )
 from .crypto import Signature, sign, verify
@@ -34,8 +35,8 @@ DROP_STALE_TERM = "stale_term"
 @dataclass
 class ConsensusState:
     epoch_window: int
-    pending: list[BatchAttestationShare] = field(default_factory=list)
-    pending_index: set[tuple[int, BatchKey]] = field(default_factory=set)
+    # key -> signer -> share, keys in first-appearance order.
+    pending: dict[BatchKey, dict[int, BatchAttestationShare]] = field(default_factory=dict)
     # One header ever per ledger slot (shard, seq, primary) while its entry
     # lives; the value remembers the winning digest and the insertion epoch.
     dedup: dict[tuple[int, int, int], tuple[bytes, int]] = field(default_factory=dict)
@@ -62,9 +63,7 @@ def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> 
     if isinstance(event, BatchAttestationShare):
         if event.epoch < local_epoch - state.epoch_window:
             return False, DROP_STALE_EPOCH
-        if event.key().slot() in state.dedup:
-            return False, DROP_DUPLICATE
-        if (event.signer, event.key()) in state.pending_index:
+        if event.key().slot() in state.dedup or event.signer in state.pending.get(event.key(), ()):
             return False, DROP_DUPLICATE
         return True, None
     if event.term < state.terms.get(event.shard, 0):
@@ -76,38 +75,33 @@ def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> 
 
 
 def process_round(
-    pending: list[BatchAttestationShare],
+    pending: dict[BatchKey, dict[int, BatchAttestationShare]],
     batch: list[BatchAttestationShare],
     f: int,
     excluded_slots=frozenset(),
-) -> tuple[list[BatchAttestationShare], list[tuple[BatchKey, tuple[BatchAttestationShare, ...]]]]:
-    """Merge this round's ordered shares into the pending list and extract
-    every key holding F+1 distinct-signer shares.
-
-    Returns (pending', thresholds) where thresholds is ordered by the key's
-    first appearance. Keys whose ledger slot is in ``excluded_slots`` already
-    produced a header; their shares stay pending (orphans) until reference
-    votes prune them.
+) -> tuple[list[BatchKey], list[BatchKey]]:
+    """Add this round's ordered shares to ``pending`` and apply the round
+    rule: a key with F+1 distinct signers wins its ledger slot, at most one
+    key per slot and the first to appear first. Winners leave ``pending``.
+    Losers (F+1 for a slot won earlier in this call) and keys whose slot is
+    in ``excluded_slots`` keep their shares pending as orphans until
+    reference votes prune them. Returns (winners, losers), in order.
     """
-    merged: list[BatchAttestationShare] = []
-    seen: set[tuple[int, BatchKey]] = set()
-    for share in (*pending, *batch):
-        ident = (share.signer, share.key())
-        if ident in seen:
+    for share in batch:
+        pending.setdefault(share.key(), {}).setdefault(share.signer, share)
+    threshold = attestation_threshold(f)
+    winners, losers, claimed = [], [], set()
+    for key, signers in pending.items():
+        if len(signers) < threshold or (slot := key.slot()) in excluded_slots:
             continue
-        seen.add(ident)
-        merged.append(share)
-    groups: dict[BatchKey, list[BatchAttestationShare]] = {}
-    for share in merged:
-        groups.setdefault(share.key(), []).append(share)
-    thresholds = []
-    extracted: set[BatchKey] = set()
-    for key, group in groups.items():
-        if len(group) >= f + 1 and key.slot() not in excluded_slots:
-            thresholds.append((key, tuple(group)))
-            extracted.add(key)
-    remaining = [share for share in merged if share.key() not in extracted]
-    return remaining, thresholds
+        if slot in claimed:
+            losers.append(key)
+        else:
+            claimed.add(slot)
+            winners.append(key)
+    for key in winners:
+        del pending[key]
+    return winners, losers
 
 
 class OrphanVotes:
@@ -118,7 +112,7 @@ class OrphanVotes:
     """
 
     def __init__(self, f: int):
-        self.f = f
+        self.threshold = attestation_threshold(f)
         self.votes: dict[BatchKey, set[int]] = {}
         self.ripe: set[BatchKey] = set()
 
@@ -128,25 +122,17 @@ class OrphanVotes:
             if ref.shard == share.shard and ref.seq < share.seq:
                 signers = self.votes.setdefault(ref, set())
                 signers.add(share.signer)
-                if len(signers) > self.f:
+                if len(signers) >= self.threshold:
                     self.ripe.add(ref)
 
 
-def purge_orphans(
-    pending: list[BatchAttestationShare],
-    round_events,
-    f: int,
-    votes: OrphanVotes | None = None,
-) -> list[BatchAttestationShare]:
-    """Drop pending shares referenced by F+1 distinct same-shard signers."""
-    votes = votes if votes is not None else OrphanVotes(f)
+def purge_orphans(pending: dict[BatchKey, dict], round_events, votes: OrphanVotes) -> None:
+    """Drop pending keys referenced by F+1 distinct same-shard signers."""
     for event in round_events:
         if isinstance(event, BatchAttestationShare):
             votes.observe(event)
-    ripe = votes.ripe
-    if not ripe:
-        return pending
-    return [share for share in pending if share.key() not in ripe]
+    for key in [key for key in pending if key in votes.ripe]:
+        del pending[key]
 
 
 def apply_complaints(complaints, state: ConsensusState, f: int) -> list[tuple[int, int]]:
@@ -158,7 +144,7 @@ def apply_complaints(complaints, state: ConsensusState, f: int) -> list[tuple[in
             continue
         signers = state.complaint_signers.setdefault((vote.shard, vote.term), set())
         signers.add(vote.signer)
-        if vote.term == current and len(signers) >= f + 1:
+        if vote.term == current and len(signers) >= attestation_threshold(f):
             state.terms[vote.shard] = current + 1
             changes.append((vote.shard, current + 1))
             stale = [k for k in state.complaint_signers if k[0] == vote.shard and k[1] <= current]
@@ -251,28 +237,14 @@ class ConsensusNode:
                 orphans_by_shard.setdefault(share.shard, []).append(share.key())
             fresh.append(share)
 
-        state.pending, extracted = process_round(
-            state.pending, fresh, d.f, excluded_slots=state.dedup.keys()
-        )
-        # At most one key may win a ledger slot per round; an equivocating
-        # proposer can push two same-slot keys past the count threshold in
-        # one round, and only the first-appearing one makes the header. The
-        # loser's shares return to the pending list as orphans.
-        thresholds = []
-        claimed: set[tuple[int, int, int]] = set()
-        for key, group in extracted:
-            slot = key.slot()
-            if slot in claimed:
-                state.pending.extend(group)
-                orphans_by_shard.setdefault(key.shard, []).append(key)
-            else:
-                claimed.add(slot)
-                thresholds.append((key, group))
-        for key, _group in thresholds:
+        # Only the first same-slot key past F+1 makes the header; losers are orphans.
+        winners, losers = process_round(state.pending, fresh, d.f, excluded_slots=state.dedup.keys())
+        for key in losers:
+            orphans_by_shard.setdefault(key.shard, []).append(key)
+        for key in winners:
             state.dedup[key.slot()] = (key.digest, state.ordered_epoch)
 
-        state.pending = purge_orphans(state.pending, fresh, d.f, self.orphan_votes)
-        state.pending_index = {(s.signer, s.key()) for s in state.pending}
+        purge_orphans(state.pending, fresh, self.orphan_votes)
 
         # Slots enter dedup with the non-decreasing ordered_epoch and a live
         # slot is never rewritten, so the dict is in epoch order: expire from
@@ -284,14 +256,14 @@ class ConsensusNode:
                 break
             del dedup[slot]
 
-        if thresholds:
-            self._emit_header(thresholds, ctx)
+        if winners:
+            self._emit_header(winners, ctx)
 
-        self._notify_batchers(thresholds, orphans_by_shard, term_changes, ctx)
-        self.pending_series.append((ctx.now(), len(state.pending)))
+        self._notify_batchers(winners, orphans_by_shard, term_changes, ctx)
+        self.pending_series.append((ctx.now(), sum(map(len, state.pending.values()))))
 
-    def _emit_header(self, thresholds, ctx) -> None:
-        header = make_block_header(self.state, [key for key, _ in thresholds])
+    def _emit_header(self, winners, ctx) -> None:
+        header = make_block_header(self.state, winners)
         signature = sign(self.d.party_keys[self.party], header.signing_payload)
         seq = header.block_seq
         self.headers[seq] = header
@@ -303,9 +275,9 @@ class ConsensusNode:
             self._absorb_share(buffered)
         self._try_publish(seq, ctx)
 
-    def _notify_batchers(self, thresholds, orphans_by_shard, term_changes, ctx) -> None:
+    def _notify_batchers(self, winners, orphans_by_shard, term_changes, ctx) -> None:
         per_shard: dict[int, list[BatchKey]] = {}
-        for key, _group in thresholds:
+        for key in winners:
             per_shard.setdefault(key.shard, []).append(key)
         changed = dict(term_changes)
         batchers = self.d.batcher[self.party]

@@ -106,7 +106,7 @@ def _percentile(sorted_values: list[int], q: float) -> float:
 
 
 def write_csv(report: RunReport, path) -> None:
-    """Time series: committed txs, latency stats, pending-list size."""
+    """Time series: committed txs, latency stats, pending share count."""
     lat_by_time: list[tuple[int, int]] = []
     for r in report.tx_records:
         if r.first_commit_us is not None:

@@ -251,18 +251,14 @@ class _Runner:
 
     # --- total-order sequencer ----------------------------------------------------
 
-    @staticmethod
-    def _event_ident(event):
-        if isinstance(event, BatchAttestationShare):
-            return (0, event.signer, event.seq, event.shard, event.digest, event.primary)
-        return (1, event.signer, event.shard, event.term)
-
     def _on_sequencer(self, message) -> None:
         if isinstance(message, msg.SequencerSubmit):
-            ident = self._event_ident(message.event)
+            event = message.event
+            is_share = isinstance(event, BatchAttestationShare)
+            ident = (event.signer, event.key()) if is_share else (event.signer, event.shard, event.term)
             if ident not in self.round_seen:
                 self.round_seen.add(ident)
-                self.round_buffer.append(message.event)
+                self.round_buffer.append(event)
         elif isinstance(message, msg.RoundTick):
             if self.round_buffer:
                 self.round_no += 1

@@ -11,7 +11,7 @@ import pytest
 
 from shardbft.batcher import required_sample_size, sample_verify
 from shardbft.cli import main as cli_main
-from shardbft.consensus import filter_event, process_round, purge_orphans
+from shardbft.consensus import OrphanVotes, filter_event, process_round, purge_orphans
 from shardbft.core import (
     Batch,
     BatchAttestationShare,
@@ -24,6 +24,8 @@ from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import run_scenario
 from shardbft.sim.scenario import ScenarioConfig
+
+from helpers import as_pending, pending_oracle
 
 US = 1_000_000
 
@@ -231,8 +233,10 @@ def _dummy_share(signer, seq, digest, shard=0, primary=0, refs=()):
 
 def test_criterion_5_threshold_extraction_oracle():
     rng = random.Random(55555)
+    exclude_rng = random.Random(5)  # apart from rng, so the instances stay as they were
     digests = [sha256(b"digest" + bytes([i])) for i in range(3)]
     mismatches = 0
+    losers_seen = 0
     for _ in range(10_000):
         n_parties = rng.randint(1, 6)
         f = rng.randint(0, 2)
@@ -247,15 +251,27 @@ def test_criterion_5_threshold_extraction_oracle():
         picked = universe[: rng.randint(0, min(8, len(universe)))]
         shares = [_dummy_share(s, seq, digests[di], primary=pr) for s, seq, di, pr in picked]
         split = rng.randint(0, len(shares))
-        pending, thresholds = process_round(shares[:split], shares[split:], f)
+        before, batch = shares[:split], shares[split:]
+        excluded = {(0, seq, pr) for seq in range(2) for pr in range(2) if exclude_rng.random() < 0.2}
+        pending = as_pending(before)
+        winners, losers = process_round(pending, batch, f, excluded)
         # Brute-force counter over the full multiset.
         counts = {}
         for share in shares:
             counts.setdefault(share.key(), set()).add(share.signer)
         expected = {k for k, signers in counts.items() if len(signers) >= f + 1}
-        got = {k for k, _ in thresholds}
-        if got != expected or any(s.key() in expected for s in pending):
+        expected = {k for k in expected if k.slot() not in excluded}
+        # One winner per slot, first appearing first; the rest stay pending.
+        _, expect_winners, expect_losers = pending_oracle(before, batch, f, excluded)
+        rest = as_pending([s for s in shares if s.key() not in winners])
+        if (
+            set(winners) | set(losers) != expected
+            or (winners, losers) != (expect_winners, expect_losers)
+            or pending != rest
+            or list(pending) != list(rest)
+        ):
             mismatches += 1
+        losers_seen += len(losers)
 
     # Orphan purging: exactly the keys with >= F+1 distinct, valid (same
     # shard, strictly earlier seq) references disappear.
@@ -279,17 +295,19 @@ def test_criterion_5_threshold_extraction_oracle():
                 if ref.shard == r.shard and ref.seq < r.seq:
                     votes.setdefault(ref, set()).add(r.signer)
         expected_gone = {k for k, signers in votes.items() if len(signers) >= f + 1}
-        survivors = purge_orphans(list(pending), referrers, f)
-        expect_survivors = [p for p in pending if p.key() not in expected_gone]
-        if survivors != expect_survivors:
+        survivors = as_pending(pending)
+        purge_orphans(survivors, referrers, OrphanVotes(f))
+        expect_survivors = as_pending([p for p in pending if p.key() not in expected_gone])
+        if survivors != expect_survivors or list(survivors) != list(expect_survivors):
             purge_mismatches += 1
 
-    ok = mismatches == 0 and purge_mismatches == 0
+    ok = mismatches == 0 and purge_mismatches == 0 and losers_seen > 0
     assert _verdict(
         5,
         "threshold extraction vs brute force",
         ok,
-        f"10000 instances, {mismatches} mismatches; 2000 purge instances, {purge_mismatches} mismatches",
+        f"10000 instances, {mismatches} mismatches, {losers_seen} same-slot losers; "
+        f"2000 purge instances, {purge_mismatches} mismatches",
     )
 
 

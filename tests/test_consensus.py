@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 from shardbft import messages as msg
 from shardbft.consensus import (
@@ -29,7 +28,7 @@ from shardbft.core import (
 )
 from shardbft.crypto import Signature, sign
 
-from helpers import StubCtx, make_deployment
+from helpers import StubCtx, as_pending, make_deployment, pending_oracle
 
 
 def make_share(party_keys, signer, seq, digest=None, shard=0, primary=0, epoch=0, refs=()):
@@ -77,8 +76,7 @@ def test_filter_drops_stale_epoch(party_keys):
 def test_filter_drops_duplicate_signer_key(party_keys):
     state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0)
-    state.pending.append(share)
-    state.pending_index.add((share.signer, share.key()))
+    state.pending = as_pending([share])
     ok, reason = filter_event(share, state, 0, pubs(party_keys))
     assert not ok and reason == DROP_DUPLICATE
 
@@ -117,17 +115,17 @@ def test_filter_drops_stale_term_complaint(party_keys):
 def test_process_round_completes_threshold(party_keys):
     a = make_share(party_keys, 0, 0)
     b = make_share(party_keys, 1, 0)
-    pending, thresholds = process_round([a], [b], f=1)
-    assert pending == []
-    assert len(thresholds) == 1
-    key, group = thresholds[0]
-    assert key == a.key() and set(g.signer for g in group) == {0, 1}
+    pending = as_pending([a])
+    winners, losers = process_round(pending, [b], f=1)
+    assert pending == {}
+    assert winners == [a.key()] and losers == []
 
 
 def test_process_round_below_threshold_stays_pending(party_keys):
     a = make_share(party_keys, 0, 0)
-    pending, thresholds = process_round([], [a], f=1)
-    assert thresholds == [] and pending == [a]
+    pending = {}
+    winners, losers = process_round(pending, [a], f=1)
+    assert winners == [] and losers == [] and pending == {a.key(): {0: a}}
 
 
 def test_process_round_mixed_keys(party_keys):
@@ -135,37 +133,63 @@ def test_process_round_mixed_keys(party_keys):
     k2_b = make_share(party_keys, 1, 1)
     k1_c = make_share(party_keys, 2, 0)
     k1_d = make_share(party_keys, 3, 0)
-    pending, thresholds = process_round([k1_a, k2_b], [k1_c, k1_d], f=1)
-    assert [s.signer for s in pending] == [1]
-    assert len(thresholds) == 1
-    key, group = thresholds[0]
-    assert key == k1_a.key() and len(group) == 3
+    pending = as_pending([k1_a, k2_b])
+    winners, losers = process_round(pending, [k1_c, k1_d], f=1)
+    assert pending == {k2_b.key(): {1: k2_b}}  # all three k1 shares left
+    assert winners == [k1_a.key()] and losers == []
 
 
 def test_process_round_excluded_slots_stay_pending(party_keys):
     a = make_share(party_keys, 0, 0)
     b = make_share(party_keys, 1, 0)
-    pending, thresholds = process_round([a], [b], f=1, excluded_slots={a.key().slot()})
-    assert thresholds == [] and pending == [a, b]
+    pending = as_pending([a])
+    winners, losers = process_round(pending, [b], f=1, excluded_slots={a.key().slot()})
+    assert winners == [] and losers == [] and pending == {a.key(): {0: a, 1: b}}
 
 
 def test_process_round_requires_distinct_signers(party_keys):
     a = make_share(party_keys, 0, 0)
-    pending, thresholds = process_round([a], [a], f=1)
-    assert thresholds == [] and pending == [a]
+    pending = as_pending([a])
+    winners, losers = process_round(pending, [a], f=1)
+    assert winners == [] and losers == [] and pending == {a.key(): {0: a}}
+    # A second share of the same signer for the key, from a later epoch,
+    # neither counts nor replaces the first.
+    later = make_share(party_keys, 0, 0, epoch=1)
+    assert later.key() == a.key() and later != a
+    winners, losers = process_round(pending, [later], f=1)
+    assert winners == [] and losers == [] and pending == {a.key(): {0: a}}
 
 
 def test_process_round_first_appearance_order(party_keys):
     k2 = [make_share(party_keys, s, 2) for s in range(2)]
     k1 = [make_share(party_keys, s, 1) for s in range(2)]
-    pending, thresholds = process_round([k2[0], k1[0]], [k1[1], k2[1]], f=1)
-    assert [key.seq for key, _ in thresholds] == [2, 1]
+    winners, _ = process_round(as_pending([k2[0], k1[0]]), [k1[1], k2[1]], f=1)
+    assert [key.seq for key in winners] == [2, 1]
+
+
+def test_process_round_one_winner_per_slot_and_the_loser_stays(party_keys):
+    # Two digests for one ledger slot both reach F+1 in one call: the
+    # first-appearing key wins, the other is a loser and keeps its shares.
+    d1, d2 = sha256(b"variant a"), sha256(b"variant b")
+    a = [make_share(party_keys, s, 0, digest=d1) for s in (0, 1)]
+    b = [make_share(party_keys, s, 0, digest=d2) for s in (2, 3)]
+    pending = as_pending([b[0], a[0]])
+    winners, losers = process_round(pending, [a[1], b[1]], f=1)
+    assert winners == [b[0].key()] and losers == [a[0].key()]
+    assert pending == {a[0].key(): {0: a[0], 1: a[1]}}
+    # Once the slot has its header, the loser is neither a winner nor
+    # reported again, and its shares stay where they are.
+    winners, losers = process_round(pending, [], f=1, excluded_slots={a[0].key().slot()})
+    assert winners == [] and losers == []
+    assert pending == {a[0].key(): {0: a[0], 1: a[1]}}
 
 
 def test_process_round_brute_force_oracle(party_keys):
-    # Randomized equivalence against a plain multiset counter.
+    # Randomized equivalence against a plain counter over the shares.
     rng = random.Random(123)
+    exclude_rng = random.Random(321)  # kept apart so the instances stay as they were
     digests = [sha256(b"d" + bytes([i])) for i in range(4)]
+    losers_seen = 0
     for _ in range(500):
         n_parties = rng.randint(2, 6)
         f = rng.randint(0, (n_parties - 1) // 3) if n_parties >= 4 else 0
@@ -181,13 +205,19 @@ def test_process_round_brute_force_oracle(party_keys):
             make_share(party_keys, signer, seq, digest=digests[di]) for signer, seq, di in chosen
         ]
         split = rng.randint(0, len(shares))
-        pending, batch = shares[:split], shares[split:]
-        got_pending, got_thresholds = process_round(list(pending), list(batch), f)
-        counts = Counter(s.key() for s in shares)
-        expect_extracted = {k for k, c in counts.items() if c >= f + 1}
-        assert {k for k, _ in got_thresholds} == expect_extracted
-        assert all(s.key() not in expect_extracted for s in got_pending)
-        assert len(got_pending) + sum(len(g) for _, g in got_thresholds) == len(shares)
+        before, batch = shares[:split], shares[split:]
+        excluded = {(0, seq, 0) for seq in range(3) if exclude_rng.random() < 0.2}
+        pending = as_pending(before)
+        winners, losers = process_round(pending, list(batch), f, excluded)
+        extracted, expect_winners, expect_losers = pending_oracle(before, batch, f, excluded)
+        assert winners == expect_winners
+        assert losers == expect_losers
+        assert set(winners) | set(losers) == extracted
+        # Every share of every other key stays pending, each (signer, key) once.
+        rest = as_pending([s for s in shares if s.key() not in winners])
+        assert pending == rest and list(pending) == list(rest)
+        losers_seen += len(losers)
+    assert losers_seen > 0
 
 
 # --- orphan purging ----------------------------------------------------------------
@@ -197,15 +227,17 @@ def test_purge_orphans_at_threshold(party_keys):
     orphan = make_share(party_keys, 2, 0)
     k = orphan.key()
     referrers = [make_share(party_keys, s, 5, refs=(k,)) for s in (0, 1)]
-    pending = purge_orphans([orphan], referrers, f=1)
-    assert pending == []
+    pending = as_pending([orphan])
+    purge_orphans(pending, referrers, OrphanVotes(f=1))
+    assert pending == {}
 
 
 def test_purge_orphans_below_threshold(party_keys):
     orphan = make_share(party_keys, 2, 0)
     referrers = [make_share(party_keys, 0, 5, refs=(orphan.key(),))]
-    pending = purge_orphans([orphan], referrers, f=1)
-    assert pending == [orphan]
+    pending = as_pending([orphan])
+    purge_orphans(pending, referrers, OrphanVotes(f=1))
+    assert pending == as_pending([orphan])
 
 
 def test_purge_orphans_ignores_forward_refs(party_keys):
@@ -213,26 +245,29 @@ def test_purge_orphans_ignores_forward_refs(party_keys):
     k = orphan.key()
     # Referencing a later sequence from earlier attestations: ignored.
     referrers = [make_share(party_keys, s, 3, refs=(k,)) for s in (0, 1)]
-    pending = purge_orphans([orphan], referrers, f=1)
-    assert pending == [orphan]
+    pending = as_pending([orphan])
+    purge_orphans(pending, referrers, OrphanVotes(f=1))
+    assert pending == as_pending([orphan])
 
 
 def test_purge_orphans_ignores_cross_shard_refs(party_keys):
     orphan = make_share(party_keys, 2, 0, shard=0)
     k = orphan.key()
     referrers = [make_share(party_keys, s, 5, shard=1, refs=(k,)) for s in (0, 1)]
-    pending = purge_orphans([orphan], referrers, f=1)
-    assert pending == [orphan]
+    pending = as_pending([orphan])
+    purge_orphans(pending, referrers, OrphanVotes(f=1))
+    assert pending == as_pending([orphan])
 
 
 def test_orphan_votes_accumulate_across_rounds(party_keys):
     votes = OrphanVotes(f=1)
     orphan = make_share(party_keys, 2, 0)
     k = orphan.key()
-    pending = purge_orphans([orphan], [make_share(party_keys, 0, 5, refs=(k,))], 1, votes)
-    assert pending == [orphan]
-    pending = purge_orphans(pending, [make_share(party_keys, 1, 6, refs=(k,))], 1, votes)
-    assert pending == []
+    pending = as_pending([orphan])
+    purge_orphans(pending, [make_share(party_keys, 0, 5, refs=(k,))], votes)
+    assert pending == as_pending([orphan])
+    purge_orphans(pending, [make_share(party_keys, 1, 6, refs=(k,))], votes)
+    assert pending == {}
 
 
 def test_incremental_ripe_set_matches_a_full_rescan():
@@ -409,7 +444,7 @@ def test_same_slot_two_digests_single_winner(party_keys):
     keys = node.headers[0].batch_digests
     assert len(keys) == 1 and keys[0].digest == d1
     # The loser's shares stay pending and are reported as orphaned.
-    assert {s.digest for s in node.state.pending} == {d2}
+    assert node.state.pending == as_pending(events[2:])
     updates = [m for _, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
     assert updates and any(k.digest == d2 for u in updates for k in u.orphaned)
     # Later rounds cannot mint a second header for that slot.
@@ -439,7 +474,9 @@ def test_replayed_stale_share_never_makes_second_header(party_keys):
     # Replay forced straight into a round: still no second header.
     node.handle(msg.RoundDelivery(3, tuple(original)), ctx)
     assert node.state.next_block_seq == 1
-    assert all(s.epoch >= node.state.ordered_epoch - 2 for s in node.state.pending)
+    assert all(
+        s.epoch >= node.state.ordered_epoch - 2 for who in node.state.pending.values() for s in who.values()
+    )
 
 
 def test_term_change_notifies_batchers(party_keys):
@@ -528,4 +565,4 @@ def test_share_with_a_short_digest_never_verifies(party_keys):
     assert not ok and reason == DROP_BAD_SIGNATURE
     node.handle(msg.RoundDelivery(1, (good, short)), ctx)
     assert node.state.next_block_seq == 0
-    assert node.state.pending == [good]
+    assert node.state.pending == as_pending([good])
