@@ -101,7 +101,7 @@ class AssemblerNode:
         digest = batch.digest()
         if digest not in self.index:
             self.index[digest] = batch
-        self.fetching.pop(BatchKey(batch.seq, batch.shard, digest, batch.primary), None)
+        self.fetching.pop(batch.key(), None)
 
     def _on_header(self, m: msg.PublishedHeader, ctx) -> None:
         if m.header.block_seq < self.next_seq or m.header.block_seq in self.header_buffer:
@@ -150,7 +150,7 @@ class AssemblerNode:
 
     def _fetch(self, key: BatchKey, attempt: int, ctx) -> None:
         party = (self.party + attempt) % self.d.n
-        ctx.send(self.d.batcher[party][key.shard], msg.AssemblerPull(key.shard, key.seq, self.node_id))
+        ctx.send(self.d.batcher[party][key.shard], msg.AssemblerPull(key.seq, self.party))
         ctx.schedule(self.d.protocol.fetch_timeout_us, msg.FetchRetry(key, attempt))
 
     def _next_attempt(self, key: BatchKey, attempt: int, ctx) -> None:

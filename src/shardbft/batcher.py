@@ -124,7 +124,7 @@ class BatcherNode:
         self.complained_term = -1
         self.halted = False
         self.outstanding_pull: int | None = None
-        self.pending_pulls: dict[int, list[tuple[int, int]]] = {}
+        self.pending_pulls: dict[int, list[int]] = {}  # seq -> requesting parties
         self.equiv_variants: dict[int, dict[int, Batch]] = {}
         self.batch_opened_at: int | None = None
         self.last_propose_at = _LONG_AGO
@@ -163,7 +163,7 @@ class BatcherNode:
         if not self.is_primary:
             self._issue_pull(ctx)
         if self._behaves(FALSE_COMPLAINT) and not self.is_primary:
-            self._send_complaint(ctx, force=True)
+            self._send_complaint(ctx)
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.ForwardTx):
@@ -175,25 +175,26 @@ class BatcherNode:
         elif isinstance(message, msg.OrderedUpdate):
             self._on_ordered_update(message, ctx)
         elif isinstance(message, msg.BatchTimer):
-            self._on_batch_timer(message, ctx)
+            # Delivered exactly max_batch_latency after the batch opened.
+            if self.batch_opened_at == message.opened_at:
+                self._try_propose(ctx)
         elif isinstance(message, msg.ProposeKick):
             self.kick_scheduled = False
             self._try_propose(ctx)
         elif isinstance(message, msg.BucketTick):
             self._on_bucket_tick(ctx)
         elif isinstance(message, msg.AssemblerPull):
-            batch = self.ledger[message.seq] if message.seq < self.height else None
-            ctx.send(
-                message.requester,
-                msg.AssemblerPullResponse(message.shard, message.seq, batch, self.party),
-            )
+            seq = message.seq
+            batch = self.ledger[seq] if seq < self.height else None
+            reply = msg.AssemblerPullResponse(self.shard, seq, batch)
+            ctx.send(self.d.assembler[message.requester_party], reply)
 
     # --- pool intake ------------------------------------------------------
 
     def _on_forward(self, m: msg.ForwardTx, ctx) -> None:
         status = self._insert(m.tx, ctx)
         if m.submission_id is not None:
-            ctx.send(m.reply_router, msg.EnqueueResult(m.submission_id, status))
+            ctx.send(self.d.router[self.party], msg.EnqueueResult(m.submission_id, status))
 
     def _insert(self, tx: Transaction, ctx) -> str:
         if self.adversary is not None and self.adversary.censors(tx):
@@ -225,14 +226,9 @@ class BatcherNode:
         self.kick_scheduled = True
         ctx.schedule(delay, msg.ProposeKick())
 
-    def _on_batch_timer(self, m: msg.BatchTimer, ctx) -> None:
-        if not self.is_primary or self.batch_opened_at != m.opened_at:
-            return
-        self._try_propose(ctx, timer_expired=True)
-
     # --- primary: proposing ----------------------------------------------
 
-    def _try_propose(self, ctx, timer_expired: bool = False) -> None:
+    def _try_propose(self, ctx) -> None:
         if not self.is_primary:
             return
         now = ctx.now()
@@ -240,9 +236,8 @@ class BatcherNode:
         if now - self.last_propose_at < proto.min_propose_interval_us:
             self._maybe_kick(ctx)
             return
-        timed_out = self.batch_opened_at is not None and (
-            timer_expired or now - self.batch_opened_at >= proto.max_batch_latency_us
-        )
+        opened = self.batch_opened_at
+        timed_out = opened is not None and now - opened >= proto.max_batch_latency_us
         if not self.pool.has_sealed() and not (self.pool.pending and timed_out):
             return
         txs = self.pool.next_batch()
@@ -289,7 +284,8 @@ class BatcherNode:
         ctx.send(self.d.assembler[self.party], msg.BatchStored(batch))
         if not (self._behaves(WITHHOLD_BAS) or self._behaves(SILENT_SECONDARY)):
             self._send_attestation(batch, ctx)
-        self._answer_pending_pulls(batch.seq, ctx)
+        for party in self.pending_pulls.pop(batch.seq, ()):
+            self._serve(batch.seq, party, ctx)
 
     def _send_attestation(self, batch: Batch, ctx) -> None:
         refs = self._take_orphan_refs(batch.seq)
@@ -324,19 +320,18 @@ class BatcherNode:
 
     def _on_pull_request(self, m: msg.PullRequest, ctx) -> None:
         if m.seq < self.height:
-            batch = self.equiv_variants.get(m.seq, {}).get(m.requester_party, self.ledger[m.seq])
-            ctx.send(m.requester, msg.PullResponse(m.shard, m.seq, batch, self.party))
+            self._serve(m.seq, m.requester_party, ctx)
         else:
             # Queue even while secondary: a request can race our own term
             # change. The requester ignores answers from non-primaries.
             waiters = self.pending_pulls.setdefault(m.seq, [])
-            if (m.requester, m.requester_party) not in waiters:
-                waiters.append((m.requester, m.requester_party))
+            if m.requester_party not in waiters:
+                waiters.append(m.requester_party)
 
-    def _answer_pending_pulls(self, seq: int, ctx) -> None:
-        for requester, party in self.pending_pulls.pop(seq, []):
-            batch = self.equiv_variants.get(seq, {}).get(party, self.ledger[seq])
-            ctx.send(requester, msg.PullResponse(self.shard, seq, batch, self.party))
+    def _serve(self, seq: int, party: int, ctx) -> None:
+        """Answer ``party``'s batcher for this shard with the batch at ``seq``."""
+        batch = self.equiv_variants.get(seq, {}).get(party, self.ledger[seq])
+        ctx.send(self.d.batcher[party][self.shard], msg.PullResponse(batch, self.party))
 
     # --- secondary: pulling, verifying, persisting --------------------------------
 
@@ -348,10 +343,7 @@ class BatcherNode:
             return
         self.outstanding_pull = seq
         primary_party = primary_for_term(self.term, self.d.n)
-        ctx.send(
-            self.d.batcher[primary_party][self.shard],
-            msg.PullRequest(self.shard, seq, self.node_id, self.party),
-        )
+        ctx.send(self.d.batcher[primary_party][self.shard], msg.PullRequest(seq, self.party))
 
     def _on_pull_response(self, m: msg.PullResponse, ctx) -> None:
         if self.is_primary or self.halted:
@@ -359,9 +351,9 @@ class BatcherNode:
         primary_party = primary_for_term(self.term, self.d.n)
         if m.responder_party != primary_party or m.batch is None:
             return
-        if m.seq != self.height or m.batch.seq != self.height:
-            return
         batch = m.batch
+        if batch.seq != self.height:
+            return
         current = batch.term == self.term and batch.primary == primary_party
         historical = batch.term < self.term
         if not (current or historical):
@@ -388,8 +380,8 @@ class BatcherNode:
 
     # --- complaints and censorship --------------------------------------------------
 
-    def _send_complaint(self, ctx, force: bool = False) -> None:
-        if self.complained_term >= self.term and not force:
+    def _send_complaint(self, ctx) -> None:
+        if self.complained_term >= self.term:
             return
         self.complained_term = self.term
         payload = encode_complaint_payload(self.term, self.shard)
@@ -407,7 +399,7 @@ class BatcherNode:
         to_forward, complain = scan_pool(self.pool, ctx.now(), proto.t_forward_us, proto.t_complain_us)
         router = self.d.router[primary_for_term(self.term, self.d.n)]
         for tx in to_forward:
-            ctx.send(router, msg.SubmitTx(tx, 0, None))
+            ctx.send(router, msg.SubmitTx(tx, None))
         if complain:
             self._send_complaint(ctx)
 

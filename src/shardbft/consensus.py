@@ -184,7 +184,7 @@ class ConsensusNode:
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.ConsensusSubmission):
-            self._on_submission(message.event, ctx)
+            self._on_submission(message, ctx)
         elif isinstance(message, msg.RoundDelivery):
             # The network may reorder rounds; apply them in round_no order.
             if message.round_no >= self.next_round:
@@ -197,11 +197,11 @@ class ConsensusNode:
 
     # --- intake ------------------------------------------------------------
 
-    def _on_submission(self, event, ctx) -> None:
+    def _on_submission(self, m: msg.ConsensusSubmission, ctx) -> None:
         local_epoch = ctx.now() // self.d.protocol.epoch_length_us
-        ok, reason = filter_event(event, self.state, local_epoch, self.d.party_pubs)
+        ok, reason = filter_event(m.event, self.state, local_epoch, self.d.party_pubs)
         if ok:
-            ctx.send(self.d.sequencer, msg.SequencerSubmit(event))
+            ctx.send(self.d.sequencer, m)
         else:
             self.drops[reason] = self.drops.get(reason, 0) + 1
 
@@ -248,13 +248,15 @@ class ConsensusNode:
 
         # Slots enter dedup with the non-decreasing ordered_epoch and a live
         # slot is never rewritten, so the dict is in epoch order: expire from
-        # the front.
-        dedup = state.dedup
+        # the front. The slot's header is out, so its pending keys go too.
+        dedup, pending = state.dedup, state.pending
         while dedup:
             slot = next(iter(dedup))
             if dedup[slot][1] >= horizon:
                 break
             del dedup[slot]
+            for key in [key for key in pending if key.slot() == slot]:
+                del pending[key]
 
         if winners:
             self._emit_header(winners, ctx)
@@ -287,7 +289,6 @@ class ConsensusNode:
             ctx.send(
                 batchers[shard],
                 msg.OrderedUpdate(
-                    shard,
                     tuple(per_shard.get(shard, ())),
                     tuple(orphans_by_shard.get(shard, ())),
                     changed.get(shard),

@@ -223,6 +223,10 @@ class BatchKey:
         return (self.shard, self.seq, self.primary)
 
 
+def _encode_batch_key(key: BatchKey) -> bytes:
+    return u64(key.seq) + u64(key.shard) + key.digest + u64(key.primary)
+
+
 def _decode_batch_key(buf: bytes, off: int) -> tuple[BatchKey, int]:
     seq, off = read_u64(buf, off)
     shard, off = read_u64(buf, off)
@@ -274,11 +278,7 @@ def encode_bas_payload(
     if len(digest) != DIGEST_LEN:
         raise ValueError(f"digest must be {DIGEST_LEN} bytes")
     parts = [_TAG_BAS, u64(seq), digest, u64(shard), u64(primary), u64(epoch), u64(len(orphan_refs))]
-    for ref in orphan_refs:
-        parts.append(u64(ref.seq))
-        parts.append(u64(ref.shard))
-        parts.append(ref.digest)
-        parts.append(u64(ref.primary))
+    parts.extend(map(_encode_batch_key, orphan_refs))
     return b"".join(parts)
 
 
@@ -326,11 +326,7 @@ class BlockHeader:
 
 def encode_header_payload(header: BlockHeader) -> bytes:
     parts = [_TAG_HEADER, u64(header.block_seq), header.prev_header_hash, u64(len(header.batch_digests))]
-    for key in header.batch_digests:
-        parts.append(u64(key.seq))
-        parts.append(u64(key.shard))
-        parts.append(key.digest)
-        parts.append(u64(key.primary))
+    parts.extend(map(_encode_batch_key, header.batch_digests))
     return b"".join(parts)
 
 

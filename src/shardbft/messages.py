@@ -9,6 +9,10 @@ stores each field through ``object.__setattr__``, which roughly triples the
 cost of building one, and a run builds about one per event. No node
 assigns to a message once it is sent (``tests/test_regression.py`` checks
 every message of a run).
+
+A message names parties and carries protocol content, never a node id: the
+receiver looks up where to answer in its ``Deployment``. So one client
+submission object can go to every router, and a router keeps no state.
 """
 
 from __future__ import annotations
@@ -37,15 +41,13 @@ class NodeContext(Protocol):
 @dataclass(slots=True)
 class SubmitTx:
     tx: Transaction
-    submission_id: int
-    reply_to: int | None  # client sink node; None for peer forwards
+    submission_id: int | None  # the client's tx index; None for a secondary's forward
 
 
 @dataclass(slots=True)
 class ForwardTx:
     tx: Transaction
     submission_id: int | None
-    reply_router: int
 
 
 @dataclass(slots=True)
@@ -57,6 +59,7 @@ class EnqueueResult:
 @dataclass(slots=True)
 class SubmissionReply:
     submission_id: int
+    party: int  # the replying router's party
     ok: bool
     reason: str
 
@@ -66,16 +69,12 @@ class SubmissionReply:
 
 @dataclass(slots=True)
 class PullRequest:
-    shard: int
     seq: int
-    requester: int  # node id to answer
     requester_party: int
 
 
 @dataclass(slots=True)
 class PullResponse:
-    shard: int
-    seq: int
     batch: Batch | None
     responder_party: int
 
@@ -92,11 +91,6 @@ class BatchStored:
 
 @dataclass(slots=True)
 class ConsensusSubmission:
-    event: BatchAttestationShare | ComplaintVote
-
-
-@dataclass(slots=True)
-class SequencerSubmit:
     event: BatchAttestationShare | ComplaintVote
 
 
@@ -124,7 +118,6 @@ class PublishedHeader:
 class OrderedUpdate:
     """Per-shard digest of one ordered round, consensus -> own batcher."""
 
-    shard: int
     thresholded: tuple[BatchKey, ...]
     orphaned: tuple[BatchKey, ...]
     new_term: int | None
@@ -135,9 +128,8 @@ class OrderedUpdate:
 
 @dataclass(slots=True)
 class AssemblerPull:
-    shard: int
     seq: int
-    requester: int
+    requester_party: int
 
 
 @dataclass(slots=True)
@@ -145,7 +137,6 @@ class AssemblerPullResponse:
     shard: int
     seq: int
     batch: Batch | None
-    responder_party: int
 
 
 # --- timers -----------------------------------------------------------------------

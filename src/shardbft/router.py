@@ -5,6 +5,11 @@ client, maps it to a shard by CRC32 of the transaction id, and forwards it
 to its own party's batcher for that shard. The acknowledgement sent back to
 the client is tied to the batcher confirming the enqueue, so a client
 counting acks knows the transaction actually sits in a memory pool.
+
+The router keeps no state. A submission carries its id, and the batcher's
+answer carries it back; the router's replies go to the deployment's hub and
+name the router's party. A submission without an id (a secondary
+batcher's forward to the primary) gets no reply.
 """
 
 from __future__ import annotations
@@ -47,8 +52,7 @@ def map_to_shard(tx_id: bytes, shard_count: int) -> int:
 class RouterNode:
     """Event-driven router for party ``party`` of the deployment ``d``.
 
-    Decisions are a pure function of (tx, deployment); the only mutable state
-    is transport bookkeeping for pending enqueue confirmations.
+    Every decision is a pure function of (message, deployment).
     """
 
     def __init__(self, d, party: int):
@@ -56,33 +60,21 @@ class RouterNode:
         self.party = party
         self.node_id = d.router[party]
         self.batchers = d.batcher[party]  # shard -> this party's batcher
-        self._pending: dict[int, int] = {}  # submission -> client node
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.SubmitTx):
             self._on_submit(message, ctx)
         elif isinstance(message, msg.EnqueueResult):
-            self._on_enqueue_result(message, ctx)
+            # A duplicate is already in the pool or the ledger: the
+            # submission goal is met, so it still acknowledges.
+            ok = message.status in (INSERT_ACCEPTED, INSERT_DUPLICATE)
+            reason = message.status if ok else REASON_BACKPRESSURE
+            ctx.send(self.d.hub, msg.SubmissionReply(message.submission_id, self.party, ok, reason))
 
     def _on_submit(self, m: msg.SubmitTx, ctx) -> None:
         d = self.d
         reason = validate_transaction(m.tx, d.client_directory, d.protocol.max_tx_size)
-        if reason is not None:
-            if m.reply_to is not None:
-                ctx.send(m.reply_to, msg.SubmissionReply(m.submission_id, False, reason))
-            return
-        batcher = self.batchers[map_to_shard(m.tx.tx_id, d.k)]
-        if m.reply_to is not None:
-            self._pending[m.submission_id] = m.reply_to
-        ctx.send(batcher, msg.ForwardTx(m.tx, m.submission_id if m.reply_to is not None else None, self.node_id))
-
-    def _on_enqueue_result(self, m: msg.EnqueueResult, ctx) -> None:
-        reply_to = self._pending.pop(m.submission_id, None)
-        if reply_to is None:
-            return
-        if m.status in (INSERT_ACCEPTED, INSERT_DUPLICATE):
-            # A duplicate is already in the pool or the ledger: the submission
-            # goal is met, so it still acknowledges.
-            ctx.send(reply_to, msg.SubmissionReply(m.submission_id, True, m.status))
-        else:
-            ctx.send(reply_to, msg.SubmissionReply(m.submission_id, False, REASON_BACKPRESSURE))
+        if reason is None:
+            ctx.send(self.batchers[map_to_shard(m.tx.tx_id, d.k)], msg.ForwardTx(m.tx, m.submission_id))
+        elif m.submission_id is not None:
+            ctx.send(d.hub, msg.SubmissionReply(m.submission_id, self.party, False, reason))

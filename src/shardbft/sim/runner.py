@@ -97,6 +97,7 @@ class Deployment:
     """
 
     sequencer = SEQUENCER
+    hub = HUB
 
     def __init__(self, cfg: ScenarioConfig):
         n, k = self.n, self.k = cfg.n_parties, cfg.shard_count
@@ -221,10 +222,9 @@ class _Runner:
                 censored=censored,
             )
             self.tx_records.append(record)
-            for p in range(cfg.n_parties):
-                sid = i * cfg.n_parties + p
-                submit = msg.SubmitTx(tx, sid, HUB)
-                arrivals.append((self.delivery_time(t), HUB, seq, self.d.router[p], submit))
+            submit = msg.SubmitTx(tx, i)  # one object, pushed to every router
+            for router in self.d.router:
+                arrivals.append((self.delivery_time(t), HUB, seq, router, submit))
                 seq += 1
         self.send_seq[HUB] = seq
         arrivals.sort(reverse=True)
@@ -240,10 +240,9 @@ class _Runner:
             heapq.heappush(heap, (held[-1][0], _FEED, 0, SEQUENCER, None))
 
     def _on_hub(self, message: msg.SubmissionReply) -> None:
-        record = self.tx_records[message.submission_id // self.cfg.n_parties]
-        party = message.submission_id % self.cfg.n_parties
+        record = self.tx_records[message.submission_id]
         if message.ok:
-            record.acks |= 1 << party
+            record.acks |= 1 << message.party
             if record.ack_quorum_us is None and record.acks.bit_count() >= self.cfg.n_parties - self.cfg.f:
                 record.ack_quorum_us = self.now_us
         else:
@@ -252,7 +251,7 @@ class _Runner:
     # --- total-order sequencer ----------------------------------------------------
 
     def _on_sequencer(self, message) -> None:
-        if isinstance(message, msg.SequencerSubmit):
+        if isinstance(message, msg.ConsensusSubmission):
             event = message.event
             is_share = isinstance(event, BatchAttestationShare)
             ident = (event.signer, event.key()) if is_share else (event.signer, event.shard, event.term)
@@ -372,14 +371,10 @@ class _Runner:
         ref_cons = self.consensus[ref]
         kinds = {a.kind for a in cfg.adversaries}
 
-        reproposed: list[str] = []
-        seen_repro: set[bytes] = set()
-        for p in correct:
-            for s in range(cfg.shard_count):
-                for tx_id in self.batchers[(p, s)].reproposed_tx_ids:
-                    if tx_id not in seen_repro:
-                        seen_repro.add(tx_id)
-                        reproposed.append(tx_id.hex())
+        reproposed_ids = chain.from_iterable(
+            self.batchers[(p, s)].reproposed_tx_ids for p in correct for s in range(cfg.shard_count)
+        )
+        reproposed = [tx_id.hex() for tx_id in dict.fromkeys(reproposed_ids)]
 
         ledgers = {p: list(self.assemblers[p].ledger) for p in correct}
         ledger_digests = {
@@ -389,7 +384,6 @@ class _Runner:
         per_shard: dict[int, dict] = {
             s: {"batches": 0, "txs": 0, "duplicates": 0} for s in range(cfg.shard_count)
         }
-        shard_seen: dict[int, set] = {s: set() for s in range(cfg.shard_count)}
         commit_counts: dict[bytes, int] = {}
         # Only an inject_bogus primary builds a tx that its router did not
         # validate, so without one the count is 0 and is not taken.
@@ -402,11 +396,12 @@ class _Runner:
                 stats = per_shard[batch.shard]
                 stats["batches"] += 1
                 stats["txs"] += len(batch.txs)
+                # A tx id is committed in one shard only (routers map by id),
+                # so every repeat of an id is a duplicate in this shard.
                 for tx in batch.txs:
-                    commit_counts[tx.tx_id] = commit_counts.get(tx.tx_id, 0) + 1
-                    if tx.tx_id in shard_seen[batch.shard]:
-                        stats["duplicates"] += 1
-                    shard_seen[batch.shard].add(tx.tx_id)
+                    count = commit_counts.get(tx.tx_id, 0)
+                    stats["duplicates"] += count > 0
+                    commit_counts[tx.tx_id] = count + 1
                 if count_bogus and batch.txs:
                     invalid = sum(
                         1 for tx in batch.txs if validate_transaction(tx, directory, max_tx_size) is not None

@@ -151,14 +151,14 @@ def test_fetch_falls_back_to_other_parties(party_keys, client_keys):
     (d0, pull0), = [(d, m) for d, m in ctx.take_sent() if isinstance(m, msg.AssemblerPull)]
     assert d0 == node.d.batcher[0][0]
     # Own batcher has nothing at that position.
-    node.handle(msg.AssemblerPullResponse(0, 0, None, 0), ctx)
+    node.handle(msg.AssemblerPullResponse(0, 0, None), ctx)
     (d1, _), = [(d, m) for d, m in ctx.take_sent() if isinstance(m, msg.AssemblerPull)]
     assert d1 == node.d.batcher[1][0]
     # The next party serves a diverged batch: digest mismatch, move on.
-    node.handle(msg.AssemblerPullResponse(0, 0, wrong, 1), ctx)
+    node.handle(msg.AssemblerPullResponse(0, 0, wrong), ctx)
     (d2, _), = [(d, m) for d, m in ctx.take_sent() if isinstance(m, msg.AssemblerPull)]
     assert d2 == node.d.batcher[2][0]
-    node.handle(msg.AssemblerPullResponse(0, 0, wanted, 2), ctx)
+    node.handle(msg.AssemblerPullResponse(0, 0, wanted), ctx)
     assert len(node.ledger) == 1
     assert node.ledger[0].batches[0].digest() == wanted.digest()
 

@@ -161,7 +161,7 @@ def test_primary_batches_on_timer(client_directory, client_keys, party_keys):
     ctx = StubCtx()
     node.start(ctx)
     for i in range(3):
-        node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 4, client_keys), i, 200), ctx)
+        node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 4, client_keys), i), ctx)
     assert node.height == 0
     _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     assert node.height == 1
@@ -180,7 +180,7 @@ def test_primary_two_full_batches_disjoint(client_directory, client_keys, party_
     ctx = StubCtx()
     node.start(ctx)
     for i in range(6):
-        node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 5, client_keys), i, 200), ctx)
+        node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 5, client_keys), i), ctx)
     _pump(node, ctx, until=US)
     assert node.height == 2
     a, b = node.ledger
@@ -202,14 +202,14 @@ def test_primary_answers_queued_pull_on_persist(client_directory, client_keys, p
     node = _node(0, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
-    node.handle(msg.PullRequest(0, 0, requester=301, requester_party=1), ctx)
+    node.handle(msg.PullRequest(0, requester_party=1), ctx)
     assert not _sent_of(ctx, msg.PullResponse)
-    node.handle(msg.ForwardTx(make_tx(0, b"hello", client_keys), 0, 200), ctx)
+    node.handle(msg.ForwardTx(make_tx(0, b"hello", client_keys), 0), ctx)
     _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     responses = _sent_of(ctx, msg.PullResponse)
     assert len(responses) == 1
     dest, resp = responses[0]
-    assert dest == 301 and resp.batch.seq == 0
+    assert dest == node.d.batcher[1][0] and resp.batch.seq == 0
 
 
 # --- secondary behavior ----------------------------------------------------------
@@ -223,7 +223,7 @@ def _secondary_with_batch(client_directory, client_keys, party_keys, txs, primar
     assert pulls and pulls[0][0] == node.d.batcher[primary][0]
     ctx.take_sent()
     batch = Batch(0, 0, 0, primary, tuple(txs))
-    node.handle(msg.PullResponse(0, 0, batch, primary), ctx)
+    node.handle(msg.PullResponse(batch, primary), ctx)
     return node, ctx, batch
 
 
@@ -247,9 +247,9 @@ def test_secondary_removes_pooled_txs_on_persist(client_directory, client_keys, 
     node.start(ctx)
     txs = [make_tx(i % 4, bytes([i + 7]) * 6, client_keys) for i in range(4)]
     for i, tx in enumerate(txs):
-        node.handle(msg.ForwardTx(tx, i, 200), ctx)
+        node.handle(msg.ForwardTx(tx, i), ctx)
     assert len(node.pool.tx_index) == 4
-    node.handle(msg.PullResponse(0, 0, Batch(0, 0, 0, 0, tuple(txs)), 0), ctx)
+    node.handle(msg.PullResponse(Batch(0, 0, 0, 0, tuple(txs)), 0), ctx)
     assert len(node.pool.tx_index) == 0
 
 
@@ -262,7 +262,7 @@ def test_secondary_complains_on_bogus_batch(client_directory, client_keys, party
     assert votes and all(isinstance(v, ComplaintVote) for v in votes)
     assert votes[0].term == 0 and votes[0].signer == 1
     # Halted until a term change: further responses are ignored.
-    node.handle(msg.PullResponse(0, 0, Batch(0, 0, 0, 0, tuple(good)), 0), ctx)
+    node.handle(msg.PullResponse(Batch(0, 0, 0, 0, tuple(good)), 0), ctx)
     assert node.height == 0
 
 
@@ -272,9 +272,9 @@ def test_secondary_ignores_stale_or_foreign_responses(client_directory, client_k
     ctx = StubCtx()
     node.start(ctx)
     ctx.take_sent()
-    node.handle(msg.PullResponse(0, 0, Batch(0, 0, 0, 2, tuple(txs)), 2), ctx)  # not the primary
+    node.handle(msg.PullResponse(Batch(0, 0, 0, 2, tuple(txs)), 2), ctx)  # not the primary
     assert node.height == 0
-    node.handle(msg.PullResponse(0, 5, Batch(0, 5, 0, 0, tuple(txs)), 0), ctx)  # wrong seq
+    node.handle(msg.PullResponse(Batch(0, 5, 0, 0, tuple(txs)), 0), ctx)  # wrong seq
     assert node.height == 0
 
 
@@ -286,11 +286,11 @@ def test_secondary_accepts_historical_batch_from_current_primary(
     node = _node(3, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
-    node.handle(msg.OrderedUpdate(0, (), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
     assert not node.is_primary
     txs = [make_tx(0, b"old batch", client_keys)]
     old = Batch(0, 0, 0, 0, tuple(txs))  # term 0, proposed by party 0
-    node.handle(msg.PullResponse(0, 0, old, 1), ctx)  # served by party 1, the term-1 primary
+    node.handle(msg.PullResponse(old, 1), ctx)  # served by party 1, the term-1 primary
     assert node.height == 1
 
 
@@ -299,13 +299,13 @@ def test_censorship_forward_once_then_complain(client_directory, client_keys, pa
     ctx = StubCtx()
     node.start(ctx)
     tx = make_tx(0, b"will be stuck", client_keys)
-    node.handle(msg.ForwardTx(tx, 0, 200), ctx)
+    node.handle(msg.ForwardTx(tx, 0), ctx)
     ctx.take_sent()
     _pump(node, ctx, until=node.d.protocol.bucket_period_us + node.d.protocol.t_forward_us)
     fwd = [(d, m) for d, m in ctx.sent if isinstance(m, msg.SubmitTx)]
     assert len(fwd) == 1
     assert fwd[0][0] == node.d.router[0]  # the primary party's router
-    assert fwd[0][1].reply_to is None
+    assert fwd[0][1].submission_id is None
     ctx.take_sent()
     _pump(node, ctx, until=ctx.time + node.d.protocol.t_complain_us + node.d.protocol.bucket_period_us)
     votes = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)]
@@ -326,7 +326,7 @@ def test_term_change_reproposes_unordered_batches(client_directory, client_keys,
     ctx.take_sent()
     # Term 1 makes party 1 the primary; the persisted batch never reached the
     # attestation threshold, so its txs are re-proposed at the pool front.
-    node.handle(msg.OrderedUpdate(0, (), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
     assert node.is_primary
     assert {t.tx_id for t in txs} <= set(node.pool.tx_index)
     assert node.reproposed_tx_ids
@@ -341,7 +341,7 @@ def test_term_change_skips_thresholded_batches(client_directory, client_keys, pa
     txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(4)]
     node, ctx, batch = _secondary_with_batch(client_directory, client_keys, party_keys, txs)
     ctx.take_sent()
-    node.handle(msg.OrderedUpdate(0, (batch.key(),), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((batch.key(),), (), new_term=1), ctx)
     assert node.is_primary
     assert not node.reproposed_tx_ids
     _pump(node, ctx, until=ctx.time + US)
@@ -353,9 +353,9 @@ def test_term_change_back_to_secondary(client_directory, client_keys, party_keys
     ctx = StubCtx()
     node.start(ctx)
     tx = make_tx(0, b"pooled", client_keys)
-    node.handle(msg.ForwardTx(tx, 0, 200), ctx)
+    node.handle(msg.ForwardTx(tx, 0), ctx)
     ctx.take_sent()
-    node.handle(msg.OrderedUpdate(0, (), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
     assert not node.is_primary
     assert isinstance(node.pool, SecondaryPool)
     assert tx.tx_id in node.pool.tx_index
@@ -371,12 +371,12 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
     node, ctx, _batch = _secondary_with_batch(client_directory, client_keys, party_keys, txs)
     persisted = {tx.tx_id for tx in txs}
     pooled = make_tx(2, b"pooled", client_keys)
-    node.handle(msg.ForwardTx(pooled, 0, 200), ctx)
+    node.handle(msg.ForwardTx(pooled, 0), ctx)
     # secondary -> primary -> secondary, a 2-term jump without and with a
     # role flip, and a 4-term jump that keeps the same primary.
     for term, primary in ((1, True), (2, False), (4, False), (5, True), (9, True), (11, False)):
         pool = node.pool
-        node.handle(msg.OrderedUpdate(0, (), (), new_term=term), ctx)
+        node.handle(msg.OrderedUpdate((), (), new_term=term), ctx)
         assert node.term == term and node.is_primary == primary
         assert isinstance(node.pool, PrimaryPool) == node.is_primary
         assert (node.pool is pool) == (term not in (1, 2, 5, 11))
@@ -392,9 +392,9 @@ def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_ke
     ctx = StubCtx()
     node.start(ctx)
     orphans = tuple(BatchKey(0, 0, bytes([i]) * 32, 0) for i in range(3))
-    node.handle(msg.OrderedUpdate(0, (), orphans, None), ctx)
+    node.handle(msg.OrderedUpdate((), orphans, None), ctx)
     for i in range(2):
-        node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i, 200), ctx)
+        node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
     _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     bas = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)][0]
     # seq 0 cannot reference seq-0 orphans (only strictly earlier), so the
@@ -402,7 +402,7 @@ def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_ke
     assert bas.orphan_refs == ()
     ctx.take_sent()
     for i in range(2, 4):
-        node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i, 200), ctx)
+        node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
     _pump(node, ctx, until=ctx.time + US)
     bas2 = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)][0]
     assert bas2.seq == 1

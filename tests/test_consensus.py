@@ -452,6 +452,26 @@ def test_same_slot_two_digests_single_winner(party_keys):
     assert node.state.next_block_seq == 1
 
 
+def test_expired_slot_takes_its_pending_keys_along(party_keys):
+    # The round-1 loser for slot (0, 0, 0) holds F+1 shares. When the slot's
+    # dedup entry expires (epoch 0 falls behind the epoch-5 horizon), the
+    # loser must leave pending with it, or the next round gives the slot a
+    # second header entry.
+    node = make_node(party_keys, epoch_length=10, window=2)
+    ctx = StubCtx()
+    d1, d2 = sha256(b"variant a"), sha256(b"variant b")
+    events = tuple(make_share(party_keys, s, 0, digest=d1 if s < 2 else d2) for s in range(4))
+    node.handle(msg.RoundDelivery(1, events), ctx)
+    slot = events[0].key().slot()
+    for round_no, seq in ((2, 1), (3, 2)):
+        shares = tuple(make_share(party_keys, s, seq, epoch=5) for s in (0, 1))
+        node.handle(msg.RoundDelivery(round_no, shares), ctx)
+    slots = [key.slot() for seq in sorted(node.headers) for key in node.headers[seq].batch_digests]
+    assert slots == [slot, (0, 1, 0), (0, 2, 0)]
+    assert slot not in node.state.dedup
+    assert not [key for key in node.state.pending if key.slot() == slot]
+
+
 def test_replayed_stale_share_never_makes_second_header(party_keys):
     # Epoch window: entries are evicted from the dedup db, and shares whose
     # epoch predates the watermark window are refused both at the filter and
@@ -498,7 +518,7 @@ def test_threshold_for_a_shard_past_the_last_sends_no_update(party_keys):
     node.handle(msg.RoundDelivery(1, tuple(events)), ctx)
     assert [k.shard for k in node.headers[0].batch_digests] == [1, 2]
     updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
-    assert [(d, m.shard) for d, m in updates] == [(node.d.batcher[0][1], 1)]
+    assert [(d, [k.shard for k in m.thresholded]) for d, m in updates] == [(node.d.batcher[0][1], [1])]
 
 
 def test_deterministic_headers_across_replicas(party_keys):

@@ -12,6 +12,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -456,3 +457,26 @@ def test_no_node_mutates_a_message_once_sent():
     assert len(sent) > 10_000
     for message, values in sent:
         assert [getattr(message, f.name) for f in fields(message)] == values, message
+
+
+def test_routers_keep_no_state(monkeypatch):
+    # A router's attributes are the same objects, with the same contents,
+    # after every message it handles.
+    def state(node):
+        return {
+            name: (id(value), value.copy() if isinstance(value, (dict, list, set)) else value)
+            for name, value in vars(node).items()
+        }
+
+    handled = Counter()
+    handle = router.RouterNode.handle
+
+    def observed(node, message, ctx):
+        before = state(node)
+        handle(node, message, ctx)
+        assert state(node) == before, type(message).__name__
+        handled[type(message).__name__] += 1
+
+    monkeypatch.setattr(router.RouterNode, "handle", observed)
+    run_scenario(ScenarioConfig.from_dict(_ordering_short()))
+    assert handled["SubmitTx"] > 1_000 and handled["EnqueueResult"] > 1_000

@@ -145,7 +145,7 @@ def test_ack_quorum_counts_distinct_parties():
 
     def reply(t, party, ok=True):
         runner.now_us = t
-        runner._on_hub(msg.SubmissionReply(3 * n + party, ok, "" if ok else "full"))
+        runner._on_hub(msg.SubmissionReply(3, party, ok, "" if ok else "full"))
         return record.acks, record.ack_quorum_us
 
     reply(1, 6)
@@ -169,13 +169,13 @@ def test_ack_quorum_counts_distinct_parties():
 
 def test_report_acks_equal_the_distinct_parties_that_acked():
     runner = _ack_runner()
-    n, quorum = runner.cfg.n_parties, runner.cfg.n_parties - runner.cfg.f
+    quorum = runner.cfg.n_parties - runner.cfg.f
     acked: dict[int, set] = {}
     quorum_at: dict[int, int] = {}
     on_hub = runner._on_hub
 
     def observed(message):
-        index, party = divmod(message.submission_id, n)
+        index, party = message.submission_id, message.party
         if message.ok:
             parties = acked.setdefault(index, set())
             parties.add(party)

@@ -77,7 +77,7 @@ def test_two_router_instances_agree(client_directory, client_keys):
         shards = []
         for router in routers:
             ctx = StubCtx()
-            router.handle(msg.SubmitTx(tx, 0, None), ctx)
+            router.handle(msg.SubmitTx(tx, None), ctx)
             (dest, _fwd), = ctx.sent
             shards.append(d.batcher[router.party].index(dest))
         assert shards == [map_to_shard(tx.tx_id, 8)] * 2
@@ -91,30 +91,30 @@ def test_submission_ack_after_enqueue_confirmation(client_directory, client_keys
     router = _router(client_directory)
     ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 7, reply_to=55), ctx)
+    router.handle(msg.SubmitTx(tx, 7), ctx)
     (dest, fwd), = ctx.take_sent()
     assert dest == router.d.batcher[0][map_to_shard(tx.tx_id, 2)]
     assert isinstance(fwd, msg.ForwardTx) and fwd.submission_id == 7
     # No reply yet: the ack is tied to the batcher confirming the enqueue.
     router.handle(msg.EnqueueResult(7, INSERT_ACCEPTED), ctx)
     (dest, reply), = ctx.take_sent()
-    assert dest == 55 and reply.ok
+    assert dest == router.d.hub and reply.ok and reply.submission_id == 7 and reply.party == 0
 
 
 def test_invalid_submission_rejected_without_forwarding(client_directory, scheme):
     router = _router(client_directory)
     ctx = StubCtx()
     tx = Transaction(999, b"payload", Signature(scheme, b"\x00" * 32))
-    router.handle(msg.SubmitTx(tx, 3, reply_to=55), ctx)
+    router.handle(msg.SubmitTx(tx, 3), ctx)
     (dest, reply), = ctx.take_sent()
-    assert dest == 55 and not reply.ok and reply.reason == REASON_UNKNOWN_CLIENT
+    assert dest == router.d.hub and not reply.ok and reply.reason == REASON_UNKNOWN_CLIENT
 
 
 def test_duplicate_enqueue_still_acks(client_directory, client_keys):
     router = _router(client_directory)
     ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 1, reply_to=55), ctx)
+    router.handle(msg.SubmitTx(tx, 1), ctx)
     ctx.take_sent()
     router.handle(msg.EnqueueResult(1, INSERT_DUPLICATE), ctx)
     (_, reply), = ctx.take_sent()
@@ -125,7 +125,7 @@ def test_backpressure_rejects(client_directory, client_keys):
     router = _router(client_directory)
     ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 2, reply_to=55), ctx)
+    router.handle(msg.SubmitTx(tx, 2), ctx)
     ctx.take_sent()
     router.handle(msg.EnqueueResult(2, INSERT_BACKPRESSURE), ctx)
     (_, reply), = ctx.take_sent()
@@ -136,6 +136,6 @@ def test_peer_forward_has_no_reply(client_directory, client_keys):
     router = _router(client_directory)
     ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 0, reply_to=None), ctx)
+    router.handle(msg.SubmitTx(tx, None), ctx)
     (dest, fwd), = ctx.take_sent()
     assert isinstance(fwd, msg.ForwardTx) and fwd.submission_id is None

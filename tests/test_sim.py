@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from shardbft import messages as msg
 from shardbft.assembler import AssemblerNode
 from shardbft.batcher import BatcherNode
 from shardbft.consensus import ConsensusNode
@@ -236,6 +237,41 @@ def test_held_back_arrivals_count_as_in_flight(monkeypatch):
     assert runner.held_arrivals and not runner._network_idle()
     runner.held_arrivals.clear()
     assert runner._network_idle()
+
+
+def test_one_submission_per_tx_shared_by_every_router():
+    runner = _Runner(_cfg(seed=13, duration=0.5))
+    d = runner.d
+    routed: dict[int, tuple] = {}  # id(SubmitTx) -> (message, routers it goes to)
+    schedule_clients = runner._schedule_clients
+
+    def inspect_arrivals():
+        schedule_clients()
+        for _t, sender, _seq, dest, message in [*runner.heap, *runner.held_arrivals]:
+            if message is not None:  # not the entry that feeds arrivals
+                assert sender == d.hub and isinstance(message, msg.SubmitTx)
+                routed.setdefault(id(message), (message, []))[1].append(dest)
+
+    replies = []
+    network_send = runner.network_send
+
+    def observe(sender, dest, message):
+        if dest == d.hub:
+            replies.append((sender, message))
+        network_send(sender, dest, message)
+
+    runner._schedule_clients = inspect_arrivals
+    runner.network_send = observe
+    report = runner.run()
+    assert len(routed) == len(runner.tx_records) > 0
+    for message, routers in routed.values():
+        assert sorted(routers) == list(d.router)
+        assert runner.tx_records[message.submission_id].tx_id == message.tx.tx_id
+    # Each reply names the party of the router that sent it.
+    assert len(replies) == len(runner.tx_records) * d.n
+    for sender, reply in replies:
+        assert isinstance(reply, msg.SubmissionReply) and sender == d.router[reply.party]
+    assert all(record.to_dict()["acks"] == d.n for record in report.tx_records)
 
 
 def test_standard_signature_scheme_end_to_end():
