@@ -84,8 +84,8 @@ class AssemblerNode:
         self.throughput_series: list[tuple[int, int]] = []
 
     def handle(self, message, ctx) -> None:
-        if isinstance(message, msg.BatchStored):
-            self._index_batch(message.batch)
+        if isinstance(message, Batch):  # its own party's batcher persisted it
+            self._index_batch(message)
             self._advance(ctx)
         elif isinstance(message, msg.PublishedHeader):
             self._on_header(message, ctx)

@@ -166,8 +166,8 @@ class BatcherNode:
             self._send_complaint(ctx)
 
     def handle(self, message, ctx) -> None:
-        if isinstance(message, msg.ForwardTx):
-            self._on_forward(message, ctx)
+        if isinstance(message, msg.SubmitTx):
+            self._on_submit(message, ctx)
         elif isinstance(message, msg.PullRequest):
             self._on_pull_request(message, ctx)
         elif isinstance(message, msg.PullResponse):
@@ -191,10 +191,13 @@ class BatcherNode:
 
     # --- pool intake ------------------------------------------------------
 
-    def _on_forward(self, m: msg.ForwardTx, ctx) -> None:
+    def _on_submit(self, m: msg.SubmitTx, ctx) -> None:
         status = self._insert(m.tx, ctx)
         if m.submission_id is not None:
-            ctx.send(self.d.router[self.party], msg.EnqueueResult(m.submission_id, status))
+            # A duplicate is already in the pool or the ledger: the
+            # submission goal is met, so it still acknowledges.
+            ok = status in (INSERT_ACCEPTED, INSERT_DUPLICATE)
+            ctx.send(self.d.router[self.party], msg.SubmissionReply(m.submission_id, self.party, ok, status))
 
     def _insert(self, tx: Transaction, ctx) -> str:
         if self.adversary is not None and self.adversary.censors(tx):
@@ -281,7 +284,7 @@ class BatcherNode:
         self.persisted_ids.update(ids)
         if isinstance(self.pool, SecondaryPool):
             self.pool.remove(ids)
-        ctx.send(self.d.assembler[self.party], msg.BatchStored(batch))
+        ctx.send(self.d.assembler[self.party], batch)
         if not (self._behaves(WITHHOLD_BAS) or self._behaves(SILENT_SECONDARY)):
             self._send_attestation(batch, ctx)
         for party in self.pending_pulls.pop(batch.seq, ()):
@@ -302,7 +305,7 @@ class BatcherNode:
             signature=sign(self.keypair, payload),
         )
         for cid in self.d.consensus:
-            ctx.send(cid, msg.ConsensusSubmission(share))
+            ctx.send(cid, share)
 
     def _take_orphan_refs(self, seq: int) -> tuple[BatchKey, ...]:
         if not self.orphan_queue:
@@ -387,7 +390,7 @@ class BatcherNode:
         payload = encode_complaint_payload(self.term, self.shard)
         vote = ComplaintVote(self.party, self.term, self.shard, sign(self.keypair, payload))
         for cid in self.d.consensus:
-            ctx.send(cid, msg.ConsensusSubmission(vote))
+            ctx.send(cid, vote)
 
     def _on_bucket_tick(self, ctx) -> None:
         proto = self.d.protocol

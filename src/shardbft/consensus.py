@@ -38,8 +38,8 @@ class ConsensusState:
     # key -> signer -> share, keys in first-appearance order.
     pending: dict[BatchKey, dict[int, BatchAttestationShare]] = field(default_factory=dict)
     # One header ever per ledger slot (shard, seq, primary) while its entry
-    # lives; the value remembers the winning digest and the insertion epoch.
-    dedup: dict[tuple[int, int, int], tuple[bytes, int]] = field(default_factory=dict)
+    # lives; the value is the ordered epoch the slot was won in.
+    dedup: dict[tuple[int, int, int], int] = field(default_factory=dict)
     complaint_signers: dict[tuple[int, int], set[int]] = field(default_factory=dict)
     terms: dict[int, int] = field(default_factory=dict)
     prev_hash: bytes = ZERO_DIGEST
@@ -183,7 +183,7 @@ class ConsensusNode:
         self.pending_series: list[tuple[int, int]] = []
 
     def handle(self, message, ctx) -> None:
-        if isinstance(message, msg.ConsensusSubmission):
+        if isinstance(message, (BatchAttestationShare, ComplaintVote)):
             self._on_submission(message, ctx)
         elif isinstance(message, msg.RoundDelivery):
             # The network may reorder rounds; apply them in round_no order.
@@ -197,11 +197,11 @@ class ConsensusNode:
 
     # --- intake ------------------------------------------------------------
 
-    def _on_submission(self, m: msg.ConsensusSubmission, ctx) -> None:
+    def _on_submission(self, event: BatchAttestationShare | ComplaintVote, ctx) -> None:
         local_epoch = ctx.now() // self.d.protocol.epoch_length_us
-        ok, reason = filter_event(m.event, self.state, local_epoch, self.d.party_pubs)
+        ok, reason = filter_event(event, self.state, local_epoch, self.d.party_pubs)
         if ok:
-            ctx.send(self.d.sequencer, m)
+            ctx.send(self.d.sequencer, event)
         else:
             self.drops[reason] = self.drops.get(reason, 0) + 1
 
@@ -242,7 +242,7 @@ class ConsensusNode:
         for key in losers:
             orphans_by_shard.setdefault(key.shard, []).append(key)
         for key in winners:
-            state.dedup[key.slot()] = (key.digest, state.ordered_epoch)
+            state.dedup[key.slot()] = state.ordered_epoch
 
         purge_orphans(state.pending, fresh, self.orphan_votes)
 
@@ -252,7 +252,7 @@ class ConsensusNode:
         dedup, pending = state.dedup, state.pending
         while dedup:
             slot = next(iter(dedup))
-            if dedup[slot][1] >= horizon:
+            if dedup[slot] >= horizon:
                 break
             del dedup[slot]
             for key in [key for key in pending if key.slot() == slot]:

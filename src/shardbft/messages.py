@@ -13,6 +13,13 @@ every message of a run).
 A message names parties and carries protocol content, never a node id: the
 receiver looks up where to answer in its ``Deployment``. So one client
 submission object can go to every router, and a router keeps no state.
+
+A class here exists only when it carries something no protocol object
+does. An attestation share, a complaint vote and a persisted batch travel
+as the ``core`` objects themselves, and a relay passes on the object it
+got: a router forwards the ``SubmitTx`` it received and hands the hub the
+batcher's ``SubmissionReply``, and consensus hands the sequencer the share
+or complaint a batcher sent.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from .core import Batch, BatchAttestationShare, BatchKey, BlockHeader, ComplaintVote, Transaction
+from .core import Batch, BatchKey, BlockHeader, Transaction
 from .crypto import Signature
 
 
@@ -45,23 +52,11 @@ class SubmitTx:
 
 
 @dataclass(slots=True)
-class ForwardTx:
-    tx: Transaction
-    submission_id: int | None
-
-
-@dataclass(slots=True)
-class EnqueueResult:
-    submission_id: int
-    status: str  # a pools.INSERT_* status
-
-
-@dataclass(slots=True)
 class SubmissionReply:
     submission_id: int
-    party: int  # the replying router's party
+    party: int  # the answering party, whose batcher enqueued (or router rejected) the tx
     ok: bool
-    reason: str
+    reason: str  # a pools.INSERT_* status, or the router's rejection reason
 
 
 # --- batch dissemination -----------------------------------------------------
@@ -79,19 +74,7 @@ class PullResponse:
     responder_party: int
 
 
-@dataclass(slots=True)
-class BatchStored:
-    """Push of a freshly persisted batch to the same party's assembler."""
-
-    batch: Batch
-
-
 # --- consensus ----------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ConsensusSubmission:
-    event: BatchAttestationShare | ComplaintVote
 
 
 @dataclass(slots=True)

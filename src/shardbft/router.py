@@ -6,10 +6,11 @@ to its own party's batcher for that shard. The acknowledgement sent back to
 the client is tied to the batcher confirming the enqueue, so a client
 counting acks knows the transaction actually sits in a memory pool.
 
-The router keeps no state. A submission carries its id, and the batcher's
-answer carries it back; the router's replies go to the deployment's hub and
-name the router's party. A submission without an id (a secondary
-batcher's forward to the primary) gets no reply.
+The router keeps no state and builds nothing for a valid submission: it
+forwards the ``SubmitTx`` it received, and relays the batcher's
+``SubmissionReply`` to the deployment's hub unchanged. It builds a reply
+only to reject an invalid submission. A submission without an id (a
+secondary batcher's forward to the primary) gets no reply.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from typing import Mapping
 from . import messages as msg
 from .core import Transaction
 from .crypto import verify
-from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE
 
 REASON_MALFORMED = "malformed"
 REASON_UNKNOWN_CLIENT = "unknown_client"
 REASON_BAD_SIGNATURE = "bad_signature"
-REASON_BACKPRESSURE = "backpressure"
 
 
 def validate_transaction(
@@ -64,17 +63,13 @@ class RouterNode:
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.SubmitTx):
             self._on_submit(message, ctx)
-        elif isinstance(message, msg.EnqueueResult):
-            # A duplicate is already in the pool or the ledger: the
-            # submission goal is met, so it still acknowledges.
-            ok = message.status in (INSERT_ACCEPTED, INSERT_DUPLICATE)
-            reason = message.status if ok else REASON_BACKPRESSURE
-            ctx.send(self.d.hub, msg.SubmissionReply(message.submission_id, self.party, ok, reason))
+        elif isinstance(message, msg.SubmissionReply):
+            ctx.send(self.d.hub, message)
 
     def _on_submit(self, m: msg.SubmitTx, ctx) -> None:
         d = self.d
         reason = validate_transaction(m.tx, d.client_directory, d.protocol.max_tx_size)
         if reason is None:
-            ctx.send(self.batchers[map_to_shard(m.tx.tx_id, d.k)], msg.ForwardTx(m.tx, m.submission_id))
+            ctx.send(self.batchers[map_to_shard(m.tx.tx_id, d.k)], m)
         elif m.submission_id is not None:
             ctx.send(d.hub, msg.SubmissionReply(m.submission_id, self.party, False, reason))

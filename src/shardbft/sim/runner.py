@@ -251,14 +251,7 @@ class _Runner:
     # --- total-order sequencer ----------------------------------------------------
 
     def _on_sequencer(self, message) -> None:
-        if isinstance(message, msg.ConsensusSubmission):
-            event = message.event
-            is_share = isinstance(event, BatchAttestationShare)
-            ident = (event.signer, event.key()) if is_share else (event.signer, event.shard, event.term)
-            if ident not in self.round_seen:
-                self.round_seen.add(ident)
-                self.round_buffer.append(event)
-        elif isinstance(message, msg.RoundTick):
+        if isinstance(message, msg.RoundTick):
             if self.round_buffer:
                 self.round_no += 1
                 delivery = msg.RoundDelivery(self.round_no, tuple(self.round_buffer))
@@ -268,6 +261,12 @@ class _Runner:
             self.push(
                 self.now_us + self.cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick()
             )
+        else:  # a share or complaint, the object its batcher built
+            is_share = isinstance(message, BatchAttestationShare)
+            ident = (message.signer, message.key()) if is_share else (message.signer, message.shard, message.term)
+            if ident not in self.round_seen:
+                self.round_seen.add(ident)
+                self.round_buffer.append(message)
 
     # --- main loop ------------------------------------------------------------------
 

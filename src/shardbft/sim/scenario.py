@@ -160,9 +160,16 @@ class ScenarioConfig:
             raise ConfigError(f"need parties >= 3*faults+1, got parties={self.n_parties}, faults={self.f}")
         if len(self.adversary_parties()) > self.f:
             raise ConfigError("more adversary parties than the fault bound allows")
-        for a in self.adversaries:
+        listed = set()
+        for i, a in enumerate(self.adversaries):
             if a.party >= self.n_parties:
                 raise ConfigError(f"adversary party {a.party} out of range")
+            if a.party in listed:
+                raise ConfigError(f"config.adversaries[{i}].party lists party {a.party} again")
+            listed.add(a.party)
+        lossy = self.lossy_party
+        if lossy is not None and lossy >= self.n_parties:
+            raise ConfigError(f"config.lossy_party must be a party in [0, {self.n_parties}), got {lossy}")
         if self.latency.max_us > self.delta_us:
             raise ConfigError("latency model exceeds the declared post-GST delivery bound")
         if p.round_interval_us + 3 * self.latency.max_us > self.tob_delay_bound_us:

@@ -94,7 +94,7 @@ def test_batch_then_header_appends(party_keys, client_keys):
     node = _node(party_keys)
     ctx = StubCtx()
     batch = _batch(client_keys)
-    node.handle(msg.BatchStored(batch), ctx)
+    node.handle(batch, ctx)
     header, sigs = _signed_header(party_keys, [batch])
     node.handle(msg.PublishedHeader(header, sigs), ctx)
     assert len(node.ledger) == 1
@@ -106,8 +106,8 @@ def test_duplicate_batch_single_index_entry(party_keys, client_keys):
     node = _node(party_keys)
     ctx = StubCtx()
     batch = _batch(client_keys)
-    node.handle(msg.BatchStored(batch), ctx)
-    node.handle(msg.BatchStored(batch), ctx)
+    node.handle(batch, ctx)
+    node.handle(batch, ctx)
     assert len(node.index) == 1
 
 
@@ -121,7 +121,7 @@ def test_header_before_batch_waits_then_appends(party_keys, client_keys):
     # It starts fetching from its own party's batcher.
     pulls = [(d, m) for d, m in ctx.sent if isinstance(m, msg.AssemblerPull)]
     assert pulls and pulls[0][0] == node.d.batcher[0][0]
-    node.handle(msg.BatchStored(batch), ctx)
+    node.handle(batch, ctx)
     assert len(node.ledger) == 1
 
 
@@ -132,8 +132,8 @@ def test_out_of_order_headers_buffered(party_keys, client_keys):
     b1 = _batch(client_keys, seq=1, tag=b"b")
     h0, s0 = _signed_header(party_keys, [b0])
     h1, s1 = _signed_header(party_keys, [b1], block_seq=1, prev=header_digest(h0))
-    node.handle(msg.BatchStored(b0), ctx)
-    node.handle(msg.BatchStored(b1), ctx)
+    node.handle(b0, ctx)
+    node.handle(b1, ctx)
     node.handle(msg.PublishedHeader(h1, s1), ctx)
     assert len(node.ledger) == 0
     node.handle(msg.PublishedHeader(h0, s0), ctx)

@@ -161,18 +161,19 @@ def test_primary_batches_on_timer(client_directory, client_keys, party_keys):
     ctx = StubCtx()
     node.start(ctx)
     for i in range(3):
-        node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 4, client_keys), i), ctx)
+        node.handle(msg.SubmitTx(make_tx(i % 4, bytes([i + 1]) * 4, client_keys), i), ctx)
     assert node.height == 0
     _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     assert node.height == 1
     batch = node.ledger[0]
     assert batch.seq == 0 and batch.primary == 0 and len(batch.txs) == 3
-    shares = _sent_of(ctx, msg.ConsensusSubmission)
-    bas = [m.event for _, m in shares if isinstance(m.event, BatchAttestationShare)]
-    assert len(bas) == len(node.d.consensus)
+    shares = _sent_of(ctx, BatchAttestationShare)
+    assert [d for d, _ in shares] == list(node.d.consensus)
+    bas = [m for _, m in shares]
+    assert all(share is bas[0] for share in bas)  # one object, to every consensus node
     assert bas[0].seq == 0 and bas[0].digest == batch.digest()
-    stored = _sent_of(ctx, msg.BatchStored)
-    assert stored and stored[0][0] == node.d.assembler[0]
+    stored = _sent_of(ctx, Batch)
+    assert stored == [(node.d.assembler[0], batch)] and stored[0][1] is batch
 
 
 def test_primary_two_full_batches_disjoint(client_directory, client_keys, party_keys):
@@ -180,7 +181,7 @@ def test_primary_two_full_batches_disjoint(client_directory, client_keys, party_
     ctx = StubCtx()
     node.start(ctx)
     for i in range(6):
-        node.handle(msg.ForwardTx(make_tx(i % 4, bytes([i + 1]) * 5, client_keys), i), ctx)
+        node.handle(msg.SubmitTx(make_tx(i % 4, bytes([i + 1]) * 5, client_keys), i), ctx)
     _pump(node, ctx, until=US)
     assert node.height == 2
     a, b = node.ledger
@@ -195,7 +196,7 @@ def test_primary_empty_pool_no_batch(client_directory, party_keys):
     node.start(ctx)
     _pump(node, ctx, until=US)
     assert node.height == 0
-    assert not _sent_of(ctx, msg.ConsensusSubmission)
+    assert not _sent_of(ctx, (BatchAttestationShare, ComplaintVote))
 
 
 def test_primary_answers_queued_pull_on_persist(client_directory, client_keys, party_keys):
@@ -204,7 +205,7 @@ def test_primary_answers_queued_pull_on_persist(client_directory, client_keys, p
     node.start(ctx)
     node.handle(msg.PullRequest(0, requester_party=1), ctx)
     assert not _sent_of(ctx, msg.PullResponse)
-    node.handle(msg.ForwardTx(make_tx(0, b"hello", client_keys), 0), ctx)
+    node.handle(msg.SubmitTx(make_tx(0, b"hello", client_keys), 0), ctx)
     _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
     responses = _sent_of(ctx, msg.PullResponse)
     assert len(responses) == 1
@@ -231,7 +232,7 @@ def test_secondary_persists_and_attests(client_directory, client_keys, party_key
     txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(4)]
     node, ctx, batch = _secondary_with_batch(client_directory, client_keys, party_keys, txs)
     assert node.height == 1
-    bas = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)]
+    bas = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))]
     assert all(isinstance(e, BatchAttestationShare) for e in bas)
     # Matches the proposer's key field-for-field.
     assert bas[0].key() == batch.key()
@@ -247,7 +248,7 @@ def test_secondary_removes_pooled_txs_on_persist(client_directory, client_keys, 
     node.start(ctx)
     txs = [make_tx(i % 4, bytes([i + 7]) * 6, client_keys) for i in range(4)]
     for i, tx in enumerate(txs):
-        node.handle(msg.ForwardTx(tx, i), ctx)
+        node.handle(msg.SubmitTx(tx, i), ctx)
     assert len(node.pool.tx_index) == 4
     node.handle(msg.PullResponse(Batch(0, 0, 0, 0, tuple(txs)), 0), ctx)
     assert len(node.pool.tx_index) == 0
@@ -258,7 +259,7 @@ def test_secondary_complains_on_bogus_batch(client_directory, client_keys, party
     bad = [Transaction(70 + i, b"zz", Signature("test_mac", b"\x00" * 32)) for i in range(15)]
     node, ctx, _ = _secondary_with_batch(client_directory, client_keys, party_keys, good + bad)
     assert node.height == 0 and node.halted
-    votes = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)]
+    votes = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))]
     assert votes and all(isinstance(v, ComplaintVote) for v in votes)
     assert votes[0].term == 0 and votes[0].signer == 1
     # Halted until a term change: further responses are ignored.
@@ -299,7 +300,7 @@ def test_censorship_forward_once_then_complain(client_directory, client_keys, pa
     ctx = StubCtx()
     node.start(ctx)
     tx = make_tx(0, b"will be stuck", client_keys)
-    node.handle(msg.ForwardTx(tx, 0), ctx)
+    node.handle(msg.SubmitTx(tx, 0), ctx)
     ctx.take_sent()
     _pump(node, ctx, until=node.d.protocol.bucket_period_us + node.d.protocol.t_forward_us)
     fwd = [(d, m) for d, m in ctx.sent if isinstance(m, msg.SubmitTx)]
@@ -308,12 +309,12 @@ def test_censorship_forward_once_then_complain(client_directory, client_keys, pa
     assert fwd[0][1].submission_id is None
     ctx.take_sent()
     _pump(node, ctx, until=ctx.time + node.d.protocol.t_complain_us + node.d.protocol.bucket_period_us)
-    votes = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)]
+    votes = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))]
     assert len(votes) == len(node.d.consensus) and isinstance(votes[0], ComplaintVote)
     # One complaint per term, and the tx is forwarded only once.
     ctx.take_sent()
     _pump(node, ctx, until=ctx.time + US)
-    assert not _sent_of(ctx, msg.ConsensusSubmission)
+    assert not _sent_of(ctx, (BatchAttestationShare, ComplaintVote))
     assert not [m for _, m in ctx.sent if isinstance(m, msg.SubmitTx)]
 
 
@@ -353,7 +354,7 @@ def test_term_change_back_to_secondary(client_directory, client_keys, party_keys
     ctx = StubCtx()
     node.start(ctx)
     tx = make_tx(0, b"pooled", client_keys)
-    node.handle(msg.ForwardTx(tx, 0), ctx)
+    node.handle(msg.SubmitTx(tx, 0), ctx)
     ctx.take_sent()
     node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
     assert not node.is_primary
@@ -371,7 +372,7 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
     node, ctx, _batch = _secondary_with_batch(client_directory, client_keys, party_keys, txs)
     persisted = {tx.tx_id for tx in txs}
     pooled = make_tx(2, b"pooled", client_keys)
-    node.handle(msg.ForwardTx(pooled, 0), ctx)
+    node.handle(msg.SubmitTx(pooled, 0), ctx)
     # secondary -> primary -> secondary, a 2-term jump without and with a
     # role flip, and a 4-term jump that keeps the same primary.
     for term, primary in ((1, True), (2, False), (4, False), (5, True), (9, True), (11, False)):
@@ -394,16 +395,16 @@ def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_ke
     orphans = tuple(BatchKey(0, 0, bytes([i]) * 32, 0) for i in range(3))
     node.handle(msg.OrderedUpdate((), orphans, None), ctx)
     for i in range(2):
-        node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
+        node.handle(msg.SubmitTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
     _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
-    bas = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)][0]
+    bas = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))][0]
     # seq 0 cannot reference seq-0 orphans (only strictly earlier), so the
     # refs wait for the next attestation.
     assert bas.orphan_refs == ()
     ctx.take_sent()
     for i in range(2, 4):
-        node.handle(msg.ForwardTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
+        node.handle(msg.SubmitTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
     _pump(node, ctx, until=ctx.time + US)
-    bas2 = [m.event for _, m in _sent_of(ctx, msg.ConsensusSubmission)][0]
+    bas2 = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))][0]
     assert bas2.seq == 1
     assert bas2.orphan_refs == orphans[:2]  # capped at 2

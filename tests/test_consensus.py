@@ -84,7 +84,7 @@ def test_filter_drops_duplicate_signer_key(party_keys):
 def test_filter_drops_dedup_slot(party_keys):
     state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0)
-    state.dedup[share.key().slot()] = (share.digest, 0)
+    state.dedup[share.key().slot()] = 0
     ok, reason = filter_event(share, state, 0, pubs(party_keys))
     assert not ok and reason == DROP_DUPLICATE
 

@@ -14,14 +14,17 @@ import random
 import sys
 from collections import Counter
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from shardbft import core, crypto, router
+from shardbft import messages as msg
 from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
 from shardbft.behaviors import BEHAVIOR_KINDS, CENSOR_TX, CRASH
 from shardbft.cli import main
+from shardbft.router import REASON_BAD_SIGNATURE, REASON_MALFORMED, REASON_UNKNOWN_CLIENT
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
@@ -423,9 +426,11 @@ def test_event_count_and_heap_size_on_baseline():
     cfg = ScenarioConfig.from_dict(SCENARIOS["baseline"]())
     runner = _Runner(cfg)
     peak = [0]
+    pushed = {}  # id -> message; holding each message keeps its id unique
 
-    def track(_message):
+    def track(message):
         peak[0] = max(peak[0], len(runner.heap))
+        pushed[id(message)] = message
 
     _observe_pushes(runner, track)
     runner.run()
@@ -434,6 +439,9 @@ def test_event_count_and_heap_size_on_baseline():
     assert sum(runner.send_seq.values()) == 9481
     submissions = cfg.resolved_tx_count() * cfg.n_parties
     assert 0 < peak[0] < submissions
+    # Distinct objects behind those events: a relay passes on the object it
+    # got, and a share, complaint or batch goes out as itself to every peer.
+    assert len(pushed) == 3488
 
 
 def test_no_node_mutates_a_message_once_sent():
@@ -479,4 +487,51 @@ def test_routers_keep_no_state(monkeypatch):
 
     monkeypatch.setattr(router.RouterNode, "handle", observed)
     run_scenario(ScenarioConfig.from_dict(_ordering_short()))
-    assert handled["SubmitTx"] > 1_000 and handled["EnqueueResult"] > 1_000
+    assert handled["SubmitTx"] > 1_000 and handled["SubmissionReply"] > 1_000
+
+
+def test_protocol_objects_travel_as_themselves(monkeypatch):
+    # A node passes on the object it received and sends a share, complaint
+    # or persisted batch as the object it built, never a wrapper around it.
+    runner = _Runner(ScenarioConfig.from_dict(_ordering_short()))
+    d, nodes = runner.d, runner.nodes
+    routers, batchers = set(d.router), set(chain.from_iterable(d.batcher))
+    handling = {}  # router node id -> the message it is handling
+    events = {}  # id -> share or complaint a batcher sent consensus
+    stored = {nid: [] for nid in batchers}  # batches each batcher pushed to its assembler
+    relayed = Counter()
+    handle = router.RouterNode.handle
+
+    def handle_and_note(node, message, ctx):
+        handling[node.node_id] = message
+        handle(node, message, ctx)
+
+    monkeypatch.setattr(router.RouterNode, "handle", handle_and_note)
+    send = runner.network_send
+
+    def observe(sender, dest, message):
+        if sender in routers:
+            got = handling[sender]
+            if dest == d.hub and message is not got:  # a reply to an invalid submission
+                assert isinstance(got, msg.SubmitTx) and not message.ok
+                assert message.reason in {REASON_MALFORMED, REASON_UNKNOWN_CLIENT, REASON_BAD_SIGNATURE}
+            else:
+                assert message is got and dest in (d.hub, *d.batcher[nodes[sender].party])
+                relayed[type(message).__name__] += 1
+        elif sender in batchers and dest in d.consensus:
+            assert isinstance(message, (core.BatchAttestationShare, core.ComplaintVote))
+            events[id(message)] = message
+        elif sender in batchers and isinstance(message, core.Batch):
+            assert dest == d.assembler[nodes[sender].party] and message is nodes[sender].ledger[-1]
+            stored[sender].append(message)
+        elif dest == d.sequencer:
+            assert events[id(message)] is message
+            relayed[type(message).__name__] += 1
+        send(sender, dest, message)
+
+    runner.network_send = observe
+    runner.run()
+    assert all(relayed[name] > 100 for name in ("SubmitTx", "SubmissionReply", "BatchAttestationShare"))
+    assert relayed["ComplaintVote"] > 0
+    for nid in batchers:
+        assert [id(b) for b in stored[nid]] == [id(b) for b in nodes[nid].ledger]

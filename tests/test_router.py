@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 from shardbft import messages as msg
+from shardbft.batcher import BatcherNode
 from shardbft.core import Transaction
 from shardbft.crypto import Signature
 from shardbft.pools import INSERT_ACCEPTED, INSERT_BACKPRESSURE, INSERT_DUPLICATE
@@ -87,18 +88,33 @@ def _router(client_directory, shards=2):
     return RouterNode(make_deployment(client_directory=client_directory, shards=shards), 0)
 
 
+def _answers(txs, submission_ids, client_directory):
+    """The replies of party 0's batcher, with room for one pooled tx, to
+    each ``SubmitTx(tx, id)`` in turn."""
+    batcher = BatcherNode(make_deployment(client_directory=client_directory, pool_capacity=1), 0, 0)
+    ctx = StubCtx()
+    for tx, submission_id in zip(txs, submission_ids):
+        batcher.handle(msg.SubmitTx(tx, submission_id), ctx)
+    assert all(dest == batcher.d.router[0] for dest, _ in ctx.sent)
+    return [reply for _, reply in ctx.sent]
+
+
 def test_submission_ack_after_enqueue_confirmation(client_directory, client_keys):
     router = _router(client_directory)
     ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 7), ctx)
+    submit = msg.SubmitTx(tx, 7)
+    router.handle(submit, ctx)
     (dest, fwd), = ctx.take_sent()
     assert dest == router.d.batcher[0][map_to_shard(tx.tx_id, 2)]
-    assert isinstance(fwd, msg.ForwardTx) and fwd.submission_id == 7
-    # No reply yet: the ack is tied to the batcher confirming the enqueue.
-    router.handle(msg.EnqueueResult(7, INSERT_ACCEPTED), ctx)
+    assert fwd is submit
+    # No reply yet: the ack is tied to the batcher confirming the enqueue,
+    # and the router relays the batcher's own reply.
+    answer, = _answers([tx], [7], client_directory)
+    assert answer == msg.SubmissionReply(7, 0, True, INSERT_ACCEPTED)
+    router.handle(answer, ctx)
     (dest, reply), = ctx.take_sent()
-    assert dest == router.d.hub and reply.ok and reply.submission_id == 7 and reply.party == 0
+    assert dest == router.d.hub and reply is answer
 
 
 def test_invalid_submission_rejected_without_forwarding(client_directory, scheme):
@@ -111,31 +127,25 @@ def test_invalid_submission_rejected_without_forwarding(client_directory, scheme
 
 
 def test_duplicate_enqueue_still_acks(client_directory, client_keys):
-    router = _router(client_directory)
-    ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 1), ctx)
-    ctx.take_sent()
-    router.handle(msg.EnqueueResult(1, INSERT_DUPLICATE), ctx)
-    (_, reply), = ctx.take_sent()
-    assert reply.ok
+    first, again = _answers([tx, tx], [1, 1], client_directory)
+    assert first.ok and first.reason == INSERT_ACCEPTED
+    assert again.ok and again.reason == INSERT_DUPLICATE
 
 
 def test_backpressure_rejects(client_directory, client_keys):
-    router = _router(client_directory)
-    ctx = StubCtx()
-    tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, 2), ctx)
-    ctx.take_sent()
-    router.handle(msg.EnqueueResult(2, INSERT_BACKPRESSURE), ctx)
-    (_, reply), = ctx.take_sent()
-    assert not reply.ok
+    txs = [make_tx(1, payload, client_keys) for payload in (b"one", b"two")]
+    accepted, full = _answers(txs, [1, 2], client_directory)
+    assert accepted.ok
+    assert full == msg.SubmissionReply(2, 0, False, INSERT_BACKPRESSURE)
 
 
 def test_peer_forward_has_no_reply(client_directory, client_keys):
     router = _router(client_directory)
     ctx = StubCtx()
     tx = make_tx(1, b"payload", client_keys)
-    router.handle(msg.SubmitTx(tx, None), ctx)
+    submit = msg.SubmitTx(tx, None)
+    router.handle(submit, ctx)
     (dest, fwd), = ctx.take_sent()
-    assert isinstance(fwd, msg.ForwardTx) and fwd.submission_id is None
+    assert fwd is submit
+    assert _answers([tx], [None], client_directory) == []

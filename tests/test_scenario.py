@@ -132,6 +132,28 @@ def test_cross_key_rules_still_apply():
     ScenarioConfig.from_dict({"protocol": {"p_fail": 0, "alpha": 7, "sample_count": 3}})
 
 
+def test_lossy_party_must_name_a_party():
+    baseline = json.loads((ROOT / "configs" / "baseline.json").read_text())
+    with pytest.raises(ConfigError, match=re.escape("config.lossy_party must be a party in [0, 4), got 9")):
+        ScenarioConfig.from_dict({**baseline, "lossy_party": 9})
+    with pytest.raises(ConfigError, match="lossy_party"):
+        ScenarioConfig.from_dict({**baseline, "lossy_party": 4})
+    assert ScenarioConfig.from_dict({**baseline, "lossy_party": 3}).lossy_party == 3
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_an_adversary_party_listed_twice_is_rejected(swap):
+    # Two entries for one party would keep only one of them in the
+    # deployment, which one depending on their order.
+    entries = [
+        {"party": 0, "kind": "crash", "crash_at": 0.1},
+        {"party": 0, "kind": "censor_tx", "censor_clients": [0]},
+    ]
+    doc = {**CENSORSHIP, "adversaries": entries[::-1] if swap else entries}
+    with pytest.raises(ConfigError, match=re.escape("config.adversaries[1].party lists party 0 again")):
+        ScenarioConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_configs_round_trip(path):
     cfg = ScenarioConfig.from_json_file(path)

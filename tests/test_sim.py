@@ -303,7 +303,7 @@ def test_dedup_stays_in_epoch_order_and_expires_from_the_front(monkeypatch):
         before = set(node.state.dedup)
         apply_round(node, m, ctx)
         state = node.state
-        epochs = [epoch for _digest, epoch in state.dedup.values()]
+        epochs = list(state.dedup.values())
         assert epochs == sorted(epochs)
         # What a scan of every slot would leave: nothing below the horizon.
         assert all(epoch >= state.ordered_epoch - state.epoch_window for epoch in epochs)
