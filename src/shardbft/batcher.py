@@ -42,7 +42,7 @@ from .pools import (
 )
 from .router import validate_transaction
 
-_LONG_AGO = -(10**18)
+_LONG_AGO, _NEVER = -(10**18), 10**18
 
 
 def required_sample_size(alpha: float, p_fail: float) -> int:
@@ -128,7 +128,7 @@ class BatcherNode:
         self.equiv_variants: dict[int, dict[int, Batch]] = {}
         self.batch_opened_at: int | None = None
         self.last_propose_at = _LONG_AGO
-        self.kick_scheduled = False
+        self.propose_at = _NEVER  # the time of the one live ProposeKick
         self.reproposed_tx_ids: list[bytes] = []
         self._adv_rng = random.Random(
             int.from_bytes(sha256(b"adv" + u64(d.seed) + u64(party) + u64(shard)), "big")
@@ -174,13 +174,11 @@ class BatcherNode:
             self._on_pull_response(message, ctx)
         elif isinstance(message, msg.OrderedUpdate):
             self._on_ordered_update(message, ctx)
-        elif isinstance(message, msg.BatchTimer):
-            # Delivered exactly max_batch_latency after the batch opened.
-            if self.batch_opened_at == message.opened_at:
-                self._try_propose(ctx)
         elif isinstance(message, msg.ProposeKick):
-            self.kick_scheduled = False
-            self._try_propose(ctx)
+            if message.at == self.propose_at:  # any other kick was superseded
+                self.propose_at = _NEVER
+                if self.is_primary:
+                    self._on_kick(ctx)
         elif isinstance(message, msg.BucketTick):
             self._on_bucket_tick(ctx)
         elif isinstance(message, msg.AssemblerPull):
@@ -211,48 +209,39 @@ class BatcherNode:
             self._arm_proposal(ctx)
         return status
 
-    def _arm_proposal(self, ctx) -> None:
-        assert isinstance(self.pool, PrimaryPool)
-        if self.pool.has_sealed():
-            self._maybe_kick(ctx)
-        if self.pool.pending:
-            if self.batch_opened_at is None:
-                self.batch_opened_at = ctx.now()
-                ctx.schedule(self.d.protocol.max_batch_latency_us, msg.BatchTimer(self.batch_opened_at))
-        else:
-            self.batch_opened_at = None
-
-    def _maybe_kick(self, ctx) -> None:
-        if self.kick_scheduled:
-            return
-        delay = max(0, self.last_propose_at + self.d.protocol.min_propose_interval_us - ctx.now())
-        self.kick_scheduled = True
-        ctx.schedule(delay, msg.ProposeKick())
-
     # --- primary: proposing ----------------------------------------------
 
-    def _try_propose(self, ctx) -> None:
-        if not self.is_primary:
-            return
-        now = ctx.now()
+    def _due_at(self, now: int) -> int:
+        """The batching rule, the earliest time this primary may propose: at once
+        for a sealed batch, ``max_batch_latency`` after a partial one opened, and
+        never within ``min_propose_interval`` of the last proposal."""
         proto = self.d.protocol
-        if now - self.last_propose_at < proto.min_propose_interval_us:
-            self._maybe_kick(ctx)
-            return
-        opened = self.batch_opened_at
-        timed_out = opened is not None and now - opened >= proto.max_batch_latency_us
-        if not self.pool.has_sealed() and not (self.pool.pending and timed_out):
-            return
-        txs = self.pool.next_batch()
+        if self.pool.has_sealed():
+            at = now
+        elif self.pool.pending:
+            at = self.batch_opened_at + proto.max_batch_latency_us
+        else:
+            return _NEVER
+        return max(at, self.last_propose_at + proto.min_propose_interval_us)
+
+    def _arm_proposal(self, ctx) -> None:
+        """Keep one live ``ProposeKick``, at the earliest time the rule allows."""
+        now = ctx.now()
         if not self.pool.pending:
             self.batch_opened_at = None
-        if not txs:
-            return
-        self.last_propose_at = now
-        batch = self._build_batch(tuple(txs))
-        self._persist(batch, ctx)
-        if self.pool.has_sealed():
-            self._maybe_kick(ctx)
+        elif self.batch_opened_at is None:
+            self.batch_opened_at = now
+        at = self._due_at(now)
+        if at < self.propose_at:
+            self.propose_at = at
+            ctx.schedule(at - now, msg.ProposeKick(at))
+
+    def _on_kick(self, ctx) -> None:
+        now = ctx.now()
+        if self._due_at(now) <= now:
+            self.last_propose_at = now
+            self._persist(self._build_batch(tuple(self.pool.next_batch())), ctx)
+        self._arm_proposal(ctx)
 
     def _build_batch(self, txs: tuple[Transaction, ...]) -> Batch:
         seq = self.height

@@ -123,16 +123,16 @@ class AssemblerPullResponse:
 
 
 # --- timers -----------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class BatchTimer:
-    opened_at: int
+# A node schedules these to itself; none crosses the network.
 
 
 @dataclass(slots=True)
 class ProposeKick:
-    pass
+    """A primary batcher's proposal timer. Only the latest one scheduled is
+    live: a kick whose ``at`` is not the batcher's ``propose_at`` was
+    superseded by an earlier one and does nothing."""
+
+    at: int
 
 
 @dataclass(slots=True)

@@ -91,7 +91,7 @@ class SecondaryPool:
         self.capacity = capacity
         self.open_bucket: dict[bytes, Transaction] = {}
         self.sealed: deque[Bucket] = deque()
-        self.tx_index: set[bytes] = set()
+        self.tx_index: dict[bytes, dict[bytes, Transaction]] = {}  # tx id -> its bucket's txs
 
     def insert(self, tx: Transaction) -> str:
         tx_id = tx.tx_id
@@ -99,7 +99,7 @@ class SecondaryPool:
             return INSERT_DUPLICATE
         if self.capacity is not None and len(self.tx_index) >= self.capacity:
             return INSERT_BACKPRESSURE
-        self.tx_index.add(tx_id)
+        self.tx_index[tx_id] = self.open_bucket
         self.open_bucket[tx_id] = tx
         return INSERT_ACCEPTED
 
@@ -110,15 +110,11 @@ class SecondaryPool:
 
     def remove(self, tx_ids) -> None:
         """Drop transactions that appeared in a persisted batch; GC empty buckets."""
-        hits = self.tx_index.intersection(tx_ids)
-        if not hits:
-            return
-        self.tx_index.difference_update(hits)
-        for tx_id in hits:
-            self.open_bucket.pop(tx_id, None)
-        for bucket in self.sealed:
-            for tx_id in hits:
-                bucket.txs.pop(tx_id, None)
+        index = self.tx_index
+        for tx_id in tx_ids:
+            txs = index.pop(tx_id, None)
+            if txs is not None:
+                del txs[tx_id]
         while self.sealed and not self.sealed[0].txs:
             self.sealed.popleft()
 

@@ -154,28 +154,30 @@ class ScenarioConfig:
         return self.f * self.protocol.t_censor_us + self.tob_delay_bound_us + 2 * self.delta_us
 
     def validate(self) -> None:
-        """The rules that span keys; each key's own range is in its field."""
-        p = self.protocol
-        if self.n_parties < 3 * self.f + 1:
-            raise ConfigError(f"need parties >= 3*faults+1, got parties={self.n_parties}, faults={self.f}")
-        if len(self.adversary_parties()) > self.f:
-            raise ConfigError("more adversary parties than the fault bound allows")
+        """The rules that span keys, each naming the key it blames; a key's own range is in its field."""
+        p, n, f = self.protocol, self.n_parties, self.f
+        if n < 3 * f + 1:
+            raise ConfigError(f"config.parties must be >= 3*faults+1, got parties={n}, faults={f}")
+        if len(self.adversary_parties()) > f:
+            raise ConfigError(f"config.adversaries names more parties than faults={f} allows")
         listed = set()
         for i, a in enumerate(self.adversaries):
-            if a.party >= self.n_parties:
-                raise ConfigError(f"adversary party {a.party} out of range")
+            if a.party >= n:
+                raise ConfigError(f"config.adversaries[{i}].party must be a party in [0, {n}), got {a.party}")
             if a.party in listed:
                 raise ConfigError(f"config.adversaries[{i}].party lists party {a.party} again")
             listed.add(a.party)
         lossy = self.lossy_party
-        if lossy is not None and lossy >= self.n_parties:
-            raise ConfigError(f"config.lossy_party must be a party in [0, {self.n_parties}), got {lossy}")
+        if lossy is not None and lossy >= n:
+            raise ConfigError(f"config.lossy_party must be a party in [0, {n}), got {lossy}")
         if self.latency.max_us > self.delta_us:
-            raise ConfigError("latency model exceeds the declared post-GST delivery bound")
-        if p.round_interval_us + 3 * self.latency.max_us > self.tob_delay_bound_us:
-            raise ConfigError("declared total-order latency bound is below what the model can deliver")
-        if p.sample_count is None and not (0.0 < p.alpha < 1.0 and 0.0 < p.p_fail < 1.0):
-            raise ConfigError("alpha and p_fail must be in (0, 1) unless sample_count is set")
+            raise ConfigError(f"config.delta must be >= latency.base + jitter = {seconds(self.latency.max_us)}")
+        if (tob := p.round_interval_us + 3 * self.latency.max_us) > self.tob_delay_bound_us:
+            raise ConfigError(f"config.tob_delay_bound must be >= round_interval + 3 * max delay = {seconds(tob)}")
+        if p.sample_count is None:
+            for key in ("alpha", "p_fail"):
+                if not 0.0 < getattr(p, key) < 1.0:
+                    raise ConfigError(f"config.protocol.{key} must be in (0, 1) unless sample_count is set")
 
     # --- (de)serialization ---------------------------------------------------
 

@@ -213,6 +213,108 @@ def test_primary_answers_queued_pull_on_persist(client_directory, client_keys, p
     assert dest == node.d.batcher[1][0] and resp.batch.seq == 0
 
 
+def _record_proposals(node) -> list[int]:
+    """The virtual time of every batch ``node`` proposes from now on."""
+    times = []
+    persist = node._persist
+
+    def record(batch, ctx):
+        times.append(ctx.now())
+        persist(batch, ctx)
+
+    node._persist = record
+    return times
+
+
+def _submit(node, ctx, client_keys, at, count, first=0):
+    ctx.time = at
+    for i in range(first, first + count):
+        node.handle(msg.SubmitTx(make_tx(i % 4, i.to_bytes(4, "big"), client_keys), i), ctx)
+
+
+def _kick_times(ctx):
+    return sorted(m.at for _, m in ctx.timers if isinstance(m, msg.ProposeKick))
+
+
+def test_partial_batch_proposes_max_batch_latency_after_it_opened(client_directory, client_keys, party_keys):
+    node = _node(0, client_directory, party_keys)
+    ctx = StubCtx()
+    node.start(ctx)
+    proposed = _record_proposals(node)
+    latency = node.d.protocol.max_batch_latency_us
+    _submit(node, ctx, client_keys, at=7_000, count=2)
+    _submit(node, ctx, client_keys, at=50_000, count=1, first=2)  # joins the open batch
+    _pump(node, ctx, until=7_000 + latency - 1)
+    assert proposed == []
+    _pump(node, ctx, until=US)
+    assert proposed == [7_000 + latency] and len(node.ledger[0].txs) == 3
+
+
+def test_sealed_batch_proposes_at_once(client_directory, client_keys, party_keys):
+    node = _node(0, client_directory, party_keys, max_batch_size=3)
+    ctx = StubCtx()
+    node.start(ctx)
+    proposed = _record_proposals(node)
+    _submit(node, ctx, client_keys, at=7_000, count=3)
+    _pump(node, ctx, until=7_000)
+    assert proposed == [7_000] and len(node.ledger[0].txs) == 3
+
+
+@pytest.mark.parametrize(
+    "interval, expected",
+    [
+        # Three sealed batches one interval apart, then the partial on its timeout.
+        (5_000, [1_000, 6_000, 11_000, 101_000]),
+        # The interval outlasts the partial batch's timeout and holds it back.
+        (150_000, [1_000, 151_000, 301_000, 451_000]),
+    ],
+)
+def test_no_proposal_within_min_propose_interval(client_directory, client_keys, party_keys, interval, expected):
+    node = _node(0, client_directory, party_keys, max_batch_size=2, min_propose_interval_us=interval)
+    ctx = StubCtx()
+    node.start(ctx)
+    proposed = _record_proposals(node)
+    _submit(node, ctx, client_keys, at=1_000, count=7)
+    _pump(node, ctx, until=US)
+    assert proposed == expected
+    assert [len(b.txs) for b in node.ledger] == [2, 2, 2, 1]
+
+
+def test_superseded_kick_proposes_nothing(client_directory, client_keys, party_keys):
+    node = _node(0, client_directory, party_keys, max_batch_size=2)
+    ctx = StubCtx()
+    node.start(ctx)
+    proposed = _record_proposals(node)
+    _submit(node, ctx, client_keys, at=0, count=1)
+    assert _kick_times(ctx) == [100_000]  # the partial batch's timeout
+    _submit(node, ctx, client_keys, at=1_000, count=1, first=1)  # seals it: an earlier kick
+    _pump(node, ctx, until=1_000)
+    assert proposed == [1_000]
+    _submit(node, ctx, client_keys, at=2_000, count=1, first=2)  # a new partial batch
+    assert _kick_times(ctx) == [100_000, 102_000]
+    _pump(node, ctx, until=100_000)  # delivers the superseded kick
+    assert proposed == [1_000] and _kick_times(ctx) == [102_000]
+    _pump(node, ctx, until=US)
+    assert proposed == [1_000, 102_000]
+
+
+def test_kick_from_an_earlier_term_does_not_propose_early(client_directory, client_keys, party_keys):
+    # Party 0 of 4 leads terms 0 and 4. Its term-0 kick is still live when it
+    # leads again with the batch reopened, so the kick must check the rule.
+    node = _node(0, client_directory, party_keys)
+    ctx = StubCtx()
+    node.start(ctx)
+    proposed = _record_proposals(node)
+    _submit(node, ctx, client_keys, at=0, count=1)
+    ctx.time = 10_000
+    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
+    ctx.time = 50_000
+    node.handle(msg.OrderedUpdate((), (), new_term=4), ctx)
+    assert node.is_primary and _kick_times(ctx) == [100_000]
+    _pump(node, ctx, until=US)
+    assert proposed == [150_000]
+
+
 # --- secondary behavior ----------------------------------------------------------
 
 
@@ -383,9 +485,9 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
         assert (node.pool is pool) == (term not in (1, 2, 5, 11))
         assert pooled.tx_id in node.pool.tx_index
         if primary:
-            assert persisted <= node.pool.tx_index
+            assert persisted <= set(node.pool.tx_index)
         else:
-            assert not persisted & node.pool.tx_index
+            assert not persisted & set(node.pool.tx_index)
 
 
 def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_keys):

@@ -13,7 +13,7 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -442,6 +442,16 @@ def test_event_count_and_heap_size_on_baseline():
     # Distinct objects behind those events: a relay passes on the object it
     # got, and a share, complaint or batch goes out as itself to every peer.
     assert len(pushed) == 3488
+
+
+def test_every_message_class_is_sent():
+    # A message class that nothing sends is dead code; failover sends them all.
+    runner = _Runner(ScenarioConfig.from_dict(SCENARIOS["failover"]()))
+    sent = set()
+    _observe_pushes(runner, lambda message: sent.add(type(message)))
+    runner.run()
+    defined = {c for c in vars(msg).values() if is_dataclass(c) and c.__module__ == msg.__name__}
+    assert len(defined) > 10 and not defined - sent, defined - sent
 
 
 def test_no_node_mutates_a_message_once_sent():

@@ -124,12 +124,30 @@ def test_missing_adversary_party_is_a_config_error():
 def test_cross_key_rules_still_apply():
     with pytest.raises(ConfigError, match="3\\*faults\\+1"):
         ScenarioConfig.from_dict({"parties": 3, "faults": 1})
-    with pytest.raises(ConfigError, match="out of range"):
+    with pytest.raises(ConfigError, match=re.escape("config.adversaries[0].party must be a party in [0, 4), got 4")):
         ScenarioConfig.from_dict({"adversaries": [{"party": 4, "kind": "crash"}]})
     with pytest.raises(ConfigError, match="p_fail"):
         ScenarioConfig.from_dict({"protocol": {"p_fail": 0}})
     # An explicit sample count makes alpha and p_fail irrelevant.
     ScenarioConfig.from_dict({"protocol": {"p_fail": 0, "alpha": 7, "sample_count": 3}})
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"parties": 3, "faults": 1}, "config.parties"),
+        ({"adversaries": [{"party": 0, "kind": "crash"}, {"party": 1, "kind": "crash"}]}, "config.adversaries"),
+        ({"adversaries": [{"party": 4, "kind": "crash"}]}, "config.adversaries[0].party"),
+        ({"delta": 0.01}, "config.delta"),
+        ({"tob_delay_bound": 0.1}, "config.tob_delay_bound"),
+        ({"protocol": {"alpha": 1}}, "config.protocol.alpha"),
+        ({"protocol": {"p_fail": 0}}, "config.protocol.p_fail"),
+    ],
+)
+def test_cross_key_rejections_name_the_key_path(doc, where):
+    # The rules that span keys blame one key, as the per-key checks do.
+    with pytest.raises(ConfigError, match="^" + re.escape(where) + " "):
+        ScenarioConfig.from_dict(doc)
 
 
 def test_lossy_party_must_name_a_party():
