@@ -21,7 +21,7 @@ from pathlib import Path
 from .assembler import read_ledger, verify_ledger_blocks, write_ledger
 from .batcher import required_sample_size
 from .crypto import SCHEMES
-from .sim.report import report_to_json, summarize, write_csv
+from .sim.report import iter_report_json, summarize, write_csv
 from .sim.runner import run_scenario
 from .sim.scenario import ConfigError, ScenarioConfig, seconds
 
@@ -59,7 +59,8 @@ def _cmd_run(args) -> int:
 
 
 def _write_outputs(out: Path, cfg: ScenarioConfig, report) -> None:
-    (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        fh.writelines(iter_report_json(report))
     write_csv(report, out / "series.csv")
     keys_doc = {
         "scheme": cfg.scheme,

@@ -8,7 +8,8 @@ Two schemes share one interface:
   construction as long as the harness never signs with a key on behalf of a
   node that does not own it.
 * ``standard_signature`` -- Ed25519 via the ``cryptography`` package, for runs
-  that want a real asymmetric scheme.
+  that want a real asymmetric scheme. The package is imported on the first
+  Ed25519 key operation, so a ``test_mac`` process never loads it.
 
 Key generation is deterministic in the seed so that whole simulations replay
 bit-for-bit.
@@ -25,12 +26,13 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
 
 SCHEME_TEST_MAC = "test_mac"
 SCHEME_ED25519 = "standard_signature"
@@ -88,15 +90,30 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     raise ValueError(f"unknown signature scheme: {key.scheme!r}")
 
 
+# The Ed25519 backend is imported in the three functions below. The key
+# caches run an import once per key, and ``_invalid_signature`` runs only on
+# a failed check, so a verify pays no import.
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _private_key(raw: bytes) -> Ed25519PrivateKey:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
     return Ed25519PrivateKey.from_private_bytes(raw)
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _public_key(raw: bytes) -> Ed25519PublicKey:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
     # A malformed key raises ValueError, which lru_cache never stores.
     return Ed25519PublicKey.from_public_bytes(raw)
+
+
+def _invalid_signature() -> type[Exception]:
+    # Called only while an exception propagates out of an Ed25519 check, by
+    # which time ``_public_key`` has loaded the backend.
+    from cryptography.exceptions import InvalidSignature
+
+    return InvalidSignature
 
 
 @lru_cache(maxsize=VERIFY_CACHE_SIZE)
@@ -117,5 +134,5 @@ def verify(public: bytes, message: bytes, sig: Signature) -> bool:
     try:
         _public_key(public).verify(sig.data, message)
         return True
-    except (InvalidSignature, ValueError):
+    except (ValueError, _invalid_signature()):
         return False

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardbft.cli import main
+from shardbft.sim.report import JSON_CHUNK_RECORDS, report_to_json
+from shardbft.sim.runner import run_scenario
+from shardbft.sim.scenario import ScenarioConfig
 
 BASE_CONFIG = {
     "parties": 4,
@@ -58,6 +61,19 @@ def test_run_writes_artifacts(run_dir):
     assert all(entry["pass"] for entry in report["checks"].values())
     header = (run_dir / "series.csv").read_text().splitlines()[0]
     assert header == "time_s,committed_txs,mean_latency_s,p95_latency_s,pending_size"
+
+
+def test_report_file_equals_report_to_json(tmp_path):
+    # The CLI writes report.json a chunk at a time; the file must hold the
+    # same bytes as the one-string encoding of the same run, over several
+    # chunks of transaction records.
+    doc = {**BASE_CONFIG, "tx_rate": 600.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    assert len(report.tx_records) > 2 * JSON_CHUNK_RECORDS
+    assert (tmp_path / "out" / "report.json").read_bytes() == report_to_json(report).encode("utf-8")
 
 
 def test_run_rejects_invalid_config(tmp_path):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from shardbft import messages as msg
 from shardbft.consensus import (
     ConsensusNode,
@@ -452,24 +454,46 @@ def test_same_slot_two_digests_single_winner(party_keys):
     assert node.state.next_block_seq == 1
 
 
-def test_expired_slot_takes_its_pending_keys_along(party_keys):
-    # The round-1 loser for slot (0, 0, 0) holds F+1 shares. When the slot's
-    # dedup entry expires (epoch 0 falls behind the epoch-5 horizon), the
-    # loser must leave pending with it, or the next round gives the slot a
-    # second header entry.
+def _expire_slot_zero(party_keys):
+    # Round 1 gives slot (0, 0, 0) to one of two digests, each with F+1
+    # shares; two rounds of epoch-5 shares for seqs 1 and 2 then move the
+    # horizon past epoch 0, so the slot's dedup entry expires.
     node = make_node(party_keys, epoch_length=10, window=2)
     ctx = StubCtx()
     d1, d2 = sha256(b"variant a"), sha256(b"variant b")
     events = tuple(make_share(party_keys, s, 0, digest=d1 if s < 2 else d2) for s in range(4))
     node.handle(msg.RoundDelivery(1, events), ctx)
-    slot = events[0].key().slot()
     for round_no, seq in ((2, 1), (3, 2)):
         shares = tuple(make_share(party_keys, s, seq, epoch=5) for s in (0, 1))
         node.handle(msg.RoundDelivery(round_no, shares), ctx)
-    slots = [key.slot() for seq in sorted(node.headers) for key in node.headers[seq].batch_digests]
-    assert slots == [slot, (0, 1, 0), (0, 2, 0)]
+    return node, ctx, events[0].key().slot()
+
+
+def _header_slots(node):
+    return [key.slot() for seq in sorted(node.headers) for key in node.headers[seq].batch_digests]
+
+
+def test_expired_slot_takes_its_pending_keys_along(party_keys):
+    # The round-1 loser must leave pending with its expired slot, or the
+    # next round gives the slot a second header entry.
+    node, _ctx, slot = _expire_slot_zero(party_keys)
+    assert _header_slots(node) == [slot, (0, 1, 0), (0, 2, 0)]
     assert slot not in node.state.dedup
     assert not [key for key in node.state.pending if key.slot() == slot]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a fresh-epoch share reopens an expired slot; ROADMAP item 1's per-shard "
+    "low-water mark of headed seqs closes it",
+)
+def test_fresh_epoch_shares_never_reopen_an_expired_slot(party_keys):
+    # F+1 shares with a current epoch for the expired slot pass both epoch
+    # checks, as an honest secondary's share for a late-persisted batch would.
+    node, ctx, slot = _expire_slot_zero(party_keys)
+    fresh = tuple(make_share(party_keys, s, 0, digest=sha256(b"variant c"), epoch=5) for s in (2, 3))
+    node.handle(msg.RoundDelivery(4, fresh), ctx)
+    assert _header_slots(node).count(slot) == 1
 
 
 def test_replayed_stale_share_never_makes_second_header(party_keys):

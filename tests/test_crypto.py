@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
 import hmac
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shardbft
 from shardbft.crypto import (
     SCHEME_ED25519,
     SCHEME_TEST_MAC,
@@ -163,3 +168,46 @@ def test_malformed_ed25519_public_key_false_on_every_call(public):
     sig = sign(keygen(b"\x09" * 32, SCHEME_ED25519), b"m")
     assert verify(public, b"m", sig) is False
     assert verify(public, b"m", sig) is False
+
+
+# Runs in a fresh interpreter: this test process has long since loaded the
+# Ed25519 backend through the tests above.
+_LAZY_BACKEND_SCRIPT = """
+import sys
+import tempfile
+from pathlib import Path
+
+from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
+from shardbft.crypto import SCHEME_ED25519, Signature, keygen, sign, verify
+from shardbft.sim.report import report_to_json
+from shardbft.sim.runner import run_scenario
+from shardbft.sim.scenario import ScenarioConfig
+
+cfg = ScenarioConfig.from_dict({"duration": 0.5, "tx_rate": 40})
+report = run_scenario(cfg)
+assert cfg.scheme == "test_mac" and report.all_checks_pass() and report_to_json(report)
+party = min(report.ledgers)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "ledger.bin"
+    write_ledger(path, report.ledgers[party])
+    blocks = read_ledger(path, cfg.scheme)
+assert blocks and verify_ledger_blocks(blocks, report.party_keys, cfg.n_parties, cfg.f)[0]
+assert "cryptography" not in sys.modules, "a test_mac run loaded the Ed25519 backend"
+
+kp = keygen(bytes(32), SCHEME_ED25519)
+assert "cryptography" in sys.modules
+sig = sign(kp, b"m")
+assert verify(kp.public, b"m", sig)
+assert verify(kp.public, b"n", sig) is False
+assert verify(b"\\x01" * 31, b"m", sig) is False
+assert verify(kp.public, b"m", Signature(SCHEME_ED25519, bytes(64))) is False
+"""
+
+
+def test_test_mac_run_never_loads_the_ed25519_backend():
+    src = str(Path(shardbft.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_BACKEND_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shardbft import messages as msg
-from shardbft.sim.report import RunReport, TxRecord, _percentile, write_csv
+from shardbft.sim.report import (
+    JSON_CHUNK_RECORDS,
+    RunReport,
+    TxRecord,
+    _percentile,
+    iter_report_json,
+    report_to_json,
+    write_csv,
+)
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
@@ -189,3 +197,55 @@ def test_report_acks_equal_the_distinct_parties_that_acked():
     for record in report.tx_records:
         assert record.to_dict()["acks"] == len(acked.get(record.index, ()))
         assert record.ack_quorum_us == quorum_at.get(record.index)
+
+
+def _record(i: int) -> TxRecord:
+    # Every third tx is censored and never commits; every fifth has rejects.
+    committed = i % 3 != 0
+    return TxRecord(
+        index=i,
+        tx_id=i.to_bytes(32, "big"),
+        client=i % 4,
+        shard=i % 2,
+        submit_us=1_000 * i,
+        censored=not committed,
+        acks=0b1011 if i % 2 else 0,
+        ack_quorum_us=1_000 * i + 300 if i % 2 else None,
+        rejects={"stale": 2, "backpressure": 1} if i % 5 == 0 else {},
+        first_commit_us=1_000 * i + 900 if committed else None,
+        last_commit_us=1_000 * i + 1_200 if committed else None,
+        commit_count=4 if committed else 0,
+    )
+
+
+def _synthetic_report(records: list[TxRecord]) -> RunReport:
+    return RunReport(
+        config={"seed": 3, "protocol": {"alpha": 0.25}, "name": "caf\u00e9"},
+        quiescent=False,
+        end_time_us=9_000_000,
+        tx_records=records,
+        term_changes=[(860_000, 1, 1)],
+        reproposed_tx_ids=["ab" * 32],
+        pending_series=[(0, 0), (20_000, 7)],
+        throughput_series=[(100_000, 3)],
+        ledger_digests={0: "00" * 32, 2: "ff" * 32},
+        committed_total=len(records),
+        duplicate_commits=1,
+        bogus_batch_commits=0,
+        per_shard={0: {"batches": 2, "txs": 5, "duplicates": 0}},
+        drops={"stale_epoch": 3, "bad_signature": 1},
+        checks={"agreement": {"pass": True}, "no_loss_no_unbounded_dup": {"pass": False, "lost": 2}},
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, JSON_CHUNK_RECORDS, JSON_CHUNK_RECORDS + 1])
+def test_chunked_encoding_equals_one_shot_dumps(count):
+    report = _synthetic_report([_record(i) for i in range(count)])
+    whole = {**report.head_dict(), "txs": [r.to_dict() for r in report.tx_records]}
+    expected = json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"
+    assert report_to_json(report) == expected
+    pieces = list(iter_report_json(report))
+    assert "".join(pieces) == expected
+    # The head, one piece per started chunk, and the closing.
+    assert len(pieces) == 2 + -(-count // JSON_CHUNK_RECORDS)
+    assert json.loads(expected)["txs"][-1:] == [r.to_dict() for r in report.tx_records[-1:]]
