@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .assembler import read_ledger, verify_ledger_blocks, write_ledger
 from .batcher import required_sample_size
-from .crypto import SCHEMES
+from .crypto import PUBLIC_KEY_LEN, SCHEMES
 from .sim.report import iter_report_json, summarize, write_csv
 from .sim.runner import run_scenario
 from .sim.scenario import ConfigError, ScenarioConfig, seconds
@@ -85,7 +85,11 @@ def _read_keys(path):
         raise ValueError(f"need integer parties >= 3*faults+1, got parties={n!r}, faults={f!r}")
     if not isinstance(keys, dict) or not all(isinstance(k, str) for k in keys.values()):
         raise ValueError("party_keys must map party ids to hex strings")
-    return scheme, n, f, {int(p): bytes.fromhex(k) for p, k in keys.items()}
+    party_keys = {int(p): bytes.fromhex(k) for p, k in keys.items()}
+    for party, key in party_keys.items():
+        if len(key) != PUBLIC_KEY_LEN:
+            raise ValueError(f"party {party}'s key is {len(key)} bytes, not {PUBLIC_KEY_LEN}")
+    return scheme, n, f, party_keys
 
 
 def _cmd_verify(args) -> int:

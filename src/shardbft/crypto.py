@@ -7,9 +7,12 @@ Two schemes share one interface:
   default for simulations: it is fast, reproducible, and unforgeable by
   construction as long as the harness never signs with a key on behalf of a
   node that does not own it.
-* ``standard_signature`` -- Ed25519 via the ``cryptography`` package, for runs
-  that want a real asymmetric scheme. The package is imported on the first
-  Ed25519 key operation, so a ``test_mac`` process never loads it.
+* ``standard_signature`` -- Ed25519 (RFC 8032), for runs that want a real
+  asymmetric scheme. Its backend is chosen once per process, on the first
+  Ed25519 key operation, from what loads: the system libsodium through
+  ``ctypes`` if it loads and reproduces RFC 8032's TEST 1, else the
+  ``cryptography`` package. Both give the same bytes, so the choice changes
+  speed and memory, never a result. A ``test_mac`` process loads neither.
 
 Key generation is deterministic in the seed so that whole simulations replay
 bit-for-bit.
@@ -39,7 +42,10 @@ SCHEME_ED25519 = "standard_signature"
 
 SCHEMES = (SCHEME_TEST_MAC, SCHEME_ED25519)
 
-_SIG_LEN = {SCHEME_TEST_MAC: 32, SCHEME_ED25519: 64}
+_ED25519_SIG_LEN = 64
+_SIG_LEN = {SCHEME_TEST_MAC: 32, SCHEME_ED25519: _ED25519_SIG_LEN}
+# A public key is 32 bytes in both schemes, and so is an Ed25519 secret.
+PUBLIC_KEY_LEN = _SECRET_LEN = 32
 
 # Distinct (public, message, signature) verdicts kept by ``verify``: several
 # times the largest per-run working set seen (about 6.7k triples).
@@ -77,8 +83,7 @@ def keygen(seed: bytes, scheme: str = SCHEME_TEST_MAC) -> KeyPair:
         return KeyPair(scheme, secret, secret)
     if scheme == SCHEME_ED25519:
         raw = hashlib.sha256(b"ed25519-key" + seed).digest()
-        pub = _private_key(raw).public_key().public_bytes_raw()
-        return KeyPair(scheme, raw, pub)
+        return KeyPair(scheme, raw, _ed25519().public_key(raw))
     raise ValueError(f"unknown signature scheme: {scheme!r}")
 
 
@@ -86,13 +91,58 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     if key.scheme == SCHEME_TEST_MAC:
         return Signature(key.scheme, hmac.digest(key.secret, message, "sha256"))
     if key.scheme == SCHEME_ED25519:
-        return Signature(key.scheme, _private_key(key.secret).sign(message))
+        return Signature(key.scheme, _ed25519().sign(key.secret, message))
     raise ValueError(f"unknown signature scheme: {key.scheme!r}")
 
 
-# The Ed25519 backend is imported in the three functions below. The key
-# caches run an import once per key, and ``_invalid_signature`` runs only on
-# a failed check, so a verify pays no import.
+# --- Ed25519 backends ---------------------------------------------------------
+# Each takes raw bytes: ``public_key(secret)``, ``sign(secret, message)`` and
+# ``verify(public, message, signature)``. A secret of the wrong length raises
+# ValueError; a key or signature of the wrong length verifies False.
+
+# RFC 8032 section 7.1, TEST 1: the secret, its public key, and the signature
+# of the empty message.
+_TEST1_SECRET = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+_TEST1_PUBLIC = bytes.fromhex("d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+_TEST1_SIGNATURE = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+    "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+
+
+def _passes_test1(backend) -> bool:
+    return (
+        backend.public_key(_TEST1_SECRET) == _TEST1_PUBLIC
+        and backend.sign(_TEST1_SECRET, b"") == _TEST1_SIGNATURE
+        and backend.verify(_TEST1_PUBLIC, b"", _TEST1_SIGNATURE)
+    )
+
+
+class _Cryptography:
+    """Ed25519 through the ``cryptography`` package (OpenSSL)."""
+
+    name = "cryptography"
+
+    @staticmethod
+    def public_key(secret: bytes) -> bytes:
+        return _private_key(secret).public_key().public_bytes_raw()
+
+    @staticmethod
+    def sign(secret: bytes, message: bytes) -> bytes:
+        return _private_key(secret).sign(message)
+
+    @staticmethod
+    def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+        try:
+            _public_key(public).verify(signature, message)
+            return True
+        except (ValueError, _invalid_signature()):
+            return False
+
+
+# The package is imported in the three functions below. The key caches run an
+# import once per key, and ``_invalid_signature`` runs only on a failed check,
+# so a verify pays no import.
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _private_key(raw: bytes) -> Ed25519PrivateKey:
     from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -110,10 +160,82 @@ def _public_key(raw: bytes) -> Ed25519PublicKey:
 
 def _invalid_signature() -> type[Exception]:
     # Called only while an exception propagates out of an Ed25519 check, by
-    # which time ``_public_key`` has loaded the backend.
+    # which time ``_public_key`` has loaded the package.
     from cryptography.exceptions import InvalidSignature
 
     return InvalidSignature
+
+
+class _Sodium:
+    """Ed25519 through libsodium's ``crypto_sign_ed25519_*`` functions.
+
+    Every length is checked here, before a pointer crosses into C.
+    """
+
+    name = "libsodium"
+
+    def __init__(self, lib):
+        import ctypes
+
+        ptr, size = ctypes.c_char_p, ctypes.c_ulonglong
+        for fn, argtypes, restype in (
+            (lib.sodium_init, [], ctypes.c_int),
+            (lib.crypto_sign_ed25519_seed_keypair, [ptr, ptr, ptr], ctypes.c_int),
+            # The NULL second argument is the optional signature-length output.
+            (lib.crypto_sign_ed25519_detached, [ptr, ctypes.c_void_p, ptr, size, ptr], ctypes.c_int),
+            (lib.crypto_sign_ed25519_verify_detached, [ptr, ptr, size, ptr], ctypes.c_int),
+        ):
+            fn.argtypes, fn.restype = argtypes, restype
+        if lib.sodium_init() < 0:
+            raise OSError("sodium_init failed")
+        self._buffer = ctypes.create_string_buffer
+        self._seed_keypair = lib.crypto_sign_ed25519_seed_keypair
+        self._sign_detached = lib.crypto_sign_ed25519_detached
+        self._verify_detached = lib.crypto_sign_ed25519_verify_detached
+        # (public key, 64-byte signing key) per secret: one per party and client.
+        self._keypair = lru_cache(maxsize=_KEY_CACHE_SIZE)(self._expand)
+
+    def _expand(self, secret: bytes) -> tuple[bytes, bytes]:
+        if len(secret) != _SECRET_LEN:
+            raise ValueError(f"an Ed25519 secret is {_SECRET_LEN} bytes, got {len(secret)}")
+        public, signing = self._buffer(PUBLIC_KEY_LEN), self._buffer(2 * _SECRET_LEN)
+        self._seed_keypair(public, signing, secret)
+        return public.raw, signing.raw
+
+    def public_key(self, secret: bytes) -> bytes:
+        return self._keypair(secret)[0]
+
+    def sign(self, secret: bytes, message: bytes) -> bytes:
+        signing = self._keypair(secret)[1]
+        signature = self._buffer(_ED25519_SIG_LEN)
+        self._sign_detached(signature, None, message, len(message), signing)
+        return signature.raw
+
+    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        if len(public) != PUBLIC_KEY_LEN or len(signature) != _ED25519_SIG_LEN:
+            return False
+        return self._verify_detached(signature, message, len(message), public) == 0
+
+
+def _load_sodium():
+    # By soname: ``ctypes.util.find_library`` would run ldconfig in a subprocess.
+    import ctypes
+
+    try:
+        return ctypes.CDLL("libsodium.so.23")
+    except OSError:
+        return ctypes.CDLL("libsodium.so")
+
+
+@lru_cache(maxsize=None)
+def _ed25519() -> _Sodium | _Cryptography:
+    """This process's Ed25519 backend, chosen on its first call: libsodium if
+    it loads, initialises and reproduces TEST 1, else ``cryptography``."""
+    try:
+        sodium = _Sodium(_load_sodium())
+    except (OSError, AttributeError):  # not installed, or a symbol missing
+        return _Cryptography()
+    return sodium if _passes_test1(sodium) else _Cryptography()
 
 
 @lru_cache(maxsize=VERIFY_CACHE_SIZE)
@@ -131,8 +253,4 @@ def verify(public: bytes, message: bytes, sig: Signature) -> bool:
     if sig.scheme == SCHEME_TEST_MAC:
         want = hmac.digest(public, message, "sha256")
         return hmac.compare_digest(want, sig.data)
-    try:
-        _public_key(public).verify(sig.data, message)
-        return True
-    except (ValueError, _invalid_signature()):
-        return False
+    return _ed25519().verify(public, message, sig.data)

@@ -291,8 +291,19 @@ def test_run_seed_out_of_range_exits_2(tmp_path, capsys, config_path, seed):
         lambda doc: {**doc, "faults": 2},
         lambda doc: {**doc, "scheme": "rsa"},
         lambda doc: {k: v for k, v in doc.items() if k != "scheme"},
+        lambda doc: {**doc, "party_keys": {**doc["party_keys"], "0": doc["party_keys"]["0"][:62]}},
     ],
-    ids=["list_root", "string_parties", "int_key", "non_hex_key", "list_keys", "too_many_faults", "unknown_scheme", "no_scheme"],
+    ids=[
+        "list_root",
+        "string_parties",
+        "int_key",
+        "non_hex_key",
+        "list_keys",
+        "too_many_faults",
+        "unknown_scheme",
+        "no_scheme",
+        "short_key",
+    ],
 )
 def test_verify_malformed_keys_exit_2(produced, tmp_path, capsys, edit):
     keys = tmp_path / "keys.json"

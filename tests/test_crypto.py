@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import hashlib
 import hmac
+import io
+import json
 import os
 import random
 import subprocess
@@ -8,8 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_regression import _ed25519_short
 
 import shardbft
+from shardbft import crypto
+from shardbft.cli import main
 from shardbft.crypto import (
     SCHEME_ED25519,
     SCHEME_TEST_MAC,
@@ -19,16 +25,38 @@ from shardbft.crypto import (
     verify,
 )
 
-BOTH = [SCHEME_TEST_MAC, SCHEME_ED25519]
+# The Ed25519 tests below run twice: on the backend this process selected
+# (libsodium wherever it loads), and on the ``cryptography`` fallback.
+ED25519_FALLBACK = f"{SCHEME_ED25519}-cryptography"
 
 
-@pytest.mark.parametrize("scheme", BOTH)
+@pytest.fixture
+def swap_backend(monkeypatch):
+    """``swap_backend(b)`` runs Ed25519 on ``b`` for the rest of the test. The
+    verify memo is emptied at the swap and at teardown, so no verdict of one
+    backend answers for the other."""
+
+    def swap(backend) -> None:
+        monkeypatch.setattr(crypto, "_ed25519", lambda: backend)
+        verify.cache_clear()
+
+    yield swap
+    verify.cache_clear()
+
+
+@pytest.fixture(params=[SCHEME_TEST_MAC, SCHEME_ED25519, ED25519_FALLBACK])
+def scheme(request, swap_backend):
+    if request.param == ED25519_FALLBACK:
+        swap_backend(crypto._Cryptography())
+        return SCHEME_ED25519
+    return request.param
+
+
 def test_keygen_deterministic(scheme):
     seed = bytes(range(32))
     assert keygen(seed, scheme) == keygen(seed, scheme)
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_distinct_seeds_distinct_public_keys(scheme):
     rng = random.Random(11)
     n = 1000 if scheme == SCHEME_TEST_MAC else 200
@@ -36,7 +64,6 @@ def test_distinct_seeds_distinct_public_keys(scheme):
     assert len(pubs) == n
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_sign_verify_round_trip(scheme):
     kp = keygen(b"\x01" * 32, scheme)
     sig = sign(kp, b"hello")
@@ -53,7 +80,6 @@ def test_test_mac_is_hmac_sha256():
         assert not verify(kp.public, message + b"!", Signature(SCHEME_TEST_MAC, want))
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_signature_hash_is_computed_once_and_unchanged(scheme):
     # The generated hash's value, computed at construction.
     sig = sign(keygen(b"\x07" * 32, scheme), b"message")
@@ -67,7 +93,6 @@ def test_signature_hash_is_computed_once_and_unchanged(scheme):
         sig.data = b"x"
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_tampered_message_rejected(scheme):
     kp = keygen(b"\x02" * 32, scheme)
     rng = random.Random(5)
@@ -79,7 +104,6 @@ def test_tampered_message_rejected(scheme):
         assert not verify(kp.public, bytes(flipped), sig)
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_foreign_key_rejected(scheme):
     rng = random.Random(9)
     for _ in range(30):
@@ -89,7 +113,6 @@ def test_foreign_key_rejected(scheme):
         assert not verify(b.public, message, sign(a, message))
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_malformed_signature_is_false_not_exception(scheme):
     kp = keygen(b"\x03" * 32, scheme)
     assert not verify(kp.public, b"m", Signature(scheme, b""))
@@ -118,7 +141,6 @@ def _flip(data: bytes, i: int) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_memo_one_flipped_byte_turns_true_to_false(scheme):
     kp = keygen(b"\x05" * 32, scheme)
     message = b"memoized message"
@@ -138,7 +160,6 @@ def _fresh(public: bytes, message: bytes, sig: Signature):
     return bytes(bytearray(public)), bytes(bytearray(message)), Signature(sig.scheme, bytes(bytearray(sig.data)))
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_memo_repeated_calls_agree_and_hit(scheme):
     kp = keygen(b"\x06" * 32, scheme)
     good = (kp.public, b"m", sign(kp, b"m"))
@@ -150,7 +171,6 @@ def test_memo_repeated_calls_agree_and_hit(scheme):
     assert verify.cache_info().hits == hits + 6
 
 
-@pytest.mark.parametrize("scheme", BOTH)
 def test_memo_cached_false_never_turns_true(scheme):
     kp = keygen(b"\x07" * 32, scheme)
     other = keygen(b"\x08" * 32, scheme)
@@ -170,18 +190,187 @@ def test_malformed_ed25519_public_key_false_on_every_call(public):
     assert verify(public, b"m", sig) is False
 
 
-# Runs in a fresh interpreter: this test process has long since loaded the
-# Ed25519 backend through the tests above.
+# --- the two Ed25519 backends -------------------------------------------------
+
+L = 2**252 + 27742317777372353535851937790883648493  # the prime order of Ed25519's base point
+
+
+@pytest.fixture(scope="module")
+def sodium():
+    try:
+        return crypto._Sodium(crypto._load_sodium())
+    except OSError:
+        pytest.skip("libsodium does not load on this machine")
+
+
+OPENSSL = crypto._Cryptography()
+
+
+def test_libsodium_is_selected_wherever_it_loads(sodium):
+    assert crypto._ed25519().name == "libsodium"
+
+
+def test_both_backends_pass_rfc8032_test1(sodium):
+    # OpenSSL computes TEST 1's bytes itself, so this also checks the constants.
+    assert crypto._passes_test1(sodium) and crypto._passes_test1(OPENSSL)
+
+
+def test_backends_give_identical_keys_and_signatures(sodium):
+    rng = random.Random(14)
+    for n in range(100):
+        secret = rng.randbytes(32)
+        message = rng.randbytes(n * 3)  # 0 to 297 bytes
+        public = sodium.public_key(secret)
+        assert public == OPENSSL.public_key(secret)
+        signature = sodium.sign(secret, message)
+        assert signature == OPENSSL.sign(secret, message)
+        assert sodium.verify(public, message, signature) and OPENSSL.verify(public, message, signature)
+
+
+def test_backends_give_equal_verdicts(sodium):
+    rng = random.Random(15)
+    for _ in range(100):
+        secret, other = rng.randbytes(32), rng.randbytes(32)
+        public = OPENSSL.public_key(secret)
+        message = rng.randbytes(rng.randint(1, 300))
+        signature = OPENSSL.sign(secret, message)
+        cases = {
+            (public, message, signature): True,
+            (public, _flip(message, rng.randrange(len(message))), signature): False,
+            (public, message, _flip(signature, rng.randrange(len(signature)))): False,
+            (_flip(public, rng.randrange(len(public))), message, signature): False,
+            (OPENSSL.public_key(other), message, signature): False,
+            (public[:31], message, signature): False,
+            (public + b"\0", message, signature): False,
+            (public, message, signature[:63]): False,
+            (public, message, signature + b"\0"): False,
+        }
+        for (key, msg, sig), want in cases.items():
+            assert sodium.verify(key, msg, sig) is want
+            assert OPENSSL.verify(key, msg, sig) is want
+
+
+def test_backends_reject_malformed_secrets_alike(sodium):
+    for secret in (b"", b"\x01" * 31, b"\x01" * 33):
+        for backend in (sodium, OPENSSL):
+            with pytest.raises(ValueError):
+                backend.public_key(secret)
+            with pytest.raises(ValueError):
+                backend.sign(secret, b"m")
+
+
+def test_libsodium_rejects_a_small_order_public_key(sodium):
+    # The all-zero key encodes a point A of order 4. With S = 0 and R = [j]A,
+    # the plain equation [S]B = R + [k]A holds whenever j + k = 0 (mod 4),
+    # k = SHA-512(R || A || M) mod L: a signature forged without any secret.
+    # OpenSSL checks that equation alone and accepts it; libsodium refuses a
+    # small-order key.
+    zero = bytes(32)
+    multiples = [b"\x01" + bytes(31), zero, bytes.fromhex("ec" + "ff" * 30 + "7f"), bytes(31) + b"\x80"]
+    forged = []
+    for n in range(64):
+        message = n.to_bytes(2, "big")
+        for j, r in enumerate(multiples):
+            k = int.from_bytes(hashlib.sha512(r + zero + message).digest(), "little") % L
+            if (j + k) % 4 == 0:
+                forged.append((message, r + bytes(32)))
+    assert forged
+    for message, signature in forged:
+        assert sodium.verify(zero, message, signature) is False
+
+
+def test_libsodium_rejects_a_non_canonical_s(sodium):
+    secret = bytes(range(32))
+    public = sodium.public_key(secret)
+    signature = sodium.sign(secret, b"m")
+    s = int.from_bytes(signature[32:], "little")
+    assert sodium.verify(public, b"m", signature)
+    assert sodium.verify(public, b"m", signature[:32] + (s + L).to_bytes(32, "little")) is False
+
+
+# --- falling back to ``cryptography`` ----------------------------------------
+
+
+@pytest.fixture
+def reselect():
+    """The backend is chosen afresh inside the test and again after it."""
+    crypto._ed25519.cache_clear()
+    verify.cache_clear()
+    yield
+    crypto._ed25519.cache_clear()
+    verify.cache_clear()
+
+
+def _refuse_to_load():
+    raise OSError("libsodium.so.23: cannot open shared object file")
+
+
+_real_load_sodium = crypto._load_sodium
+
+
+def _miscomputing_sodium():
+    """The real library, except that every signature comes out one bit off."""
+    lib = _real_load_sodium()
+    sign_detached = lib.crypto_sign_ed25519_detached
+
+    def wrong(signature, length, message, size, secret):
+        done = sign_detached(signature, length, message, size, secret)
+        signature[0] = bytes([signature.raw[0] ^ 1])
+        return done
+
+    class Miscomputing:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+    fake = Miscomputing()
+    fake.crypto_sign_ed25519_detached = wrong
+    return fake
+
+
+def test_a_miscomputing_library_fails_test1(sodium):
+    # The wrapper loads and initialises; only the known answer gives it away.
+    assert not crypto._passes_test1(crypto._Sodium(_miscomputing_sodium()))
+
+
+def _run_outputs(tmp_path, name) -> dict:
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(_ed25519_short()))
+    out = tmp_path / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("loader", [_refuse_to_load, _miscomputing_sodium], ids=["no_library", "wrong_answer"])
+def test_fallback_writes_the_same_run(sodium, reselect, monkeypatch, tmp_path, loader):
+    on_sodium = _run_outputs(tmp_path, "libsodium")
+    assert crypto._ed25519().name == "libsodium"
+    crypto._ed25519.cache_clear()
+    verify.cache_clear()
+    monkeypatch.setattr(crypto, "_load_sodium", loader)
+    assert crypto._ed25519().name == "cryptography"
+    assert _run_outputs(tmp_path, "fallback") == on_sodium
+
+
+# Runs in a fresh interpreter: this test process has long since loaded both
+# Ed25519 backends through the tests above.
 _LAZY_BACKEND_SCRIPT = """
 import sys
 import tempfile
 from pathlib import Path
 
+from shardbft import crypto
 from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
 from shardbft.crypto import SCHEME_ED25519, Signature, keygen, sign, verify
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import run_scenario
 from shardbft.sim.scenario import ScenarioConfig
+
+
+def loaded():
+    maps = Path("/proc/self/maps").read_text()
+    return {"cryptography": "cryptography" in sys.modules, "libsodium": "libsodium" in maps}
+
 
 cfg = ScenarioConfig.from_dict({"duration": 0.5, "tx_rate": 40})
 report = run_scenario(cfg)
@@ -192,15 +381,17 @@ with tempfile.TemporaryDirectory() as tmp:
     write_ledger(path, report.ledgers[party])
     blocks = read_ledger(path, cfg.scheme)
 assert blocks and verify_ledger_blocks(blocks, report.party_keys, cfg.n_parties, cfg.f)[0]
-assert "cryptography" not in sys.modules, "a test_mac run loaded the Ed25519 backend"
+assert loaded() == {"cryptography": False, "libsodium": False}, f"a test_mac run loaded {loaded()}"
 
 kp = keygen(bytes(32), SCHEME_ED25519)
-assert "cryptography" in sys.modules
+selected = crypto._ed25519().name
+assert loaded() == {"cryptography": selected == "cryptography", "libsodium": selected == "libsodium"}, loaded()
 sig = sign(kp, b"m")
 assert verify(kp.public, b"m", sig)
 assert verify(kp.public, b"n", sig) is False
 assert verify(b"\\x01" * 31, b"m", sig) is False
 assert verify(kp.public, b"m", Signature(SCHEME_ED25519, bytes(64))) is False
+assert loaded() == {"cryptography": selected == "cryptography", "libsodium": selected == "libsodium"}, loaded()
 """
 
 
