@@ -119,8 +119,6 @@ class BatcherNode:
         self.ledger: list[Batch] = []
         self.persisted_ids: set[bytes] = set()
         self.thresholded: set[BatchKey] = set()
-        self.orphan_queue: list[BatchKey] = []
-        self._orphan_seen: set[BatchKey] = set()
         self.complained_term = -1
         self.halted = False
         self.outstanding_pull: int | None = None
@@ -280,9 +278,8 @@ class BatcherNode:
             self._serve(batch.seq, party, ctx)
 
     def _send_attestation(self, batch: Batch, ctx) -> None:
-        refs = self._take_orphan_refs(batch.seq)
         epoch = ctx.now() // self.d.protocol.epoch_length_us
-        payload = encode_bas_payload(batch.seq, batch.digest(), batch.shard, batch.primary, epoch, refs)
+        payload = encode_bas_payload(batch.seq, batch.digest(), batch.shard, batch.primary, epoch)
         share = BatchAttestationShare(
             signer=self.party,
             seq=batch.seq,
@@ -290,23 +287,10 @@ class BatcherNode:
             shard=batch.shard,
             primary=batch.primary,
             epoch=epoch,
-            orphan_refs=refs,
             signature=sign(self.keypair, payload),
         )
         for cid in self.d.consensus:
             ctx.send(cid, share)
-
-    def _take_orphan_refs(self, seq: int) -> tuple[BatchKey, ...]:
-        if not self.orphan_queue:
-            return ()
-        taken, kept = [], []
-        for key in self.orphan_queue:
-            if key.seq < seq and len(taken) < self.d.protocol.max_orphan_refs:
-                taken.append(key)
-            else:
-                kept.append(key)
-        self.orphan_queue = kept
-        return tuple(taken)
 
     # --- serving pulls ----------------------------------------------------------
 
@@ -399,10 +383,6 @@ class BatcherNode:
 
     def _on_ordered_update(self, m: msg.OrderedUpdate, ctx) -> None:
         self.thresholded.update(m.thresholded)
-        for key in m.orphaned:
-            if key not in self._orphan_seen:
-                self._orphan_seen.add(key)
-                self.orphan_queue.append(key)
         if m.new_term is not None and m.new_term > self.term:
             self._change_term(m.new_term, ctx)
 

@@ -4,10 +4,10 @@ Batchers submit attestation shares and complaint votes; a pluggable total
 order broadcast delivers them back in rounds that are identical at every
 correct node. Round processing is deterministic: it keeps pending shares
 per batch key, gives each ledger slot the first key to reach F+1 distinct
-attestations, advances per-shard terms on F+1 distinct complaints, prunes
-orphaned attestations by reference votes, bounds replay with an epoch
-window, and chains one block header per productive round. Nodes sign the
-header, swap signature shares, and publish once a quorum accumulates.
+attestations and drops every other share of a slot with a header (``headed``),
+advances per-shard terms on F+1 distinct complaints, bounds replay with an
+epoch window, and chains one block header per productive round. Nodes sign
+the header, swap signature shares, and publish once a quorum accumulates.
 """
 
 from __future__ import annotations
@@ -56,6 +56,13 @@ def verify_event(event, party_keys) -> bool:
     return verify(public, event.signing_payload, event.signature)
 
 
+def headed(state: ConsensusState, share: BatchAttestationShare) -> bool:
+    """Whether the share's ledger slot already has a header. Every correct
+    node applies the same rounds, so all learn this in the same round, and
+    such a share is dropped at intake and again when it is ordered."""
+    return share.key().slot() in state.dedup
+
+
 def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> tuple[bool, str | None]:
     """Gate an event before submitting it to the total order broadcast."""
     if not verify_event(event, party_keys):
@@ -63,7 +70,7 @@ def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> 
     if isinstance(event, BatchAttestationShare):
         if event.epoch < local_epoch - state.epoch_window:
             return False, DROP_STALE_EPOCH
-        if event.key().slot() in state.dedup or event.signer in state.pending.get(event.key(), ()):
+        if headed(state, event) or event.signer in state.pending.get(event.key(), ()):
             return False, DROP_DUPLICATE
         return True, None
     if event.term < state.terms.get(event.shard, 0):
@@ -78,61 +85,24 @@ def process_round(
     pending: dict[BatchKey, dict[int, BatchAttestationShare]],
     batch: list[BatchAttestationShare],
     f: int,
-    excluded_slots=frozenset(),
-) -> tuple[list[BatchKey], list[BatchKey]]:
+) -> list[BatchKey]:
     """Add this round's ordered shares to ``pending`` and apply the round
     rule: a key with F+1 distinct signers wins its ledger slot, at most one
-    key per slot and the first to appear first. Winners leave ``pending``.
-    Losers (F+1 for a slot won earlier in this call) and keys whose slot is
-    in ``excluded_slots`` keep their shares pending as orphans until
-    reference votes prune them. Returns (winners, losers), in order.
+    key per slot and the first to appear first. Every pending key of an
+    awarded slot leaves ``pending``: the winner, a same-slot key that also
+    reached F+1, and any key short of it. Returns the winners, in order.
     """
     for share in batch:
         pending.setdefault(share.key(), {}).setdefault(share.signer, share)
     threshold = attestation_threshold(f)
-    winners, losers, claimed = [], [], set()
+    awarded: dict[tuple[int, int, int], BatchKey] = {}
     for key, signers in pending.items():
-        if len(signers) < threshold or (slot := key.slot()) in excluded_slots:
-            continue
-        if slot in claimed:
-            losers.append(key)
-        else:
-            claimed.add(slot)
-            winners.append(key)
-    for key in winners:
-        del pending[key]
-    return winners, losers
-
-
-class OrphanVotes:
-    """Cross-round counting of orphan references, per referenced key.
-
-    A key joins ``ripe`` as its F+1st distinct signer is observed, so no
-    round rescans the votes.
-    """
-
-    def __init__(self, f: int):
-        self.threshold = attestation_threshold(f)
-        self.votes: dict[BatchKey, set[int]] = {}
-        self.ripe: set[BatchKey] = set()
-
-    def observe(self, share: BatchAttestationShare) -> None:
-        for ref in share.orphan_refs:
-            # Only same-shard, strictly backward references count.
-            if ref.shard == share.shard and ref.seq < share.seq:
-                signers = self.votes.setdefault(ref, set())
-                signers.add(share.signer)
-                if len(signers) >= self.threshold:
-                    self.ripe.add(ref)
-
-
-def purge_orphans(pending: dict[BatchKey, dict], round_events, votes: OrphanVotes) -> None:
-    """Drop pending keys referenced by F+1 distinct same-shard signers."""
-    for event in round_events:
-        if isinstance(event, BatchAttestationShare):
-            votes.observe(event)
-    for key in [key for key in pending if key in votes.ripe]:
-        del pending[key]
+        if len(signers) >= threshold:
+            awarded.setdefault(key.slot(), key)
+    if awarded:
+        for key in [key for key in pending if key.slot() in awarded]:
+            del pending[key]
+    return list(awarded.values())
 
 
 def apply_complaints(complaints, state: ConsensusState, f: int) -> list[tuple[int, int]]:
@@ -170,7 +140,6 @@ class ConsensusNode:
         self.node_id = d.consensus[party]
         self.peers = tuple(c for c in d.consensus if c != self.node_id)
         self.state = ConsensusState(d.protocol.epoch_window)
-        self.orphan_votes = OrphanVotes(d.f)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
         self.headers: dict[int, BlockHeader] = {}
@@ -228,40 +197,28 @@ class ConsensusNode:
         for shard, new_term in term_changes:
             self.term_change_log.append((ctx.now(), shard, new_term))
 
-        fresh: list[BatchAttestationShare] = []
-        orphans_by_shard: dict[int, list[BatchKey]] = {}
-        for share in shares:
-            if share.epoch < horizon:
-                continue
-            if share.key().slot() in state.dedup:
-                orphans_by_shard.setdefault(share.shard, []).append(share.key())
-            fresh.append(share)
-
-        # Only the first same-slot key past F+1 makes the header; losers are orphans.
-        winners, losers = process_round(state.pending, fresh, d.f, excluded_slots=state.dedup.keys())
-        for key in losers:
-            orphans_by_shard.setdefault(key.shard, []).append(key)
+        # Only the first same-slot key past F+1 makes the header; the rest
+        # of that slot's shares leave with it, and a later share of a headed
+        # slot never enters.
+        fresh = [share for share in shares if share.epoch >= horizon and not headed(state, share)]
+        winners = process_round(state.pending, fresh, d.f)
         for key in winners:
             state.dedup[key.slot()] = state.ordered_epoch
 
-        purge_orphans(state.pending, fresh, self.orphan_votes)
-
         # Slots enter dedup with the non-decreasing ordered_epoch and a live
         # slot is never rewritten, so the dict is in epoch order: expire from
-        # the front. The slot's header is out, so its pending keys go too.
-        dedup, pending = state.dedup, state.pending
+        # the front. No pending key belongs to a headed slot.
+        dedup = state.dedup
         while dedup:
             slot = next(iter(dedup))
             if dedup[slot] >= horizon:
                 break
             del dedup[slot]
-            for key in [key for key in pending if key.slot() == slot]:
-                del pending[key]
 
         if winners:
             self._emit_header(winners, ctx)
 
-        self._notify_batchers(winners, orphans_by_shard, term_changes, ctx)
+        self._notify_batchers(winners, term_changes, ctx)
         self.pending_series.append((ctx.now(), sum(map(len, state.pending.values()))))
 
     def _emit_header(self, winners, ctx) -> None:
@@ -277,23 +234,16 @@ class ConsensusNode:
             self._absorb_share(buffered)
         self._try_publish(seq, ctx)
 
-    def _notify_batchers(self, winners, orphans_by_shard, term_changes, ctx) -> None:
+    def _notify_batchers(self, winners, term_changes, ctx) -> None:
         per_shard: dict[int, list[BatchKey]] = {}
         for key in winners:
             per_shard.setdefault(key.shard, []).append(key)
         changed = dict(term_changes)
         batchers = self.d.batcher[self.party]
-        for shard in set(per_shard) | set(orphans_by_shard) | set(changed):
+        for shard in set(per_shard) | set(changed):
             if shard >= len(batchers):  # no batcher serves a shard past the last
                 continue
-            ctx.send(
-                batchers[shard],
-                msg.OrderedUpdate(
-                    tuple(per_shard.get(shard, ())),
-                    tuple(orphans_by_shard.get(shard, ())),
-                    changed.get(shard),
-                ),
-            )
+            ctx.send(batchers[shard], msg.OrderedUpdate(tuple(per_shard.get(shard, ())), changed.get(shard)))
 
     # --- header signature aggregation ------------------------------------------
 

@@ -245,7 +245,6 @@ class BatchAttestationShare:
     shard: int
     primary: int
     epoch: int
-    orphan_refs: tuple[BatchKey, ...]
     signature: Signature
     # Computed once at construction; derived, so not part of ==, hash or repr.
     # The payload is None when the digest has the wrong length: such a share
@@ -257,29 +256,18 @@ class BatchAttestationShare:
         object.__setattr__(self, "batch_key", BatchKey(self.seq, self.shard, self.digest, self.primary))
         payload = None
         if len(self.digest) == DIGEST_LEN:
-            payload = encode_bas_payload(
-                self.seq, self.digest, self.shard, self.primary, self.epoch, self.orphan_refs
-            )
+            payload = encode_bas_payload(self.seq, self.digest, self.shard, self.primary, self.epoch)
         object.__setattr__(self, "signing_payload", payload)
 
     def key(self) -> BatchKey:
         return self.batch_key
 
 
-def encode_bas_payload(
-    seq: int,
-    digest: bytes,
-    shard: int,
-    primary: int,
-    epoch: int,
-    orphan_refs: tuple[BatchKey, ...] = (),
-) -> bytes:
+def encode_bas_payload(seq: int, digest: bytes, shard: int, primary: int, epoch: int) -> bytes:
     """Injective signing payload for a batch attestation share."""
     if len(digest) != DIGEST_LEN:
         raise ValueError(f"digest must be {DIGEST_LEN} bytes")
-    parts = [_TAG_BAS, u64(seq), digest, u64(shard), u64(primary), u64(epoch), u64(len(orphan_refs))]
-    parts.extend(map(_encode_batch_key, orphan_refs))
-    return b"".join(parts)
+    return b"".join((_TAG_BAS, u64(seq), digest, u64(shard), u64(primary), u64(epoch)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,11 @@ class PublishedHeader:
 
 @dataclass(slots=True)
 class OrderedUpdate:
-    """Per-shard digest of one ordered round, consensus -> own batcher."""
+    """What one ordered round decided for a shard, consensus -> own batcher:
+    the shard's keys that won their slots, and its new term if it changed.
+    A round that decided neither for a shard sends that shard nothing."""
 
     thresholded: tuple[BatchKey, ...]
-    orphaned: tuple[BatchKey, ...]
     new_term: int | None
 
 

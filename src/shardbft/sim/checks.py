@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from ..core import header_digest
 
+TICK_US = 1  # virtual time moves in whole microseconds: the bound's tolerance
+
 
 def check_agreement(ledgers: dict[int, list]) -> dict:
     """All correct assemblers hold pairwise-identical ledgers.
@@ -86,7 +88,7 @@ def check_no_loss_no_unbounded_dup(report) -> dict:
     return detail
 
 
-def check_censorship_bound(report, bound_us: int, tick_us: int = 1) -> dict:
+def check_censorship_bound(report, bound_us: int) -> dict:
     """Every quorum-acked tx commits everywhere within the configured
     F*T_censor + tob_delay_bound + 2*Delta of its submission."""
     worst = 0
@@ -100,7 +102,7 @@ def check_censorship_bound(report, bound_us: int, tick_us: int = 1) -> dict:
         if elapsed > worst:
             worst = elapsed
             worst_tx = record.tx_id.hex()
-    ok = worst <= bound_us + tick_us
+    ok = worst <= bound_us + TICK_US
     return {
         "pass": ok,
         "bound_us": bound_us,

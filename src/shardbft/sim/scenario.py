@@ -94,7 +94,6 @@ class ProtocolParams:
     p_fail: float = _key("p_fail", NUMBER, 2.0**-30)
     # Derived from (alpha, p_fail) when None.
     sample_count: int | None = _key("sample_count", INT, None, lo=0)
-    max_orphan_refs: int = _key("max_orphan_refs", INT, 8, lo=0)
     round_interval_us: int = _key("round_interval", SECONDS, us(0.05), lo=TICK)
     fetch_timeout_us: int = _key("fetch_timeout", SECONDS, us(0.25), lo=0)
     pool_capacity: int | None = _key("pool_capacity", INT, None, lo=1)

@@ -27,23 +27,22 @@ def as_pending(shares) -> dict:
     return pending
 
 
-def pending_oracle(pending_shares, batch, f, excluded_slots=frozenset()):
-    """Brute-force round rule over the concatenated shares: returns the keys
-    F+1 distinct signers attest outside ``excluded_slots`` (the extraction
-    set), and the per-slot winners and losers among them in first-appearance
-    order."""
+def pending_oracle(pending_shares, batch, f):
+    """Brute-force round rule over the concatenated shares: returns the
+    per-slot winners in first-appearance order (in each slot, the first key
+    F+1 distinct signers attest), the other keys of those slots, and the
+    shares that stay pending (those of every slot without a winner)."""
     shares = [*pending_shares, *batch]
-    first: dict = {}
     signers: dict = {}
-    for i, share in enumerate(shares):
-        first.setdefault(share.key(), i)
+    for share in shares:
         signers.setdefault(share.key(), set()).add(share.signer)
-    extracted = {k for k, who in signers.items() if len(who) >= f + 1 and k.slot() not in excluded_slots}
-    winners, losers, slots = [], [], set()
-    for key in sorted(extracted, key=first.__getitem__):
-        (losers if key.slot() in slots else winners).append(key)
-        slots.add(key.slot())
-    return extracted, winners, losers
+    winners, slots = [], set()
+    for key, who in signers.items():  # first-appearance order
+        if len(who) >= f + 1 and key.slot() not in slots:
+            winners.append(key)
+            slots.add(key.slot())
+    dropped = {key for key in signers if key.slot() in slots} - set(winners)
+    return winners, dropped, [share for share in shares if share.key().slot() not in slots]
 
 
 def make_deployment(party_keys=None, client_directory=None, n=4, f=1, shards=1, seed=42, **protocol):

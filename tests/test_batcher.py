@@ -11,7 +11,7 @@ from shardbft.batcher import (
     scan_pool,
     verification_rng,
 )
-from shardbft.core import Batch, BatchAttestationShare, BatchKey, ComplaintVote, Transaction
+from shardbft.core import Batch, BatchAttestationShare, ComplaintVote, Transaction
 from shardbft.crypto import Signature
 from shardbft.pools import PrimaryPool, SecondaryPool
 from shardbft.router import validate_transaction
@@ -30,7 +30,6 @@ def _node(party, client_directory, party_keys, n=4, sample_count=30, **over):
         t_complain_us=200_000,
         epoch_length_us=10 * US,
         sample_count=sample_count,
-        max_orphan_refs=8,
         max_tx_size=1 << 20,
     )
     protocol.update(over)
@@ -307,9 +306,9 @@ def test_kick_from_an_earlier_term_does_not_propose_early(client_directory, clie
     proposed = _record_proposals(node)
     _submit(node, ctx, client_keys, at=0, count=1)
     ctx.time = 10_000
-    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), new_term=1), ctx)
     ctx.time = 50_000
-    node.handle(msg.OrderedUpdate((), (), new_term=4), ctx)
+    node.handle(msg.OrderedUpdate((), new_term=4), ctx)
     assert node.is_primary and _kick_times(ctx) == [100_000]
     _pump(node, ctx, until=US)
     assert proposed == [150_000]
@@ -389,7 +388,7 @@ def test_secondary_accepts_historical_batch_from_current_primary(
     node = _node(3, client_directory, party_keys)
     ctx = StubCtx()
     node.start(ctx)
-    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), new_term=1), ctx)
     assert not node.is_primary
     txs = [make_tx(0, b"old batch", client_keys)]
     old = Batch(0, 0, 0, 0, tuple(txs))  # term 0, proposed by party 0
@@ -429,7 +428,7 @@ def test_term_change_reproposes_unordered_batches(client_directory, client_keys,
     ctx.take_sent()
     # Term 1 makes party 1 the primary; the persisted batch never reached the
     # attestation threshold, so its txs are re-proposed at the pool front.
-    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), new_term=1), ctx)
     assert node.is_primary
     assert {t.tx_id for t in txs} <= set(node.pool.tx_index)
     assert node.reproposed_tx_ids
@@ -444,7 +443,7 @@ def test_term_change_skips_thresholded_batches(client_directory, client_keys, pa
     txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(4)]
     node, ctx, batch = _secondary_with_batch(client_directory, client_keys, party_keys, txs)
     ctx.take_sent()
-    node.handle(msg.OrderedUpdate((batch.key(),), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((batch.key(),), new_term=1), ctx)
     assert node.is_primary
     assert not node.reproposed_tx_ids
     _pump(node, ctx, until=ctx.time + US)
@@ -458,7 +457,7 @@ def test_term_change_back_to_secondary(client_directory, client_keys, party_keys
     tx = make_tx(0, b"pooled", client_keys)
     node.handle(msg.SubmitTx(tx, 0), ctx)
     ctx.take_sent()
-    node.handle(msg.OrderedUpdate((), (), new_term=1), ctx)
+    node.handle(msg.OrderedUpdate((), new_term=1), ctx)
     assert not node.is_primary
     assert isinstance(node.pool, SecondaryPool)
     assert tx.tx_id in node.pool.tx_index
@@ -479,7 +478,7 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
     # role flip, and a 4-term jump that keeps the same primary.
     for term, primary in ((1, True), (2, False), (4, False), (5, True), (9, True), (11, False)):
         pool = node.pool
-        node.handle(msg.OrderedUpdate((), (), new_term=term), ctx)
+        node.handle(msg.OrderedUpdate((), new_term=term), ctx)
         assert node.term == term and node.is_primary == primary
         assert isinstance(node.pool, PrimaryPool) == node.is_primary
         assert (node.pool is pool) == (term not in (1, 2, 5, 11))
@@ -488,25 +487,3 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
             assert persisted <= set(node.pool.tx_index)
         else:
             assert not persisted & set(node.pool.tx_index)
-
-
-def test_orphan_refs_attached_and_capped(client_directory, client_keys, party_keys):
-    node = _node(0, client_directory, party_keys, max_orphan_refs=2)
-    ctx = StubCtx()
-    node.start(ctx)
-    orphans = tuple(BatchKey(0, 0, bytes([i]) * 32, 0) for i in range(3))
-    node.handle(msg.OrderedUpdate((), orphans, None), ctx)
-    for i in range(2):
-        node.handle(msg.SubmitTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
-    _pump(node, ctx, until=node.d.protocol.max_batch_latency_us)
-    bas = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))][0]
-    # seq 0 cannot reference seq-0 orphans (only strictly earlier), so the
-    # refs wait for the next attestation.
-    assert bas.orphan_refs == ()
-    ctx.take_sent()
-    for i in range(2, 4):
-        node.handle(msg.SubmitTx(make_tx(i, bytes([i + 1]) * 3, client_keys), i), ctx)
-    _pump(node, ctx, until=ctx.time + US)
-    bas2 = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))][0]
-    assert bas2.seq == 1
-    assert bas2.orphan_refs == orphans[:2]  # capped at 2

@@ -10,16 +10,14 @@ from shardbft.consensus import (
     DROP_DUPLICATE,
     DROP_STALE_EPOCH,
     DROP_STALE_TERM,
-    OrphanVotes,
     apply_complaints,
     filter_event,
+    headed,
     process_round,
-    purge_orphans,
     verify_event,
 )
 from shardbft.core import (
     BatchAttestationShare,
-    BatchKey,
     ComplaintVote,
     encode_bas_payload,
     encode_complaint_payload,
@@ -33,12 +31,10 @@ from shardbft.crypto import Signature, sign
 from helpers import StubCtx, as_pending, make_deployment, pending_oracle
 
 
-def make_share(party_keys, signer, seq, digest=None, shard=0, primary=0, epoch=0, refs=()):
+def make_share(party_keys, signer, seq, digest=None, shard=0, primary=0, epoch=0):
     digest = digest if digest is not None else sha256(b"batch" + u64(seq) + u64(shard) + u64(primary))
-    payload = encode_bas_payload(seq, digest, shard, primary, epoch, tuple(refs))
-    return BatchAttestationShare(
-        signer, seq, digest, shard, primary, epoch, tuple(refs), sign(party_keys[signer], payload)
-    )
+    payload = encode_bas_payload(seq, digest, shard, primary, epoch)
+    return BatchAttestationShare(signer, seq, digest, shard, primary, epoch, sign(party_keys[signer], payload))
 
 
 def make_complaint(party_keys, signer, term, shard=0):
@@ -86,16 +82,16 @@ def test_filter_drops_duplicate_signer_key(party_keys):
 def test_filter_drops_dedup_slot(party_keys):
     state = ConsensusState(epoch_window=2)
     share = make_share(party_keys, 0, 0)
+    assert not headed(state, share)
     state.dedup[share.key().slot()] = 0
+    assert headed(state, share)
     ok, reason = filter_event(share, state, 0, pubs(party_keys))
     assert not ok and reason == DROP_DUPLICATE
 
 
 def test_filter_drops_bad_signature(party_keys):
     share = make_share(party_keys, 0, 0)
-    forged = BatchAttestationShare(
-        1, share.seq, share.digest, share.shard, share.primary, share.epoch, (), share.signature
-    )
+    forged = BatchAttestationShare(1, share.seq, share.digest, share.shard, share.primary, share.epoch, share.signature)
     state = ConsensusState(epoch_window=2)
     ok, reason = filter_event(forged, state, 0, pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
@@ -118,16 +114,14 @@ def test_process_round_completes_threshold(party_keys):
     a = make_share(party_keys, 0, 0)
     b = make_share(party_keys, 1, 0)
     pending = as_pending([a])
-    winners, losers = process_round(pending, [b], f=1)
+    assert process_round(pending, [b], f=1) == [a.key()]
     assert pending == {}
-    assert winners == [a.key()] and losers == []
 
 
 def test_process_round_below_threshold_stays_pending(party_keys):
     a = make_share(party_keys, 0, 0)
     pending = {}
-    winners, losers = process_round(pending, [a], f=1)
-    assert winners == [] and losers == [] and pending == {a.key(): {0: a}}
+    assert process_round(pending, [a], f=1) == [] and pending == {a.key(): {0: a}}
 
 
 def test_process_round_mixed_keys(party_keys):
@@ -136,62 +130,47 @@ def test_process_round_mixed_keys(party_keys):
     k1_c = make_share(party_keys, 2, 0)
     k1_d = make_share(party_keys, 3, 0)
     pending = as_pending([k1_a, k2_b])
-    winners, losers = process_round(pending, [k1_c, k1_d], f=1)
+    assert process_round(pending, [k1_c, k1_d], f=1) == [k1_a.key()]
     assert pending == {k2_b.key(): {1: k2_b}}  # all three k1 shares left
-    assert winners == [k1_a.key()] and losers == []
-
-
-def test_process_round_excluded_slots_stay_pending(party_keys):
-    a = make_share(party_keys, 0, 0)
-    b = make_share(party_keys, 1, 0)
-    pending = as_pending([a])
-    winners, losers = process_round(pending, [b], f=1, excluded_slots={a.key().slot()})
-    assert winners == [] and losers == [] and pending == {a.key(): {0: a, 1: b}}
 
 
 def test_process_round_requires_distinct_signers(party_keys):
     a = make_share(party_keys, 0, 0)
     pending = as_pending([a])
-    winners, losers = process_round(pending, [a], f=1)
-    assert winners == [] and losers == [] and pending == {a.key(): {0: a}}
+    assert process_round(pending, [a], f=1) == [] and pending == {a.key(): {0: a}}
     # A second share of the same signer for the key, from a later epoch,
     # neither counts nor replaces the first.
     later = make_share(party_keys, 0, 0, epoch=1)
     assert later.key() == a.key() and later != a
-    winners, losers = process_round(pending, [later], f=1)
-    assert winners == [] and losers == [] and pending == {a.key(): {0: a}}
+    assert process_round(pending, [later], f=1) == [] and pending == {a.key(): {0: a}}
 
 
 def test_process_round_first_appearance_order(party_keys):
     k2 = [make_share(party_keys, s, 2) for s in range(2)]
     k1 = [make_share(party_keys, s, 1) for s in range(2)]
-    winners, _ = process_round(as_pending([k2[0], k1[0]]), [k1[1], k2[1]], f=1)
+    winners = process_round(as_pending([k2[0], k1[0]]), [k1[1], k2[1]], f=1)
     assert [key.seq for key in winners] == [2, 1]
 
 
-def test_process_round_one_winner_per_slot_and_the_loser_stays(party_keys):
-    # Two digests for one ledger slot both reach F+1 in one call: the
-    # first-appearing key wins, the other is a loser and keeps its shares.
-    d1, d2 = sha256(b"variant a"), sha256(b"variant b")
+def test_process_round_one_winner_per_slot_and_the_slot_leaves_pending(party_keys):
+    # Two digests for one ledger slot both reach F+1 in one call, and a
+    # third has one share: the first-appearing key wins, and every key of
+    # the slot leaves pending with it. Another slot's key stays.
+    d1, d2, d3 = sha256(b"variant a"), sha256(b"variant b"), sha256(b"variant c")
     a = [make_share(party_keys, s, 0, digest=d1) for s in (0, 1)]
     b = [make_share(party_keys, s, 0, digest=d2) for s in (2, 3)]
-    pending = as_pending([b[0], a[0]])
-    winners, losers = process_round(pending, [a[1], b[1]], f=1)
-    assert winners == [b[0].key()] and losers == [a[0].key()]
-    assert pending == {a[0].key(): {0: a[0], 1: a[1]}}
-    # Once the slot has its header, the loser is neither a winner nor
-    # reported again, and its shares stay where they are.
-    winners, losers = process_round(pending, [], f=1, excluded_slots={a[0].key().slot()})
-    assert winners == [] and losers == []
-    assert pending == {a[0].key(): {0: a[0], 1: a[1]}}
+    partial = make_share(party_keys, 0, 0, digest=d3)
+    other = make_share(party_keys, 0, 1)
+    pending = as_pending([partial, b[0], other, a[0]])
+    assert process_round(pending, [a[1], b[1]], f=1) == [b[0].key()]
+    assert pending == as_pending([other])
 
 
 def test_process_round_brute_force_oracle(party_keys):
     # Randomized equivalence against a plain counter over the shares.
     rng = random.Random(123)
-    exclude_rng = random.Random(321)  # kept apart so the instances stay as they were
     digests = [sha256(b"d" + bytes([i])) for i in range(4)]
-    losers_seen = 0
+    dropped_seen = 0
     for _ in range(500):
         n_parties = rng.randint(2, 6)
         f = rng.randint(0, (n_parties - 1) // 3) if n_parties >= 4 else 0
@@ -208,93 +187,16 @@ def test_process_round_brute_force_oracle(party_keys):
         ]
         split = rng.randint(0, len(shares))
         before, batch = shares[:split], shares[split:]
-        excluded = {(0, seq, 0) for seq in range(3) if exclude_rng.random() < 0.2}
         pending = as_pending(before)
-        winners, losers = process_round(pending, list(batch), f, excluded)
-        extracted, expect_winners, expect_losers = pending_oracle(before, batch, f, excluded)
+        winners = process_round(pending, list(batch), f)
+        expect_winners, dropped, survivors = pending_oracle(before, batch, f)
         assert winners == expect_winners
-        assert losers == expect_losers
-        assert set(winners) | set(losers) == extracted
-        # Every share of every other key stays pending, each (signer, key) once.
-        rest = as_pending([s for s in shares if s.key() not in winners])
+        # Every share of every slot without a winner stays pending, each
+        # (signer, key) once; the awarded slots leave no key behind.
+        rest = as_pending(survivors)
         assert pending == rest and list(pending) == list(rest)
-        losers_seen += len(losers)
-    assert losers_seen > 0
-
-
-# --- orphan purging ----------------------------------------------------------------
-
-
-def test_purge_orphans_at_threshold(party_keys):
-    orphan = make_share(party_keys, 2, 0)
-    k = orphan.key()
-    referrers = [make_share(party_keys, s, 5, refs=(k,)) for s in (0, 1)]
-    pending = as_pending([orphan])
-    purge_orphans(pending, referrers, OrphanVotes(f=1))
-    assert pending == {}
-
-
-def test_purge_orphans_below_threshold(party_keys):
-    orphan = make_share(party_keys, 2, 0)
-    referrers = [make_share(party_keys, 0, 5, refs=(orphan.key(),))]
-    pending = as_pending([orphan])
-    purge_orphans(pending, referrers, OrphanVotes(f=1))
-    assert pending == as_pending([orphan])
-
-
-def test_purge_orphans_ignores_forward_refs(party_keys):
-    orphan = make_share(party_keys, 2, 9)
-    k = orphan.key()
-    # Referencing a later sequence from earlier attestations: ignored.
-    referrers = [make_share(party_keys, s, 3, refs=(k,)) for s in (0, 1)]
-    pending = as_pending([orphan])
-    purge_orphans(pending, referrers, OrphanVotes(f=1))
-    assert pending == as_pending([orphan])
-
-
-def test_purge_orphans_ignores_cross_shard_refs(party_keys):
-    orphan = make_share(party_keys, 2, 0, shard=0)
-    k = orphan.key()
-    referrers = [make_share(party_keys, s, 5, shard=1, refs=(k,)) for s in (0, 1)]
-    pending = as_pending([orphan])
-    purge_orphans(pending, referrers, OrphanVotes(f=1))
-    assert pending == as_pending([orphan])
-
-
-def test_orphan_votes_accumulate_across_rounds(party_keys):
-    votes = OrphanVotes(f=1)
-    orphan = make_share(party_keys, 2, 0)
-    k = orphan.key()
-    pending = as_pending([orphan])
-    purge_orphans(pending, [make_share(party_keys, 0, 5, refs=(k,))], votes)
-    assert pending == as_pending([orphan])
-    purge_orphans(pending, [make_share(party_keys, 1, 6, refs=(k,))], votes)
-    assert pending == {}
-
-
-def test_incremental_ripe_set_matches_a_full_rescan():
-    for f in (1, 2):
-        rng = random.Random(40 + f)
-        candidates = [BatchKey(seq, shard, sha256(u64(seq) + u64(shard)), 0) for seq in range(6) for shard in (0, 1)]
-        votes = OrphanVotes(f)
-        seen = []
-        partly_ripe = False
-        for _ in range(300):
-            refs = tuple(rng.sample(candidates, rng.randrange(4)))
-            share = BatchAttestationShare(
-                rng.randrange(3 * f + 1), rng.randrange(8), sha256(b"s"), rng.randrange(2), 0, 0, refs,
-                Signature("test_mac", b""),
-            )
-            votes.observe(share)
-            seen.append(share)
-            signers = {}
-            for s in seen:
-                for ref in s.orphan_refs:
-                    if ref.shard == s.shard and ref.seq < s.seq:
-                        signers.setdefault(ref, set()).add(s.signer)
-            assert votes.ripe == {key for key, who in signers.items() if len(who) >= f + 1}
-            partly_ripe |= 0 < len(votes.ripe) < len(votes.votes)
-        assert partly_ripe
+        dropped_seen += len(dropped)
+    assert dropped_seen > 0
 
 
 # --- complaints -------------------------------------------------------------------
@@ -445,13 +347,17 @@ def test_same_slot_two_digests_single_winner(party_keys):
     assert node.state.next_block_seq == 1
     keys = node.headers[0].batch_digests
     assert len(keys) == 1 and keys[0].digest == d1
-    # The loser's shares stay pending and are reported as orphaned.
-    assert node.state.pending == as_pending(events[2:])
-    updates = [m for _, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
-    assert updates and any(k.digest == d2 for u in updates for k in u.orphaned)
-    # Later rounds cannot mint a second header for that slot.
-    node.handle(msg.RoundDelivery(2, (make_share(party_keys, 2, 0, digest=d2),)), ctx)
+    # The loser's shares leave pending with the slot, and the batcher hears
+    # only of the winner.
+    assert node.state.pending == {}
+    updates = [m for _, m in ctx.take_sent() if isinstance(m, msg.OrderedUpdate)]
+    assert updates == [msg.OrderedUpdate((keys[0],), None)]
+    # Later rounds cannot mint a second header for that slot: F+1 shares of
+    # a third digest are dropped as they are ordered, and nothing is sent.
+    late = tuple(make_share(party_keys, s, 0, digest=sha256(b"variant c")) for s in (2, 3))
+    node.handle(msg.RoundDelivery(2, late), ctx)
     assert node.state.next_block_seq == 1
+    assert node.state.pending == {} and ctx.sent == []
 
 
 def _expire_slot_zero(party_keys):
@@ -474,8 +380,9 @@ def _header_slots(node):
 
 
 def test_expired_slot_takes_its_pending_keys_along(party_keys):
-    # The round-1 loser must leave pending with its expired slot, or the
-    # next round gives the slot a second header entry.
+    # The round-1 loser left pending when the slot was awarded; had it
+    # outlived the slot's dedup entry, the next round would give the slot a
+    # second header entry.
     node, _ctx, slot = _expire_slot_zero(party_keys)
     assert _header_slots(node) == [slot, (0, 1, 0), (0, 2, 0)]
     assert slot not in node.state.dedup
@@ -560,7 +467,6 @@ def test_deterministic_headers_across_replicas(party_keys):
                         digest=sha256(b"d" + bytes([rng.randrange(3)])),
                         primary=rng.randrange(2),
                         epoch=rng.randrange(3),
-                        refs=(BatchKey(0, 0, sha256(b"ref"), 0),) if rng.random() < 0.3 else (),
                     )
                 )
             else:
@@ -589,9 +495,7 @@ def test_byzantine_garbage_in_round_is_ignored(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
     good = [make_share(party_keys, s, 0) for s in (0, 1)]
-    forged = BatchAttestationShare(
-        2, 0, good[0].digest, 0, 0, 0, (), Signature("test_mac", b"\x00" * 32)
-    )
+    forged = BatchAttestationShare(2, 0, good[0].digest, 0, 0, 0, Signature("test_mac", b"\x00" * 32))
     unknown_signer = make_share({**party_keys, 9: party_keys[0]}, 9, 0)
     node.handle(msg.RoundDelivery(1, (forged, unknown_signer, *good)), ctx)
     assert node.state.next_block_seq == 1
@@ -602,7 +506,7 @@ def test_share_with_a_short_digest_never_verifies(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
     good = make_share(party_keys, 0, 0)
-    short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, (), sign(party_keys[1], good.signing_payload))
+    short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, sign(party_keys[1], good.signing_payload))
     assert short.signing_payload is None
     assert not verify_event(short, pubs(party_keys))
     ok, reason = filter_event(short, ConsensusState(epoch_window=2), 0, pubs(party_keys))

@@ -84,16 +84,16 @@ def test_attestation_threshold():
 
 def test_bas_payload_deterministic_and_distinct():
     digest = b"\x00" * 32
-    a = encode_bas_payload(0, digest, 0, 0, 0, ())
-    assert a == encode_bas_payload(0, digest, 0, 0, 0, ())
-    assert a != encode_bas_payload(0, digest, 1, 0, 0, ())
-    assert a != encode_bas_payload(1, digest, 0, 0, 0, ())
-    assert a != encode_bas_payload(0, digest, 0, 0, 1, ())
+    a = encode_bas_payload(0, digest, 0, 0, 0)
+    assert a == encode_bas_payload(0, digest, 0, 0, 0)
+    assert a != encode_bas_payload(0, digest, 1, 0, 0)
+    assert a != encode_bas_payload(1, digest, 0, 0, 0)
+    assert a != encode_bas_payload(0, digest, 0, 0, 1)
 
 
 def test_bas_payload_rejects_bad_digest():
     with pytest.raises(ValueError):
-        encode_bas_payload(0, b"\x00" * 31, 0, 0, 0, ())
+        encode_bas_payload(0, b"\x00" * 31, 0, 0, 0)
 
 
 _keys = st.builds(
@@ -109,7 +109,6 @@ _payload_args = st.tuples(
     st.integers(0, 1000),
     st.integers(0, 1000),
     st.integers(0, 2**32),
-    st.lists(_keys, max_size=4).map(tuple),
 )
 
 
@@ -240,19 +239,19 @@ def _assert_derived(obj, names, compared):
 @settings(max_examples=200)
 @given(_payload_args, st.integers(0, 6), st.binary(max_size=40))
 def test_share_caches_its_key_and_signing_payload(args, signer, sig):
-    seq, digest, shard, primary, epoch, refs = args
-    share = BatchAttestationShare(signer, seq, digest, shard, primary, epoch, refs, Signature("test_mac", sig))
-    assert share.signing_payload == encode_bas_payload(seq, digest, shard, primary, epoch, refs)
+    seq, digest, shard, primary, epoch = args
+    share = BatchAttestationShare(signer, seq, digest, shard, primary, epoch, Signature("test_mac", sig))
+    assert share.signing_payload == encode_bas_payload(*args)
     assert share.key() == BatchKey(seq, shard, digest, primary)
     _assert_derived(
         share,
         ("batch_key", "signing_payload"),
-        ["signer", "seq", "digest", "shard", "primary", "epoch", "orphan_refs", "signature"],
+        ["signer", "seq", "digest", "shard", "primary", "epoch", "signature"],
     )
 
 
 def test_share_with_a_short_digest_constructs_without_a_payload():
-    share = BatchAttestationShare(0, 1, b"\x01" * 31, 0, 0, 0, (), Signature("test_mac", b""))
+    share = BatchAttestationShare(0, 1, b"\x01" * 31, 0, 0, 0, Signature("test_mac", b""))
     assert share.signing_payload is None
     assert share.key() == BatchKey(1, 0, b"\x01" * 31, 0)
 

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
 from helpers import make_tx
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "parties": 4,
@@ -88,6 +92,9 @@ def test_config_rejects_excess_adversaries():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({**BASE, "nonsense": 1})
+    # A key the schema no longer has fails as cleanly as one it never had.
+    with pytest.raises(ConfigError, match=r"config\.protocol"):
+        ScenarioConfig.from_dict({"protocol": {"max_orphan_refs": 8}})
 
 
 def test_config_rejects_latency_above_delta():
@@ -314,6 +321,47 @@ def test_dedup_stays_in_epoch_order_and_expires_from_the_front(monkeypatch):
     report = run_scenario(_cfg(duration=1.5, protocol=protocol))
     assert report.checks["no_loss_no_unbounded_dup"]["pass"]
     assert expired > 0
+
+
+def test_a_headed_slot_keeps_no_pending_share_and_sends_no_empty_update(monkeypatch):
+    # Two equivocators push same-slot keys and late shares through ordering:
+    # after every round no pending key belongs to a slot that has a header,
+    # and a batcher hears of a round only for a won key or a new term.
+    apply_round = ConsensusNode._on_round
+    seen = {"rounds": 0, "updates": 0}
+
+    class Recording:
+        def __init__(self, ctx):
+            self.now, self.ctx, self.updates = ctx.now, ctx, []
+
+        def send(self, dest, message):
+            if isinstance(message, msg.OrderedUpdate):
+                self.updates.append(message)
+            self.ctx.send(dest, message)
+
+    def checked(node, m, ctx):
+        recording = Recording(ctx)
+        apply_round(node, m, recording)
+        updates, state = recording.updates, node.state
+        assert not [key for key in state.pending if key.slot() in state.dedup]
+        assert all(u.thresholded or u.new_term is not None for u in updates)
+        seen["rounds"] += 1
+        seen["updates"] += len(updates)
+
+    monkeypatch.setattr(ConsensusNode, "_on_round", checked)
+    doc = json.loads((CONFIGS / "censorship.json").read_text())
+    doc.update(
+        parties=7,
+        faults=2,
+        shards=2,
+        duration=1.0,
+        tx_rate=200,
+        seed=13,
+        adversaries=[{"party": 0, "kind": "equivocate_batch"}, {"party": 1, "kind": "equivocate_batch"}],
+    )
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    assert report.all_checks_pass()
+    assert seen["rounds"] > 0 and seen["updates"] > 0
 
 
 def test_throughput_series_matches_committed_total():
