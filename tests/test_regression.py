@@ -39,8 +39,8 @@ def _ed25519_short() -> dict:
 
 
 def _ordering_short() -> dict:
-    # Ripe orphan keys, term changes and the pre-GST delay branch: the
-    # ordering paths the shipped configs do not reach.
+    # Same-slot keys of an equivocator, term changes and the pre-GST delay
+    # branch: the ordering paths the shipped configs do not reach.
     doc = json.loads((CONFIGS / "censorship.json").read_text())
     doc.update(
         parties=7,
@@ -133,93 +133,91 @@ SCENARIOS = {
 # `shardbft run` exits 1 for a run that loses acked txs or is not quiescent.
 EXIT_CODES = {"lossy": 1}
 
-# sha256 of every file `shardbft run` writes, recorded before verify was
-# memoized and tx_id cached (`ordering_short`: before the ordering payloads
-# were cached; `late_gst` and `lossy`: before client arrivals were held
-# back from the event heap; `bogus_short` and `withhold_short`: before the
-# adversary types were merged and the pool carry-over was folded into one).
+# sha256 of every file `shardbft run` writes, recorded when consensus
+# stopped notifying a batcher of a round that decided nothing for its shard:
+# the fewer sends shift the seeded link-delay stream (keys.json is as before).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "27168759f71ff50ca8595279b561d910fca9c2bb3a2c3ae12a5395dd40be6dd8",
-        "ledger_party1.bin": "161e872f3dfafb1ce3ae57cded0bf8d775d1874e87b6a7a7bb1e69a36299cbea",
-        "ledger_party2.bin": "2bae87d1b4f5f6e2f8049e6a1f67c13c26a83c90675f5517269673e6a174d1c8",
-        "ledger_party3.bin": "74d885d179524a529757b2cf17e5eebb3f51a8d766a05b4821c0ae4d7333fe83",
-        "report.json": "9ee4cf98b742a0da81b93013a99a3d99fa5b68ea3f555dc6e5feb1e5d6c36086",
-        "series.csv": "5365f31fa896db189e9e57ade31075f90a0f6702eb34a82810678c6f32506f04",
+        "ledger_party0.bin": "aebb45528812673f5056b094e7f74700c8aa631eb14cf32b559f3c04b187ca90",
+        "ledger_party1.bin": "25d9651f017a3146839f838b7298bd81acceed9c3ed71534fdb76ff2a6b5b357",
+        "ledger_party2.bin": "52687a6452374689bbeff3552b08b0010922b8c43ed3c2dc0d6de7d314946cc5",
+        "ledger_party3.bin": "8f2be660a844b39735f9be734d5057405e3ea6ea29852f2d330193e86fa98b70",
+        "report.json": "416336f988e8b529a4d306f59fb0a68936fb60924358e5bc965379a71c434c32",
+        "series.csv": "04a47646c62c456fe446c5c74571ba6a7d932e9caa1ab1d337a07fea141ae0ce",
     },
     "censorship": {
         "keys.json": "d706ce51eb146cdb1a0a9c48618efebc7cdf60ad8648f4f75e0a0f182c1f0abc",
-        "ledger_party1.bin": "798c84b4a75db8df787247f73b82b48c4559d806d408e03a7ca2fec3f735a39a",
-        "ledger_party2.bin": "6f9ee11550b0c52a5a95921b19d9742979cc1c56fd04510d0464a892668c22e0",
-        "ledger_party3.bin": "cb3ba50509580b3e7fe5e10709816d16e22f25c5390b03c55fc0b2aea47419b9",
-        "report.json": "8f9f1f6842eae1d01b0b28e0734e302d5f7b7b280ca3d6f2b3b7abad4c438497",
-        "series.csv": "9a061fea3e77aaf0d7a6bbb1ae565e529612b4f604b3710f1247d5e178e6d9d1",
+        "ledger_party1.bin": "624b80573b0334891e12663ab5d6485689c5d7128f6dec75c62a4e529e4bc0ea",
+        "ledger_party2.bin": "f10a710a4220dcc1a8b39850b4638cebd8da570fe13b5db986d4070e3796dfd2",
+        "ledger_party3.bin": "678f5bf64cacebd04b05db6a3b7ee5449a6eb31dbb25d6cddc88065b10eca094",
+        "report.json": "66e71fd0a192c06052d8f9449de480e02b2494797a0fbf939de650b8ba1367fa",
+        "series.csv": "b4533146a71e2ea1cc692b0d9d68c0c8b63dc4d25cd74594aa558bd879adb511",
     },
     "failover": {
         "keys.json": "d70ef3aa1a46a60f0a09910258112568830bdbc47f76241e0e68c552dc3d244d",
         "ledger_party1.bin": "52d736d0b8d8d5fcb7ae8ad936c5de9d582203819e48c895c3a3c7b7b347241d",
         "ledger_party2.bin": "52d736d0b8d8d5fcb7ae8ad936c5de9d582203819e48c895c3a3c7b7b347241d",
         "ledger_party3.bin": "52d736d0b8d8d5fcb7ae8ad936c5de9d582203819e48c895c3a3c7b7b347241d",
-        "report.json": "2ac63ce4bda4df94cc5d95de113038a69503166889e652c2761516c2704759c5",
-        "series.csv": "c31f18dda63c98f0cd10df723b75a36faf698d1c780a50c58b7b5df7a8cb29a5",
+        "report.json": "537fc302ce74aebb17e77d098eee7d0d75e3a65fd152b9f1ca69204a71dab004",
+        "series.csv": "aeea89915bf90afc3a514bd31610eb0ca50a8e577872402128957d980e90ec39",
     },
     "ed25519_short": {
         "keys.json": "c3a878cd67b6f43e72f0c2112d2e66a7d1f3362d6f9bf291450ee3402c34080e",
-        "ledger_party0.bin": "68c1fbf50a07beba7b616aecb00de17f105b79e403fb421b4e8ddf70abdcceee",
-        "ledger_party1.bin": "e87227e3f5e6bb99120623b4152d04c702bf6e3f1aa079e37121b7af99250979",
-        "ledger_party2.bin": "e9f86be5488cbb53f737505d2bcb2b0d9220cd28ad7baa208048a0aeda9ca520",
-        "ledger_party3.bin": "30bfd086387184e2bcc74aecdf1d228bb4058b663cb38184867ed12debab69ec",
-        "report.json": "adbbb5e6cec7fb336922e22c99177fab02c93b5279920445a2badbea1284f56e",
-        "series.csv": "f849a943320d9223dc6b7a946cba8791ffe741c4e70fa02ca1feef8e077741f7",
+        "ledger_party0.bin": "f81268f04e84ecefe6940f1b5f9270ba330d69d79816bf2dd088b733d998633c",
+        "ledger_party1.bin": "1b8f4cc155ee8b21919e93b77dc92bbf3380a9a88f1fa9f6cbf7c2c659cec149",
+        "ledger_party2.bin": "52f57ff6095c0190f2a1e3d201446d293ba27b814e761d9c2d82f0bade4e1e8f",
+        "ledger_party3.bin": "cb1e1fe1b339f5bfb0ac0de1469cf275c7334c646828bf25f11c4d1fe3be610f",
+        "report.json": "f15d69b03a881f6e5012b86a1778f812156fd274a1a9a9b9fbfc7618d3f0a19a",
+        "series.csv": "86d492aa5df8488efdb68a0de621094a6c96ce46ca00c56229c5b888900ff584",
     },
     "ordering_short": {
         "keys.json": "158ffa11e8285c4f3fbd9fbab16bc581beaca0d383c16120a9c86b74d509baf5",
-        "ledger_party2.bin": "d392728db7abb83d3e06c7693c682b57c29922658026ed6caf983efa1fea71b2",
-        "ledger_party3.bin": "262151833a3c709562904417c06adf79adbd4de4eb928b03d84cea298f27eeca",
-        "ledger_party4.bin": "e4e7e05f1ecd0d7de240d107edee18e6c1d90998ef63c4424b90669a6aa27cd7",
-        "ledger_party5.bin": "b669619803d16c21b754b9c2ab9c264b45f3805e45ac6690b6ecc1f2e3f602e3",
-        "ledger_party6.bin": "2237ad9ba6cf008f4181a40c6626c7003c7416864432e300c64f5d608d9b8e90",
-        "report.json": "13e645e8cb337c0893e9f67cd910227776d6fa8ea9ce97ceaa1e59796ea4f7b4",
-        "series.csv": "e1c6c7b5e23a797e1e406d8b11f40dd91c56d7307812e7eb8a7d3ae6e7689581",
+        "ledger_party2.bin": "c7aaf318bf8506b460da7196e8c8f21964048299aa755a858e57a1dabc710882",
+        "ledger_party3.bin": "24d56bcbe9d7b7af502662aa450c89f776b8b7cc3cacda0c07571deb7dbf6de7",
+        "ledger_party4.bin": "bfca9354ac9763d105b6b194922ea6843a87068d32d8e9d50e0b25b6c765ab06",
+        "ledger_party5.bin": "6e00e78069d35bc262500458532fdf05740cc8f9a22b4d306886d883c23ffa61",
+        "ledger_party6.bin": "21f4eda903bce46f9eda60380bbba4c1c1994d5c605117e61e352633305e0448",
+        "report.json": "da385950d1629f9dd7d5a20f58e853f1c97be2121dae96538f5194f25b896d66",
+        "series.csv": "f237dd4a77e1488a3ac00c0542bc8c2d04f3626e1b9ca7bf086c161618f068ad",
     },
     "late_gst": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "00ef7c49541c20bd93a9fd4e32b619d8cade1808245c520542530bc35c1a5b3c",
-        "ledger_party1.bin": "75c44a5a45b2e85ce0f880dc698041fd2ba66752684b880d9622a9cdc4a6fcf4",
-        "ledger_party2.bin": "2f5c2faedc63ef761c3141afd75f94a011d08c4794b84154bdaddbcaf6b31a6e",
-        "ledger_party3.bin": "a08e13ba44b7083c5df60eff9fa120e0b0292fbc3fca704732ca548ad860e07a",
-        "report.json": "a09dba9d3dcc73d72a953f5e6665dafd19d8672ac8d06f546cbb364c0ea7c6a5",
-        "series.csv": "dcc65c520e444e8a57fa85168a7f62253a9c8e928319cb24404b7fad43b7d59a",
+        "ledger_party0.bin": "1ed9358ddb7e147be8de7eb3626862e56b6522ac696354ee59290d7b66fd0978",
+        "ledger_party1.bin": "9a7b36e5bb8680eb9544297e9b941b5422b8480916333eaa59e12bfe3790f4fa",
+        "ledger_party2.bin": "5f3b19a33650d79a4abf614519867e210ced53b6cc2f885fdaf2e2752ecf93ca",
+        "ledger_party3.bin": "843f74323c7ffa5fafb113a27836caf38dca005338c9855db79570add3e183d8",
+        "report.json": "8d5edc47851b28f8d7160d9fbc8e6fe4814ccbada4566e12d612abf7d358ae41",
+        "series.csv": "0be50ffa960b82ddb2595207bf3dbeaab622e67605caab14bb6394cef8affd79",
     },
     "lossy": {
         "keys.json": "e1d82b639313285163f455ba185b4412eb704ce542a317b00fefbd49ba9440e1",
-        "ledger_party0.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
-        "ledger_party1.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
+        "ledger_party0.bin": "9f3395548cd19a855d3442738d710c64f7f597adc5d1e3f4eb2a86fa2286ec53",
+        "ledger_party1.bin": "9f3395548cd19a855d3442738d710c64f7f597adc5d1e3f4eb2a86fa2286ec53",
         "ledger_party2.bin": "32b2d992dfa2db0388b9101e8ba3886d5ccc5656eea17007c075500a054d60c5",
-        "ledger_party3.bin": "7b5386562ff074dc734531170d39585369b9e0cbfe5184dd5384a21783558acf",
-        "report.json": "0d4fd0771fba85417da060209b98f6fec11c5648d51db53949081c18e8d6eeb2",
-        "series.csv": "3856cd9fe0f02bca4f1a19fad9da857e3e7683bd6dbd6f7db747e845f62d29f2",
+        "ledger_party3.bin": "9f3395548cd19a855d3442738d710c64f7f597adc5d1e3f4eb2a86fa2286ec53",
+        "report.json": "829289a9273c80917722ccff1fb45610788971b2373b7a88fb320484f0e0682d",
+        "series.csv": "aec0392efe5f5deac1403e04ce2ea809c38673f6fea2e2b1f43fc17f91a8a6dd",
     },
     "bogus_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party2.bin": "d480c289869b3990a78ceb1c8b1b123fb43df36b6300673b80eef964eea21530",
-        "ledger_party3.bin": "97ec181b7eedd0fb4c1e4b570cf31cddb0bdb24e0c6fd241295bf6e0b4410fc0",
-        "ledger_party4.bin": "89d45e4a2f54023f393d4337ffc1695bca7dc5ca731b0da093ece361b27b75ad",
-        "ledger_party5.bin": "ff6a0ce46f963d8989b02f139de75bf5ecce3981c73c4b34378c3c06cc1cb11c",
-        "ledger_party6.bin": "e258d5a0c2fd6e69b0eb2ad061dfef0c19ec248d3ca9770eadee95ce17c03599",
-        "report.json": "4fcd4e7700e7eabf1f20148da181c2dd0bac80e55034ded09832588f60d788ff",
-        "series.csv": "0349dbaf51df8ec9aa6952761047e8045cd53e8d085edb39747948693dba648b",
+        "ledger_party2.bin": "1c60b901b9f1419cb7a4804ae68e84fca5938545e39b95638cc977e94d2bbd98",
+        "ledger_party3.bin": "aaacf81f425327a947cef7ea53236cea5ef9a3cdc2f960c599b86b34cf5adb7d",
+        "ledger_party4.bin": "04874e5818bd3a03164fcdbed5ed636749ff6f8a51acf9732d83e83e8229d5a2",
+        "ledger_party5.bin": "1bf3e0f20ca459cbacaf6cb21817a9672c5eef71ad6129c6a049267b7c8d01b3",
+        "ledger_party6.bin": "0447c5524d66ef270fe3a315fd337623b03d47874e3ffefa023f56ea63d3e87c",
+        "report.json": "ad6bc5ff1a54116f7fd0866fc66280ff6b39910fae767d0904887b78b46cf252",
+        "series.csv": "35b763e05e1f825aed70be7e39ca08025a277821b2c24d54fa0b9f598837f91a",
     },
     "withhold_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party0.bin": "7c8f698cc77e2b77854cc1c99fcab12a7e52c0eef63f520fc5d1c20cd4a81cd2",
-        "ledger_party3.bin": "9605068b2bbda9ef868bfb35ce12807745bfe565520659ffc37a071f4fa5c25b",
-        "ledger_party4.bin": "f44975ae514ea01503b010e04510a57c93b1a59080b3f46ee4c086c9e392966c",
-        "ledger_party5.bin": "69a320ede04d6f050e00730ea629b6fd8ff998fbe0ed7f0f5b1fbfa0e3100c38",
-        "ledger_party6.bin": "d1bd0ad4cb585737b0163e06707931fc4bba100a76805fe44a9897646e91a663",
-        "report.json": "00d2dddee9e45713f044cd9d031e423a516d3d1648108878221ee2231924c946",
-        "series.csv": "e2eca0d808323456e4af44d9cf144cdd724e9c61e21875f5939f3a623e7d23b9",
+        "ledger_party0.bin": "e35144d1ae9e1403962a9bbc27a1f0b07137bfbd1ad9d28ab9016a46a0b41e56",
+        "ledger_party3.bin": "c7799a783e0c5aee479df9ec375c0998373ee84feccb84f0039df1d4eb1fc8d3",
+        "ledger_party4.bin": "060f61e6871ed521839a7bcd32e3a7a94b484a741f6e3a15bc16e135929fe991",
+        "ledger_party5.bin": "eccf669ba094e1e8ba26d52cc834f9b6aa9c1074191a1425c4d0af50f9b57138",
+        "ledger_party6.bin": "6198038a5c8876194a7faaf17af001cd17fe5b6f1888b7f389181a53dacc24b2",
+        "report.json": "20280714a77a16c93ee5cbad2060f96daecad0452e4c8eed48eeadc82a36e318",
+        "series.csv": "3aea391b8491eb6e9cf15846f2327c43dd22886325f810e9ce6487900837bfc5",
     },
 }
 
@@ -277,8 +275,9 @@ def grid_digest(docs) -> str:
     return digest.hexdigest()
 
 
-# Recorded before pending shares were kept per batch key.
-GRID_DIGEST = "5417750d0736df82400c86450a4f25cafe63280b307c0842314f0d1f0bc625ae"
+# Recorded when consensus stopped notifying a batcher of a round that
+# decided nothing for its shard, as GOLDEN was.
+GRID_DIGEST = "5ac4f35ebb63c25653f0c722c68eab3a662a75ab51a0f86f4a6e922cec286a49"
 
 
 def test_random_grid_reports_match_golden_digest():
@@ -441,7 +440,7 @@ def test_event_count_and_heap_size_on_baseline():
     assert 0 < peak[0] < submissions
     # Distinct objects behind those events: a relay passes on the object it
     # got, and a share, complaint or batch goes out as itself to every peer.
-    assert len(pushed) == 3488
+    assert len(pushed) == 3495
 
 
 def test_every_message_class_is_sent():
