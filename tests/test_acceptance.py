@@ -260,12 +260,13 @@ def test_criterion_5_threshold_extraction_oracle():
         # awarded slot leaves pending, every other share stays.
         expect_winners, dropped, survivors = pending_oracle(before, batch, f)
         rest = as_pending(survivors)
+        awarded = {k.slot() for k in winners}
         if (
             winners != expect_winners
-            or {k.slot() for k in winners} != {k.slot() for k in expected}
+            or awarded != {k.slot() for k in expected}
             or pending != rest
             or list(pending) != list(rest)
-            or any(k.slot() in {w.slot() for w in winners} for k in pending)
+            or any(k.slot() in awarded for k in pending)
         ):
             mismatches += 1
         dropped_seen += len(dropped)
