@@ -34,12 +34,7 @@ from .core import (
     u64,
 )
 from .crypto import Signature, sign
-from .pools import (
-    INSERT_ACCEPTED,
-    INSERT_DUPLICATE,
-    PrimaryPool,
-    SecondaryPool,
-)
+from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE, RequestPool
 from .router import validate_transaction
 
 _LONG_AGO, _NEVER = -(10**18), 10**18
@@ -83,28 +78,6 @@ def verification_rng(sim_seed: int, party: int, shard: int, seq: int) -> random.
     return random.Random(int.from_bytes(material, "big"))
 
 
-def scan_pool(pool: SecondaryPool, now: int, t_forward: int, t_complain: int):
-    """Censorship sweep over a bucketed pool.
-
-    Seals the open bucket, returns (txs to forward to the primary, complain?).
-    Buckets older than t_forward get their transactions forwarded once; a
-    bucket still non-empty t_complain after forwarding triggers a complaint.
-    """
-    pool.seal(now)
-    to_forward: list[Transaction] = []
-    complain = False
-    for bucket in pool.sealed:
-        if not bucket.txs:
-            continue
-        if bucket.forwarded_at is None:
-            if now - bucket.sealed_at >= t_forward:
-                bucket.forwarded_at = now
-                to_forward.extend(bucket.txs.values())
-        elif now - bucket.forwarded_at >= t_complain:
-            complain = True
-    return to_forward, complain
-
-
 class BatcherNode:
     """The batcher of party ``party`` for shard ``shard`` in the deployment ``d``."""
 
@@ -131,7 +104,7 @@ class BatcherNode:
         self._adv_rng = random.Random(
             int.from_bytes(sha256(b"adv" + u64(d.seed) + u64(party) + u64(shard)), "big")
         )
-        self.pool = self._new_pool()
+        self.pool = RequestPool(d.protocol.max_batch_size, d.protocol.pool_capacity)
 
     # --- role -----------------------------------------------------------
 
@@ -142,14 +115,6 @@ class BatcherNode:
     @property
     def height(self) -> int:
         return len(self.ledger)
-
-    def _new_pool(self) -> PrimaryPool | SecondaryPool:
-        # The only place a pool is built: at term 0, and in _change_term
-        # exactly when the role flips. So the pool's class follows the role.
-        proto = self.d.protocol
-        if self.is_primary:
-            return PrimaryPool(proto.max_batch_size, proto.pool_capacity)
-        return SecondaryPool(proto.pool_capacity)
 
     def _behaves(self, kind: str) -> bool:
         return self.adversary is not None and self.adversary.kind == kind
@@ -216,7 +181,7 @@ class BatcherNode:
         proto = self.d.protocol
         if self.pool.has_sealed():
             at = now
-        elif self.pool.pending:
+        elif self.pool.has_partial():
             at = self.batch_opened_at + proto.max_batch_latency_us
         else:
             return _NEVER
@@ -225,7 +190,7 @@ class BatcherNode:
     def _arm_proposal(self, ctx) -> None:
         """Keep one live ``ProposeKick``, at the earliest time the rule allows."""
         now = ctx.now()
-        if not self.pool.pending:
+        if not self.pool.has_partial():
             self.batch_opened_at = None
         elif self.batch_opened_at is None:
             self.batch_opened_at = now
@@ -269,8 +234,7 @@ class BatcherNode:
         self.ledger.append(batch)
         ids = [tx.tx_id for tx in batch.txs]
         self.persisted_ids.update(ids)
-        if isinstance(self.pool, SecondaryPool):
-            self.pool.remove(ids)
+        self.pool.remove(ids)
         ctx.send(self.d.assembler[self.party], batch)
         if not (self._behaves(WITHHOLD_BAS) or self._behaves(SILENT_SECONDARY)):
             self._send_attestation(batch, ctx)
@@ -372,7 +336,7 @@ class BatcherNode:
             self._send_complaint(ctx)
         if self.is_primary or self.halted or self._behaves(SILENT_SECONDARY):
             return
-        to_forward, complain = scan_pool(self.pool, ctx.now(), proto.t_forward_us, proto.t_complain_us)
+        to_forward, complain = self.pool.scan(ctx.now(), proto.t_forward_us, proto.t_complain_us)
         router = self.d.router[primary_for_term(self.term, self.d.n)]
         for tx in to_forward:
             ctx.send(router, msg.SubmitTx(tx, None))
@@ -387,27 +351,18 @@ class BatcherNode:
             self._change_term(m.new_term, ctx)
 
     def _change_term(self, new_term: int, ctx) -> None:
-        was_primary = self.is_primary
         self.term = new_term
         self.halted = False
         self.outstanding_pull = None
-        if self.is_primary != was_primary:
-            carried = self.pool.drain()
-            self.pool = self._new_pool()
-            for tx in carried:
-                if tx.tx_id not in self.persisted_ids:
-                    self.pool.insert(tx)
-        elif not self.is_primary:
-            self.pool.reset_timers(ctx.now())
+        self.pool.new_term(ctx.now())
         if self.is_primary:
             redo: list[Transaction] = []
             for batch in self.ledger:
                 if batch.key() not in self.thresholded:
                     redo.extend(batch.txs)
-            if redo:
-                added = self.pool.push_front(redo)
-                if added:
-                    self.reproposed_tx_ids.extend(tx.tx_id for tx in redo)
+            # No persisted tx is pooled, so every one of them is queued.
+            self.pool.push_front(redo)
+            self.reproposed_tx_ids.extend(tx.tx_id for tx in redo)
             self.batch_opened_at = None
             self._arm_proposal(ctx)
         else:

@@ -8,12 +8,10 @@ from shardbft.batcher import (
     BatcherNode,
     required_sample_size,
     sample_verify,
-    scan_pool,
     verification_rng,
 )
 from shardbft.core import Batch, BatchAttestationShare, ComplaintVote, Transaction
 from shardbft.crypto import Signature
-from shardbft.pools import PrimaryPool, SecondaryPool
 from shardbft.router import validate_transaction
 
 from helpers import StubCtx, make_deployment, make_tx
@@ -121,35 +119,6 @@ def test_verification_rng_deterministic():
     assert [c.randrange(1000) for _ in range(10)] != [
         verification_rng(1, 2, 3, 4).randrange(1000) for _ in range(10)
     ]
-
-
-# --- scan timing --------------------------------------------------------------
-
-
-def test_scan_pool_forward_then_complain(client_keys):
-    pool = SecondaryPool()
-    txs = [make_tx(0, bytes([i + 1]) * 3, client_keys) for i in range(3)]
-    for tx in txs:
-        pool.insert(tx)
-    fwd, complain = scan_pool(pool, now=0, t_forward=200, t_complain=300)
-    assert not fwd and not complain  # just sealed
-    fwd, complain = scan_pool(pool, now=200, t_forward=200, t_complain=300)
-    assert {t.tx_id for t in fwd} == {t.tx_id for t in txs}
-    assert not complain
-    fwd, complain = scan_pool(pool, now=499, t_forward=200, t_complain=300)
-    assert not fwd and not complain
-    fwd, complain = scan_pool(pool, now=500, t_forward=200, t_complain=300)
-    assert not fwd and complain
-
-
-def test_scan_pool_emptied_bucket_no_action(client_keys):
-    pool = SecondaryPool()
-    tx = make_tx(0, b"stuck?", client_keys)
-    pool.insert(tx)
-    scan_pool(pool, now=0, t_forward=200, t_complain=300)
-    pool.remove([tx.tx_id])
-    fwd, complain = scan_pool(pool, now=10_000, t_forward=200, t_complain=300)
-    assert not fwd and not complain
 
 
 # --- primary behavior ------------------------------------------------------------
@@ -459,13 +428,12 @@ def test_term_change_back_to_secondary(client_directory, client_keys, party_keys
     ctx.take_sent()
     node.handle(msg.OrderedUpdate((), new_term=1), ctx)
     assert not node.is_primary
-    assert isinstance(node.pool, SecondaryPool)
     assert tx.tx_id in node.pool.tx_index
     pulls = _sent_of(ctx, msg.PullRequest)
     assert pulls and pulls[0][0] == node.d.batcher[1][0]
 
 
-def test_pool_class_follows_the_role_across_term_changes(client_directory, client_keys, party_keys):
+def test_one_pool_across_term_changes(client_directory, client_keys, party_keys):
     # Party 1 of 4 is the primary of terms 1, 5, 9, ... Its ledger holds one
     # batch that never reached the threshold, so each term it leads re-queues
     # those persisted txs; a tx it only pooled must survive every change.
@@ -474,16 +442,16 @@ def test_pool_class_follows_the_role_across_term_changes(client_directory, clien
     persisted = {tx.tx_id for tx in txs}
     pooled = make_tx(2, b"pooled", client_keys)
     node.handle(msg.SubmitTx(pooled, 0), ctx)
+    pool = node.pool
     # secondary -> primary -> secondary, a 2-term jump without and with a
-    # role flip, and a 4-term jump that keeps the same primary.
+    # role flip, and a 4-term jump that keeps the same primary: the pool is
+    # never rebuilt, whatever the role.
     for term, primary in ((1, True), (2, False), (4, False), (5, True), (9, True), (11, False)):
-        pool = node.pool
         node.handle(msg.OrderedUpdate((), new_term=term), ctx)
         assert node.term == term and node.is_primary == primary
-        assert isinstance(node.pool, PrimaryPool) == node.is_primary
-        assert (node.pool is pool) == (term not in (1, 2, 5, 11))
-        assert pooled.tx_id in node.pool.tx_index
+        assert node.pool is pool
+        assert pooled.tx_id in pool.tx_index
         if primary:
-            assert persisted <= set(node.pool.tx_index)
+            assert persisted <= set(pool.tx_index)
         else:
-            assert not persisted & set(node.pool.tx_index)
+            assert not persisted & set(pool.tx_index)
