@@ -2,12 +2,14 @@
 
 Batchers submit attestation shares and complaint votes; a pluggable total
 order broadcast delivers them back in rounds that are identical at every
-correct node. Round processing is deterministic: it keeps pending shares
-per batch key, gives each ledger slot the first key to reach F+1 distinct
-attestations and drops every other share of a slot with a header (``headed``),
-advances per-shard terms on F+1 distinct complaints, bounds replay with an
-epoch window, and chains one block header per productive round. Nodes sign
-the header, swap signature shares, and publish once a quorum accumulates.
+correct node, repeats included. One admission rule, ``filter_event``, gates
+each event at intake and again as it is ordered. Round processing is
+deterministic: it keeps pending shares per batch key, gives each ledger slot
+the first key to reach F+1 distinct attestations and refuses every other
+share of a slot with a header (``headed``), advances per-shard terms on F+1
+distinct complaints, bounds replay with an epoch window, and chains one
+block header per productive round. Nodes sign the header, swap signature
+shares, and publish once a quorum accumulates.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ DROP_BAD_SIGNATURE = "bad_signature"
 DROP_STALE_EPOCH = "stale_epoch"
 DROP_DUPLICATE = "duplicate"
 DROP_STALE_TERM = "stale_term"
+DROP_UNKNOWN_SHARD = "unknown_shard"
 
 
 @dataclass
 class ConsensusState:
     epoch_window: int
+    shard_count: int
     # key -> signer -> share, keys in first-appearance order.
     pending: dict[BatchKey, dict[int, BatchAttestationShare]] = field(default_factory=dict)
     # One header ever per ledger slot (shard, seq, primary) while its entry
@@ -58,17 +62,19 @@ def verify_event(event, party_keys) -> bool:
 
 def headed(state: ConsensusState, share: BatchAttestationShare) -> bool:
     """Whether the share's ledger slot already has a header. Every correct
-    node applies the same rounds, so all learn this in the same round, and
-    such a share is dropped at intake and again when it is ordered."""
+    node applies the same rounds, so all learn this in the same round."""
     return share.key().slot() in state.dedup
 
 
-def filter_event(event, state: ConsensusState, local_epoch: int, party_keys) -> tuple[bool, str | None]:
-    """Gate an event before submitting it to the total order broadcast."""
+def filter_event(event, state: ConsensusState, epoch: int, party_keys) -> tuple[bool, str | None]:
+    """Admit a share or complaint, or give the reason to refuse it. Intake
+    passes the local epoch, round processing the ordered epoch."""
     if not verify_event(event, party_keys):
         return False, DROP_BAD_SIGNATURE
+    if event.shard >= state.shard_count:
+        return False, DROP_UNKNOWN_SHARD
     if isinstance(event, BatchAttestationShare):
-        if event.epoch < local_epoch - state.epoch_window:
+        if event.epoch < epoch - state.epoch_window:
             return False, DROP_STALE_EPOCH
         if headed(state, event) or event.signer in state.pending.get(event.key(), ()):
             return False, DROP_DUPLICATE
@@ -139,7 +145,7 @@ class ConsensusNode:
         self.party = party
         self.node_id = d.consensus[party]
         self.peers = tuple(c for c in d.consensus if c != self.node_id)
-        self.state = ConsensusState(d.protocol.epoch_window)
+        self.state = ConsensusState(d.protocol.epoch_window, d.k)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
         self.headers: dict[int, BlockHeader] = {}
@@ -178,30 +184,30 @@ class ConsensusNode:
 
     def _on_round(self, m: msg.RoundDelivery, ctx) -> None:
         state = self.state
+        d = self.d
+        for event in m.events:  # the round's verified shares raise the ordered epoch
+            if isinstance(event, BatchAttestationShare) and event.epoch > state.ordered_epoch:
+                if verify_event(event, d.party_pubs):
+                    state.ordered_epoch = event.epoch
+        horizon = state.ordered_epoch - state.epoch_window
+
+        # Every ordered event passes the intake rule again, against the state
+        # at the start of the round: a replay or a share of a headed slot is
+        # refused here whatever the total order delivers.
         shares: list[BatchAttestationShare] = []
         complaints: list[ComplaintVote] = []
-        d = self.d
         for event in m.events:
-            if not verify_event(event, d.party_pubs):
-                continue
-            if isinstance(event, BatchAttestationShare):
-                shares.append(event)
-            elif isinstance(event, ComplaintVote) and event.shard < d.k:
-                complaints.append(event)
-
-        if shares:
-            state.ordered_epoch = max(state.ordered_epoch, max(s.epoch for s in shares))
-        horizon = state.ordered_epoch - state.epoch_window
+            ok, _reason = filter_event(event, state, state.ordered_epoch, d.party_pubs)
+            if ok:
+                (shares if isinstance(event, BatchAttestationShare) else complaints).append(event)
 
         term_changes = apply_complaints(complaints, state, d.f)
         for shard, new_term in term_changes:
             self.term_change_log.append((ctx.now(), shard, new_term))
 
         # Only the first same-slot key past F+1 makes the header; the rest
-        # of that slot's shares leave with it, and a later share of a headed
-        # slot never enters.
-        fresh = [share for share in shares if share.epoch >= horizon and not headed(state, share)]
-        winners = process_round(state.pending, fresh, d.f)
+        # of that slot's shares leave with it.
+        winners = process_round(state.pending, shares, d.f)
         for key in winners:
             state.dedup[key.slot()] = state.ordered_epoch
 
@@ -241,8 +247,6 @@ class ConsensusNode:
         changed = dict(term_changes)
         batchers = self.d.batcher[self.party]
         for shard in set(per_shard) | set(changed):
-            if shard >= len(batchers):  # no batcher serves a shard past the last
-                continue
             ctx.send(batchers[shard], msg.OrderedUpdate(tuple(per_shard.get(shard, ())), changed.get(shard)))
 
     # --- header signature aggregation ------------------------------------------

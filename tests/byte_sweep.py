@@ -1,9 +1,12 @@
-"""Print one `report.json` sha256 per scenario, to compare two checkouts.
+"""Print one `report.json` sha256 per scenario, with its verdicts, to
+compare two checkouts.
 
 The scenarios are the 600 of ``random_grid(s, 40)`` for s = 1..15, every
 perfbench workload's scenario seeds at benchmark seed 505, and the pinned
-scenarios of `tests/test_regression.py`. A change that must keep report
-bytes prints the same lines as its parent:
+scenarios of `tests/test_regression.py`. Each line is the scenario name,
+the sha256, whether every check passed and whether the run was quiescent.
+A change that must keep report bytes prints the same lines as its parent;
+one that moves bytes on purpose shows its verdict flips in the same diff:
 
     python3 tests/byte_sweep.py > after.txt   # in each checkout
     diff before.txt after.txt
@@ -43,7 +46,9 @@ def scenarios() -> list[tuple[str, dict]]:
 def main() -> None:
     for name, doc in scenarios():
         report = run_scenario(ScenarioConfig.from_dict(doc))
-        print(name, hashlib.sha256(report_to_json(report).encode()).hexdigest(), flush=True)
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        checks = "pass" if report.all_checks_pass() else "FAIL"
+        print(name, digest, f"checks={checks}", f"quiescent={report.quiescent}", flush=True)
 
 
 if __name__ == "__main__":

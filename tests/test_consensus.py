@@ -10,6 +10,7 @@ from shardbft.consensus import (
     DROP_DUPLICATE,
     DROP_STALE_EPOCH,
     DROP_STALE_TERM,
+    DROP_UNKNOWN_SHARD,
     apply_complaints,
     filter_event,
     headed,
@@ -56,23 +57,23 @@ def pubs(party_keys, n=4):
 
 
 def test_filter_accepts_fresh_valid_share(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0)
-    ok, reason = filter_event(share, state, local_epoch=0, party_keys=pubs(party_keys))
+    ok, reason = filter_event(share, state, epoch=0, party_keys=pubs(party_keys))
     assert ok and reason is None
 
 
 def test_filter_drops_stale_epoch(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0, epoch=0)
-    ok, reason = filter_event(share, state, local_epoch=3, party_keys=pubs(party_keys))
+    ok, reason = filter_event(share, state, epoch=3, party_keys=pubs(party_keys))
     assert not ok and reason == DROP_STALE_EPOCH
-    ok, _ = filter_event(share, state, local_epoch=2, party_keys=pubs(party_keys))
+    ok, _ = filter_event(share, state, epoch=2, party_keys=pubs(party_keys))
     assert ok  # exactly at the window edge
 
 
 def test_filter_drops_duplicate_signer_key(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0)
     state.pending = as_pending([share])
     ok, reason = filter_event(share, state, 0, pubs(party_keys))
@@ -80,7 +81,7 @@ def test_filter_drops_duplicate_signer_key(party_keys):
 
 
 def test_filter_drops_dedup_slot(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0)
     assert not headed(state, share)
     state.dedup[share.key().slot()] = 0
@@ -92,13 +93,13 @@ def test_filter_drops_dedup_slot(party_keys):
 def test_filter_drops_bad_signature(party_keys):
     share = make_share(party_keys, 0, 0)
     forged = BatchAttestationShare(1, share.seq, share.digest, share.shard, share.primary, share.epoch, share.signature)
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     ok, reason = filter_event(forged, state, 0, pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
 
 
 def test_filter_drops_stale_term_complaint(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     state.terms[0] = 2
     vote = make_complaint(party_keys, 1, term=1)
     ok, reason = filter_event(vote, state, 0, pubs(party_keys))
@@ -203,7 +204,7 @@ def test_process_round_brute_force_oracle(party_keys):
 
 
 def test_complaints_reach_threshold(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     votes = [make_complaint(party_keys, s, 0) for s in (1, 2)]
     changes = apply_complaints(votes, state, f=1)
     assert changes == [(0, 1)]
@@ -211,20 +212,20 @@ def test_complaints_reach_threshold(party_keys):
 
 
 def test_complaints_distinct_signers_required(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     votes = [make_complaint(party_keys, 1, 0)] * 3
     assert apply_complaints(votes, state, f=1) == []
     assert state.terms.get(0, 0) == 0
 
 
 def test_f_adversary_complaints_never_change_term(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     votes = [make_complaint(party_keys, s, 0) for s in (0, 1)]  # only F distinct
     assert apply_complaints(votes, state, f=2) == []
 
 
 def test_stale_complaints_discarded_after_change(party_keys):
-    state = ConsensusState(epoch_window=2)
+    state = ConsensusState(epoch_window=2, shard_count=1)
     apply_complaints([make_complaint(party_keys, s, 0) for s in (1, 2)], state, f=1)
     # Late votes for the old term no longer count and do not accumulate.
     assert apply_complaints([make_complaint(party_keys, 3, 0)], state, f=1) == []
@@ -440,16 +441,25 @@ def test_term_change_notifies_batchers(party_keys):
     assert node.term_change_log and node.term_change_log[0][1:] == (0, 1)
 
 
-def test_threshold_for_a_shard_past_the_last_sends_no_update(party_keys):
-    # A key for shard 2 of 2 reaches F+1 shares: it makes the header, but no
-    # batcher serves that shard, so only shard 1's batcher hears of the round.
+def test_an_event_for_a_shard_past_the_last_is_refused_at_intake_and_when_ordered(party_keys):
+    # Shard 2 of 2 has no batcher: its shares and complaints are refused by
+    # the one admission rule, so no header names it and no term moves.
     node = make_node(party_keys, shards=2)
     ctx = StubCtx()
-    events = [make_share(party_keys, s, 0, shard=shard) for shard in (1, 2) for s in (0, 1)]
-    node.handle(msg.RoundDelivery(1, tuple(events)), ctx)
-    assert [k.shard for k in node.headers[0].batch_digests] == [1, 2]
+    bad_shares = [make_share(party_keys, s, 0, shard=2) for s in (0, 1)]
+    bad_votes = [make_complaint(party_keys, s, 0, shard=2) for s in (1, 2)]
+    for event in (*bad_shares, *bad_votes):
+        assert filter_event(event, node.state, 0, pubs(party_keys)) == (False, DROP_UNKNOWN_SHARD)
+        node.handle(event, ctx)
+    assert ctx.take_sent() == []
+    good = [make_share(party_keys, s, 0, shard=1) for s in (0, 1)]
+    node.handle(msg.RoundDelivery(1, (*bad_shares, *bad_votes, *good)), ctx)
+    assert [k.shard for k in node.headers[0].batch_digests] == [1]
+    assert node.state.terms == {} and node.state.complaint_signers == {}
     updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
-    assert [(d, [k.shard for k in m.thresholded]) for d, m in updates] == [(node.d.batcher[0][1], [1])]
+    assert [(d, [k.shard for k in m.thresholded], m.new_term) for d, m in updates] == [
+        (node.d.batcher[0][1], [1], None)
+    ]
 
 
 def test_deterministic_headers_across_replicas(party_keys):
@@ -509,7 +519,7 @@ def test_share_with_a_short_digest_never_verifies(party_keys):
     short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, sign(party_keys[1], good.signing_payload))
     assert short.signing_payload is None
     assert not verify_event(short, pubs(party_keys))
-    ok, reason = filter_event(short, ConsensusState(epoch_window=2), 0, pubs(party_keys))
+    ok, reason = filter_event(short, ConsensusState(epoch_window=2, shard_count=1), 0, pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
     node.handle(msg.RoundDelivery(1, (good, short)), ctx)
     assert node.state.next_block_seq == 0
