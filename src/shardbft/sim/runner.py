@@ -10,9 +10,10 @@ message lands within the declared bound.
 Node CPU time is free: this is a protocol-logic simulator, not a
 performance model.
 
-The total-order primitive is a trusted sequencer in the harness: it
-deduplicates submissions, cuts a round every round_interval, and delivers
-identical rounds to every consensus node.
+The total-order primitive is a trusted sequencer in the harness: it only
+orders. It cuts a round every round_interval, dropping an event equal to
+one already in that round, and delivers identical rounds to every consensus
+node. An event submitted again lands in a later round; consensus refuses it.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from ..assembler import AssemblerNode
 from ..batcher import BatcherNode
 from ..behaviors import CENSOR_TX, CRASH, INJECT_BOGUS
 from ..consensus import ConsensusNode
-from ..core import (
-    BatchAttestationShare,
-    Transaction,
-    header_digest,
-    sha256,
-    tx_signing_bytes,
-    u64,
-)
+from ..core import Transaction, header_digest, sha256, tx_signing_bytes, u64
 from ..crypto import KeyPair, keygen, sign
 from ..router import RouterNode, map_to_shard, validate_transaction
 from .checks import (
@@ -169,7 +163,6 @@ class _Runner:
         self.tx_records: list[TxRecord] = []
         # Sequencer state.
         self.round_buffer: list = []
-        self.round_seen: set = set()
         self.round_no = 0
 
     # --- plumbing ---------------------------------------------------------
@@ -264,7 +257,7 @@ class _Runner:
         if isinstance(message, msg.RoundTick):
             if self.round_buffer:
                 self.round_no += 1
-                delivery = msg.RoundDelivery(self.round_no, tuple(self.round_buffer))
+                delivery = msg.RoundDelivery(self.round_no, tuple(dict.fromkeys(self.round_buffer)))
                 self.round_buffer = []
                 for dest in self.d.consensus:
                     self.network_send(SEQUENCER, dest, delivery)
@@ -272,11 +265,7 @@ class _Runner:
                 self.now_us + self.cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick()
             )
         else:  # a share or complaint, the object its batcher built
-            is_share = isinstance(message, BatchAttestationShare)
-            ident = (message.signer, message.key()) if is_share else (message.signer, message.shard, message.term)
-            if ident not in self.round_seen:
-                self.round_seen.add(ident)
-                self.round_buffer.append(message)
+            self.round_buffer.append(message)
 
     # --- main loop ------------------------------------------------------------------
 
