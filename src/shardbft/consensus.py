@@ -197,9 +197,12 @@ class ConsensusNode:
         shares: list[BatchAttestationShare] = []
         complaints: list[ComplaintVote] = []
         for event in m.events:
-            ok, _reason = filter_event(event, state, state.ordered_epoch, d.party_pubs)
+            ok, reason = filter_event(event, state, state.ordered_epoch, d.party_pubs)
             if ok:
                 (shares if isinstance(event, BatchAttestationShare) else complaints).append(event)
+            else:
+                key = "ordered_" + reason
+                self.drops[key] = self.drops.get(key, 0) + 1
 
         term_changes = apply_complaints(complaints, state, d.f)
         for shard, new_term in term_changes:

@@ -126,6 +126,19 @@ def test_criterion_1_agreement_suite(suite1):
     assert all(r.quiescent for _, r in runs)
 
 
+def test_no_slot_is_headed_twice(suite1):
+    # A replayed share that reopened a headed slot would give the slot a
+    # second header entry in the reference ledger.
+    runs, _ = suite1
+    twice = []
+    for cfg, report in runs:
+        blocks = report.ledgers[min(report.ledgers)]
+        slots = [key.slot() for block in blocks for key in block.header.batch_digests]
+        if len(slots) != len(set(slots)):
+            twice.append(cfg.seed)
+    assert not twice, twice
+
+
 def test_criterion_2_termination_no_loss(suite1):
     runs, _ = suite1
     lost = 0

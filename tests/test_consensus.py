@@ -404,6 +404,27 @@ def test_fresh_epoch_shares_never_reopen_an_expired_slot(party_keys):
     assert _header_slots(node).count(slot) == 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a replayed share of a headed slot, with an epoch past the slot's, reopens the "
+    "slot once it expires; ROADMAP item 1's per-shard low-water mark closes it",
+)
+def test_a_replayed_late_share_never_reopens_an_expired_slot(party_keys):
+    # Slot (0, 0, 0) is won in epoch 0. Two late shares of it with epoch 1
+    # are refused as headed; after the slot expires, the total order
+    # delivers them again, and their epoch is still inside the window.
+    node = make_node(party_keys, epoch_length=10, window=2)
+    ctx = StubCtx()
+    node.handle(msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))), ctx)
+    late = tuple(make_share(party_keys, s, 0, epoch=1) for s in (2, 3))
+    node.handle(msg.RoundDelivery(2, late), ctx)
+    assert node.drops == {"ordered_duplicate": 2}
+    node.handle(msg.RoundDelivery(3, tuple(make_share(party_keys, s, 1, epoch=3) for s in (0, 1))), ctx)
+    assert (0, 0, 0) not in node.state.dedup
+    node.handle(msg.RoundDelivery(4, late), ctx)
+    assert _header_slots(node).count((0, 0, 0)) == 1
+
+
 def test_replayed_stale_share_never_makes_second_header(party_keys):
     # Epoch window: entries are evicted from the dedup db, and shares whose
     # epoch predates the watermark window are refused both at the filter and
@@ -429,6 +450,45 @@ def test_replayed_stale_share_never_makes_second_header(party_keys):
     assert all(
         s.epoch >= node.state.ordered_epoch - 2 for who in node.state.pending.values() for s in who.values()
     )
+
+
+def test_replayed_rounds_emit_exactly_what_single_delivery_emits(party_keys):
+    # The total order may deliver an event again in any later round. Every
+    # repeat, stale-epoch shares and complaints included, is refused by the
+    # admission rule, so the node sends the same header shares and updates,
+    # makes the same headers and term changes, and ends in the same state.
+    # Every share of a seq carries one epoch: a share with an epoch past its
+    # slot's can reopen the slot once it expires, replayed or not (the two
+    # strict xfails below).
+    rng = random.Random(505)
+    rounds = []
+    for round_no in range(1, 60):
+        top = round_no // 4
+        events = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.75:
+                seq = rng.randrange(max(0, top - 6), top + 3)
+                digest = sha256(b"d" + bytes([rng.randrange(2)]))
+                signer, shard, primary = rng.randrange(4), rng.randrange(2), rng.randrange(2)
+                events.append(make_share(party_keys, signer, seq, digest, shard, primary, epoch=seq // 3))
+            else:
+                events.append(make_complaint(party_keys, rng.randrange(4), rng.randrange(3), rng.randrange(2)))
+        rounds.append(events)
+    once, replayed = make_node(party_keys, shards=2), make_node(party_keys, shards=2)
+    ctx_once, ctx_replayed = StubCtx(), StubCtx()
+    for round_no, events in enumerate(rounds, start=1):
+        mixed = list(events)  # earlier rounds' events, anywhere in this one
+        for event in (e for earlier in rounds[: round_no - 1] for e in earlier):
+            mixed.insert(rng.randrange(len(mixed) + 1), event)
+        ctx_once.time = ctx_replayed.time = round_no * 10
+        once.handle(msg.RoundDelivery(round_no, tuple(events)), ctx_once)
+        replayed.handle(msg.RoundDelivery(round_no, tuple(mixed)), ctx_replayed)
+    assert ctx_replayed.sent == ctx_once.sent
+    assert replayed.headers == once.headers and replayed.term_change_log == once.term_change_log
+    assert replayed.state == once.state and replayed.pending_series == once.pending_series
+    assert len(once.headers) > 5 and len(once.term_change_log) > 1
+    refused = {k: n - once.drops.get(k, 0) for k, n in replayed.drops.items()}
+    assert all(refused[k] > 0 for k in ("ordered_duplicate", "ordered_stale_epoch", "ordered_stale_term"))
 
 
 def test_term_change_notifies_batchers(party_keys):

@@ -364,6 +364,15 @@ def test_a_headed_slot_keeps_no_pending_share_and_sends_no_empty_update(monkeypa
     assert seen["rounds"] > 0 and seen["updates"] > 0
 
 
+def test_consensus_refuses_what_the_sequencer_orders_again():
+    # The sequencer keeps nothing across rounds, so a share that several
+    # consensus nodes forward is ordered once per round it lands in; the
+    # admission rule refuses each repeat, and the run stays correct.
+    report = run_scenario(ScenarioConfig.from_dict(json.loads((CONFIGS / "censorship.json").read_text())))
+    assert report.drops.get("ordered_duplicate", 0) > 0
+    assert report.term_changes and report.quiescent and report.all_checks_pass()
+
+
 def test_throughput_series_matches_committed_total():
     report = run_scenario(_cfg(seed=11))
     assert report.throughput_series[-1][1] == report.committed_total
