@@ -185,12 +185,10 @@ def summarize(report_dict: dict) -> str:
     lines.append(f"{'mean latency (s)':<28}{mean:>14.4f}")
     lines.append(f"{'p95 latency (s)':<28}{p95:>14.4f}")
     lines.append("")
-    lines.append(f"{'shard':<8}{'batches':>10}{'txs':>10}{'dups':>8}")
-    lines.append("-" * 36)
+    lines.append(f"{'shard':<8}{'batches':>10}{'txs':>10}")
+    lines.append("-" * 28)
     for shard, stats in sorted(report_dict["per_shard"].items(), key=lambda kv: int(kv[0])):
-        lines.append(
-            f"{shard:<8}{stats['batches']:>10}{stats['txs']:>10}{stats['duplicates']:>8}"
-        )
+        lines.append(f"{shard:<8}{stats['batches']:>10}{stats['txs']:>10}")
     lines.append("")
     lines.append(f"{'check':<28}{'verdict':>10}")
     lines.append("-" * 38)

@@ -358,9 +358,7 @@ class _Runner:
             p: sha256(b"".join(header_digest(b.header) for b in ledgers[p])).hex() for p in correct
         }
 
-        per_shard: dict[int, dict] = {
-            s: {"batches": 0, "txs": 0, "duplicates": 0} for s in range(cfg.shard_count)
-        }
+        per_shard: dict[int, dict] = {s: {"batches": 0, "txs": 0} for s in range(cfg.shard_count)}
         commit_counts: dict[bytes, int] = {}
         # Only an inject_bogus primary builds a tx that its router did not
         # validate, so without one the count is 0 and is not taken.
@@ -373,12 +371,8 @@ class _Runner:
                 stats = per_shard[batch.shard]
                 stats["batches"] += 1
                 stats["txs"] += len(batch.txs)
-                # A tx id is committed in one shard only (routers map by id),
-                # so every repeat of an id is a duplicate in this shard.
                 for tx in batch.txs:
-                    count = commit_counts.get(tx.tx_id, 0)
-                    stats["duplicates"] += count > 0
-                    commit_counts[tx.tx_id] = count + 1
+                    commit_counts[tx.tx_id] = commit_counts.get(tx.tx_id, 0) + 1
                 if count_bogus and batch.txs:
                     invalid = sum(
                         1 for tx in batch.txs if validate_transaction(tx, directory, max_tx_size) is not None

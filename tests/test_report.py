@@ -232,7 +232,7 @@ def _synthetic_report(records: list[TxRecord]) -> RunReport:
         committed_total=len(records),
         duplicate_commits=1,
         bogus_batch_commits=0,
-        per_shard={0: {"batches": 2, "txs": 5, "duplicates": 0}},
+        per_shard={0: {"batches": 2, "txs": 5}},
         drops={"stale_epoch": 3, "bad_signature": 1},
         checks={"agreement": {"pass": True}, "no_loss_no_unbounded_dup": {"pass": False, "lost": 2}},
     )
