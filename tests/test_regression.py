@@ -133,91 +133,91 @@ SCENARIOS = {
 # `shardbft run` exits 1 for a run that loses acked txs or is not quiescent.
 EXIT_CODES = {"lossy": 1}
 
-# sha256 of every file `shardbft run` writes, recorded when consensus
-# stopped notifying a batcher of a round that decided nothing for its shard:
-# the fewer sends shift the seeded link-delay stream (keys.json is as before).
+# sha256 of every file `shardbft run` writes, recorded when the sequencer
+# stopped deduplicating across rounds: the repeats it now orders shift the
+# seeded link-delay stream (keys.json is as before).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "aebb45528812673f5056b094e7f74700c8aa631eb14cf32b559f3c04b187ca90",
-        "ledger_party1.bin": "25d9651f017a3146839f838b7298bd81acceed9c3ed71534fdb76ff2a6b5b357",
-        "ledger_party2.bin": "52687a6452374689bbeff3552b08b0010922b8c43ed3c2dc0d6de7d314946cc5",
-        "ledger_party3.bin": "8f2be660a844b39735f9be734d5057405e3ea6ea29852f2d330193e86fa98b70",
-        "report.json": "416336f988e8b529a4d306f59fb0a68936fb60924358e5bc965379a71c434c32",
-        "series.csv": "04a47646c62c456fe446c5c74571ba6a7d932e9caa1ab1d337a07fea141ae0ce",
+        "ledger_party0.bin": "51445d7219c0aa74b2d7237b565b2f524c301e6a8178d2aac5cd51caa9083b2a",
+        "ledger_party1.bin": "04287ce9643e7aeafafb59036d402523679c525fae34bfeb6d2ddef6fa39b344",
+        "ledger_party2.bin": "931aea1de677d6fed17dbb447c6bdf4d995a62f8dfd3d374cfd2a4b65d3e41b3",
+        "ledger_party3.bin": "da275d87ce2350c11bd33bc1a70e75a60bdac2b28ffa8dfd80f568ee1f69b6df",
+        "report.json": "f5974c6ff7788a5dd59c8a35b63f662ea2bbafd837450a567b6b58341fa436d4",
+        "series.csv": "5639ee3c21931c5a80d1045a883895a6757a2eddd72672630b00b6860a15d734",
     },
     "censorship": {
         "keys.json": "d706ce51eb146cdb1a0a9c48618efebc7cdf60ad8648f4f75e0a0f182c1f0abc",
-        "ledger_party1.bin": "624b80573b0334891e12663ab5d6485689c5d7128f6dec75c62a4e529e4bc0ea",
-        "ledger_party2.bin": "f10a710a4220dcc1a8b39850b4638cebd8da570fe13b5db986d4070e3796dfd2",
-        "ledger_party3.bin": "678f5bf64cacebd04b05db6a3b7ee5449a6eb31dbb25d6cddc88065b10eca094",
-        "report.json": "66e71fd0a192c06052d8f9449de480e02b2494797a0fbf939de650b8ba1367fa",
-        "series.csv": "b4533146a71e2ea1cc692b0d9d68c0c8b63dc4d25cd74594aa558bd879adb511",
+        "ledger_party1.bin": "2f8959012e960156b5b330276c6d50f7c860ecba4080847a51dd964b602c5c1f",
+        "ledger_party2.bin": "822ebcb7b85292809ad0c404703e1ac0b83c91e9438af857434870c5b92b3e0c",
+        "ledger_party3.bin": "264a00bffad4bff43bf09e2cf2ba4e5ab6ccf0019d3943c2731ec3c6147ccd62",
+        "report.json": "f4eca44d37b7366c9695ee626cb953c456524c88b13e445d6ebb5660eb75d080",
+        "series.csv": "41dd9bcce2f9663d1635dd5bd25d2659dd8d4d71a23dbd70ed019d579b784b8f",
     },
     "failover": {
         "keys.json": "d70ef3aa1a46a60f0a09910258112568830bdbc47f76241e0e68c552dc3d244d",
-        "ledger_party1.bin": "52d736d0b8d8d5fcb7ae8ad936c5de9d582203819e48c895c3a3c7b7b347241d",
-        "ledger_party2.bin": "52d736d0b8d8d5fcb7ae8ad936c5de9d582203819e48c895c3a3c7b7b347241d",
-        "ledger_party3.bin": "52d736d0b8d8d5fcb7ae8ad936c5de9d582203819e48c895c3a3c7b7b347241d",
-        "report.json": "537fc302ce74aebb17e77d098eee7d0d75e3a65fd152b9f1ca69204a71dab004",
-        "series.csv": "aeea89915bf90afc3a514bd31610eb0ca50a8e577872402128957d980e90ec39",
+        "ledger_party1.bin": "d8c0dd876bb2c62f44c945551fc22b481f089e2947fef94015663c49a82365b0",
+        "ledger_party2.bin": "d8c0dd876bb2c62f44c945551fc22b481f089e2947fef94015663c49a82365b0",
+        "ledger_party3.bin": "d8c0dd876bb2c62f44c945551fc22b481f089e2947fef94015663c49a82365b0",
+        "report.json": "ae946696dd5cb47a16823397954ccecfd796146985218857af643d0502dbfa52",
+        "series.csv": "05b6f5769b3b4f5bb711d5e0e047eb97cd8aed98f68cc0bc743e2760432f890e",
     },
     "ed25519_short": {
         "keys.json": "c3a878cd67b6f43e72f0c2112d2e66a7d1f3362d6f9bf291450ee3402c34080e",
-        "ledger_party0.bin": "f81268f04e84ecefe6940f1b5f9270ba330d69d79816bf2dd088b733d998633c",
-        "ledger_party1.bin": "1b8f4cc155ee8b21919e93b77dc92bbf3380a9a88f1fa9f6cbf7c2c659cec149",
-        "ledger_party2.bin": "52f57ff6095c0190f2a1e3d201446d293ba27b814e761d9c2d82f0bade4e1e8f",
-        "ledger_party3.bin": "cb1e1fe1b339f5bfb0ac0de1469cf275c7334c646828bf25f11c4d1fe3be610f",
-        "report.json": "f15d69b03a881f6e5012b86a1778f812156fd274a1a9a9b9fbfc7618d3f0a19a",
-        "series.csv": "86d492aa5df8488efdb68a0de621094a6c96ce46ca00c56229c5b888900ff584",
+        "ledger_party0.bin": "d3d95717d457e5ce8ad19faf218c66b9466889c02db7df69abcca9df690f18ce",
+        "ledger_party1.bin": "4edb1569c914d106b3f89210e56347d36167c8bc32c5a958c2667c5572acd985",
+        "ledger_party2.bin": "27532e9e2da460f22df815d209ddc9a79da7cf4334f8b4b02ab58e70ba9937ce",
+        "ledger_party3.bin": "693e4e275c0495fb063fdf4931d357cb01575f80cc7b63474277134a445a501f",
+        "report.json": "c39f4106c334ad7f86b3349ae1505a52e39ad74cc912ec0e299f8ad5219acfa1",
+        "series.csv": "96d5d8e56277f24ddf4a072af96fbac3ad26990a0a33af00010ab5be0d55d9b4",
     },
     "ordering_short": {
         "keys.json": "158ffa11e8285c4f3fbd9fbab16bc581beaca0d383c16120a9c86b74d509baf5",
-        "ledger_party2.bin": "c7aaf318bf8506b460da7196e8c8f21964048299aa755a858e57a1dabc710882",
-        "ledger_party3.bin": "24d56bcbe9d7b7af502662aa450c89f776b8b7cc3cacda0c07571deb7dbf6de7",
-        "ledger_party4.bin": "bfca9354ac9763d105b6b194922ea6843a87068d32d8e9d50e0b25b6c765ab06",
-        "ledger_party5.bin": "6e00e78069d35bc262500458532fdf05740cc8f9a22b4d306886d883c23ffa61",
-        "ledger_party6.bin": "21f4eda903bce46f9eda60380bbba4c1c1994d5c605117e61e352633305e0448",
-        "report.json": "da385950d1629f9dd7d5a20f58e853f1c97be2121dae96538f5194f25b896d66",
-        "series.csv": "f237dd4a77e1488a3ac00c0542bc8c2d04f3626e1b9ca7bf086c161618f068ad",
+        "ledger_party2.bin": "c75310e4442c7971a216dfa8a78242d26aefaf1ae70a5034f14542c509037c60",
+        "ledger_party3.bin": "23fa02c29c19cd03147f96ca3410b59f87854ce876c00ddd3e64d6c689cb170c",
+        "ledger_party4.bin": "c9dd8f59017166d34547006a59c165edde757b7dfae64f7eff6df695163b4a6b",
+        "ledger_party5.bin": "cf78dfdb8f9e8f7b81f3a0bc15290e3700432e97558df27371ea61d42b946326",
+        "ledger_party6.bin": "49fbd9734a4d27703d91fe4332e52afd4f810c87a8d5697ba01934858628301b",
+        "report.json": "bb913b0b6f89cd01c0c03f0bd8a9d300349427dc3f52bf30e4a89ce3a998ccea",
+        "series.csv": "9a9744b92c6287e19d5f5b683ce918d25f42bd515b6821acd57adc4b94e59b46",
     },
     "late_gst": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "1ed9358ddb7e147be8de7eb3626862e56b6522ac696354ee59290d7b66fd0978",
-        "ledger_party1.bin": "9a7b36e5bb8680eb9544297e9b941b5422b8480916333eaa59e12bfe3790f4fa",
-        "ledger_party2.bin": "5f3b19a33650d79a4abf614519867e210ced53b6cc2f885fdaf2e2752ecf93ca",
-        "ledger_party3.bin": "843f74323c7ffa5fafb113a27836caf38dca005338c9855db79570add3e183d8",
-        "report.json": "8d5edc47851b28f8d7160d9fbc8e6fe4814ccbada4566e12d612abf7d358ae41",
-        "series.csv": "0be50ffa960b82ddb2595207bf3dbeaab622e67605caab14bb6394cef8affd79",
+        "ledger_party0.bin": "7e149b8411d65145f310c3b152187080c4438621ac06723a6e993d1c76fd334d",
+        "ledger_party1.bin": "c8a1bd40a00fb6309fd86b78c86d50091f162fcc2e88ebb35502c79874ba87d9",
+        "ledger_party2.bin": "c8a1bd40a00fb6309fd86b78c86d50091f162fcc2e88ebb35502c79874ba87d9",
+        "ledger_party3.bin": "8fc3f829d7356b2263d0cd0c0d87b9446e72a36bd56acd13c34baf7414603ea4",
+        "report.json": "226dd22a9258842432f56d99b379d8611f8b25b98623e172654b98bbac9a7708",
+        "series.csv": "e1e2b803fdf46bf427788595e04c2daad8ae14f84ee62d079ceb32db763495e5",
     },
     "lossy": {
         "keys.json": "e1d82b639313285163f455ba185b4412eb704ce542a317b00fefbd49ba9440e1",
-        "ledger_party0.bin": "9f3395548cd19a855d3442738d710c64f7f597adc5d1e3f4eb2a86fa2286ec53",
-        "ledger_party1.bin": "9f3395548cd19a855d3442738d710c64f7f597adc5d1e3f4eb2a86fa2286ec53",
+        "ledger_party0.bin": "33872047f5651c3d0df2afa78e3294bd3deb28390c1763d7af06805e0ee68bb8",
+        "ledger_party1.bin": "33872047f5651c3d0df2afa78e3294bd3deb28390c1763d7af06805e0ee68bb8",
         "ledger_party2.bin": "32b2d992dfa2db0388b9101e8ba3886d5ccc5656eea17007c075500a054d60c5",
-        "ledger_party3.bin": "9f3395548cd19a855d3442738d710c64f7f597adc5d1e3f4eb2a86fa2286ec53",
-        "report.json": "829289a9273c80917722ccff1fb45610788971b2373b7a88fb320484f0e0682d",
-        "series.csv": "aec0392efe5f5deac1403e04ce2ea809c38673f6fea2e2b1f43fc17f91a8a6dd",
+        "ledger_party3.bin": "33872047f5651c3d0df2afa78e3294bd3deb28390c1763d7af06805e0ee68bb8",
+        "report.json": "132657bdb0c0f9e40064651c28d6bb7b08501859f46a61f7a27e8dd2c97a42f8",
+        "series.csv": "05c3e6fbebe72b3638e96638190d9fbdbe4d337a0f944cdaf9dd491291eddbca",
     },
     "bogus_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party2.bin": "1c60b901b9f1419cb7a4804ae68e84fca5938545e39b95638cc977e94d2bbd98",
-        "ledger_party3.bin": "aaacf81f425327a947cef7ea53236cea5ef9a3cdc2f960c599b86b34cf5adb7d",
-        "ledger_party4.bin": "04874e5818bd3a03164fcdbed5ed636749ff6f8a51acf9732d83e83e8229d5a2",
-        "ledger_party5.bin": "1bf3e0f20ca459cbacaf6cb21817a9672c5eef71ad6129c6a049267b7c8d01b3",
-        "ledger_party6.bin": "0447c5524d66ef270fe3a315fd337623b03d47874e3ffefa023f56ea63d3e87c",
-        "report.json": "ad6bc5ff1a54116f7fd0866fc66280ff6b39910fae767d0904887b78b46cf252",
-        "series.csv": "35b763e05e1f825aed70be7e39ca08025a277821b2c24d54fa0b9f598837f91a",
+        "ledger_party2.bin": "8ecca6d5ec4123d9721b9f18d1b544d3cbfe97786ac769e200e90516a8788847",
+        "ledger_party3.bin": "30963ce89d398795913d8d80f6d176120a82d9ed179974561e71530354856355",
+        "ledger_party4.bin": "75284d142ae9e0e2df5e6f787612d8bdf398347086a7a4c138eb1400d460113d",
+        "ledger_party5.bin": "8d478b9c5dbd97b00b76b38ebfabbc3b3275080fcdd33ec0579013e12c771b43",
+        "ledger_party6.bin": "736e239c7658835e06608c2b5cea63c25612e5479fcff54c7b9714c1f5e4f60a",
+        "report.json": "17f950f93d3019fda6405ef0efdd5f0d7e7096a04be7580e8e7827f3982f6bef",
+        "series.csv": "ee0a24048046f8f6d765145d67acfcfab119d15033170f60ccf466f1c4d0c044",
     },
     "withhold_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party0.bin": "e35144d1ae9e1403962a9bbc27a1f0b07137bfbd1ad9d28ab9016a46a0b41e56",
-        "ledger_party3.bin": "c7799a783e0c5aee479df9ec375c0998373ee84feccb84f0039df1d4eb1fc8d3",
-        "ledger_party4.bin": "060f61e6871ed521839a7bcd32e3a7a94b484a741f6e3a15bc16e135929fe991",
-        "ledger_party5.bin": "eccf669ba094e1e8ba26d52cc834f9b6aa9c1074191a1425c4d0af50f9b57138",
-        "ledger_party6.bin": "6198038a5c8876194a7faaf17af001cd17fe5b6f1888b7f389181a53dacc24b2",
-        "report.json": "20280714a77a16c93ee5cbad2060f96daecad0452e4c8eed48eeadc82a36e318",
-        "series.csv": "3aea391b8491eb6e9cf15846f2327c43dd22886325f810e9ce6487900837bfc5",
+        "ledger_party0.bin": "7e207ae40a7fda96619fd3051f488c7808509383e2de95c67cbb29ab7e7f7bb8",
+        "ledger_party3.bin": "1a098d7859ab38685b96cfa85bfac0ecc1e4d3f5d6619ef32cf6d60bd4e2e444",
+        "ledger_party4.bin": "69d848b30933a705c68f441658ad61c9d8e61a657da0379b416fbcc44410ce86",
+        "ledger_party5.bin": "8cd92e0f943d3ed73100ccb9c634eadc1d028662c27426487edd38b0d8bf17ab",
+        "ledger_party6.bin": "5ba096c3c60440366ee94a2818f9d331670246d3af50a4363288be78d07ccd32",
+        "report.json": "1ffe22e1781946c70a200c6cbcdd5067d3afba8734c024138feaf8b5cb99631c",
+        "series.csv": "c5220a0e24b25d2373e3bacb719dc2cc8048af307a1a4b3510a83029c9d991a9",
     },
 }
 
@@ -275,9 +275,9 @@ def grid_digest(docs) -> str:
     return digest.hexdigest()
 
 
-# Recorded when consensus stopped notifying a batcher of a round that
-# decided nothing for its shard, as GOLDEN was.
-GRID_DIGEST = "5ac4f35ebb63c25653f0c722c68eab3a662a75ab51a0f86f4a6e922cec286a49"
+# Recorded when the sequencer stopped deduplicating across rounds, as
+# GOLDEN was.
+GRID_DIGEST = "b7dad06dc27f4d2cc6045f05f424ac788fc62aac09c45d20d5f6a3b1eeae6873"
 
 
 def test_random_grid_reports_match_golden_digest():
@@ -440,7 +440,7 @@ def test_event_count_and_heap_size_on_baseline():
     assert 0 < peak[0] < submissions
     # Distinct objects behind those events: a relay passes on the object it
     # got, and a share, complaint or batch goes out as itself to every peer.
-    assert len(pushed) == 3495
+    assert len(pushed) == 3493
 
 
 def test_every_message_class_is_sent():
