@@ -189,7 +189,6 @@ class ConsensusNode:
             if isinstance(event, BatchAttestationShare) and event.epoch > state.ordered_epoch:
                 if verify_event(event, d.party_pubs):
                     state.ordered_epoch = event.epoch
-        horizon = state.ordered_epoch - state.epoch_window
 
         # Every ordered event passes the intake rule again, against the state
         # at the start of the round: a replay or a share of a headed slot is
@@ -217,7 +216,7 @@ class ConsensusNode:
         # Slots enter dedup with the non-decreasing ordered_epoch and a live
         # slot is never rewritten, so the dict is in epoch order: expire from
         # the front. No pending key belongs to a headed slot.
-        dedup = state.dedup
+        dedup, horizon = state.dedup, state.ordered_epoch - state.epoch_window
         while dedup:
             slot = next(iter(dedup))
             if dedup[slot] >= horizon:

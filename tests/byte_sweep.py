@@ -6,8 +6,8 @@ perfbench workload's scenario seeds at benchmark seed 505, and the pinned
 scenarios of `tests/test_regression.py`. Each line holds the scenario's
 name, the sha256, ``checks=pass`` (or ``checks=FAIL:`` and the names of the
 failed checks) and ``quiescent=``. A change that must keep report bytes
-prints the same lines as its parent;
-one that moves bytes on purpose shows its verdict flips in the same diff:
+prints the same lines as its parent; one that moves bytes on purpose shows
+its verdict flips in the same diff:
 
     python3 tests/byte_sweep.py > after.txt   # in each checkout
     diff before.txt after.txt
@@ -48,7 +48,7 @@ def main() -> None:
     for name, doc in scenarios():
         report = run_scenario(ScenarioConfig.from_dict(doc))
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
-        failed = ",".join(name for name, entry in sorted(report.checks.items()) if not entry["pass"])
+        failed = ",".join(check for check, entry in sorted(report.checks.items()) if not entry["pass"])
         checks = f"FAIL:{failed}" if failed else "pass"
         print(name, digest, f"checks={checks}", f"quiescent={report.quiescent}", flush=True)
 
