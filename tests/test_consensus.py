@@ -459,7 +459,7 @@ def test_replayed_rounds_emit_exactly_what_single_delivery_emits(party_keys):
     # makes the same headers and term changes, and ends in the same state.
     # Every share of a seq carries one epoch: a share with an epoch past its
     # slot's can reopen the slot once it expires, replayed or not (the two
-    # strict xfails below).
+    # strict xfails above).
     rng = random.Random(505)
     rounds = []
     for round_no in range(1, 60):
@@ -516,6 +516,7 @@ def test_an_event_for_a_shard_past_the_last_is_refused_at_intake_and_when_ordere
     node.handle(msg.RoundDelivery(1, (*bad_shares, *bad_votes, *good)), ctx)
     assert [k.shard for k in node.headers[0].batch_digests] == [1]
     assert node.state.terms == {} and node.state.complaint_signers == {}
+    assert node.drops == {"unknown_shard": 4, "ordered_unknown_shard": 4}
     updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
     assert [(d, [k.shard for k in m.thresholded], m.new_term) for d, m in updates] == [
         (node.d.batcher[0][1], [1], None)
