@@ -1,12 +1,12 @@
 """Block assembly: join quorum-signed headers with fetched batches.
 
-The assembler indexes every batch it sees by digest (own party's batchers
-push their persisted batches; anything still missing when a header arrives
-is pulled from other parties' batchers round-robin until the digest
-matches). Headers are consumed strictly in block-sequence order, verified
-against the consensus quorum, and appended to an append-only block ledger.
-The ledger serializes to length-prefixed canonical block encodings so it can
-be re-verified offline with nothing but the consensus public keys.
+The assembler indexes each batch it sees by digest until a block takes it
+(own party's batchers push their persisted batches; anything still missing
+when a header arrives is pulled from other parties' batchers round-robin
+until the digest matches). Headers are consumed strictly in block-sequence
+order, verified against the consensus quorum, and appended to an append-only
+block ledger, which serializes to length-prefixed canonical block encodings
+so it can be re-verified offline with nothing but the consensus public keys.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class AssemblerNode:
             self._append(header, sigs, ctx)
 
     def _append(self, header: BlockHeader, sigs, ctx) -> None:
-        batches = tuple(self.index[key.digest] for key in header.batch_digests)
+        batches = tuple(self.index.pop(key.digest) for key in header.batch_digests)
         self.ledger.append(Block(header, tuple(sigs), batches))
         self.prev_hash = header.header_hash
         self.next_seq += 1
@@ -162,7 +162,8 @@ class AssemblerNode:
         self._fetch(key, attempt + 1, ctx)
 
     def _on_pull_response(self, m: msg.AssemblerPullResponse, ctx) -> None:
-        if m.batch is not None:
+        # A batch no header is fetching is a late or an off-target answer.
+        if m.batch is not None and m.batch.key() in self.fetching:
             self._index_batch(m.batch)
         # Keys still unresolved at this slot move on to the next party.
         for key, attempt in list(self.fetching.items()):

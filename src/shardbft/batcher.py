@@ -94,7 +94,6 @@ class BatcherNode:
         self.thresholded: set[BatchKey] = set()
         self.complained_term = -1
         self.halted = False
-        self.outstanding_pull: int | None = None
         self.pending_pulls: dict[int, list[int]] = {}  # seq -> requesting parties
         self.equiv_variants: dict[int, dict[int, Batch]] = {}
         self.batch_opened_at: int | None = None
@@ -278,12 +277,8 @@ class BatcherNode:
     def _issue_pull(self, ctx) -> None:
         if self.is_primary or self.halted or self._behaves(SILENT_SECONDARY):
             return
-        seq = self.height
-        if self.outstanding_pull == seq:
-            return
-        self.outstanding_pull = seq
         primary_party = primary_for_term(self.term, self.d.n)
-        ctx.send(self.d.batcher[primary_party][self.shard], msg.PullRequest(seq, self.party))
+        ctx.send(self.d.batcher[primary_party][self.shard], msg.PullRequest(self.height, self.party))
 
     def _on_pull_response(self, m: msg.PullResponse, ctx) -> None:
         if self.is_primary or self.halted:
@@ -312,9 +307,7 @@ class BatcherNode:
         if bad is not None:
             self._send_complaint(ctx)
             self.halted = True
-            self.outstanding_pull = None
             return
-        self.outstanding_pull = None
         self._persist(batch, ctx)
         self._issue_pull(ctx)
 
@@ -353,7 +346,6 @@ class BatcherNode:
     def _change_term(self, new_term: int, ctx) -> None:
         self.term = new_term
         self.halted = False
-        self.outstanding_pull = None
         self.pool.new_term(ctx.now())
         if self.is_primary:
             redo: list[Transaction] = []

@@ -3,13 +3,13 @@
 Batchers submit attestation shares and complaint votes; a pluggable total
 order broadcast delivers them back in rounds that are identical at every
 correct node, repeats included. One admission rule, ``filter_event``, gates
-each event at intake and again as it is ordered. Round processing is
-deterministic: it keeps pending shares per batch key, gives each ledger slot
-the first key to reach F+1 distinct attestations and refuses every other
-share of a slot with a header (``headed``), advances per-shard terms on F+1
-distinct complaints, bounds replay with an epoch window, and chains one
-block header per productive round. Nodes sign the header, swap signature
-shares, and publish once a quorum accumulates.
+each event against the ordered epoch at intake and again as it is ordered.
+A round is one deterministic pass: it admits its events against its start
+state, raises the ordered epoch, keeps pending shares per batch key, gives
+each ledger slot the first key to reach F+1 attestations and refuses every
+other share of a slot with a header (``headed``), advances terms on F+1
+complaints, bounds replay with an epoch window, and chains one block header
+per productive round. Nodes sign it, swap shares and publish at a quorum.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ConsensusState:
     terms: dict[int, int] = field(default_factory=dict)
     prev_hash: bytes = ZERO_DIGEST
     next_block_seq: int = 0
-    ordered_epoch: int = 0  # watermark: max epoch seen in ordered shares
+    ordered_epoch: int = 0  # the max epoch of admitted ordered shares
 
 
 def verify_event(event, party_keys) -> bool:
@@ -66,15 +66,15 @@ def headed(state: ConsensusState, share: BatchAttestationShare) -> bool:
     return share.key().slot() in state.dedup
 
 
-def filter_event(event, state: ConsensusState, epoch: int, party_keys) -> tuple[bool, str | None]:
-    """Admit a share or complaint, or give the reason to refuse it. Intake
-    passes the local epoch, round processing the ordered epoch."""
+def filter_event(event, state: ConsensusState, party_keys) -> tuple[bool, str | None]:
+    """Admit a share or complaint, or give the reason to refuse it; a share
+    is stale against the ordered epoch."""
     if not verify_event(event, party_keys):
         return False, DROP_BAD_SIGNATURE
     if event.shard >= state.shard_count:
         return False, DROP_UNKNOWN_SHARD
     if isinstance(event, BatchAttestationShare):
-        if event.epoch < epoch - state.epoch_window:
+        if event.epoch < state.ordered_epoch - state.epoch_window:
             return False, DROP_STALE_EPOCH
         if headed(state, event) or event.signer in state.pending.get(event.key(), ()):
             return False, DROP_DUPLICATE
@@ -151,7 +151,6 @@ class ConsensusNode:
         self.headers: dict[int, BlockHeader] = {}
         self.collected: dict[int, dict[int, Signature]] = {}
         self.share_buffer: dict[int, list[msg.HeaderShare]] = {}
-        self.published: set[int] = set()
         self.evidence: list[tuple] = []
         self.drops: dict[str, int] = {}
         self.term_change_log: list[tuple[int, int, int]] = []  # (time, shard, term)
@@ -173,8 +172,7 @@ class ConsensusNode:
     # --- intake ------------------------------------------------------------
 
     def _on_submission(self, event: BatchAttestationShare | ComplaintVote, ctx) -> None:
-        local_epoch = ctx.now() // self.d.protocol.epoch_length_us
-        ok, reason = filter_event(event, self.state, local_epoch, self.d.party_pubs)
+        ok, reason = filter_event(event, self.state, self.d.party_pubs)
         if ok:
             ctx.send(self.d.sequencer, event)
         else:
@@ -185,23 +183,19 @@ class ConsensusNode:
     def _on_round(self, m: msg.RoundDelivery, ctx) -> None:
         state = self.state
         d = self.d
-        for event in m.events:  # the round's verified shares raise the ordered epoch
-            if isinstance(event, BatchAttestationShare) and event.epoch > state.ordered_epoch:
-                if verify_event(event, d.party_pubs):
-                    state.ordered_epoch = event.epoch
-
         # Every ordered event passes the intake rule again, against the state
         # at the start of the round: a replay or a share of a headed slot is
         # refused here whatever the total order delivers.
         shares: list[BatchAttestationShare] = []
         complaints: list[ComplaintVote] = []
         for event in m.events:
-            ok, reason = filter_event(event, state, state.ordered_epoch, d.party_pubs)
+            ok, reason = filter_event(event, state, d.party_pubs)
             if ok:
                 (shares if isinstance(event, BatchAttestationShare) else complaints).append(event)
             else:
                 key = "ordered_" + reason
                 self.drops[key] = self.drops.get(key, 0) + 1
+        state.ordered_epoch = max([state.ordered_epoch, *(share.epoch for share in shares)])
 
         term_changes = apply_complaints(complaints, state, d.f)
         for shard, new_term in term_changes:
@@ -234,7 +228,7 @@ class ConsensusNode:
         signature = sign(self.d.party_keys[self.party], header.signing_payload)
         seq = header.block_seq
         self.headers[seq] = header
-        self.collected.setdefault(seq, {})[self.party] = signature
+        self.collected[seq] = {self.party: signature}
         share = msg.HeaderShare(seq, header.header_hash, self.party, signature)
         for peer in self.peers:
             ctx.send(peer, share)
@@ -254,10 +248,10 @@ class ConsensusNode:
     # --- header signature aggregation ------------------------------------------
 
     def _on_share(self, m: msg.HeaderShare, ctx) -> None:
-        if m.block_seq in self.published:
-            return
         if m.block_seq not in self.headers:
             self.share_buffer.setdefault(m.block_seq, []).append(m)
+            return
+        if m.block_seq not in self.collected:  # already published
             return
         self._absorb_share(m)
         self._try_publish(m.block_seq, ctx)
@@ -271,16 +265,14 @@ class ConsensusNode:
         if public is None or not verify(public, header.signing_payload, m.signature):
             self.evidence.append(("bad_share_signature", m.block_seq, m.signer))
             return
-        self.collected.setdefault(m.block_seq, {})[m.signer] = m.signature
+        self.collected[m.block_seq][m.signer] = m.signature
 
     def _try_publish(self, seq: int, ctx) -> None:
-        if seq in self.published or seq not in self.headers:
-            return
-        sigs = self.collected.get(seq, {})
+        sigs = self.collected[seq]
         quorum = quorum_size(self.d.n, self.d.f)
         if len(sigs) < quorum:
             return
-        self.published.add(seq)
+        del self.collected[seq]
         header = self.headers[seq]
         # Exactly a quorum, lowest signer ids first: every published byte is
         # load-bearing for offline verification.

@@ -22,7 +22,7 @@ from shardbft.core import (
 from shardbft.crypto import Signature, keygen
 from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
 from shardbft.sim.report import report_to_json
-from shardbft.sim.runner import run_scenario
+from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
 from helpers import as_pending, pending_oracle
@@ -99,14 +99,42 @@ def _grid_config(i):
     )
 
 
+def _leftover_state(runner, cfg) -> list[str]:
+    """What a correct party's header path still holds once its run ends: a
+    header's signatures, a buffered share, a buffered or fetched header, or
+    an index entry for a batch of an appended block."""
+    out = []
+    for p in cfg.correct_parties():
+        consensus, assembler = runner.consensus[p], runner.assemblers[p]
+        appended = {key.digest for block in assembler.ledger for key in block.header.batch_digests}
+        for name, left in (
+            ("collected", consensus.collected),
+            ("share_buffer", consensus.share_buffer),
+            ("header_buffer", assembler.header_buffer),
+            ("fetching", assembler.fetching),
+            ("index", appended.intersection(assembler.index)),
+        ):
+            if left:
+                out.append(f"party {p} {name}: {len(left)}")
+    return out
+
+
 @pytest.fixture(scope="module")
-def suite1():
+def suite1_runs():
     start = time.time()
-    runs = []
+    runs, leftovers = [], {}
     for i in range(200):
         cfg = _grid_config(i)
-        runs.append((cfg, run_scenario(cfg)))
-    return runs, time.time() - start
+        runner = _Runner(cfg)
+        runs.append((cfg, runner.run()))
+        leftovers[cfg.seed] = _leftover_state(runner, cfg)
+    return runs, time.time() - start, leftovers
+
+
+@pytest.fixture(scope="module")
+def suite1(suite1_runs):
+    runs, elapsed, _ = suite1_runs
+    return runs, elapsed
 
 
 def test_criterion_1_agreement_suite(suite1):
@@ -137,6 +165,14 @@ def test_no_slot_is_headed_twice(suite1):
         if len(slots) != len(set(slots)):
             twice.append(cfg.seed)
     assert not twice, twice
+
+
+def test_header_path_state_lives_only_until_its_decision(suite1_runs):
+    # Published headers drop their signatures, and appended blocks take
+    # their batches out of the assembler's index.
+    _, _, leftovers = suite1_runs
+    left = {seed: entries for seed, entries in leftovers.items() if entries}
+    assert not left, left
 
 
 def test_criterion_2_termination_no_loss(suite1):
@@ -414,7 +450,7 @@ def test_criterion_8_dedup_and_gc(party_keys):
     headers_after_first = node.state.next_block_seq
     node.handle(msg.RoundDelivery(2, (make_share(party_keys, 0, 7, epoch=5),)), ctx)
     evicted = original[0].key().slot() not in node.state.dedup
-    filt_ok, reason = filter_event(original[0], node.state, 55 // 10, pubs(party_keys))
+    filt_ok, reason = filter_event(original[0], node.state, pubs(party_keys))
     node.handle(msg.RoundDelivery(3, tuple(original)), ctx)
     replay_ok = (
         headers_after_first == 1

@@ -59,24 +59,36 @@ def pubs(party_keys, n=4):
 def test_filter_accepts_fresh_valid_share(party_keys):
     state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0)
-    ok, reason = filter_event(share, state, epoch=0, party_keys=pubs(party_keys))
+    ok, reason = filter_event(share, state, party_keys=pubs(party_keys))
     assert ok and reason is None
 
 
 def test_filter_drops_stale_epoch(party_keys):
     state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0, epoch=0)
-    ok, reason = filter_event(share, state, epoch=3, party_keys=pubs(party_keys))
+    state.ordered_epoch = 3
+    ok, reason = filter_event(share, state, party_keys=pubs(party_keys))
     assert not ok and reason == DROP_STALE_EPOCH
-    ok, _ = filter_event(share, state, epoch=2, party_keys=pubs(party_keys))
+    state.ordered_epoch = 2
+    ok, _ = filter_event(share, state, party_keys=pubs(party_keys))
     assert ok  # exactly at the window edge
+    # Intake judges by the ordered epoch alone, whatever the clock says.
+    node = make_node(party_keys, epoch_length=10, window=2)
+    node.state.ordered_epoch = 3
+    ctx = StubCtx(now_us=0)
+    node.handle(share, ctx)
+    assert ctx.take_sent() == [] and node.drops == {DROP_STALE_EPOCH: 1}
+    node.state.ordered_epoch = 0
+    ctx.time = 10 * 10
+    node.handle(share, ctx)
+    assert ctx.take_sent() == [(node.d.sequencer, share)]
 
 
 def test_filter_drops_duplicate_signer_key(party_keys):
     state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0)
     state.pending = as_pending([share])
-    ok, reason = filter_event(share, state, 0, pubs(party_keys))
+    ok, reason = filter_event(share, state, pubs(party_keys))
     assert not ok and reason == DROP_DUPLICATE
 
 
@@ -86,7 +98,7 @@ def test_filter_drops_dedup_slot(party_keys):
     assert not headed(state, share)
     state.dedup[share.key().slot()] = 0
     assert headed(state, share)
-    ok, reason = filter_event(share, state, 0, pubs(party_keys))
+    ok, reason = filter_event(share, state, pubs(party_keys))
     assert not ok and reason == DROP_DUPLICATE
 
 
@@ -94,7 +106,7 @@ def test_filter_drops_bad_signature(party_keys):
     share = make_share(party_keys, 0, 0)
     forged = BatchAttestationShare(1, share.seq, share.digest, share.shard, share.primary, share.epoch, share.signature)
     state = ConsensusState(epoch_window=2, shard_count=1)
-    ok, reason = filter_event(forged, state, 0, pubs(party_keys))
+    ok, reason = filter_event(forged, state, pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
 
 
@@ -102,9 +114,9 @@ def test_filter_drops_stale_term_complaint(party_keys):
     state = ConsensusState(epoch_window=2, shard_count=1)
     state.terms[0] = 2
     vote = make_complaint(party_keys, 1, term=1)
-    ok, reason = filter_event(vote, state, 0, pubs(party_keys))
+    ok, reason = filter_event(vote, state, pubs(party_keys))
     assert not ok and reason == DROP_STALE_TERM
-    ok, _ = filter_event(make_complaint(party_keys, 1, term=2), state, 0, pubs(party_keys))
+    ok, _ = filter_event(make_complaint(party_keys, 1, term=2), state, pubs(party_keys))
     assert ok
 
 
@@ -332,6 +344,26 @@ def test_share_buffered_until_round_arrives(party_keys):
     assert nodes[0].collected[0].keys() >= {0, 1}
 
 
+def test_share_for_a_published_header_is_ignored(party_keys):
+    # The quorum publishes seq 0 and its signatures go; a late share for it,
+    # valid or not, changes nothing and brings no entry back.
+    nodes = [make_node(party_keys, party=p) for p in range(4)]
+    ctxs = [StubCtx() for _ in nodes]
+    events = tuple(make_share(party_keys, s, 0) for s in (0, 1))
+    for node, ctx in zip(nodes, ctxs):
+        node.handle(msg.RoundDelivery(1, events), ctx)
+    shares = [next(m for _, m in ctx.take_sent() if isinstance(m, msg.HeaderShare)) for ctx in ctxs]
+    ctx = ctxs[0]
+    for share in shares[1:3]:
+        nodes[0].handle(share, ctx)
+    published = [m for _, m in ctx.take_sent() if isinstance(m, msg.PublishedHeader)]
+    assert len(published) == 1 and [s for s, _ in published[0].quorum_sigs] == [0, 1, 2]
+    assert nodes[0].collected == {}
+    nodes[0].handle(shares[3], ctx)
+    nodes[0].handle(msg.HeaderShare(0, sha256(b"other header"), 3, shares[3].signature), ctx)
+    assert nodes[0].collected == {} and nodes[0].evidence == [] and ctx.sent == []
+
+
 def test_same_slot_two_digests_single_winner(party_keys):
     # An equivocating proposer pushes two keys for one ledger slot past the
     # count threshold in the same round: only one header entry results, ever.
@@ -441,8 +473,7 @@ def test_replayed_stale_share_never_makes_second_header(party_keys):
     node.handle(msg.RoundDelivery(2, (make_share(party_keys, 0, 7, epoch=5),)), ctx)
     assert slot not in node.state.dedup
     # Replay via the submission filter: stale epoch.
-    ctx.time = 5 * 10 + 5
-    ok, reason = filter_event(original[0], node.state, ctx.time // 10, pubs(party_keys))
+    ok, reason = filter_event(original[0], node.state, pubs(party_keys))
     assert not ok and reason == DROP_STALE_EPOCH
     # Replay forced straight into a round: still no second header.
     node.handle(msg.RoundDelivery(3, tuple(original)), ctx)
@@ -509,7 +540,7 @@ def test_an_event_for_a_shard_past_the_last_is_refused_at_intake_and_when_ordere
     bad_shares = [make_share(party_keys, s, 0, shard=2) for s in (0, 1)]
     bad_votes = [make_complaint(party_keys, s, 0, shard=2) for s in (1, 2)]
     for event in (*bad_shares, *bad_votes):
-        assert filter_event(event, node.state, 0, pubs(party_keys)) == (False, DROP_UNKNOWN_SHARD)
+        assert filter_event(event, node.state, pubs(party_keys)) == (False, DROP_UNKNOWN_SHARD)
         node.handle(event, ctx)
     assert ctx.take_sent() == []
     good = [make_share(party_keys, s, 0, shard=1) for s in (0, 1)]
@@ -580,7 +611,7 @@ def test_share_with_a_short_digest_never_verifies(party_keys):
     short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, sign(party_keys[1], good.signing_payload))
     assert short.signing_payload is None
     assert not verify_event(short, pubs(party_keys))
-    ok, reason = filter_event(short, ConsensusState(epoch_window=2, shard_count=1), 0, pubs(party_keys))
+    ok, reason = filter_event(short, ConsensusState(epoch_window=2, shard_count=1), pubs(party_keys))
     assert not ok and reason == DROP_BAD_SIGNATURE
     node.handle(msg.RoundDelivery(1, (good, short)), ctx)
     assert node.state.next_block_seq == 0
