@@ -111,7 +111,7 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_parties: int = _key("parties", INT, 4, lo=1)
+    n_parties: int = _key("parties", INT, 4, lo=2)
     f: int = _key("faults", INT, 1, lo=0)
     shard_count: int = _key("shards", INT, 1, lo=1)
     seed: int = _key("seed", INT, 0, lo=0, hi=2**64 - 1)

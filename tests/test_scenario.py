@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardbft.cli import main as cli_main
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import run_scenario
 from shardbft.sim.scenario import OBJECT, OBJECTS, ConfigError, ScenarioConfig
@@ -119,6 +120,17 @@ def test_rejection_names_the_key_path(path, value, where):
 def test_missing_adversary_party_is_a_config_error():
     with pytest.raises(ConfigError, match=re.escape("config.adversaries[0].party is required")):
         ScenarioConfig.from_dict({"adversaries": [{"kind": "crash"}]})
+
+
+def test_a_single_party_is_a_config_error(tmp_path):
+    # One party leaves no second correct ledger to agree with, so its run
+    # could never pass agreement: the schema refuses it and `run` exits 2.
+    with pytest.raises(ConfigError, match=re.escape("config.parties must be an integer >= 2")):
+        ScenarioConfig.from_dict({"parties": 1, "faults": 0})
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"parties": 1, "faults": 0}))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert ScenarioConfig.from_dict({"parties": 2, "faults": 0}).n_parties == 2
 
 
 def test_cross_key_rules_still_apply():
