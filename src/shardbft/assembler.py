@@ -1,12 +1,13 @@
 """Block assembly: join quorum-signed headers with fetched batches.
 
-The assembler indexes each batch it sees by digest until a block takes it
-(own party's batchers push their persisted batches; anything still missing
-when a header arrives is pulled from other parties' batchers round-robin
-until the digest matches). Headers are consumed strictly in block-sequence
-order, verified against the consensus quorum, and appended to an append-only
-block ledger, which serializes to length-prefixed canonical block encodings
-so it can be re-verified offline with nothing but the consensus public keys.
+The assembler indexes each batch it sees by ledger slot and digest until a
+block takes the slot (own party's batchers push their persisted batches;
+anything still missing when a header arrives is pulled from other parties'
+batchers round-robin until the digest matches). Its position is its ledger:
+the header at the ledger's height is verified against the consensus quorum
+and the last block's hash, then appended to an append-only block ledger,
+which serializes to length-prefixed canonical block encodings so it can be
+re-verified offline with nothing but the consensus public keys.
 """
 
 from __future__ import annotations
@@ -70,12 +71,10 @@ class AssemblerNode:
         self.d = d
         self.party = party
         self.node_id = d.assembler[party]
-        self.index: dict[bytes, Batch] = {}
+        # Ledger slot (shard, seq, primary) -> digest -> batch, until a block takes the slot.
+        self.index: dict[tuple[int, int, int], dict[bytes, Batch]] = {}
         self.ledger: list[Block] = []
         self.header_buffer: dict[int, tuple[BlockHeader, tuple]] = {}
-        self.next_seq = 0
-        self.prev_hash = ZERO_DIGEST
-        self.waiting: tuple[BlockHeader, tuple] | None = None
         self.fetching: dict[BatchKey, int] = {}
         self.rejects: list[tuple[int, str]] = []
         # Commit bookkeeping for reports.
@@ -98,47 +97,46 @@ class AssemblerNode:
 
     def _index_batch(self, batch: Batch) -> None:
         # Persist-then-index; duplicates are idempotent.
-        digest = batch.digest()
-        if digest not in self.index:
-            self.index[digest] = batch
-        self.fetching.pop(batch.key(), None)
+        key = batch.key()
+        self.index.setdefault(key.slot(), {}).setdefault(key.digest, batch)
+        self.fetching.pop(key, None)
+
+    def _held(self, key: BatchKey) -> bool:
+        return key.digest in self.index.get(key.slot(), ())
 
     def _on_header(self, m: msg.PublishedHeader, ctx) -> None:
-        if m.header.block_seq < self.next_seq or m.header.block_seq in self.header_buffer:
+        if m.header.block_seq < len(self.ledger) or m.header.block_seq in self.header_buffer:
             return
         self.header_buffer[m.header.block_seq] = (m.header, m.quorum_sigs)
         self._advance(ctx)
 
     def _advance(self, ctx) -> None:
-        while True:
-            entry = self.header_buffer.get(self.next_seq)
-            if entry is None:
+        d = self.d
+        while (height := len(self.ledger)) in self.header_buffer:
+            header, sigs = self.header_buffer[height]
+            # Checked again on each pass while it waits for batches; the
+            # verdict depends only on the header and the ledger.
+            prev_hash = self.ledger[-1].header.header_hash if self.ledger else ZERO_DIGEST
+            reason = verify_header(header, sigs, d.party_pubs, prev_hash, height, d.n, d.f)
+            if reason is not None:
+                self.rejects.append((height, reason))
+                del self.header_buffer[height]
                 return
-            header, sigs = entry
-            if self.waiting is None:
-                d = self.d
-                reason = verify_header(header, sigs, d.party_pubs, self.prev_hash, self.next_seq, d.n, d.f)
-                if reason is not None:
-                    self.rejects.append((header.block_seq, reason))
-                    del self.header_buffer[self.next_seq]
-                    return
-                self.waiting = entry
-            missing = [key for key in header.batch_digests if key.digest not in self.index]
+            missing = [key for key in header.batch_digests if not self._held(key)]
             if missing:
                 for key in missing:
                     if key not in self.fetching:
                         self.fetching[key] = 0
                         self._fetch(key, 0, ctx)
                 return
-            del self.header_buffer[self.next_seq]
+            del self.header_buffer[height]
             self._append(header, sigs, ctx)
 
     def _append(self, header: BlockHeader, sigs, ctx) -> None:
-        batches = tuple(self.index.pop(key.digest) for key in header.batch_digests)
+        # Every variant held for one of the block's slots leaves with it: a
+        # slot is headed once.
+        batches = tuple(self.index.pop(key.slot())[key.digest] for key in header.batch_digests)
         self.ledger.append(Block(header, tuple(sigs), batches))
-        self.prev_hash = header.header_hash
-        self.next_seq += 1
-        self.waiting = None
         now = ctx.now()
         for batch in batches:
             for tx in batch.txs:
@@ -154,7 +152,7 @@ class AssemblerNode:
         ctx.schedule(self.d.protocol.fetch_timeout_us, msg.FetchRetry(key, attempt))
 
     def _next_attempt(self, key: BatchKey, attempt: int, ctx) -> None:
-        if key not in self.fetching or key.digest in self.index:
+        if key not in self.fetching or self._held(key):
             return
         if self.fetching[key] != attempt:
             return
@@ -167,7 +165,7 @@ class AssemblerNode:
             self._index_batch(m.batch)
         # Keys still unresolved at this slot move on to the next party.
         for key, attempt in list(self.fetching.items()):
-            if key.shard == m.shard and key.seq == m.seq and key.digest not in self.index:
+            if key.shard == m.shard and key.seq == m.seq and not self._held(key):
                 self._next_attempt(key, attempt, ctx)
         self._advance(ctx)
 

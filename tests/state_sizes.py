@@ -69,7 +69,7 @@ def sizes(duration: float) -> dict[str, int]:
         "consensus share_buffer": len(consensus.share_buffer),
         "consensus dedup": len(consensus.state.dedup),
         "consensus pending shares, peak": max((n for _t, n in consensus.pending_series), default=0),
-        "assembler index": len(assembler.index),
+        "assembler index": sum(map(len, assembler.index.values())),
         "assembler header_buffer": len(assembler.header_buffer),
         "assembler fetching": len(assembler.fetching),
         f"batcher persisted_ids (shard {SHARD})": len(batcher.persisted_ids),

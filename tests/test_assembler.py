@@ -141,6 +141,22 @@ def test_out_of_order_headers_buffered(party_keys, client_keys):
     assert [b.header.block_seq for b in node.ledger] == [0, 1]
 
 
+def test_append_drops_every_variant_of_its_slots(party_keys, client_keys):
+    # The own batcher persisted variant V of the slot; the header names the
+    # other digest. The block takes the slot, and V leaves with it.
+    node = _node(party_keys)
+    ctx = StubCtx()
+    variant = _batch(client_keys, tag=b"v")
+    wanted = _batch(client_keys, tag=b"w")
+    node.handle(variant, ctx)
+    header, sigs = _signed_header(party_keys, [wanted])
+    node.handle(msg.PublishedHeader(header, sigs), ctx)
+    assert len(node.ledger) == 0
+    node.handle(msg.AssemblerPullResponse(0, 0, wanted), ctx)
+    assert node.ledger[0].batches == (wanted,)
+    assert node.index == {}
+
+
 def test_fetch_falls_back_to_other_parties(party_keys, client_keys):
     node = _node(party_keys)
     ctx = StubCtx()
