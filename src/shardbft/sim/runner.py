@@ -197,7 +197,6 @@ class _Runner:
     def _schedule_clients(self) -> None:
         cfg = self.cfg
         count = cfg.resolved_tx_count()
-        censoring = [a for a in cfg.adversaries if a.kind == CENSOR_TX]
         # Arrivals take their delays from rng_net and their HUB sequence
         # numbers in submission order, exactly as if each were pushed.
         seq = self.send_seq.get(HUB, 0)
@@ -213,7 +212,7 @@ class _Runner:
             tx = Transaction(
                 client, payload, sign(self.d.client_keys[client], tx_signing_bytes(client, payload))
             )
-            censored = any(client in a.censor_clients for a in censoring)
+            censored = any(a.censors(tx) for a in cfg.adversaries)
             record = TxRecord(
                 index=i,
                 tx_id=tx.tx_id,
