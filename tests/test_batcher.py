@@ -6,6 +6,7 @@ import pytest
 from shardbft import messages as msg
 from shardbft.batcher import (
     BatcherNode,
+    all_txs_valid,
     required_sample_size,
     sample_verify,
     verification_rng,
@@ -119,6 +120,15 @@ def test_verification_rng_deterministic():
     assert [c.randrange(1000) for _ in range(10)] != [
         verification_rng(1, 2, 3, 4).randrange(1000) for _ in range(10)
     ]
+
+
+def test_all_txs_valid_is_judged_in_each_deployment(client_keys, client_directory, party_keys):
+    # The verdict is cached on the batch, but a batch of known clients'
+    # txs is still refused by a deployment that does not know them.
+    batch = Batch(0, 0, 0, 0, tuple(make_tx(c, b"tx", client_keys) for c in range(3)))
+    known, strangers = make_deployment(party_keys, client_directory), make_deployment(party_keys, {})
+    assert all_txs_valid(batch, known) and not all_txs_valid(batch, strangers)
+    assert all_txs_valid(batch, known)
 
 
 # --- primary behavior ------------------------------------------------------------
