@@ -367,7 +367,7 @@ class BatcherNode:
             for batch in self.ledger:
                 if batch.key() not in self.thresholded:
                     redo.extend(batch.txs)
-            # No persisted tx is pooled, so every one of them is queued.
+            # No persisted tx is pooled, so every one of them is queued, once.
             self.pool.push_front(redo)
             self.reproposed_tx_ids.extend(tx.tx_id for tx in redo)
             self.batch_opened_at = None

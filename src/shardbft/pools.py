@@ -54,12 +54,14 @@ class RequestPool:
         return INSERT_ACCEPTED
 
     def push_front(self, txs: list[Transaction]) -> None:
-        """Queue the txs not held yet for re-proposal, ahead of everything else,
-        in batches of ``max_batch_size`` (the last may be short); capacity does
-        not bound them."""
-        fresh = [tx for tx in txs if tx.tx_id not in self.tx_index]
-        for tx in fresh:
-            self.tx_index[tx.tx_id] = None
+        """Queue the txs not held yet for re-proposal, each once, ahead of
+        everything else, in batches of ``max_batch_size`` (the last may be
+        short); capacity does not bound them."""
+        index, fresh = self.tx_index, []
+        for tx in txs:
+            if tx.tx_id not in index:  # marked as taken, so a repeat in txs is skipped
+                index[tx.tx_id] = None
+                fresh.append(tx)
         size = self.max_batch_size
         self.redo.extendleft(reversed([fresh[i : i + size] for i in range(0, len(fresh), size)]))
 

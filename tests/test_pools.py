@@ -101,6 +101,16 @@ def test_primary_push_front(client_keys):
     assert _ids(pool.next_batch()) == _ids(txs)
 
 
+def test_push_front_queues_a_repeated_tx_once(client_keys):
+    # A forked ledger can hold a batch and its pulled re-proposal, so a new
+    # primary's re-proposal list can name a tx twice.
+    pool = RequestPool(max_batch_size=4)
+    a, b, c = _txs(client_keys, 3, b"redo")
+    pool.push_front([a, b, a, c, b])
+    assert _ids(pool.next_batch()) == _ids([a, b, c])
+    assert not pool.has_sealed() and not pool.tx_index
+
+
 def test_secondary_buckets_seal_and_remove(client_keys):
     pool = RequestPool(max_batch_size=10)
     txs = _txs(client_keys, 6)
@@ -220,9 +230,9 @@ class RequestPoolMachine(RuleBasedStateMachine):
             self.arrivals.append(tx)
         assert self.pool.insert(tx) == expected
 
-    @rule(picks=st.lists(_TX, unique=True, max_size=9))
+    @rule(picks=st.lists(_TX, max_size=9))
     def push_front(self, picks):
-        fresh = [TXS[i] for i in picks if TXS[i].tx_id not in self.held()]
+        fresh = [TXS[i] for i in dict.fromkeys(picks) if TXS[i].tx_id not in self.held()]
         chunks = [fresh[i : i + self.size] for i in range(0, len(fresh), self.size)]
         self.redo[:0] = chunks
         self.pool.push_front([TXS[i] for i in picks])
