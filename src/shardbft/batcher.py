@@ -79,9 +79,8 @@ def verification_rng(sim_seed: int, party: int, shard: int, seq: int) -> random.
 
 
 def all_txs_valid(batch: Batch, d) -> bool:
-    """Whether every tx of ``batch`` passes the router's checks in the
-    deployment ``d``, so that no sample of it can fail. Computed once per
-    batch object and kept with the deployment it was computed in."""
+    """Whether every tx of ``batch`` passes the router's checks in ``d``, so no
+    sample of it can fail; kept on the batch with the deployment it is for."""
     cached = batch.__dict__.get("_all_txs_valid")
     if cached is None or cached[0] is not d:
         directory, max_tx_size = d.client_directory, d.protocol.max_tx_size
@@ -264,8 +263,7 @@ class BatcherNode:
             epoch=epoch,
             signature=sign(self.keypair, payload),
         )
-        for cid in self.d.consensus:
-            ctx.send(cid, share)
+        ctx.send(self.d.sequencer, share)
 
     # --- serving pulls ----------------------------------------------------------
 
@@ -309,8 +307,7 @@ class BatcherNode:
             self.halted = True
             return
         d = self.d
-        # A batch of valid txs passes any sample, and the sample's RNG feeds
-        # nothing else, so only a batch holding an invalid tx is sampled.
+        # Only a batch holding an invalid tx can fail; the RNG feeds nothing else.
         if not all_txs_valid(batch, d):
             rng = verification_rng(d.seed, self.party, self.shard, batch.seq)
             bad = sample_verify(
@@ -333,9 +330,7 @@ class BatcherNode:
             return
         self.complained_term = self.term
         payload = encode_complaint_payload(self.term, self.shard)
-        vote = ComplaintVote(self.party, self.term, self.shard, sign(self.keypair, payload))
-        for cid in self.d.consensus:
-            ctx.send(cid, vote)
+        ctx.send(self.d.sequencer, ComplaintVote(self.party, self.term, self.shard, sign(self.keypair, payload)))
 
     def _on_bucket_tick(self, ctx) -> None:
         proto = self.d.protocol

@@ -1,15 +1,15 @@
 """Per-party consensus node.
 
-Batchers submit attestation shares and complaint votes; a pluggable total
-order broadcast delivers them back in rounds that are identical at every
-correct node, repeats included. One admission rule, ``filter_event``, gates
-each event against the ordered epoch at intake and again as it is ordered.
-A round is one deterministic pass: it admits its events against its start
-state, raises the ordered epoch, keeps pending shares per batch key, gives
-each ledger slot the first key to reach F+1 attestations and refuses every
-other share of a slot with a header (``headed``), advances terms on F+1
-complaints, bounds replay with an epoch window, and chains one block header
-per productive round. Nodes sign it, swap shares and publish at a quorum.
+Batchers submit each attestation share and complaint vote once, straight to
+a pluggable total order broadcast, which delivers rounds that are identical
+at every correct node; an event submitted again is ordered again. One
+admission rule, ``filter_event``, gates each ordered event against the
+ordered epoch. A round is one deterministic pass: it admits its events
+against its start state, raises the ordered epoch, keeps pending shares per
+batch key, gives each ledger slot the first key to reach F+1 attestations
+and refuses every other share of a slot with a header (``headed``), advances
+terms on F+1 complaints, bounds replay with an epoch window, and chains one
+block header per productive round, which nodes sign, swap and publish.
 """
 
 from __future__ import annotations
@@ -157,9 +157,7 @@ class ConsensusNode:
         self.pending_series: list[tuple[int, int]] = []
 
     def handle(self, message, ctx) -> None:
-        if isinstance(message, (BatchAttestationShare, ComplaintVote)):
-            self._on_submission(message, ctx)
-        elif isinstance(message, msg.RoundDelivery):
+        if isinstance(message, msg.RoundDelivery):
             # The network may reorder rounds; apply them in round_no order.
             if message.round_no >= self.next_round:
                 self.early_rounds[message.round_no] = message
@@ -169,22 +167,13 @@ class ConsensusNode:
         elif isinstance(message, msg.HeaderShare):
             self._on_share(message, ctx)
 
-    # --- intake ------------------------------------------------------------
-
-    def _on_submission(self, event: BatchAttestationShare | ComplaintVote, ctx) -> None:
-        ok, reason = filter_event(event, self.state, self.d.party_pubs)
-        if ok:
-            ctx.send(self.d.sequencer, event)
-        else:
-            self.drops[reason] = self.drops.get(reason, 0) + 1
-
     # --- ordered rounds -------------------------------------------------------
 
     def _on_round(self, m: msg.RoundDelivery, ctx) -> None:
         state = self.state
         d = self.d
-        # Every ordered event passes the intake rule again, against the state
-        # at the start of the round: a replay or a share of a headed slot is
+        # Every ordered event passes the admission rule against the state at
+        # the start of the round: a replay or a share of a headed slot is
         # refused here whatever the total order delivers.
         shares: list[BatchAttestationShare] = []
         complaints: list[ComplaintVote] = []
@@ -193,8 +182,7 @@ class ConsensusNode:
             if ok:
                 (shares if isinstance(event, BatchAttestationShare) else complaints).append(event)
             else:
-                key = "ordered_" + reason
-                self.drops[key] = self.drops.get(key, 0) + 1
+                self.drops[reason] = self.drops.get(reason, 0) + 1
         state.ordered_epoch = max([state.ordered_epoch, *(share.epoch for share in shares)])
 
         term_changes = apply_complaints(complaints, state, d.f)

@@ -16,10 +16,10 @@ submission object can go to every router, and a router keeps no state.
 
 A class here exists only when it carries something no protocol object
 does. An attestation share, a complaint vote and a persisted batch travel
-as the ``core`` objects themselves, and a relay passes on the object it
-got: a router forwards the ``SubmitTx`` it received and hands the hub the
-batcher's ``SubmissionReply``, and consensus hands the sequencer the share
-or complaint a batcher sent.
+as the ``core`` objects themselves: a batcher submits the share or
+complaint it built straight to the sequencer. A relay passes on the object
+it got: a router forwards the ``SubmitTx`` it received and hands the hub
+the batcher's ``SubmissionReply``.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ message lands within the declared bound.
 Node CPU time is free: this is a protocol-logic simulator, not a
 performance model.
 
-The total-order primitive is a trusted sequencer in the harness: it only
-orders. It cuts a round every round_interval, dropping an event equal to
-one already in that round, and delivers identical rounds to every consensus
-node. An event submitted again lands in a later round; consensus refuses it.
+The total-order primitive is a trusted sequencer in the harness, to which
+each batcher submits its shares and complaints once. It only orders: every
+round_interval it cuts a round, less any event equal to one already in it,
+for every consensus node. A repeat is ordered again; consensus refuses it.
 """
 
 from __future__ import annotations

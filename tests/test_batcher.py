@@ -146,9 +146,8 @@ def test_primary_batches_on_timer(client_directory, client_keys, party_keys):
     batch = node.ledger[0]
     assert batch.seq == 0 and batch.primary == 0 and len(batch.txs) == 3
     shares = _sent_of(ctx, BatchAttestationShare)
-    assert [d for d, _ in shares] == list(node.d.consensus)
+    assert [d for d, _ in shares] == [node.d.sequencer]  # once, straight to the total order
     bas = [m for _, m in shares]
-    assert all(share is bas[0] for share in bas)  # one object, to every consensus node
     assert bas[0].seq == 0 and bas[0].digest == batch.digest()
     stored = _sent_of(ctx, Batch)
     assert stored == [(node.d.assembler[0], batch)] and stored[0][1] is batch
@@ -389,8 +388,8 @@ def test_censorship_forward_once_then_complain(client_directory, client_keys, pa
     assert fwd[0][1].submission_id is None
     ctx.take_sent()
     _pump(node, ctx, until=ctx.time + node.d.protocol.t_complain_us + node.d.protocol.bucket_period_us)
-    votes = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))]
-    assert len(votes) == len(node.d.consensus) and isinstance(votes[0], ComplaintVote)
+    votes = _sent_of(ctx, (BatchAttestationShare, ComplaintVote))
+    assert [d for d, _ in votes] == [node.d.sequencer] and isinstance(votes[0][1], ComplaintVote)
     # One complaint per term, and the tx is forwarded only once.
     ctx.take_sent()
     _pump(node, ctx, until=ctx.time + US)

@@ -72,16 +72,16 @@ def test_filter_drops_stale_epoch(party_keys):
     state.ordered_epoch = 2
     ok, _ = filter_event(share, state, party_keys=pubs(party_keys))
     assert ok  # exactly at the window edge
-    # Intake judges by the ordered epoch alone, whatever the clock says.
+    # An ordered round judges by the ordered epoch alone, whatever the clock says.
     node = make_node(party_keys, epoch_length=10, window=2)
     node.state.ordered_epoch = 3
     ctx = StubCtx(now_us=0)
-    node.handle(share, ctx)
-    assert ctx.take_sent() == [] and node.drops == {DROP_STALE_EPOCH: 1}
+    node.handle(msg.RoundDelivery(1, (share,)), ctx)
+    assert not node.state.pending and node.drops == {DROP_STALE_EPOCH: 1}
     node.state.ordered_epoch = 0
     ctx.time = 10 * 10
-    node.handle(share, ctx)
-    assert ctx.take_sent() == [(node.d.sequencer, share)]
+    node.handle(msg.RoundDelivery(2, (share,)), ctx)
+    assert node.state.pending == as_pending([share]) and node.drops == {DROP_STALE_EPOCH: 1}
 
 
 def test_filter_drops_duplicate_signer_key(party_keys):
@@ -450,7 +450,7 @@ def test_a_replayed_late_share_never_reopens_an_expired_slot(party_keys):
     node.handle(msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))), ctx)
     late = tuple(make_share(party_keys, s, 0, epoch=1) for s in (2, 3))
     node.handle(msg.RoundDelivery(2, late), ctx)
-    assert node.drops == {"ordered_duplicate": 2}
+    assert node.drops == {DROP_DUPLICATE: 2}
     node.handle(msg.RoundDelivery(3, tuple(make_share(party_keys, s, 1, epoch=3) for s in (0, 1))), ctx)
     assert (0, 0, 0) not in node.state.dedup
     node.handle(msg.RoundDelivery(4, late), ctx)
@@ -459,8 +459,8 @@ def test_a_replayed_late_share_never_reopens_an_expired_slot(party_keys):
 
 def test_replayed_stale_share_never_makes_second_header(party_keys):
     # Epoch window: entries are evicted from the dedup db, and shares whose
-    # epoch predates the watermark window are refused both at the filter and
-    # at processing time.
+    # epoch predates the watermark window are refused by the admission rule
+    # and never make a header when ordered.
     node = make_node(party_keys, epoch_length=10, window=2)
     ctx = StubCtx()
     ctx.time = 5
@@ -472,7 +472,7 @@ def test_replayed_stale_share_never_makes_second_header(party_keys):
     # Epochs advance well past the window; the dedup entry is evicted.
     node.handle(msg.RoundDelivery(2, (make_share(party_keys, 0, 7, epoch=5),)), ctx)
     assert slot not in node.state.dedup
-    # Replay via the submission filter: stale epoch.
+    # The admission rule refuses the replay: stale epoch.
     ok, reason = filter_event(original[0], node.state, pubs(party_keys))
     assert not ok and reason == DROP_STALE_EPOCH
     # Replay forced straight into a round: still no second header.
@@ -519,7 +519,7 @@ def test_replayed_rounds_emit_exactly_what_single_delivery_emits(party_keys):
     assert replayed.state == once.state and replayed.pending_series == once.pending_series
     assert len(once.headers) > 5 and len(once.term_change_log) > 1
     refused = {k: n - once.drops.get(k, 0) for k, n in replayed.drops.items()}
-    assert all(refused[k] > 0 for k in ("ordered_duplicate", "ordered_stale_epoch", "ordered_stale_term"))
+    assert all(refused[k] > 0 for k in (DROP_DUPLICATE, DROP_STALE_EPOCH, DROP_STALE_TERM))
 
 
 def test_term_change_notifies_batchers(party_keys):
@@ -532,7 +532,7 @@ def test_term_change_notifies_batchers(party_keys):
     assert node.term_change_log and node.term_change_log[0][1:] == (0, 1)
 
 
-def test_an_event_for_a_shard_past_the_last_is_refused_at_intake_and_when_ordered(party_keys):
+def test_an_event_for_a_shard_past_the_last_is_refused_when_ordered(party_keys):
     # Shard 2 of 2 has no batcher: its shares and complaints are refused by
     # the one admission rule, so no header names it and no term moves.
     node = make_node(party_keys, shards=2)
@@ -541,13 +541,11 @@ def test_an_event_for_a_shard_past_the_last_is_refused_at_intake_and_when_ordere
     bad_votes = [make_complaint(party_keys, s, 0, shard=2) for s in (1, 2)]
     for event in (*bad_shares, *bad_votes):
         assert filter_event(event, node.state, pubs(party_keys)) == (False, DROP_UNKNOWN_SHARD)
-        node.handle(event, ctx)
-    assert ctx.take_sent() == []
     good = [make_share(party_keys, s, 0, shard=1) for s in (0, 1)]
     node.handle(msg.RoundDelivery(1, (*bad_shares, *bad_votes, *good)), ctx)
     assert [k.shard for k in node.headers[0].batch_digests] == [1]
     assert node.state.terms == {} and node.state.complaint_signers == {}
-    assert node.drops == {"unknown_shard": 4, "ordered_unknown_shard": 4}
+    assert node.drops == {DROP_UNKNOWN_SHARD: 4}
     updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
     assert [(d, [k.shard for k in m.thresholded], m.new_term) for d, m in updates] == [
         (node.d.batcher[0][1], [1], None)

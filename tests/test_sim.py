@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,23 @@ import pytest
 from shardbft import messages as msg
 from shardbft.assembler import AssemblerNode
 from shardbft.batcher import BatcherNode
-from shardbft.consensus import ConsensusNode
-from shardbft.core import Batch, Block, BlockHeader, ZERO_DIGEST, header_digest
+from shardbft.consensus import (
+    DROP_BAD_SIGNATURE,
+    DROP_DUPLICATE,
+    DROP_STALE_EPOCH,
+    DROP_STALE_TERM,
+    DROP_UNKNOWN_SHARD,
+    ConsensusNode,
+)
+from shardbft.core import (
+    Batch,
+    BatchAttestationShare,
+    Block,
+    BlockHeader,
+    ComplaintVote,
+    ZERO_DIGEST,
+    header_digest,
+)
 from shardbft.sim.checks import check_agreement
 from shardbft.sim.report import report_to_json
 from shardbft.sim import runner as sim_runner
@@ -364,12 +380,54 @@ def test_a_headed_slot_keeps_no_pending_share_and_sends_no_empty_update(monkeypa
     assert seen["rounds"] > 0 and seen["updates"] > 0
 
 
+@pytest.mark.parametrize("config", ["baseline.json", "censorship.json"])
+def test_each_share_and_complaint_is_ordered_in_exactly_one_round(config):
+    # A batcher submits each share and complaint once, straight to the total
+    # order, and no consensus node is sent one: every drop is a refusal of
+    # an ordered event, under one of the admission rule's reasons.
+    runner = _Runner(ScenarioConfig.from_dict(json.loads((CONFIGS / config).read_text())))
+    d, send = runner.d, runner.network_send
+    # The objects themselves are held, so no id below is reused.
+    submitted, rounds = [], {}
+
+    def observe(sender, dest, message):
+        if isinstance(message, (BatchAttestationShare, ComplaintVote)):
+            assert dest == d.sequencer
+            submitted.append(message)
+        elif isinstance(message, msg.RoundDelivery):
+            rounds[message.round_no] = message
+        send(sender, dest, message)
+
+    runner.network_send = observe
+    report = runner.run()
+    ordered = Counter(id(event) for delivery in rounds.values() for event in delivery.events)
+    assert len(submitted) > 50 and all(ordered[id(event)] == 1 for event in submitted)
+    assert sum(ordered.values()) == len(submitted)
+    reasons = {DROP_BAD_SIGNATURE, DROP_DUPLICATE, DROP_STALE_EPOCH, DROP_STALE_TERM, DROP_UNKNOWN_SHARD}
+    assert set(report.drops) <= reasons and report.all_checks_pass()
+    assert any(isinstance(event, ComplaintVote) for event in submitted) == (config == "censorship.json")
+
+
 def test_consensus_refuses_what_the_sequencer_orders_again():
-    # The sequencer keeps nothing across rounds, so a share that several
-    # consensus nodes forward is ordered once per round it lands in; the
-    # admission rule refuses each repeat, and the run stays correct.
-    report = run_scenario(ScenarioConfig.from_dict(json.loads((CONFIGS / "censorship.json").read_text())))
-    assert report.drops.get("ordered_duplicate", 0) > 0
+    # The sequencer keeps nothing across rounds, so an event submitted again
+    # is ordered again. Here every share and complaint is submitted a second
+    # time, two rounds after the first; the admission rule refuses each
+    # repeat, and the run stays correct.
+    cfg = ScenarioConfig.from_dict(json.loads((CONFIGS / "censorship.json").read_text()))
+    once = run_scenario(cfg)
+    runner = _Runner(cfg)
+    send, later, repeats = runner.network_send, 2 * cfg.protocol.round_interval_us, []
+
+    def send_twice(sender, dest, message):
+        send(sender, dest, message)
+        if dest == runner.d.sequencer:
+            runner.push(runner.now_us + later, sender, dest, message)
+            repeats.append(message)
+
+    runner.network_send = send_twice
+    report = runner.run()
+    refused = sum(report.drops.values()) - sum(once.drops.values())
+    assert len(repeats) > 50 and refused > len(repeats)  # summed over the correct parties
     assert report.term_changes and report.quiescent and report.all_checks_pass()
 
 
