@@ -133,91 +133,91 @@ SCENARIOS = {
 # `shardbft run` exits 1 for a run that loses acked txs or is not quiescent.
 EXIT_CODES = {"lossy": 1}
 
-# sha256 of every file `shardbft run` writes, recorded when the sequencer
-# stopped deduplicating across rounds: the repeats it now orders shift the
-# seeded link-delay stream (keys.json is as before).
+# sha256 of every file `shardbft run` writes, recorded when batchers began
+# submitting each share and complaint once, straight to the total order: the
+# one-hop path shifts the seeded link-delay stream (keys.json is as before).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "51445d7219c0aa74b2d7237b565b2f524c301e6a8178d2aac5cd51caa9083b2a",
-        "ledger_party1.bin": "04287ce9643e7aeafafb59036d402523679c525fae34bfeb6d2ddef6fa39b344",
-        "ledger_party2.bin": "931aea1de677d6fed17dbb447c6bdf4d995a62f8dfd3d374cfd2a4b65d3e41b3",
-        "ledger_party3.bin": "da275d87ce2350c11bd33bc1a70e75a60bdac2b28ffa8dfd80f568ee1f69b6df",
-        "report.json": "f5974c6ff7788a5dd59c8a35b63f662ea2bbafd837450a567b6b58341fa436d4",
-        "series.csv": "5639ee3c21931c5a80d1045a883895a6757a2eddd72672630b00b6860a15d734",
+        "ledger_party0.bin": "4c10b888b0cb76163887e43e3f7f34264c7e2e168d082abbfbd0810e94e9b9a0",
+        "ledger_party1.bin": "a6db7f707ef5655fafbfdff47e4bf8541c5c8e6b63c412ae6911abc28a0a4d4e",
+        "ledger_party2.bin": "74652ef2923ca8b92d1e1c340c66d484a5dfef3df4c7f323a9529fc928c08cf7",
+        "ledger_party3.bin": "774743a68cc5d31033bcc823522f86a6ded0cf3d4b9263b4efb0e7c8a0f6ff9e",
+        "report.json": "5ce26013ed19c156c2447cf30d19b83051f8d773f38fc5cf1ab1a2b21f771abe",
+        "series.csv": "e735b1043d1ef8444b837966690c3c648b85138334c6328732c14ddda3c50d2c",
     },
     "censorship": {
         "keys.json": "d706ce51eb146cdb1a0a9c48618efebc7cdf60ad8648f4f75e0a0f182c1f0abc",
-        "ledger_party1.bin": "2f8959012e960156b5b330276c6d50f7c860ecba4080847a51dd964b602c5c1f",
-        "ledger_party2.bin": "822ebcb7b85292809ad0c404703e1ac0b83c91e9438af857434870c5b92b3e0c",
-        "ledger_party3.bin": "264a00bffad4bff43bf09e2cf2ba4e5ab6ccf0019d3943c2731ec3c6147ccd62",
-        "report.json": "f4eca44d37b7366c9695ee626cb953c456524c88b13e445d6ebb5660eb75d080",
-        "series.csv": "41dd9bcce2f9663d1635dd5bd25d2659dd8d4d71a23dbd70ed019d579b784b8f",
+        "ledger_party1.bin": "df64dbe8b5268bc69533d63d4197df8f0ec1320171c6458733a4bf4392b9069a",
+        "ledger_party2.bin": "0e1799f06c41fcc287945a8d693e1d38cb5afb63ee30cf77d72f2eafdcf9886b",
+        "ledger_party3.bin": "14d59145b7f227c2c5401e1c9f2d0f5f1eb071992678b68091526a3ec5dee8b9",
+        "report.json": "4e47f7a9e1877555a8b08e88879323e9eca0b034484b0ce6cc8bdf4118d88b80",
+        "series.csv": "71fe5dcbb5ef9103cc591286b1215a3eb4d4cac1fa4d12264eb981caf8af2538",
     },
     "failover": {
         "keys.json": "d70ef3aa1a46a60f0a09910258112568830bdbc47f76241e0e68c552dc3d244d",
-        "ledger_party1.bin": "d8c0dd876bb2c62f44c945551fc22b481f089e2947fef94015663c49a82365b0",
-        "ledger_party2.bin": "d8c0dd876bb2c62f44c945551fc22b481f089e2947fef94015663c49a82365b0",
-        "ledger_party3.bin": "d8c0dd876bb2c62f44c945551fc22b481f089e2947fef94015663c49a82365b0",
-        "report.json": "ae946696dd5cb47a16823397954ccecfd796146985218857af643d0502dbfa52",
-        "series.csv": "05b6f5769b3b4f5bb711d5e0e047eb97cd8aed98f68cc0bc743e2760432f890e",
+        "ledger_party1.bin": "c6e89f0b681a3b1ec9d0a11ef06fda005870ed1f24925db324c0d066ee1d0d6d",
+        "ledger_party2.bin": "c6e89f0b681a3b1ec9d0a11ef06fda005870ed1f24925db324c0d066ee1d0d6d",
+        "ledger_party3.bin": "c6e89f0b681a3b1ec9d0a11ef06fda005870ed1f24925db324c0d066ee1d0d6d",
+        "report.json": "14b0413b22b5a3bbe693583f718429e22a870abccb976a636570a250d36a20b9",
+        "series.csv": "afe17aa8173e0bd19464603eb88c105cde3d1e7697a7e6502538066c662dc306",
     },
     "ed25519_short": {
         "keys.json": "c3a878cd67b6f43e72f0c2112d2e66a7d1f3362d6f9bf291450ee3402c34080e",
-        "ledger_party0.bin": "d3d95717d457e5ce8ad19faf218c66b9466889c02db7df69abcca9df690f18ce",
-        "ledger_party1.bin": "4edb1569c914d106b3f89210e56347d36167c8bc32c5a958c2667c5572acd985",
-        "ledger_party2.bin": "27532e9e2da460f22df815d209ddc9a79da7cf4334f8b4b02ab58e70ba9937ce",
-        "ledger_party3.bin": "693e4e275c0495fb063fdf4931d357cb01575f80cc7b63474277134a445a501f",
-        "report.json": "c39f4106c334ad7f86b3349ae1505a52e39ad74cc912ec0e299f8ad5219acfa1",
-        "series.csv": "96d5d8e56277f24ddf4a072af96fbac3ad26990a0a33af00010ab5be0d55d9b4",
+        "ledger_party0.bin": "0f50edc678a017d3fbdfc369d93b3b0cad392c870d7d409b3bc79848e9c69c94",
+        "ledger_party1.bin": "53d32d233e9d78d84aa89547ca80d1b3a86bf7e335d076e887548a6b70c52aaf",
+        "ledger_party2.bin": "b13450969ca19c758b82c5087b082fa8156a827c1417345aa9dc1e2a613eff1e",
+        "ledger_party3.bin": "3c1f4a23558bc6c84b4104605e802aa90636fd514c432a71a5dc35fa385b245b",
+        "report.json": "d3f79dafd020de7f494d55cba93502989cd830ee1b3ec14962ddb0c12d62e76d",
+        "series.csv": "70abd226a455541156bb9c71a0d6ec48d9461649ec1e950581e2e54e92d4619f",
     },
     "ordering_short": {
         "keys.json": "158ffa11e8285c4f3fbd9fbab16bc581beaca0d383c16120a9c86b74d509baf5",
-        "ledger_party2.bin": "c75310e4442c7971a216dfa8a78242d26aefaf1ae70a5034f14542c509037c60",
-        "ledger_party3.bin": "23fa02c29c19cd03147f96ca3410b59f87854ce876c00ddd3e64d6c689cb170c",
-        "ledger_party4.bin": "c9dd8f59017166d34547006a59c165edde757b7dfae64f7eff6df695163b4a6b",
-        "ledger_party5.bin": "cf78dfdb8f9e8f7b81f3a0bc15290e3700432e97558df27371ea61d42b946326",
-        "ledger_party6.bin": "49fbd9734a4d27703d91fe4332e52afd4f810c87a8d5697ba01934858628301b",
-        "report.json": "bb913b0b6f89cd01c0c03f0bd8a9d300349427dc3f52bf30e4a89ce3a998ccea",
-        "series.csv": "9a9744b92c6287e19d5f5b683ce918d25f42bd515b6821acd57adc4b94e59b46",
+        "ledger_party2.bin": "026e903b14f8886e2b624e38d29c9848f98936c84beeb80447aefb140be6a11d",
+        "ledger_party3.bin": "d1ecbd112b094095de5662f96c550ecb2dce54114c446bdb2d183ddb2461e3dd",
+        "ledger_party4.bin": "edecd5d1a1290dc1680545a9b711aec6d6488719b2849bdc1cea1b59b9ae3b67",
+        "ledger_party5.bin": "66874a98630da33d8296f2fe2bd094127ba85ff528baaab319312498d8e189a4",
+        "ledger_party6.bin": "5c5a924e9e5b8ee78f229d44cf59452479a4f2f679904b8e38bc0c7147bc3abd",
+        "report.json": "526e6d59b2bd47174be015c7c4b28f72bf92f3436a86ed79bf918c15213b37e5",
+        "series.csv": "f56dc3b9f648aa1e951d23e809d2737d7a7399091a5e044a2f67e702749b0c67",
     },
     "late_gst": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "7e149b8411d65145f310c3b152187080c4438621ac06723a6e993d1c76fd334d",
-        "ledger_party1.bin": "c8a1bd40a00fb6309fd86b78c86d50091f162fcc2e88ebb35502c79874ba87d9",
-        "ledger_party2.bin": "c8a1bd40a00fb6309fd86b78c86d50091f162fcc2e88ebb35502c79874ba87d9",
-        "ledger_party3.bin": "8fc3f829d7356b2263d0cd0c0d87b9446e72a36bd56acd13c34baf7414603ea4",
-        "report.json": "226dd22a9258842432f56d99b379d8611f8b25b98623e172654b98bbac9a7708",
-        "series.csv": "e1e2b803fdf46bf427788595e04c2daad8ae14f84ee62d079ceb32db763495e5",
+        "ledger_party0.bin": "72a870df4e17961f24b22ff4656c7e16bff975140e9736567b0314e3978ec72e",
+        "ledger_party1.bin": "d23eb0fcd4ca8cf2cd39ac0cc72cd2a7029ef0ddf971bbacb22895fd6ef57c9b",
+        "ledger_party2.bin": "efe1d84d57fd87fce4e336a1e3d36c81cdabd9af8730088e2d3608e7d2a4cf07",
+        "ledger_party3.bin": "264ba6967cae4a8cdb1b0fea66ecda965040a3fbbe99602d2a7b4aa5180d96f1",
+        "report.json": "e5c40bbee896a85c8eb8db2a8c4c6fd3238b4aa44598d5b621a504aea7ecfbf3",
+        "series.csv": "bc03a4ff4525b7911229e5f0d978ca4c88d2ba18a0b5fe410674127e0b5cf467",
     },
     "lossy": {
         "keys.json": "e1d82b639313285163f455ba185b4412eb704ce542a317b00fefbd49ba9440e1",
-        "ledger_party0.bin": "33872047f5651c3d0df2afa78e3294bd3deb28390c1763d7af06805e0ee68bb8",
-        "ledger_party1.bin": "33872047f5651c3d0df2afa78e3294bd3deb28390c1763d7af06805e0ee68bb8",
+        "ledger_party0.bin": "77e0949d0a68673057dac2dfb1183a73492cf7d11a3432dcdaed6e5f119ea249",
+        "ledger_party1.bin": "77e0949d0a68673057dac2dfb1183a73492cf7d11a3432dcdaed6e5f119ea249",
         "ledger_party2.bin": "32b2d992dfa2db0388b9101e8ba3886d5ccc5656eea17007c075500a054d60c5",
-        "ledger_party3.bin": "33872047f5651c3d0df2afa78e3294bd3deb28390c1763d7af06805e0ee68bb8",
-        "report.json": "132657bdb0c0f9e40064651c28d6bb7b08501859f46a61f7a27e8dd2c97a42f8",
-        "series.csv": "05c3e6fbebe72b3638e96638190d9fbdbe4d337a0f944cdaf9dd491291eddbca",
+        "ledger_party3.bin": "77e0949d0a68673057dac2dfb1183a73492cf7d11a3432dcdaed6e5f119ea249",
+        "report.json": "cc57ae25a705a0b721f070c71fbab9974af15abf979f44a1b2c15853ac6ebe1d",
+        "series.csv": "414c5e446b37bc3d8842423923936911be10a930180ace8a360506064c1f1402",
     },
     "bogus_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party2.bin": "8ecca6d5ec4123d9721b9f18d1b544d3cbfe97786ac769e200e90516a8788847",
-        "ledger_party3.bin": "30963ce89d398795913d8d80f6d176120a82d9ed179974561e71530354856355",
-        "ledger_party4.bin": "75284d142ae9e0e2df5e6f787612d8bdf398347086a7a4c138eb1400d460113d",
-        "ledger_party5.bin": "8d478b9c5dbd97b00b76b38ebfabbc3b3275080fcdd33ec0579013e12c771b43",
-        "ledger_party6.bin": "736e239c7658835e06608c2b5cea63c25612e5479fcff54c7b9714c1f5e4f60a",
-        "report.json": "17f950f93d3019fda6405ef0efdd5f0d7e7096a04be7580e8e7827f3982f6bef",
-        "series.csv": "ee0a24048046f8f6d765145d67acfcfab119d15033170f60ccf466f1c4d0c044",
+        "ledger_party2.bin": "7fe7588186946824a3c4c44e47ddc9152b4d884d955ff4361aae4c4fb8b45209",
+        "ledger_party3.bin": "60c0e853a4b766ab0f041cfff1ad606c16482198f91e0cf3bc84828e034aa2da",
+        "ledger_party4.bin": "d1de048d2303374167e3e15521f54178d56fa4552dffac40b3ec4b40c3bbf6f6",
+        "ledger_party5.bin": "c078094ac638243ff4b2256ad38c6461371d2bc8e3ef006335e9a9088020e141",
+        "ledger_party6.bin": "380ac69a713ecf344ac8822456df2954d1deca6df3c9119acf449913332581c4",
+        "report.json": "9c3a8fa9db107e490fb7e92947e1203007bdacabc5eab008662edb46633ca3fe",
+        "series.csv": "35e5683b38fa886e8fa6b5e74c47d6aa6227960b78e6da3c359e980574d34302",
     },
     "withhold_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party0.bin": "7e207ae40a7fda96619fd3051f488c7808509383e2de95c67cbb29ab7e7f7bb8",
-        "ledger_party3.bin": "1a098d7859ab38685b96cfa85bfac0ecc1e4d3f5d6619ef32cf6d60bd4e2e444",
-        "ledger_party4.bin": "69d848b30933a705c68f441658ad61c9d8e61a657da0379b416fbcc44410ce86",
-        "ledger_party5.bin": "8cd92e0f943d3ed73100ccb9c634eadc1d028662c27426487edd38b0d8bf17ab",
-        "ledger_party6.bin": "5ba096c3c60440366ee94a2818f9d331670246d3af50a4363288be78d07ccd32",
-        "report.json": "1ffe22e1781946c70a200c6cbcdd5067d3afba8734c024138feaf8b5cb99631c",
-        "series.csv": "c5220a0e24b25d2373e3bacb719dc2cc8048af307a1a4b3510a83029c9d991a9",
+        "ledger_party0.bin": "9030c8d515a6fde79d00b1bb647ca9470835f0f2c72673c32690b7807b931b72",
+        "ledger_party3.bin": "c0a2b0642e20a53e2a50f4226a77a896e67cfcf967e93752f16e841bc81527dc",
+        "ledger_party4.bin": "9bec874b3d3f2bf635077fedde7755940f2939feeb8d35384483b0ace829b9dc",
+        "ledger_party5.bin": "bed52bb5eb01b93d982ce170c7fa296c83866e742dc4f941976e1458ce5ac480",
+        "ledger_party6.bin": "26d813ae60be2992f420482a99ff80b41cf599baac9838823f143972bc88521e",
+        "report.json": "4d4d758d9f40c3e965dbedad22fa9ae8f270db9717eb44e314b25947ffee71a4",
+        "series.csv": "ff5a7ffe26372d3cbba17771910fa8a2ae81b99ed1bc3a1263ccc1e7ccafc091",
     },
 }
 
@@ -275,9 +275,9 @@ def grid_digest(docs) -> str:
     return digest.hexdigest()
 
 
-# Recorded when the sequencer stopped deduplicating across rounds, as
+# Recorded when batchers began submitting straight to the total order, as
 # GOLDEN was.
-GRID_DIGEST = "b7dad06dc27f4d2cc6045f05f424ac788fc62aac09c45d20d5f6a3b1eeae6873"
+GRID_DIGEST = "36cf33f648e6e413312de6cfca25c5719f5d724fc0110a4f4920868753bcda47"
 
 
 def test_random_grid_reports_match_golden_digest():
