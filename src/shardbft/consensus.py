@@ -9,7 +9,7 @@ against its start state, raises the ordered epoch, keeps pending shares per
 batch key, gives each ledger slot the first key to reach F+1 attestations
 and refuses every other share of a slot with a header (``headed``), advances
 terms on F+1 complaints, bounds replay with an epoch window, and chains one
-block header per productive round, which nodes sign, swap and publish.
+block header per productive round, which nodes sign, swap, publish and drop.
 """
 
 from __future__ import annotations
@@ -129,14 +129,6 @@ def apply_complaints(complaints, state: ConsensusState, f: int) -> list[tuple[in
     return changes
 
 
-def make_block_header(state: ConsensusState, keys) -> BlockHeader:
-    """Chain a new header over the given keys and advance the chain state."""
-    header = BlockHeader(state.next_block_seq, state.prev_hash, tuple(keys))
-    state.prev_hash = header.header_hash
-    state.next_block_seq += 1
-    return header
-
-
 class ConsensusNode:
     """The consensus node of party ``party`` in the deployment ``d``."""
 
@@ -148,8 +140,8 @@ class ConsensusNode:
         self.state = ConsensusState(d.protocol.epoch_window, d.k)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
-        self.headers: dict[int, BlockHeader] = {}
-        self.collected: dict[int, dict[int, Signature]] = {}
+        # Block seq -> its header and the signatures so far, until it publishes.
+        self.headers: dict[int, tuple[BlockHeader, dict[int, Signature]]] = {}
         self.share_buffer: dict[int, list[msg.HeaderShare]] = {}
         self.evidence: list[tuple] = []
         self.drops: dict[str, int] = {}
@@ -212,11 +204,11 @@ class ConsensusNode:
         self.pending_series.append((ctx.now(), sum(map(len, state.pending.values()))))
 
     def _emit_header(self, winners, ctx) -> None:
-        header = make_block_header(self.state, winners)
+        state, seq = self.state, self.state.next_block_seq
+        header = BlockHeader(seq, state.prev_hash, tuple(winners))
+        state.prev_hash, state.next_block_seq = header.header_hash, seq + 1
         signature = sign(self.d.party_keys[self.party], header.signing_payload)
-        seq = header.block_seq
-        self.headers[seq] = header
-        self.collected[seq] = {self.party: signature}
+        self.headers[seq] = (header, {self.party: signature})
         share = msg.HeaderShare(seq, header.header_hash, self.party, signature)
         for peer in self.peers:
             ctx.send(peer, share)
@@ -236,16 +228,16 @@ class ConsensusNode:
     # --- header signature aggregation ------------------------------------------
 
     def _on_share(self, m: msg.HeaderShare, ctx) -> None:
-        if m.block_seq not in self.headers:
+        if m.block_seq >= self.state.next_block_seq:  # its round is still to come
             self.share_buffer.setdefault(m.block_seq, []).append(m)
             return
-        if m.block_seq not in self.collected:  # already published
+        if m.block_seq not in self.headers:  # already published
             return
         self._absorb_share(m)
         self._try_publish(m.block_seq, ctx)
 
     def _absorb_share(self, m: msg.HeaderShare) -> None:
-        header = self.headers[m.block_seq]
+        header, sigs = self.headers[m.block_seq]
         if m.header_hash != header.header_hash:
             self.evidence.append(("conflicting_header", m.block_seq, m.signer))
             return
@@ -253,15 +245,14 @@ class ConsensusNode:
         if public is None or not verify(public, header.signing_payload, m.signature):
             self.evidence.append(("bad_share_signature", m.block_seq, m.signer))
             return
-        self.collected[m.block_seq][m.signer] = m.signature
+        sigs[m.signer] = m.signature
 
     def _try_publish(self, seq: int, ctx) -> None:
-        sigs = self.collected[seq]
+        header, sigs = self.headers[seq]
         quorum = quorum_size(self.d.n, self.d.f)
         if len(sigs) < quorum:
             return
-        del self.collected[seq]
-        header = self.headers[seq]
+        del self.headers[seq]
         # Exactly a quorum, lowest signer ids first: every published byte is
         # load-bearing for offline verification.
         ordered = tuple(sorted(sigs.items())[:quorum])

@@ -65,7 +65,6 @@ def sizes(duration: float) -> dict[str, int]:
     batcher = runner.batchers[(PARTY, SHARD)]
     return {
         "consensus headers": len(consensus.headers),
-        "consensus collected": len(consensus.collected),
         "consensus share_buffer": len(consensus.share_buffer),
         "consensus dedup": len(consensus.state.dedup),
         "consensus pending shares, peak": max((n for _t, n in consensus.pending_series), default=0),

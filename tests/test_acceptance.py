@@ -101,15 +101,15 @@ def _grid_config(i):
 
 
 def _leftover_state(runner, cfg) -> list[str]:
-    """What a correct party's header path still holds once its run ends: a
-    header's signatures, a buffered share, a buffered or fetched header, or
+    """What a correct party's header path still holds once its run ends: an
+    unpublished header, a buffered share, a buffered or fetched header, or
     an index entry for a slot of an appended block."""
     out = []
     for p in cfg.correct_parties():
         consensus, assembler = runner.consensus[p], runner.assemblers[p]
         appended = {key.slot() for block in assembler.ledger for key in block.header.batch_digests}
         for name, left in (
-            ("collected", consensus.collected),
+            ("headers", consensus.headers),
             ("share_buffer", consensus.share_buffer),
             ("header_buffer", assembler.header_buffer),
             ("fetching", assembler.fetching),
@@ -169,8 +169,8 @@ def test_no_slot_is_headed_twice(suite1):
 
 
 def test_header_path_state_lives_only_until_its_decision(suite1_runs):
-    # Published headers drop their signatures, and appended blocks take
-    # their slots out of the assembler's index.
+    # Consensus drops a header once it publishes it, and appended blocks
+    # take their slots out of the assembler's index.
     _, _, leftovers = suite1_runs
     left = {seed: entries for seed, entries in leftovers.items() if entries}
     assert not left, left

@@ -293,8 +293,7 @@ def test_chain_continuity_across_rounds(party_keys):
     ctx = StubCtx()
     node.handle(msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))), ctx)
     node.handle(msg.RoundDelivery(2, tuple(make_share(party_keys, s, 1) for s in (0, 1))), ctx)
-    h1 = node.headers[0]
-    h2 = node.headers[1]
+    (h1, _), (h2, _) = node.headers[0], node.headers[1]
     assert h2.prev_header_hash == header_digest(h1)
     assert h1.prev_header_hash == b"\x00" * 32
 
@@ -321,11 +320,11 @@ def test_conflicting_share_flagged_not_counted(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
     node.handle(msg.RoundDelivery(1, tuple(make_share(party_keys, s, 0) for s in (0, 1))), ctx)
-    hhash = node.headers[0].header_hash
+    hhash = node.headers[0][0].header_hash
     evil = msg.HeaderShare(0, sha256(b"other header"), 1, sign(party_keys[1], b"whatever"))
     node.handle(evil, ctx)
     assert node.evidence and node.evidence[0][0] == "conflicting_header"
-    assert 1 not in node.collected[0]
+    assert 1 not in node.headers[0][1]
     # A share with the right hash but a junk signature is flagged too.
     junk = msg.HeaderShare(0, hhash, 2, Signature("test_mac", b"\x00" * 32))
     node.handle(junk, ctx)
@@ -341,11 +340,11 @@ def test_share_buffered_until_round_arrives(party_keys):
     nodes[0].handle(share, ctxs[0])  # arrives before node 0 sees the round
     assert nodes[0].share_buffer
     nodes[0].handle(msg.RoundDelivery(1, events), ctxs[0])
-    assert nodes[0].collected[0].keys() >= {0, 1}
+    assert nodes[0].headers[0][1].keys() >= {0, 1}
 
 
 def test_share_for_a_published_header_is_ignored(party_keys):
-    # The quorum publishes seq 0 and its signatures go; a late share for it,
+    # The quorum publishes seq 0 and its header goes; a late share for it,
     # valid or not, changes nothing and brings no entry back.
     nodes = [make_node(party_keys, party=p) for p in range(4)]
     ctxs = [StubCtx() for _ in nodes]
@@ -358,10 +357,11 @@ def test_share_for_a_published_header_is_ignored(party_keys):
         nodes[0].handle(share, ctx)
     published = [m for _, m in ctx.take_sent() if isinstance(m, msg.PublishedHeader)]
     assert len(published) == 1 and [s for s, _ in published[0].quorum_sigs] == [0, 1, 2]
-    assert nodes[0].collected == {}
+    assert nodes[0].headers == {}
     nodes[0].handle(shares[3], ctx)
     nodes[0].handle(msg.HeaderShare(0, sha256(b"other header"), 3, shares[3].signature), ctx)
-    assert nodes[0].collected == {} and nodes[0].evidence == [] and ctx.sent == []
+    assert nodes[0].headers == {} and nodes[0].share_buffer == {}
+    assert nodes[0].evidence == [] and ctx.sent == []
 
 
 def test_same_slot_two_digests_single_winner(party_keys):
@@ -378,7 +378,7 @@ def test_same_slot_two_digests_single_winner(party_keys):
     )
     node.handle(msg.RoundDelivery(1, events), ctx)
     assert node.state.next_block_seq == 1
-    keys = node.headers[0].batch_digests
+    keys = node.headers[0][0].batch_digests
     assert len(keys) == 1 and keys[0].digest == d1
     # The loser's shares leave pending with the slot, and the batcher hears
     # only of the winner.
@@ -409,7 +409,7 @@ def _expire_slot_zero(party_keys):
 
 
 def _header_slots(node):
-    return [key.slot() for seq in sorted(node.headers) for key in node.headers[seq].batch_digests]
+    return [key.slot() for seq in sorted(node.headers) for key in node.headers[seq][0].batch_digests]
 
 
 def test_expired_slot_takes_its_pending_keys_along(party_keys):
@@ -543,7 +543,7 @@ def test_an_event_for_a_shard_past_the_last_is_refused_when_ordered(party_keys):
         assert filter_event(event, node.state, pubs(party_keys)) == (False, DROP_UNKNOWN_SHARD)
     good = [make_share(party_keys, s, 0, shard=1) for s in (0, 1)]
     node.handle(msg.RoundDelivery(1, (*bad_shares, *bad_votes, *good)), ctx)
-    assert [k.shard for k in node.headers[0].batch_digests] == [1]
+    assert [k.shard for k in node.headers[0][0].batch_digests] == [1]
     assert node.state.terms == {} and node.state.complaint_signers == {}
     assert node.drops == {DROP_UNKNOWN_SHARD: 4}
     updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
@@ -577,16 +577,17 @@ def test_deterministic_headers_across_replicas(party_keys):
     for round_no, events in enumerate(streams, start=1):
         for node, ctx in zip(replicas, ctxs):
             node.handle(msg.RoundDelivery(round_no, events), ctx)
+    # No header share is swapped, so every header stays unpublished.
     reference = [
-        encode_header_payload(replicas[0].headers[i]) for i in range(replicas[0].state.next_block_seq)
+        encode_header_payload(replicas[0].headers[i][0]) for i in range(replicas[0].state.next_block_seq)
     ]
     for node in replicas[1:]:
-        mine = [encode_header_payload(node.headers[i]) for i in range(node.state.next_block_seq)]
+        mine = [encode_header_payload(node.headers[i][0]) for i in range(node.state.next_block_seq)]
         assert mine == reference
     # Safety independence: no slot ever appears in two different headers.
     seen_slots = {}
     for i in range(replicas[0].state.next_block_seq):
-        for key in replicas[0].headers[i].batch_digests:
+        for key in replicas[0].headers[i][0].batch_digests:
             assert key.slot() not in seen_slots, "slot committed twice"
             seen_slots[key.slot()] = i
 
@@ -599,7 +600,7 @@ def test_byzantine_garbage_in_round_is_ignored(party_keys):
     unknown_signer = make_share({**party_keys, 9: party_keys[0]}, 9, 0)
     node.handle(msg.RoundDelivery(1, (forged, unknown_signer, *good)), ctx)
     assert node.state.next_block_seq == 1
-    assert node.headers[0].batch_digests[0] == good[0].key()
+    assert node.headers[0][0].batch_digests[0] == good[0].key()
 
 
 def test_share_with_a_short_digest_never_verifies(party_keys):
