@@ -119,6 +119,8 @@ def apply_complaints(complaints, state: ConsensusState, f: int) -> list[tuple[in
         if vote.term < current:
             continue
         signers = state.complaint_signers.setdefault((vote.shard, vote.term), set())
+        if vote.signer in signers:  # a repeat within the round
+            continue
         signers.add(vote.signer)
         if vote.term == current and len(signers) >= attestation_threshold(f):
             state.terms[vote.shard] = current + 1

@@ -12,8 +12,8 @@ performance model.
 
 The total-order primitive is a trusted sequencer in the harness, to which
 each batcher submits its shares and complaints once. It only orders: every
-round_interval it cuts a round, less any event equal to one already in it,
-for every consensus node. A repeat is ordered again; consensus refuses it.
+round_interval it cuts a round of everything submitted since the last, for
+every consensus node. A repeat is ordered again; consensus counts it once.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ class _Runner:
         if isinstance(message, msg.RoundTick):
             if self.round_buffer:
                 self.round_no += 1
-                delivery = msg.RoundDelivery(self.round_no, tuple(dict.fromkeys(self.round_buffer)))
+                delivery = msg.RoundDelivery(self.round_no, tuple(self.round_buffer))
                 self.round_buffer = []
                 for dest in self.d.consensus:
                     self.network_send(SEQUENCER, dest, delivery)

@@ -522,6 +522,28 @@ def test_replayed_rounds_emit_exactly_what_single_delivery_emits(party_keys):
     assert all(refused[k] > 0 for k in (DROP_DUPLICATE, DROP_STALE_EPOCH, DROP_STALE_TERM))
 
 
+def test_a_repeat_within_a_round_counts_once(party_keys):
+    # The sequencer orders whatever is submitted, so a round can carry an
+    # event twice. Both copies pass the admission rule against the round's
+    # start state; the round keeps one share per signer and one complaint
+    # per signer. The repeated term-1 complaint comes after the term change
+    # it would otherwise complete.
+    share = make_share(party_keys, 0, 0)
+    early = make_complaint(party_keys, 2, 1)
+    votes = [make_complaint(party_keys, 1, 1), early, *(make_complaint(party_keys, s, 0) for s in (1, 2))]
+    rounds_once = [[share, *votes], [make_share(party_keys, 1, 0)]]
+    rounds_twice = [[share, share, *votes, early], rounds_once[1]]
+    once, twice = make_node(party_keys), make_node(party_keys)
+    ctx_once, ctx_twice = StubCtx(), StubCtx()
+    for round_no, (a, b) in enumerate(zip(rounds_once, rounds_twice), start=1):
+        once.handle(msg.RoundDelivery(round_no, tuple(a)), ctx_once)
+        twice.handle(msg.RoundDelivery(round_no, tuple(b)), ctx_twice)
+    assert once.state.terms == {0: 1} and once.state.next_block_seq == 1
+    assert twice.state == once.state and twice.headers == once.headers
+    assert twice.drops == once.drops == {} and twice.term_change_log == once.term_change_log
+    assert ctx_twice.sent == ctx_once.sent
+
+
 def test_term_change_notifies_batchers(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
