@@ -90,8 +90,8 @@ class AssemblerNode:
             self._on_header(message, ctx)
         elif isinstance(message, msg.AssemblerPullResponse):
             self._on_pull_response(message, ctx)
-        elif isinstance(message, msg.FetchRetry):
-            self._on_fetch_retry(message, ctx)
+        elif isinstance(message, msg.FetchRetry):  # indexes nothing, so nothing to advance
+            self._next_attempt(message.key, message.attempt, ctx)
 
     # --- ingestion ------------------------------------------------------------
 
@@ -161,17 +161,15 @@ class AssemblerNode:
 
     def _on_pull_response(self, m: msg.AssemblerPullResponse, ctx) -> None:
         # A batch no header is fetching is a late or an off-target answer.
-        if m.batch is not None and m.batch.key() in self.fetching:
+        indexed = m.batch is not None and m.batch.key() in self.fetching
+        if indexed:
             self._index_batch(m.batch)
         # Keys still unresolved at this slot move on to the next party.
         for key, attempt in list(self.fetching.items()):
             if key.shard == m.shard and key.seq == m.seq and not self._held(key):
                 self._next_attempt(key, attempt, ctx)
-        self._advance(ctx)
-
-    def _on_fetch_retry(self, m: msg.FetchRetry, ctx) -> None:
-        self._next_attempt(m.key, m.attempt, ctx)
-        self._advance(ctx)
+        if indexed:
+            self._advance(ctx)
 
 
 # --- offline ledger files ---------------------------------------------------
