@@ -195,6 +195,41 @@ def test_criterion_2_termination_no_loss(suite1):
     assert _verdict(2, "termination/no-loss", ok, f"{acked} quorum-acked txs, {lost} losses")
 
 
+_FORKED_AT_A_TERM_CHANGE = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="correct parties' batcher ledgers fork at a term change and acked txs are lost; "
+    "ROADMAP item 1's one agreed shard sequence closes it",
+)
+
+
+@pytest.mark.parametrize(
+    "seed, shards, tx_rate, kind",
+    [
+        pytest.param(536078, 2, 100.0, "equivocate_batch", marks=_FORKED_AT_A_TERM_CHANGE, id="536078"),
+        pytest.param(676174, 5, 200.0, "inject_bogus", marks=_FORKED_AT_A_TERM_CHANGE, id="676174"),
+    ],
+)
+def test_a_term_change_loses_no_acked_tx(seed, shards, tx_rate, kind):
+    # ROADMAP item 1's loss repros, built as its scenario generator builds
+    # them: the grid config at N=4, F=1 and gst 1.5, one adversary at party
+    # 1. A moved delay stream shows as an XPASS.
+    doc = _grid_config(0).to_dict()
+    doc.update(
+        parties=4,
+        faults=1,
+        shards=shards,
+        seed=seed,
+        tx_rate=tx_rate,
+        gst=1.5,
+        adversaries=[{"party": 1, "kind": kind}],
+    )
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    check = report.checks["no_loss_no_unbounded_dup"]
+    assert check["pass"], check
+    assert report.quiescent
+
+
 def test_criterion_3_censorship_bound():
     results = []
     for seed in range(50):
@@ -241,6 +276,7 @@ def test_criterion_3_censorship_bound():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the assembler fetches only for the header at its ledger's height and asks its own "
     "batcher first, so each equivocated block waits a round trip and blocks queue; ROADMAP item 2(c)",
 )

@@ -157,6 +157,25 @@ def test_append_drops_every_variant_of_its_slots(party_keys, client_keys):
     assert node.index == {}
 
 
+def test_a_rejected_header_appends_nothing_until_a_valid_one_arrives(party_keys, client_keys):
+    # A header at the ledger's height with too few valid signatures, or one
+    # that breaks the chain, is dropped with its reason and fetches nothing;
+    # a valid header for the same seq, arriving later, appends.
+    node = _node(party_keys)
+    ctx = StubCtx()
+    batch = _batch(client_keys)
+    node.handle(batch, ctx)
+    header, sigs = _signed_header(party_keys, [batch])
+    forged = (*sigs[:2], (sigs[2][0], Signature("test_mac", b"\x00" * 32)))
+    node.handle(msg.PublishedHeader(header, forged), ctx)
+    node.handle(msg.PublishedHeader(*_signed_header(party_keys, [batch], prev=b"\x11" * 32)), ctx)
+    assert node.rejects == [(0, REJECT_BAD_SIGNATURE), (0, REJECT_CHAIN_BREAK)]
+    assert node.ledger == [] and node.header_buffer == {} and ctx.sent == []
+    node.handle(msg.PublishedHeader(header, sigs), ctx)
+    assert [block.header for block in node.ledger] == [header] and node.ledger[0].batches == (batch,)
+    assert len(node.rejects) == 2
+
+
 def test_fetch_falls_back_to_other_parties(party_keys, client_keys):
     node = _node(party_keys)
     ctx = StubCtx()

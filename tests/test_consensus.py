@@ -424,6 +424,7 @@ def test_expired_slot_takes_its_pending_keys_along(party_keys):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="a fresh-epoch share reopens an expired slot; ROADMAP item 1's per-shard "
     "low-water mark of headed seqs closes it",
 )
@@ -438,6 +439,7 @@ def test_fresh_epoch_shares_never_reopen_an_expired_slot(party_keys):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="a replayed share of a headed slot, with an epoch past the slot's, reopens the "
     "slot once it expires; ROADMAP item 1's per-shard low-water mark closes it",
 )
