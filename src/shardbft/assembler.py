@@ -152,9 +152,9 @@ class AssemblerNode:
         ctx.schedule(self.d.protocol.fetch_timeout_us, msg.FetchRetry(key, attempt))
 
     def _next_attempt(self, key: BatchKey, attempt: int, ctx) -> None:
-        if key not in self.fetching or self._held(key):
-            return
-        if self.fetching[key] != attempt:
+        # A fetch is live exactly while its key is in `fetching`: indexing a
+        # batch pops its key, and only missing keys are added.
+        if self.fetching.get(key) != attempt:
             return
         self.fetching[key] = attempt + 1
         self._fetch(key, attempt + 1, ctx)
@@ -166,7 +166,7 @@ class AssemblerNode:
             self._index_batch(m.batch)
         # Keys still unresolved at this slot move on to the next party.
         for key, attempt in list(self.fetching.items()):
-            if key.shard == m.shard and key.seq == m.seq and not self._held(key):
+            if key.shard == m.shard and key.seq == m.seq:
                 self._next_attempt(key, attempt, ctx)
         if indexed:
             self._advance(ctx)

@@ -62,15 +62,9 @@ def check_no_loss_no_unbounded_dup(report) -> dict:
     changes_by_shard: dict[int, int] = {}
     for _t, shard, _term in report.term_changes:
         changes_by_shard[shard] = changes_by_shard.get(shard, 0) + 1
-    lost = []
+    # A record's last commit is set once every correct party holds the tx.
+    lost = [r.tx_id.hex() for r in report.tx_records if r.ack_quorum_us is not None and r.last_commit_us is None]
     bad_dups = []
-    for record in report.tx_records:
-        if record.ack_quorum_us is None:
-            continue
-        for party in correct:
-            if record.tx_id not in report.inclusion.get(party, {}):
-                lost.append(record.tx_id.hex())
-                break
     for tx_id, occ in occurrences.items():
         if len(occ) <= 1:
             continue

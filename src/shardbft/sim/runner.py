@@ -14,6 +14,11 @@ The total-order primitive is a trusted sequencer in the harness, to which
 each batcher submits its shares and complaints once. It only orders: every
 round_interval it cuts a round of everything submitted since the last, for
 every consensus node. A repeat is ordered again; consensus counts it once.
+
+Every delivery goes through one handler table indexed by node id: the
+sequencer (0) and the client hub (1) are runner methods in it next to the
+nodes' ``handle``, and each acts through its own context, as a node does.
+Only the entry that feeds held-back arrivals is handled apart.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class _Runner:
         for node in chain(routers, self.consensus.values(), self.assemblers.values(), self.batchers.values()):
             self.nodes[node.node_id] = node
             self.party_of[node.node_id] = node.party
-        self.ctxs = [None if node is None else _Ctx(self, nid) for nid, node in enumerate(self.nodes)]
+        self.ctxs = [_Ctx(self, nid) for nid in range(d.node_count)]
         # Deliveries due at or after these times are dropped when queued:
         # everything to a crashed party's nodes from its crash on, and others'
         # traffic to the lossy party's nodes from GST on.
@@ -241,7 +246,7 @@ class _Runner:
         if held:
             heapq.heappush(heap, (held[-1][0], _FEED, 0, SEQUENCER, None))
 
-    def _on_hub(self, message: msg.SubmissionReply) -> None:
+    def _on_hub(self, message: msg.SubmissionReply, ctx) -> None:
         record = self.tx_records[message.submission_id]
         if message.ok:
             record.acks |= 1 << message.party
@@ -252,17 +257,15 @@ class _Runner:
 
     # --- total-order sequencer ----------------------------------------------------
 
-    def _on_sequencer(self, message) -> None:
+    def _on_sequencer(self, message, ctx) -> None:
         if isinstance(message, msg.RoundTick):
             if self.round_buffer:
                 self.round_no += 1
                 delivery = msg.RoundDelivery(self.round_no, tuple(self.round_buffer))
                 self.round_buffer = []
                 for dest in self.d.consensus:
-                    self.network_send(SEQUENCER, dest, delivery)
-            self.push(
-                self.now_us + self.cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick()
-            )
+                    ctx.send(dest, delivery)
+            ctx.schedule(self.cfg.protocol.round_interval_us, msg.RoundTick())
         else:  # a share or complaint, the object its batcher built
             self.round_buffer.append(message)
 
@@ -271,13 +274,13 @@ class _Runner:
     def run(self) -> RunReport:
         cfg = self.cfg
         self._schedule_clients()
+        ctxs = self.ctxs
         for node in self.batchers.values():
-            node.start(self.ctxs[node.node_id])
-        self.push(cfg.protocol.round_interval_us, SEQUENCER, SEQUENCER, msg.RoundTick())
+            node.start(ctxs[node.node_id])
+        ctxs[SEQUENCER].schedule(cfg.protocol.round_interval_us, msg.RoundTick())
 
         # Bound here, not in __init__, so handlers patched after construction count.
-        handles = [None if node is None else node.handle for node in self.nodes]
-        ctxs = self.ctxs
+        handles = [self._on_sequencer, self._on_hub, *(node.handle for node in self.nodes[2:])]
 
         heap, heappop = self.heap, heapq.heappop
         limit = cfg.duration_us + cfg.drain_us
@@ -289,15 +292,10 @@ class _Runner:
             if t > limit:
                 break
             self.now_us = t
-            if dest == SEQUENCER:
-                if sender == _FEED:
-                    self._feed_arrivals()
-                    continue
-                self._on_sequencer(message)
-            elif dest == HUB:
-                self._on_hub(message)
-            else:
-                handles[dest](message, ctxs[dest])
+            if sender == _FEED:  # not a delivery, so not counted in the goal-check cadence
+                self._feed_arrivals()
+                continue
+            handles[dest](message, ctxs[dest])
             processed += 1
             if processed % 128 == 0 and t > duration and self._goal_met():
                 quiescent = True

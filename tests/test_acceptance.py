@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from shardbft.batcher import required_sample_size, sample_verify
+from shardbft.behaviors import BEHAVIOR_KINDS
 from shardbft.cli import main as cli_main
 from shardbft.consensus import filter_event, process_round
 from shardbft.core import (
@@ -98,6 +99,33 @@ def _grid_config(i):
             "adversaries": _adversaries(kind, f),
         }
     )
+
+
+def draw(rng) -> dict:
+    """One scenario of the randomized gate: the grid config at a random
+    N = 3F+1, shard count, seed, rate and GST, with up to F adversaries of
+    any kind at distinct parties."""
+    n, f = rng.choice([(4, 1), (7, 2)])
+    advs = []
+    for p in rng.sample(range(n), rng.randint(0, f)):
+        kind = rng.choice(BEHAVIOR_KINDS)
+        a = {"party": p, "kind": kind}
+        if kind == "crash":
+            a["crash_at"] = rng.choice([0, 0.25, 0.5])
+        if kind == "censor_tx":
+            a["censor_clients"] = [rng.randrange(4)]
+        advs.append(a)
+    d = _grid_config(0).to_dict()
+    d.update(
+        parties=n,
+        faults=f,
+        adversaries=advs,
+        shards=rng.randint(1, 6),
+        seed=rng.randrange(1 << 20),
+        tx_rate=rng.choice([50, 100, 200, 400]),
+        gst=rng.choice([0, 0.2, 0.5, 1.0, 1.5]),
+    )
+    return d
 
 
 def _leftover_state(runner, cfg) -> list[str]:
@@ -228,6 +256,35 @@ def test_a_term_change_loses_no_acked_tx(seed, shards, tx_rate, kind):
     check = report.checks["no_loss_no_unbounded_dup"]
     assert check["pass"], check
     assert report.quiescent
+
+
+_BOUND_FROM_SUBMIT = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="every tx is submitted before a GST of 1.0 s or more, and the censorship bound is "
+    "measured from submission, not from GST; ROADMAP item 2(b)",
+)
+_BOUND_FROM_SUBMIT_DRAWS = {16, 44}  # each a censor_tx at N=4
+
+
+def _generated_draws(count: int) -> list:
+    rng = random.Random(20261018)
+    return [
+        pytest.param(doc, marks=_BOUND_FROM_SUBMIT if i in _BOUND_FROM_SUBMIT_DRAWS else (), id=str(i))
+        for i, doc in enumerate(draw(rng) for _ in range(count))
+    ]
+
+
+@pytest.mark.parametrize("doc", _generated_draws(100))
+def test_a_generated_scenario_passes_every_check(doc):
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    failed = {name: check for name, check in report.checks.items() if not check["pass"]}
+    bound = failed.pop("censorship_bound", None)
+    # Only the bound raises AssertionError, so a pinned draw that fails
+    # anything else is reported as a failure, not as its xfail.
+    if failed or not report.quiescent:
+        pytest.fail(f"quiescent={report.quiescent}, failed checks: {failed}")
+    assert bound is None, bound
 
 
 def test_criterion_3_censorship_bound():

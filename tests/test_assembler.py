@@ -1,3 +1,5 @@
+import pytest
+
 from shardbft import messages as msg
 from shardbft.assembler import (
     AssemblerNode,
@@ -20,8 +22,11 @@ from shardbft.core import (
     header_digest,
 )
 from shardbft.crypto import Signature, sign
+from shardbft.sim.runner import run_scenario
+from shardbft.sim.scenario import ScenarioConfig
 
 from helpers import StubCtx, make_deployment, make_tx
+from test_regression import SCENARIOS
 
 
 def _pubs(party_keys, n=4):
@@ -211,6 +216,29 @@ def test_fetch_retry_timeout_advances_party(party_keys, client_keys):
     node.handle(retries[0], ctx)  # no response at all: try the next party
     (d1, _), = [(d, m) for d, m in ctx.sent if isinstance(m, msg.AssemblerPull)]
     assert d1 == node.d.batcher[1][0]
+
+
+@pytest.mark.parametrize("name", ["withhold_short", "ordering_short"])
+def test_no_key_being_fetched_is_held(monkeypatch, name):
+    # A fetch is live exactly while its key is in `fetching`, so no key
+    # there is ever already indexed: checked after every assembler message
+    # of two pinned scenarios whose withheld and equivocated batches are
+    # fetched, some of them past the first party asked.
+    handle, fetch = AssemblerNode.handle, AssemblerNode._fetch
+    attempts = []
+
+    def checked(node, message, ctx):
+        handle(node, message, ctx)
+        assert not [key for key in node.fetching if node._held(key)]
+
+    def counted(node, key, attempt, ctx):
+        attempts.append(attempt)
+        fetch(node, key, attempt, ctx)
+
+    monkeypatch.setattr(AssemblerNode, "handle", checked)
+    monkeypatch.setattr(AssemblerNode, "_fetch", counted)
+    run_scenario(ScenarioConfig.from_dict(SCENARIOS[name]()))
+    assert 0 in attempts and max(attempts) > 0
 
 
 # --- ledger files ------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_ack_quorum_counts_distinct_parties():
 
     def reply(t, party, ok=True):
         runner.now_us = t
-        runner._on_hub(msg.SubmissionReply(3, party, ok, "" if ok else "full"))
+        runner._on_hub(msg.SubmissionReply(3, party, ok, "" if ok else "full"), runner.ctxs[runner.d.hub])
         return record.acks, record.ack_quorum_us
 
     reply(1, 6)
@@ -182,14 +182,14 @@ def test_report_acks_equal_the_distinct_parties_that_acked():
     quorum_at: dict[int, int] = {}
     on_hub = runner._on_hub
 
-    def observed(message):
+    def observed(message, ctx):
         index, party = message.submission_id, message.party
         if message.ok:
             parties = acked.setdefault(index, set())
             parties.add(party)
             if len(parties) == quorum:
                 quorum_at.setdefault(index, runner.now_us)
-        on_hub(message)
+        on_hub(message, ctx)
 
     runner._on_hub = observed
     report = runner.run()

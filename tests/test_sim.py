@@ -25,14 +25,14 @@ from shardbft.core import (
     ZERO_DIGEST,
     header_digest,
 )
-from shardbft.sim.checks import check_agreement
-from shardbft.sim.report import report_to_json
+from shardbft.sim.checks import check_agreement, check_no_loss_no_unbounded_dup
+from shardbft.sim.report import RunReport, TxRecord, report_to_json
 from shardbft.sim import runner as sim_runner
 from shardbft.router import RouterNode
 from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
-from helpers import make_tx
+from helpers import StubCtx, make_tx
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -431,6 +431,37 @@ def test_consensus_refuses_what_the_sequencer_orders_again():
     assert report.term_changes and report.quiescent and report.all_checks_pass()
 
 
+def test_a_tick_cuts_one_round_of_the_buffer_for_every_consensus_node():
+    # The sequencer only orders: it never reads an event, so plain objects
+    # stand in for shares and complaints.
+    runner = _Runner(_cfg())
+    interval = runner.cfg.protocol.round_interval_us
+    ctx = StubCtx(now_us=500)
+    events = [object() for _ in range(3)]
+    for event in events:
+        runner._on_sequencer(event, ctx)
+    assert ctx.sent == [] and ctx.timers == []
+    runner._on_sequencer(msg.RoundTick(), ctx)
+    delivery = ctx.sent[0][1]
+    assert ctx.sent == [(dest, delivery) for dest in runner.d.consensus]  # one object for all
+    assert isinstance(delivery, msg.RoundDelivery)
+    assert delivery.round_no == runner.round_no == 1 and list(delivery.events) == events
+    assert runner.round_buffer == []
+    assert ctx.timers == [(500 + interval, msg.RoundTick())]
+    runner._on_sequencer(events[0], ctx)
+    runner._on_sequencer(msg.RoundTick(), ctx)
+    assert ctx.sent[-1][1].round_no == 2 and ctx.sent[-1][1].events == (events[0],)
+
+
+def test_a_tick_with_nothing_buffered_only_rearms():
+    runner = _Runner(_cfg())
+    runner.round_no = 3
+    ctx = StubCtx(now_us=1_000)
+    runner._on_sequencer(msg.RoundTick(), ctx)
+    assert ctx.sent == [] and runner.round_no == 3
+    assert ctx.timers == [(1_000 + runner.cfg.protocol.round_interval_us, msg.RoundTick())]
+
+
 def test_throughput_series_matches_committed_total():
     report = run_scenario(_cfg(seed=11))
     assert report.throughput_series[-1][1] == report.committed_total
@@ -477,3 +508,46 @@ def test_check_agreement_strict_prefix_fails(client_keys):
 
 def test_check_agreement_needs_two_ledgers(client_keys):
     assert not check_agreement({0: _block_chain(client_keys, 2)})["pass"]
+
+
+# --- check_no_loss_no_unbounded_dup unit cases -----------------------------------------
+
+
+def test_no_loss_names_the_acked_records_without_a_last_commit(client_keys):
+    # The verdict reads only the records and the ledgers: no inclusion map
+    # is given, so the committed record is judged by its last commit alone.
+    def record(i, acked, committed):
+        return TxRecord(
+            index=i,
+            tx_id=bytes([i]) * 32,
+            client=0,
+            shard=0,
+            submit_us=i,
+            ack_quorum_us=10 + i if acked else None,
+            last_commit_us=20 + i if committed else None,
+        )
+
+    records = [record(0, False, False), record(1, True, True), record(2, True, False), record(3, True, False)]
+    chain = _block_chain(client_keys, 3)
+    report = RunReport(
+        config={},
+        quiescent=True,
+        end_time_us=100,
+        tx_records=records,
+        term_changes=[],
+        reproposed_tx_ids=[],
+        pending_series=[],
+        throughput_series=[],
+        ledger_digests={},
+        committed_total=0,
+        duplicate_commits=0,
+        bogus_batch_commits=0,
+        per_shard={},
+        drops={},
+        checks={},
+        ledgers={0: chain, 1: list(chain)},
+    )
+    verdict = check_no_loss_no_unbounded_dup(report)
+    assert verdict == {"pass": False, "lost": 2, "bad_duplicates": 0, "first_lost": records[2].tx_id.hex()}
+    records[2].last_commit_us = records[3].last_commit_us = 50
+    assert check_no_loss_no_unbounded_dup(report) == {"pass": True, "lost": 0, "bad_duplicates": 0}
