@@ -4,10 +4,11 @@ The assembler indexes each batch it sees by ledger slot and digest until a
 block takes the slot (own party's batchers push their persisted batches;
 anything still missing when a header arrives is pulled from other parties'
 batchers round-robin until the digest matches). Its position is its ledger:
-the header at the ledger's height is verified against the consensus quorum
-and the last block's hash, then appended to an append-only block ledger,
-which serializes to length-prefixed canonical block encodings so it can be
-re-verified offline with nothing but the consensus public keys.
+a header's consensus quorum is verified once, when it arrives; the header at
+the ledger's height is checked against the last block's hash, then appended
+to an append-only block ledger, which serializes to length-prefixed
+canonical block encodings so it can be re-verified offline with nothing but
+the consensus public keys.
 """
 
 from __future__ import annotations
@@ -36,20 +37,8 @@ REJECT_CONTENT_MISMATCH = "content_mismatch"
 LEDGER_MAGIC = b"SBL1"
 
 
-def verify_header(
-    header: BlockHeader,
-    sigs,
-    party_keys,
-    prev_hash: bytes,
-    expected_seq: int,
-    n_parties: int,
-    f: int,
-) -> str | None:
-    """None when the header is acceptable, otherwise the rejection reason."""
-    if header.block_seq != expected_seq:
-        return REJECT_BAD_SEQ
-    if header.prev_header_hash != prev_hash:
-        return REJECT_CHAIN_BREAK
+def verify_header(header: BlockHeader, sigs, party_keys, n_parties: int, f: int) -> str | None:
+    """None when a quorum of parties validly signed the header, otherwise the rejection reason."""
     quorum = quorum_size(n_parties, f)
     if len({signer for signer, _ in sigs}) < quorum:
         return REJECT_INSUFFICIENT_QUORUM
@@ -105,21 +94,22 @@ class AssemblerNode:
         return key.digest in self.index.get(key.slot(), ())
 
     def _on_header(self, m: msg.PublishedHeader, ctx) -> None:
-        if m.header.block_seq < len(self.ledger) or m.header.block_seq in self.header_buffer:
+        seq = m.header.block_seq
+        if seq < len(self.ledger) or seq in self.header_buffer:
             return
-        self.header_buffer[m.header.block_seq] = (m.header, m.quorum_sigs)
+        reason = verify_header(m.header, m.quorum_sigs, self.d.party_pubs, self.d.n, self.d.f)
+        if reason is not None:
+            self.rejects.append((seq, reason))
+            return
+        self.header_buffer[seq] = (m.header, m.quorum_sigs)
         self._advance(ctx)
 
     def _advance(self, ctx) -> None:
-        d = self.d
         while (height := len(self.ledger)) in self.header_buffer:
             header, sigs = self.header_buffer[height]
-            # Checked again on each pass while it waits for batches; the
-            # verdict depends only on the header and the ledger.
             prev_hash = self.ledger[-1].header.header_hash if self.ledger else ZERO_DIGEST
-            reason = verify_header(header, sigs, d.party_pubs, prev_hash, height, d.n, d.f)
-            if reason is not None:
-                self.rejects.append((height, reason))
+            if header.prev_header_hash != prev_hash:
+                self.rejects.append((height, REJECT_CHAIN_BREAK))
                 del self.header_buffer[height]
                 return
             missing = [key for key in header.batch_digests if not self._held(key)]
@@ -208,7 +198,11 @@ def verify_ledger_blocks(blocks, party_keys, n_parties: int, f: int):
     """
     prev = ZERO_DIGEST
     for i, block in enumerate(blocks):
-        reason = verify_header(block.header, block.quorum_sigs, party_keys, prev, i, n_parties, f)
+        if block.header.block_seq != i:
+            return False, i, REJECT_BAD_SEQ
+        if block.header.prev_header_hash != prev:
+            return False, i, REJECT_CHAIN_BREAK
+        reason = verify_header(block.header, block.quorum_sigs, party_keys, n_parties, f)
         if reason is not None:
             return False, i, reason
         if len(block.batches) != len(block.header.batch_digests):

@@ -32,12 +32,15 @@ def u64(value: int) -> bytes:
     return _U64.pack(value)
 
 
+# Decoders read untrusted bytes (ledger files): every integer, length and
+# count is checked against the bytes that remain, so a corrupt one is a
+# ValueError.
+
+
 def read_u64(buf: bytes, off: int) -> tuple[int, int]:
+    if off + 8 > len(buf):
+        raise ValueError("u64 exceeds remaining bytes")
     return _U64.unpack_from(buf, off)[0], off + 8
-
-
-# Decoders read untrusted bytes (ledger files): every length and count is
-# checked against the bytes that remain, so a corrupt one is a ValueError.
 
 
 def _read_bytes(buf: bytes, off: int, length: int) -> tuple[bytes, int]:

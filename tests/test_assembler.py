@@ -1,5 +1,6 @@
 import pytest
 
+from shardbft import assembler
 from shardbft import messages as msg
 from shardbft.assembler import (
     AssemblerNode,
@@ -56,13 +57,13 @@ def _node(party_keys, party=0, n=4, f=1, shards=1):
 def test_verify_header_quorum_ok(party_keys, client_keys):
     batch = _batch(client_keys)
     header, sigs = _signed_header(party_keys, [batch])
-    assert verify_header(header, sigs, _pubs(party_keys), ZERO_DIGEST, 0, 4, 1) is None
+    assert verify_header(header, sigs, _pubs(party_keys), 4, 1) is None
 
 
 def test_verify_header_insufficient_quorum(party_keys, client_keys):
     batch = _batch(client_keys)
     header, sigs = _signed_header(party_keys, [batch], signers=(0, 1))
-    reason = verify_header(header, sigs, _pubs(party_keys), ZERO_DIGEST, 0, 4, 1)
+    reason = verify_header(header, sigs, _pubs(party_keys), 4, 1)
     assert reason == REJECT_INSUFFICIENT_QUORUM
 
 
@@ -70,7 +71,7 @@ def test_verify_header_bad_signature(party_keys, client_keys):
     batch = _batch(client_keys)
     header, sigs = _signed_header(party_keys, [batch])
     tampered = (sigs[0], sigs[1], (sigs[2][0], Signature("test_mac", b"\x00" * 32)))
-    reason = verify_header(header, tampered, _pubs(party_keys), ZERO_DIGEST, 0, 4, 1)
+    reason = verify_header(header, tampered, _pubs(party_keys), 4, 1)
     assert reason == REJECT_BAD_SIGNATURE
 
 
@@ -80,16 +81,8 @@ def test_verify_header_duplicate_signers_not_a_quorum(party_keys, client_keys):
     payload = encode_header_payload(header)
     sig0 = sign(party_keys[0], payload)
     sigs = ((0, sig0), (0, sig0), (0, sig0))
-    reason = verify_header(header, sigs, _pubs(party_keys), ZERO_DIGEST, 0, 4, 1)
+    reason = verify_header(header, sigs, _pubs(party_keys), 4, 1)
     assert reason == REJECT_INSUFFICIENT_QUORUM
-
-
-def test_verify_header_chain_break_and_bad_seq(party_keys, client_keys):
-    batch = _batch(client_keys)
-    header, sigs = _signed_header(party_keys, [batch], prev=b"\x11" * 32)
-    assert verify_header(header, sigs, _pubs(party_keys), ZERO_DIGEST, 0, 4, 1) == REJECT_CHAIN_BREAK
-    header2, sigs2 = _signed_header(party_keys, [batch], block_seq=5)
-    assert verify_header(header2, sigs2, _pubs(party_keys), ZERO_DIGEST, 0, 4, 1) == REJECT_BAD_SEQ
 
 
 # --- assembly flow ---------------------------------------------------------------
@@ -179,6 +172,71 @@ def test_a_rejected_header_appends_nothing_until_a_valid_one_arrives(party_keys,
     node.handle(msg.PublishedHeader(header, sigs), ctx)
     assert [block.header for block in node.ledger] == [header] and node.ledger[0].batches == (batch,)
     assert len(node.rejects) == 2
+
+
+def test_a_header_without_a_quorum_above_the_height_leaves_its_seq_free(party_keys, client_keys):
+    # Judged on arrival, the seq-1 header with one signature is never
+    # buffered, so the valid one that follows takes seq 1 and the ledger
+    # moves past it.
+    node = _node(party_keys)
+    ctx = StubCtx()
+    b0 = _batch(client_keys, tag=b"a")
+    b1 = _batch(client_keys, seq=1, tag=b"b")
+    node.handle(b0, ctx)
+    node.handle(b1, ctx)
+    h0, s0 = _signed_header(party_keys, [b0])
+    h1, s1 = _signed_header(party_keys, [b1], block_seq=1, prev=header_digest(h0))
+    node.handle(msg.PublishedHeader(h1, s1[:1]), ctx)
+    node.handle(msg.PublishedHeader(h1, s1), ctx)
+    node.handle(msg.PublishedHeader(h0, s0), ctx)
+    assert [block.header for block in node.ledger] == [h0, h1]
+    assert node.rejects == [(1, REJECT_INSUFFICIENT_QUORUM)]
+
+
+def test_a_header_for_an_appended_or_buffered_seq_is_ignored(monkeypatch, party_keys, client_keys):
+    calls = []
+    # Records each header it judges and passes it (None is no rejection).
+    monkeypatch.setattr(assembler, "verify_header", lambda header, *_: calls.append(header))
+    node = _node(party_keys)
+    ctx = StubCtx()
+    b0 = _batch(client_keys, tag=b"a")
+    h0, s0 = _signed_header(party_keys, [b0])
+    h1, s1 = _signed_header(party_keys, [_batch(client_keys, seq=1, tag=b"b")], block_seq=1, prev=header_digest(h0))
+    node.handle(b0, ctx)
+    node.handle(msg.PublishedHeader(h0, s0), ctx)
+    node.handle(msg.PublishedHeader(h1, s1), ctx)  # waits for its batch
+    assert calls == [h0, h1] and len(node.ledger) == 1 and 1 in node.header_buffer
+    # Repeats for the appended seq 0 and the buffered seq 1 are not judged.
+    node.handle(msg.PublishedHeader(h0, ()), ctx)
+    node.handle(msg.PublishedHeader(h1, ()), ctx)
+    assert calls == [h0, h1] and node.rejects == []
+    assert node.header_buffer[1] == (h1, s1)
+
+
+@pytest.mark.parametrize("name", ["withhold_short", "ordering_short"])
+def test_each_header_is_verified_once_on_arrival(monkeypatch, name):
+    # Only a PublishedHeader runs the quorum check, once; the batches and
+    # fetches that let the header at the height append run none.
+    handle, verify = AssemblerNode.handle, assembler.verify_header
+    calls = []
+    headers = 0
+
+    def counted(*args):
+        calls.append(args[0])
+        return verify(*args)
+
+    def checked(node, message, ctx):
+        nonlocal headers
+        before = len(calls)
+        handle(node, message, ctx)
+        is_header = isinstance(message, msg.PublishedHeader)
+        headers += is_header
+        assert len(calls) - before == is_header, message
+
+    monkeypatch.setattr(assembler, "verify_header", counted)
+    monkeypatch.setattr(AssemblerNode, "handle", checked)
+    run_scenario(ScenarioConfig.from_dict(SCENARIOS[name]()))
+    assert headers and len(calls) == headers
 
 
 def test_fetch_falls_back_to_other_parties(party_keys, client_keys):
@@ -285,3 +343,14 @@ def test_ledger_verification_catches_quorum_truncation(party_keys, client_keys):
     blocks[2] = Block(blocks[2].header, blocks[2].quorum_sigs[:2], blocks[2].batches)
     ok, seq, reason = verify_ledger_blocks(blocks, _pubs(party_keys), 4, 1)
     assert not ok and seq == 2 and reason == REJECT_INSUFFICIENT_QUORUM
+
+
+def test_ledger_verification_catches_chain_break_and_bad_seq(party_keys, client_keys):
+    blocks = _ledger_blocks(party_keys, client_keys)
+    batches = blocks[1].batches
+    for header, sigs, reason in (
+        (*_signed_header(party_keys, batches, block_seq=1, prev=b"\x11" * 32), REJECT_CHAIN_BREAK),
+        (*_signed_header(party_keys, batches, block_seq=5, prev=blocks[0].header.header_hash), REJECT_BAD_SEQ),
+    ):
+        forged = [*blocks[:1], Block(header, sigs, batches), *blocks[2:]]
+        assert verify_ledger_blocks(forged, _pubs(party_keys), 4, 1) == (False, 1, reason)

@@ -346,6 +346,29 @@ def test_secondary_complains_on_bogus_batch(client_directory, client_keys, party
     assert node.height == 0
 
 
+@pytest.mark.parametrize("term, primary", [(1, 0), (0, 2)])
+def test_secondary_complains_on_a_mislabelled_batch_until_the_term_changes(
+    client_directory, client_keys, party_keys, term, primary
+):
+    # The term-0 primary, party 0, serves a batch labelled with a later term
+    # or with another primary: misbehaviour, so the secondary complains once
+    # and halts until the next term.
+    txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(4)]
+    node = _node(1, client_directory, party_keys)
+    ctx = StubCtx()
+    node.start(ctx)
+    ctx.take_sent()
+    node.handle(msg.PullResponse(Batch(0, 0, term, primary, tuple(txs)), 0), ctx)
+    (dest, vote), = ctx.take_sent()
+    assert dest == node.d.sequencer and isinstance(vote, ComplaintVote) and vote.term == 0
+    assert node.halted
+    node.handle(msg.PullResponse(Batch(0, 0, 0, 0, tuple(txs)), 0), ctx)  # a good one, ignored
+    assert node.ledger == [] and ctx.sent == []
+    node.handle(msg.OrderedUpdate((), new_term=2), ctx)
+    assert not node.halted
+    assert [(d, m.seq) for d, m in _sent_of(ctx, msg.PullRequest)] == [(node.d.batcher[2][0], 0)]
+
+
 def test_secondary_ignores_stale_or_foreign_responses(client_directory, client_keys, party_keys):
     txs = [make_tx(0, b"only", client_keys)]
     node = _node(1, client_directory, party_keys)

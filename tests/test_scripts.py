@@ -2,8 +2,15 @@
 they read node attributes and perfbench names directly, so a rename would
 otherwise break them unnoticed."""
 
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import byte_sweep
 import state_sizes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_state_sizes_reads_every_structure():
@@ -13,3 +20,21 @@ def test_state_sizes_reads_every_structure():
 
 def test_byte_sweep_builds_every_scenario():
     assert len(byte_sweep.scenarios()) == 623
+
+
+def test_unreached_lists_what_a_selection_never_runs():
+    out = subprocess.run(
+        [sys.executable, "tests/unreached.py", "-q", "-p", "no:cacheprovider", "tests/test_pools.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    listed = re.findall(r"^(src/shardbft/\S+\.py):(\d+): (.*)$", out, re.M)
+    files = {path for path, _, _ in listed}
+    assert out.rstrip().endswith(f"{len(listed)} statements unreached in {len(files)} files")
+    for path, line, text in listed:
+        assert (ROOT / path).read_text().splitlines()[int(line) - 1].strip() == text
+    # The pool tests never verify a header, and import every pool method.
+    assert ("src/shardbft/assembler.py", "valid = set()") in {(path, text) for path, _, text in listed}
+    assert not [text for path, _, text in listed if path.endswith("pools.py") and text.startswith(("class", "def"))]

@@ -25,7 +25,7 @@ from shardbft.core import (
     ZERO_DIGEST,
     header_digest,
 )
-from shardbft.sim.checks import check_agreement, check_no_loss_no_unbounded_dup
+from shardbft.sim.checks import check_agreement, check_censorship_bound, check_no_loss_no_unbounded_dup
 from shardbft.sim.report import RunReport, TxRecord, report_to_json
 from shardbft.sim import runner as sim_runner
 from shardbft.router import RouterNode
@@ -513,28 +513,26 @@ def test_check_agreement_needs_two_ledgers(client_keys):
 # --- check_no_loss_no_unbounded_dup unit cases -----------------------------------------
 
 
-def test_no_loss_names_the_acked_records_without_a_last_commit(client_keys):
-    # The verdict reads only the records and the ledgers: no inclusion map
-    # is given, so the committed record is judged by its last commit alone.
-    def record(i, acked, committed):
-        return TxRecord(
-            index=i,
-            tx_id=bytes([i]) * 32,
-            client=0,
-            shard=0,
-            submit_us=i,
-            ack_quorum_us=10 + i if acked else None,
-            last_commit_us=20 + i if committed else None,
-        )
+def _record(i, acked, committed):
+    return TxRecord(
+        index=i,
+        tx_id=bytes([i]) * 32,
+        client=0,
+        shard=0,
+        submit_us=i,
+        ack_quorum_us=10 + i if acked else None,
+        last_commit_us=20 + i if committed else None,
+    )
 
-    records = [record(0, False, False), record(1, True, True), record(2, True, False), record(3, True, False)]
-    chain = _block_chain(client_keys, 3)
-    report = RunReport(
+
+def _report(records, ledgers, term_changes=()):
+    """A hand-built report holding only what the verdicts read."""
+    return RunReport(
         config={},
         quiescent=True,
         end_time_us=100,
         tx_records=records,
-        term_changes=[],
+        term_changes=list(term_changes),
         reproposed_tx_ids=[],
         pending_series=[],
         throughput_series=[],
@@ -545,9 +543,54 @@ def test_no_loss_names_the_acked_records_without_a_last_commit(client_keys):
         per_shard={},
         drops={},
         checks={},
-        ledgers={0: chain, 1: list(chain)},
+        ledgers=ledgers,
     )
+
+
+def test_no_loss_names_the_acked_records_without_a_last_commit(client_keys):
+    # The verdict reads only the records and the ledgers: no inclusion map
+    # is given, so the committed record is judged by its last commit alone.
+    records = [_record(0, False, False), _record(1, True, True), _record(2, True, False), _record(3, True, False)]
+    chain = _block_chain(client_keys, 3)
+    report = _report(records, {0: chain, 1: list(chain)})
     verdict = check_no_loss_no_unbounded_dup(report)
     assert verdict == {"pass": False, "lost": 2, "bad_duplicates": 0, "first_lost": records[2].tx_id.hex()}
     records[2].last_commit_us = records[3].last_commit_us = 50
     assert check_no_loss_no_unbounded_dup(report) == {"pass": True, "lost": 0, "bad_duplicates": 0}
+
+
+@pytest.mark.parametrize(
+    "terms, changed_shards, allowed",
+    [
+        ((0, 0), (0,), False),  # two copies in one term
+        ((0, 1), (1,), False),  # across terms, but shard 0 never changed term
+        ((0, 1, 1), (0,), False),  # a third copy for one change
+        ((0, 1), (0,), True),  # one extra copy for one change
+    ],
+)
+def test_no_loss_bounds_duplicates_by_their_shard_term_changes(client_keys, terms, changed_shards, allowed):
+    tx = make_tx(0, b"dup", client_keys)
+    chain = []
+    for i, term in enumerate(terms):
+        batch = Batch(0, i, term, 0, (tx,))
+        chain.append(Block(BlockHeader(i, ZERO_DIGEST, (batch.key(),)), (), (batch,)))
+    changes = [(10, shard, 1) for shard in changed_shards]
+    verdict = check_no_loss_no_unbounded_dup(_report([], {0: chain}, changes))
+    if allowed:
+        assert verdict == {"pass": True, "lost": 0, "bad_duplicates": 0}
+    else:
+        expected = {"pass": False, "lost": 0, "bad_duplicates": 1, "first_bad_duplicate": tx.tx_id.hex()}
+        assert verdict == expected
+
+
+def test_censorship_bound_skips_unacked_records_and_fails_an_uncommitted_acked_one():
+    records = [_record(0, False, False), _record(1, True, True)]
+    report = _report(records, {})
+    assert check_censorship_bound(report, 19) == {
+        "pass": True,
+        "bound_us": 19,
+        "worst_us": 20,
+        "worst_tx": records[1].tx_id.hex(),
+    }
+    records.append(_record(2, True, False))
+    assert check_censorship_bound(report, 19) == {"pass": False, "reason": "uncommitted", "tx": records[2].tx_id.hex()}
