@@ -69,7 +69,6 @@ class RunReport:
     checks: dict[str, dict]
     # In-memory artifacts, serialized separately as ledger files.
     ledgers: dict = field(default_factory=dict, repr=False)
-    inclusion: dict = field(default_factory=dict, repr=False)  # party -> {tx_id: t}
     party_keys: dict = field(default_factory=dict, repr=False)  # party -> public key
 
     def all_checks_pass(self) -> bool:

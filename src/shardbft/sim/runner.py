@@ -157,14 +157,9 @@ class _Runner:
             self.party_of[node.node_id] = node.party
         self.ctxs = [_Ctx(self, nid) for nid in range(d.node_count)]
         # Deliveries due at or after these times are dropped when queued:
-        # everything to a crashed party's nodes from its crash on, and others'
-        # traffic to the lossy party's nodes from GST on.
+        # everything to a crashed party's nodes from its crash on.
         crash_at = {a.party: a.crash_at_us for a in cfg.adversaries if a.kind == CRASH}
         self.crash_us = [crash_at.get(party, _NEVER) for party in self.party_of]
-        self.drop_us = [
-            min(crash, cfg.gst_us) if party == cfg.lossy_party else crash
-            for party, crash in zip(self.party_of, self.crash_us)
-        ]
         self.tx_records: list[TxRecord] = []
         # Sequencer state.
         self.round_buffer: list = []
@@ -178,7 +173,7 @@ class _Runner:
     def push(self, t: int, sender: int, dest: int, message) -> None:
         seq = self.send_seq.get(sender, 0)
         self.send_seq[sender] = seq + 1
-        if t < self.drop_us[dest] or (sender == dest and t < self.crash_us[dest]):
+        if t < self.crash_us[dest]:
             heapq.heappush(self.heap, (t, sender, seq, dest, message))
 
     def delivery_time(self, at: int) -> int:
@@ -205,15 +200,12 @@ class _Runner:
         # Arrivals take their delays from rng_net and their HUB sequence
         # numbers in submission order, exactly as if each were pushed.
         seq = self.send_seq.get(HUB, 0)
-        drop_us = self.drop_us
+        crash_us = self.crash_us
         arrivals = []
         for i in range(count):
             t = cfg.duration_us * i // count
             client = i % cfg.clients
-            if cfg.tx_size >= 8:
-                payload = u64(i) + self.rng_client.randbytes(cfg.tx_size - 8)
-            else:
-                payload = self.rng_client.randbytes(cfg.tx_size)
+            payload = u64(i) + self.rng_client.randbytes(cfg.tx_size - 8)
             tx = Transaction(
                 client, payload, sign(self.d.client_keys[client], tx_signing_bytes(client, payload))
             )
@@ -230,7 +222,7 @@ class _Runner:
             submit = msg.SubmitTx(tx, i)  # one object, pushed to every router
             for router in self.d.router:
                 at = self.delivery_time(t)
-                if at < drop_us[router]:
+                if at < crash_us[router]:
                     arrivals.append((at, HUB, seq, router, submit))
                 seq += 1
         self.send_seq[HUB] = seq
@@ -382,10 +374,9 @@ class _Runner:
             for reason, count in self.consensus[p].drops.items():
                 drops[reason] = drops.get(reason, 0) + count
 
-        # The run is over: nothing writes these maps again, so they are not copied.
-        inclusion = {p: self.assemblers[p].inclusion_times for p in correct}
+        inclusion = [self.assemblers[p].inclusion_times for p in correct]
         for record in self.tx_records:
-            times = [inclusion[p].get(record.tx_id) for p in correct]
+            times = [times_of.get(record.tx_id) for times_of in inclusion]
             known = [x for x in times if x is not None]
             record.first_commit_us = min(known) if known else None
             record.last_commit_us = max(known) if len(known) == len(correct) else None
@@ -409,7 +400,6 @@ class _Runner:
             drops=drops,
             checks={},
             ledgers=ledgers,
-            inclusion=inclusion,
             party_keys=self.party_pubs,
         )
         report.checks["agreement"] = check_agreement(ledgers)

@@ -45,14 +45,13 @@ MAX_SECONDS = 10**9
 TICK = 1e-6
 
 
-def _key(name: str, kind: str, default=MISSING, *, lo=None, hi=None, of=None, omit_unset=False):
+def _key(name: str, kind: str, default=MISSING, *, lo=None, hi=None, of=None):
     """One config key. ``lo``/``hi`` bound the JSON value inclusively; ``of``
     is a CHOICE's options or the dataclass of an OBJECT/OBJECTS. A None
-    default makes the key nullable; with ``omit_unset`` an unset key is left
-    out of ``to_dict``."""
+    default makes the key nullable."""
     if kind == SECONDS:
         hi = MAX_SECONDS
-    meta = {"key": name, "kind": kind, "lo": lo, "hi": hi, "of": of, "omit_unset": omit_unset}
+    meta = {"key": name, "kind": kind, "lo": lo, "hi": hi, "of": of}
     if kind == OBJECT:
         return field(default_factory=of, metadata=meta)
     return field(default=default, metadata=meta)
@@ -117,7 +116,8 @@ class ScenarioConfig:
     seed: int = _key("seed", INT, 0, lo=0, hi=2**64 - 1)
     clients: int = _key("clients", INT, 4, lo=1)
     tx_rate: float = _key("tx_rate", NUMBER, 100.0, lo=0)
-    tx_size: int = _key("tx_size", INT, 64, lo=1)
+    # At least the u64 submission index that keeps every payload distinct.
+    tx_size: int = _key("tx_size", INT, 64, lo=8)
     duration_us: int = _key("duration", SECONDS, us(1.0), lo=TICK)
     # Overrides tx_rate * duration when set.
     tx_count: int | None = _key("tx_count", INT, None, lo=1)
@@ -130,9 +130,6 @@ class ScenarioConfig:
     adversaries: tuple[AdversarySpec, ...] = _key("adversaries", OBJECTS, (), of=AdversarySpec)
     protocol: ProtocolParams = _key("protocol", OBJECT, of=ProtocolParams)
     drain_us: int = _key("drain", SECONDS, us(30.0), lo=0)
-    # Test-only fault injection: drop all traffic to this party after GST,
-    # deliberately violating the delivery model so checks must flag it.
-    lossy_party: int | None = _key("lossy_party", INT, None, lo=0, omit_unset=True)
 
     # --- derived --------------------------------------------------------
 
@@ -166,9 +163,6 @@ class ScenarioConfig:
             if a.party in listed:
                 raise ConfigError(f"config.adversaries[{i}].party lists party {a.party} again")
             listed.add(a.party)
-        lossy = self.lossy_party
-        if lossy is not None and lossy >= n:
-            raise ConfigError(f"config.lossy_party must be a party in [0, {n}), got {lossy}")
         if self.latency.max_us > self.delta_us:
             raise ConfigError(f"config.delta must be >= latency.base + jitter = {seconds(self.latency.max_us)}")
         if (tob := p.round_interval_us + 3 * self.latency.max_us) > self.tob_delay_bound_us:
@@ -263,8 +257,6 @@ def _encode(obj) -> dict:
     out = {}
     for f in fields(obj):
         meta, value = f.metadata, getattr(obj, f.name)
-        if value is None and meta["omit_unset"]:
-            continue
         if value is not None:
             kind = meta["kind"]
             if kind == SECONDS:

@@ -16,6 +16,7 @@ from shardbft.assembler import (
 )
 from shardbft.core import (
     Batch,
+    BatchKey,
     Block,
     BlockHeader,
     ZERO_DIGEST,
@@ -35,10 +36,12 @@ def _pubs(party_keys, n=4):
 
 
 def _signed_header(party_keys, batches, block_seq=0, prev=ZERO_DIGEST, signers=(0, 1, 2)):
-    header = BlockHeader(block_seq, prev, tuple(b.key() for b in batches))
+    return _signed(party_keys, BlockHeader(block_seq, prev, tuple(b.key() for b in batches)), signers)
+
+
+def _signed(party_keys, header, signers=(0, 1, 2)):
     payload = encode_header_payload(header)
-    sigs = tuple((p, sign(party_keys[p], payload)) for p in signers)
-    return header, sigs
+    return header, tuple((p, sign(party_keys[p], payload)) for p in signers)
 
 
 def _batch(client_keys, n_txs=3, shard=0, seq=0, term=0, primary=0, tag=b""):
@@ -348,9 +351,17 @@ def test_ledger_verification_catches_quorum_truncation(party_keys, client_keys):
 def test_ledger_verification_catches_chain_break_and_bad_seq(party_keys, client_keys):
     blocks = _ledger_blocks(party_keys, client_keys)
     batches = blocks[1].batches
+    prev = blocks[0].header.header_hash
+    extra = _batch(client_keys, seq=3, tag=b"x")
+    # The batch's own digest, signed under another seq.
+    moved = BlockHeader(1, prev, (BatchKey(9, 0, batches[0].digest(), 0),))
     for header, sigs, reason in (
         (*_signed_header(party_keys, batches, block_seq=1, prev=b"\x11" * 32), REJECT_CHAIN_BREAK),
-        (*_signed_header(party_keys, batches, block_seq=5, prev=blocks[0].header.header_hash), REJECT_BAD_SEQ),
+        (*_signed_header(party_keys, batches, block_seq=5, prev=prev), REJECT_BAD_SEQ),
+        # A quorum-signed header whose keys the block's batches do not match:
+        # one batch fewer than keys, and a key with the right digest.
+        (*_signed_header(party_keys, [*batches, extra], block_seq=1, prev=prev), REJECT_CONTENT_MISMATCH),
+        (*_signed(party_keys, moved), REJECT_CONTENT_MISMATCH),
     ):
         forged = [*blocks[:1], Block(header, sigs, batches), *blocks[2:]]
         assert verify_ledger_blocks(forged, _pubs(party_keys), 4, 1) == (False, 1, reason)

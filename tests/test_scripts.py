@@ -19,7 +19,7 @@ def test_state_sizes_reads_every_structure():
 
 
 def test_byte_sweep_builds_every_scenario():
-    assert len(byte_sweep.scenarios()) == 623
+    assert len(byte_sweep.scenarios()) == 622
 
 
 def test_unreached_lists_what_a_selection_never_runs():

@@ -28,7 +28,7 @@ from shardbft.core import (
 from shardbft.sim.checks import check_agreement, check_censorship_bound, check_no_loss_no_unbounded_dup
 from shardbft.sim.report import RunReport, TxRecord, report_to_json
 from shardbft.sim import runner as sim_runner
-from shardbft.router import RouterNode
+from shardbft.router import REASON_MALFORMED, RouterNode
 from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
@@ -194,11 +194,37 @@ def test_equivocation_never_double_commits():
 
 
 def test_message_loss_after_gst_breaks_agreement():
-    # Deliberate violation of the delivery model: all traffic to one correct
-    # party is dropped. The agreement check must catch the stalled ledger.
-    report = run_scenario(_cfg(lossy_party=2, drain=3.0, seed=9))
+    # Deliberate violation of the delivery model: everything to correct
+    # party 2's nodes is dropped from GST on, through the loop's crash
+    # filter. The agreement check must catch the stalled ledger.
+    cfg = _cfg(drain=3.0, seed=9)
+    assert 2 in cfg.correct_parties()
+    runner = _Runner(cfg)
+    for node_id, party in enumerate(runner.party_of):
+        if party == 2:
+            runner.crash_us[node_id] = cfg.gst_us
+    report = runner.run()
     assert not report.checks["agreement"]["pass"]
-    assert report.checks["agreement"]["reason"] in ("length_mismatch", "divergence")
+    assert report.checks["agreement"]["reason"] == "length_mismatch"
+    assert report.checks["no_loss_no_unbounded_dup"]["lost"] == len(report.tx_records) == 100
+    assert not report.quiescent
+
+
+def test_a_run_whose_routers_reject_every_tx_commits_nothing_and_ends():
+    # Every 64-byte payload is over max_tx_size, so no record is ever acked:
+    # the goal check skips each one and the run ends once the network is idle.
+    doc = json.loads((CONFIGS / "baseline.json").read_text())
+    doc["protocol"] = {**doc.get("protocol", {}), "max_tx_size": 16}
+    cfg = ScenarioConfig.from_dict(doc)
+    assert cfg.tx_size == 64
+    report = run_scenario(cfg)
+    assert report.quiescent and report.end_time_us < cfg.duration_us + cfg.drain_us
+    assert report.tx_records
+    for record in report.tx_records:
+        assert record.acks == 0 and record.ack_quorum_us is None
+        assert record.rejects == {REASON_MALFORMED: cfg.n_parties}
+    assert report.committed_total == 0
+    assert report.checks["agreement"]["pass"] and report.checks["no_loss_no_unbounded_dup"]["pass"]
 
 
 def test_pre_gst_delays_do_not_break_anything():
@@ -547,9 +573,14 @@ def _report(records, ledgers, term_changes=()):
     )
 
 
+def test_no_loss_fails_a_run_without_correct_ledgers():
+    verdict = {"pass": False, "reason": "no correct ledgers"}
+    assert check_no_loss_no_unbounded_dup(_report([_record(0, True, False)], {})) == verdict
+
+
 def test_no_loss_names_the_acked_records_without_a_last_commit(client_keys):
-    # The verdict reads only the records and the ledgers: no inclusion map
-    # is given, so the committed record is judged by its last commit alone.
+    # The verdict reads only the records and the ledgers, so the committed
+    # record is judged by its last commit alone.
     records = [_record(0, False, False), _record(1, True, True), _record(2, True, False), _record(3, True, False)]
     chain = _block_chain(client_keys, 3)
     report = _report(records, {0: chain, 1: list(chain)})
