@@ -3,10 +3,12 @@
 One virtual clock (integer microseconds), one event heap. Events are
 ordered by (time, sender id, per-sender sequence) so ties are broken
 deterministically. The heap holds only traffic in flight: client arrivals
-wait in a sorted list and are fed onto it in chunks. Per-link latency is
-sampled from a seeded RNG; messages sent before GST may be delayed
-arbitrarily (but land by GST + Delta), after GST every correct-to-correct
-message lands within the declared bound.
+wait in a sorted list and are fed onto it in chunks. Each (sender, dest)
+link draws its latency from its own RNG, seeded from the run seed and the
+two ids, so a message's delay depends only on the messages sent before it
+on the same link, never on traffic elsewhere. Messages sent before GST may
+be delayed arbitrarily (but land by GST + Delta); after GST every
+correct-to-correct message lands within the declared bound.
 Node CPU time is free: this is a protocol-logic simulator, not a
 performance model.
 
@@ -49,6 +51,10 @@ HUB = 1
 
 _NEVER = 1 << 62
 
+# After the submission window, the goal is checked on this virtual-time
+# tick, so the stop time depends on when the goal holds, not on how many
+# deliveries led up to it.
+GOAL_CHECK_US = 20_000
 # Client arrivals move from the held-back list onto the heap this many at a time.
 ARRIVAL_CHUNK = 256
 # Sender of the heap entry that feeds the next chunk. It is due when the
@@ -140,11 +146,12 @@ class _Runner:
         self.heap: list = []
         self.held_arrivals: list = []  # heap entries, latest first
         self.send_seq: dict[int, int] = {}
-        self.rng_net = random.Random(self._derive(b"net"))
-        self._link_delay = link_delay_sampler(self.rng_net, cfg.latency.base_us, cfg.latency.jitter_us)
         self.rng_client = random.Random(self._derive(b"client"))
 
         d = self.d = Deployment(cfg)
+        # links[sender][dest] is that link's delay sampler, made on first use.
+        self.links = [[None] * d.node_count for _ in range(d.node_count)]
+        self.link_rngs: dict[tuple[int, int], random.Random] = {}
         self.party_pubs = d.party_pubs
         self.consensus = {p: ConsensusNode(d, p) for p in range(d.n)}
         self.assemblers = {p: AssemblerNode(d, p) for p in range(d.n)}
@@ -176,29 +183,38 @@ class _Runner:
         if t < self.crash_us[dest]:
             heapq.heappush(self.heap, (t, sender, seq, dest, message))
 
-    def delivery_time(self, at: int) -> int:
+    def _new_link(self, sender: int, dest: int):
+        rng = random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
+        self.link_rngs[sender, dest] = rng
+        latency = self.cfg.latency
+        link = self.links[sender][dest] = link_delay_sampler(rng, latency.base_us, latency.jitter_us)
+        return link
+
+    def delivery_time(self, at: int, sender: int, dest: int) -> int:
+        link = self.links[sender][dest] or self._new_link(sender, dest)
         gst = self.cfg.gst_us
         if at < gst:
             # Adversarial pre-GST scheduling, still bounded by GST + Delta.
             slack = (gst - at) + self.cfg.delta_us
-            chosen = at + self.rng_net.randint(self._link_delay(), slack)
-            return min(chosen, gst + self._link_delay())
-        return at + self._link_delay()
+            chosen = at + self.link_rngs[sender, dest].randint(link(), slack)
+            return min(chosen, gst + link())
+        return at + link()
 
     def network_send(self, sender: int, dest: int, message) -> None:
         now = self.now_us
         if now >= self.cfg.gst_us:
-            self.push(now + self._link_delay(), sender, dest, message)
+            link = self.links[sender][dest] or self._new_link(sender, dest)
+            self.push(now + link(), sender, dest, message)
         else:
-            self.push(self.delivery_time(now), sender, dest, message)
+            self.push(self.delivery_time(now, sender, dest), sender, dest, message)
 
     # --- clients -----------------------------------------------------------
 
     def _schedule_clients(self) -> None:
         cfg = self.cfg
         count = cfg.resolved_tx_count()
-        # Arrivals take their delays from rng_net and their HUB sequence
-        # numbers in submission order, exactly as if each were pushed.
+        # Arrivals take their delays from the hub->router links and their HUB
+        # sequence numbers in submission order, exactly as if each were pushed.
         seq = self.send_seq.get(HUB, 0)
         crash_us = self.crash_us
         arrivals = []
@@ -221,7 +237,7 @@ class _Runner:
             self.tx_records.append(record)
             submit = msg.SubmitTx(tx, i)  # one object, pushed to every router
             for router in self.d.router:
-                at = self.delivery_time(t)
+                at = self.delivery_time(t, HUB, router)
                 if at < crash_us[router]:
                     arrivals.append((at, HUB, seq, router, submit))
                 seq += 1
@@ -276,24 +292,24 @@ class _Runner:
 
         heap, heappop = self.heap, heapq.heappop
         limit = cfg.duration_us + cfg.drain_us
-        duration = cfg.duration_us
+        check_at = min(cfg.duration_us + GOAL_CHECK_US, limit)
         quiescent = False
-        processed = 0
         while heap:
-            t, sender, _seq, dest, message = heappop(heap)
-            if t > limit:
-                break
-            self.now_us = t
-            if sender == _FEED:  # not a delivery, so not counted in the goal-check cadence
-                self._feed_arrivals()
+            if heap[0][0] > check_at:
+                # Every delivery due by check_at is handled: the run stops
+                # here if the goal holds, whatever traffic led up to it.
+                self.now_us = check_at
+                quiescent = self._goal_met()
+                if quiescent or check_at == limit:
+                    break
+                check_at = min(check_at + GOAL_CHECK_US, limit)
                 continue
-            handles[dest](message, ctxs[dest])
-            processed += 1
-            if processed % 128 == 0 and t > duration and self._goal_met():
-                quiescent = True
-                break
-        if not quiescent:
-            quiescent = self._goal_met()
+            t, sender, _seq, dest, message = heappop(heap)
+            self.now_us = t
+            if sender == _FEED:
+                self._feed_arrivals()
+            else:
+                handles[dest](message, ctxs[dest])
         return self._build_report(quiescent)
 
     def _network_idle(self) -> bool:
@@ -309,7 +325,7 @@ class _Runner:
         # it made, each appended once indexing its batches popped their fetches.
         heights = {len(self.assemblers[p].ledger) for p in correct}
         heights.update(self.consensus[p].state.next_block_seq for p in correct)
-        if len(heights) != 1:
+        if len(heights) != 1 or not self._network_idle():
             return False
         for p in correct:
             for s in range(self.cfg.shard_count):
@@ -325,7 +341,7 @@ class _Runner:
             for p in correct:
                 if record.tx_id not in self.assemblers[p].inclusion_times:
                     return False
-        return self._network_idle()
+        return True
 
     # --- report ----------------------------------------------------------------------
 

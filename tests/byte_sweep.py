@@ -4,13 +4,18 @@ compare two checkouts.
 The scenarios are the 600 of ``random_grid(s, 40)`` for s = 1..15, every
 perfbench workload's scenario seeds at benchmark seed 505, and the pinned
 scenarios of `tests/test_regression.py`. Each line holds the scenario's
-name, the sha256, ``checks=pass`` (or ``checks=FAIL:`` and the names of the
-failed checks) and ``quiescent=``. A change that must keep report bytes
-prints the same lines as its parent; one that moves bytes on purpose shows
-its verdict flips in the same diff:
+name, the sha256, ``commits=`` with a second sha256 over every tx's
+``(first_commit_us, last_commit_us)``, ``checks=pass`` (or ``checks=FAIL:``
+and the names of the failed checks) and ``quiescent=``. A change that must
+keep report bytes prints the same lines as its parent; one that moves bytes
+on purpose shows its verdict flips in the same diff:
 
     python3 tests/byte_sweep.py > after.txt   # in each checkout
     diff before.txt after.txt
+
+A change that moves only acknowledgements keeps every ``commits=`` column:
+
+    diff <(cut -d' ' -f1,3 before.txt) <(cut -d' ' -f1,3 after.txt)
 
 pytest does not collect this file; one sweep takes about a minute on one core.
 """
@@ -48,9 +53,11 @@ def main() -> None:
     for name, doc in scenarios():
         report = run_scenario(ScenarioConfig.from_dict(doc))
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        times = [(r.first_commit_us, r.last_commit_us) for r in report.tx_records]
+        commits = hashlib.sha256(repr(times).encode()).hexdigest()
         failed = ",".join(check for check, entry in sorted(report.checks.items()) if not entry["pass"])
         checks = f"FAIL:{failed}" if failed else "pass"
-        print(name, digest, f"checks={checks}", f"quiescent={report.quiescent}", flush=True)
+        print(name, digest, f"commits={commits}", f"checks={checks}", f"quiescent={report.quiescent}", flush=True)
 
 
 if __name__ == "__main__":

@@ -237,7 +237,7 @@ _FORKED_AT_A_TERM_CHANGE = pytest.mark.xfail(
 @pytest.mark.parametrize(
     "seed, shards, tx_rate, kind",
     [
-        pytest.param(536078, 2, 100.0, "equivocate_batch", marks=_FORKED_AT_A_TERM_CHANGE, id="536078"),
+        pytest.param(58667, 2, 100.0, "equivocate_batch", marks=_FORKED_AT_A_TERM_CHANGE, id="58667"),
         pytest.param(676174, 5, 200.0, "inject_bogus", marks=_FORKED_AT_A_TERM_CHANGE, id="676174"),
     ],
 )

@@ -102,82 +102,82 @@ SCENARIOS = {
     "withhold_short": _withhold_short,
 }
 
-# sha256 of every file `shardbft run` writes, recorded when batchers began
-# submitting each share and complaint once, straight to the total order: the
-# one-hop path shifts the seeded link-delay stream (keys.json is as before).
+# sha256 of every file `shardbft run` writes, recorded when each link got its
+# own seeded delay stream and the goal check a virtual-time tick: every delay
+# is redrawn and every run stops at another time (keys.json is as before).
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "4c10b888b0cb76163887e43e3f7f34264c7e2e168d082abbfbd0810e94e9b9a0",
-        "ledger_party1.bin": "a6db7f707ef5655fafbfdff47e4bf8541c5c8e6b63c412ae6911abc28a0a4d4e",
-        "ledger_party2.bin": "74652ef2923ca8b92d1e1c340c66d484a5dfef3df4c7f323a9529fc928c08cf7",
-        "ledger_party3.bin": "774743a68cc5d31033bcc823522f86a6ded0cf3d4b9263b4efb0e7c8a0f6ff9e",
-        "report.json": "5ce26013ed19c156c2447cf30d19b83051f8d773f38fc5cf1ab1a2b21f771abe",
-        "series.csv": "e735b1043d1ef8444b837966690c3c648b85138334c6328732c14ddda3c50d2c",
+        "ledger_party0.bin": "6cdc2071607fc414f0e9549b29cd704fd5c0175592bb4736c931547442790cab",
+        "ledger_party1.bin": "bb7f38be4e92ee6c349c13aebd3014aad1b547c2138b93e6a676418004cf8e4a",
+        "ledger_party2.bin": "3130e2f169fc67359bd2deebee1e0c8f625d9133856d081cc671b443b7336489",
+        "ledger_party3.bin": "c58e037e5bf83582f1cda7247e548e07142292df17b46c3241d6eeb43d61bd5f",
+        "report.json": "0b102b78ba1e91ec813720522c2261b429759ca66338961e6f5eef719ea44726",
+        "series.csv": "1b8b1550196e53a54a343f936615ef9e8765e07dbc1d9c988136521d2b68a21f",
     },
     "censorship": {
         "keys.json": "d706ce51eb146cdb1a0a9c48618efebc7cdf60ad8648f4f75e0a0f182c1f0abc",
-        "ledger_party1.bin": "df64dbe8b5268bc69533d63d4197df8f0ec1320171c6458733a4bf4392b9069a",
-        "ledger_party2.bin": "0e1799f06c41fcc287945a8d693e1d38cb5afb63ee30cf77d72f2eafdcf9886b",
-        "ledger_party3.bin": "14d59145b7f227c2c5401e1c9f2d0f5f1eb071992678b68091526a3ec5dee8b9",
-        "report.json": "4e47f7a9e1877555a8b08e88879323e9eca0b034484b0ce6cc8bdf4118d88b80",
-        "series.csv": "71fe5dcbb5ef9103cc591286b1215a3eb4d4cac1fa4d12264eb981caf8af2538",
+        "ledger_party1.bin": "3e0b318e147fcdcadf5c1b4d9faedd85398b757c2f3ce648372a980adcf2a55e",
+        "ledger_party2.bin": "4d167f4a128457c9adf3c1cfbfc1b136f84f68c8792ff361df51628550a94544",
+        "ledger_party3.bin": "4dfe115ff4254e6335118100e4a58321d094db4cd8aac211c568c5fda293904d",
+        "report.json": "593a80b73986dc04c652f27aa6c6aceacbbeef96c26c7ed89848d18bed6acca6",
+        "series.csv": "81e72fa68d71fa489f2b71ed27fc2d22f6da30336a808adf07111e45b58b88ef",
     },
     "failover": {
         "keys.json": "d70ef3aa1a46a60f0a09910258112568830bdbc47f76241e0e68c552dc3d244d",
-        "ledger_party1.bin": "c6e89f0b681a3b1ec9d0a11ef06fda005870ed1f24925db324c0d066ee1d0d6d",
-        "ledger_party2.bin": "c6e89f0b681a3b1ec9d0a11ef06fda005870ed1f24925db324c0d066ee1d0d6d",
-        "ledger_party3.bin": "c6e89f0b681a3b1ec9d0a11ef06fda005870ed1f24925db324c0d066ee1d0d6d",
-        "report.json": "14b0413b22b5a3bbe693583f718429e22a870abccb976a636570a250d36a20b9",
-        "series.csv": "afe17aa8173e0bd19464603eb88c105cde3d1e7697a7e6502538066c662dc306",
+        "ledger_party1.bin": "4934b16c868b0b97824ceef00fa9a43bce3b9559354ecd56d8658b50c508eebd",
+        "ledger_party2.bin": "4934b16c868b0b97824ceef00fa9a43bce3b9559354ecd56d8658b50c508eebd",
+        "ledger_party3.bin": "4934b16c868b0b97824ceef00fa9a43bce3b9559354ecd56d8658b50c508eebd",
+        "report.json": "13fe836798daf7116556ba85e8f4012a467eb8452e1faec794b3c5c2fa9f0180",
+        "series.csv": "e052fc3bfea6fbd20336f69b3e8b81668751cfa0302740d917648ce89ffa1592",
     },
     "ed25519_short": {
         "keys.json": "c3a878cd67b6f43e72f0c2112d2e66a7d1f3362d6f9bf291450ee3402c34080e",
-        "ledger_party0.bin": "0f50edc678a017d3fbdfc369d93b3b0cad392c870d7d409b3bc79848e9c69c94",
-        "ledger_party1.bin": "53d32d233e9d78d84aa89547ca80d1b3a86bf7e335d076e887548a6b70c52aaf",
-        "ledger_party2.bin": "b13450969ca19c758b82c5087b082fa8156a827c1417345aa9dc1e2a613eff1e",
-        "ledger_party3.bin": "3c1f4a23558bc6c84b4104605e802aa90636fd514c432a71a5dc35fa385b245b",
-        "report.json": "d3f79dafd020de7f494d55cba93502989cd830ee1b3ec14962ddb0c12d62e76d",
-        "series.csv": "70abd226a455541156bb9c71a0d6ec48d9461649ec1e950581e2e54e92d4619f",
+        "ledger_party0.bin": "6d6062c3153bdf8a4d551a4761728031015ea98eff90d7e255196cde9bdb9789",
+        "ledger_party1.bin": "32f330b065ff36898afc46be5c5c8a5ffdea923bbda63fda0172fd9c88349470",
+        "ledger_party2.bin": "0c9b591315a90103d56f049a943c8915bc5214fe0922028a1dc095699f63f42e",
+        "ledger_party3.bin": "f8652a20c7f11d04711c4563060f297b01aabe65a779a3e54d0daec8510cf2f3",
+        "report.json": "569b1f88061a8404e9ac9b1ee14fd6a8a6f176f20f5f9988d147f4eee53f70d4",
+        "series.csv": "0f5062f3919dbf56db3e6229f210f9e7c39e06917a87c349a66200b361b40ffd",
     },
     "ordering_short": {
         "keys.json": "158ffa11e8285c4f3fbd9fbab16bc581beaca0d383c16120a9c86b74d509baf5",
-        "ledger_party2.bin": "026e903b14f8886e2b624e38d29c9848f98936c84beeb80447aefb140be6a11d",
-        "ledger_party3.bin": "d1ecbd112b094095de5662f96c550ecb2dce54114c446bdb2d183ddb2461e3dd",
-        "ledger_party4.bin": "edecd5d1a1290dc1680545a9b711aec6d6488719b2849bdc1cea1b59b9ae3b67",
-        "ledger_party5.bin": "66874a98630da33d8296f2fe2bd094127ba85ff528baaab319312498d8e189a4",
-        "ledger_party6.bin": "5c5a924e9e5b8ee78f229d44cf59452479a4f2f679904b8e38bc0c7147bc3abd",
-        "report.json": "526e6d59b2bd47174be015c7c4b28f72bf92f3436a86ed79bf918c15213b37e5",
-        "series.csv": "f56dc3b9f648aa1e951d23e809d2737d7a7399091a5e044a2f67e702749b0c67",
+        "ledger_party2.bin": "443abff38a1867b25e987522a3bc32ca98171ec6da6308bca2b3fba332d542c6",
+        "ledger_party3.bin": "6836816b6fc8bc8c6cf294b806a50b9d2730efdfa46999213cb77169f3d8d724",
+        "ledger_party4.bin": "33edb605d6be6af399374b1cefecba274d85fe28997426f2c63942a463700806",
+        "ledger_party5.bin": "5e2ec7c0c2bf1514998e472b1b004e4441cbbb1e9772111e4400732030c00124",
+        "ledger_party6.bin": "464749b03022b1be8d12201cfa1931235eb102b6f18d5aaee9509a98eba38bf5",
+        "report.json": "ed06a424e032d56da6ba29471bf53225cf10956f14ed14d5b83f17023f938fc0",
+        "series.csv": "f4027c2c6a596f7f4841015934fecc01217c255fb873b794d8019c5215fe1e64",
     },
     "late_gst": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
-        "ledger_party0.bin": "72a870df4e17961f24b22ff4656c7e16bff975140e9736567b0314e3978ec72e",
-        "ledger_party1.bin": "d23eb0fcd4ca8cf2cd39ac0cc72cd2a7029ef0ddf971bbacb22895fd6ef57c9b",
-        "ledger_party2.bin": "efe1d84d57fd87fce4e336a1e3d36c81cdabd9af8730088e2d3608e7d2a4cf07",
-        "ledger_party3.bin": "264ba6967cae4a8cdb1b0fea66ecda965040a3fbbe99602d2a7b4aa5180d96f1",
-        "report.json": "e5c40bbee896a85c8eb8db2a8c4c6fd3238b4aa44598d5b621a504aea7ecfbf3",
-        "series.csv": "bc03a4ff4525b7911229e5f0d978ca4c88d2ba18a0b5fe410674127e0b5cf467",
+        "ledger_party0.bin": "206e242d67b69d5be62be0611c0787a875632a4ac1c39446bc29946fd7bf4a2e",
+        "ledger_party1.bin": "8502c5d64067925f14e9776b46e54742c7e75276f505dde006551833ad13eb76",
+        "ledger_party2.bin": "38a1a42c86bbfbc64fc6eec41716372e91bc921c4ab8039f70cad08a0a720ffb",
+        "ledger_party3.bin": "7f3e94bca11c345b96c8ddbed9c9724b8baf92fff421c1e8d471def8a9397958",
+        "report.json": "af6bc62b94e325f69d1c8a69c9ee60ea26176b7ae68eeab2ef3635217afa9098",
+        "series.csv": "217921959f084c5a7fb9c8c6327fa3f732cfa8573d5d08c8949510d07f819bbe",
     },
     "bogus_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party2.bin": "7fe7588186946824a3c4c44e47ddc9152b4d884d955ff4361aae4c4fb8b45209",
-        "ledger_party3.bin": "60c0e853a4b766ab0f041cfff1ad606c16482198f91e0cf3bc84828e034aa2da",
-        "ledger_party4.bin": "d1de048d2303374167e3e15521f54178d56fa4552dffac40b3ec4b40c3bbf6f6",
-        "ledger_party5.bin": "c078094ac638243ff4b2256ad38c6461371d2bc8e3ef006335e9a9088020e141",
-        "ledger_party6.bin": "380ac69a713ecf344ac8822456df2954d1deca6df3c9119acf449913332581c4",
-        "report.json": "9c3a8fa9db107e490fb7e92947e1203007bdacabc5eab008662edb46633ca3fe",
-        "series.csv": "35e5683b38fa886e8fa6b5e74c47d6aa6227960b78e6da3c359e980574d34302",
+        "ledger_party2.bin": "b11bb7f0ab5512876346d4f9a3d3ec5ced52132f9793dbd8465241b448307a32",
+        "ledger_party3.bin": "47f95bfa38bc72e823b4ffcc2655d0030460a0bb04dc4b4508a52650d8ce70a0",
+        "ledger_party4.bin": "0076f52f46c826bbcfe5455f7fdb9462888581de959a01ff37d3d9531c73330f",
+        "ledger_party5.bin": "c5c3e69cc4fb509257acf80aeaaf247500a225fe6e9c9ff3ce40a9f91b3570a0",
+        "ledger_party6.bin": "ed1dfbe82400ce1d2795f6c5f68d19902a7003db74c2358f899663dd234e6b44",
+        "report.json": "86c32a5fc9a49b9cffac863a2528772cd2951689ac2c2b00e4d2ba8a0aba7a5b",
+        "series.csv": "c85a946dbce4e365853aaafb55090375f38e9fbc45b12ce6a66e469fe9629fdb",
     },
     "withhold_short": {
         "keys.json": "12fcc0fde07f64cdfe7b091e7e054daa2a2c297e51ea89c41148f0f76c5d2910",
-        "ledger_party0.bin": "9030c8d515a6fde79d00b1bb647ca9470835f0f2c72673c32690b7807b931b72",
-        "ledger_party3.bin": "c0a2b0642e20a53e2a50f4226a77a896e67cfcf967e93752f16e841bc81527dc",
-        "ledger_party4.bin": "9bec874b3d3f2bf635077fedde7755940f2939feeb8d35384483b0ace829b9dc",
-        "ledger_party5.bin": "bed52bb5eb01b93d982ce170c7fa296c83866e742dc4f941976e1458ce5ac480",
-        "ledger_party6.bin": "26d813ae60be2992f420482a99ff80b41cf599baac9838823f143972bc88521e",
-        "report.json": "4d4d758d9f40c3e965dbedad22fa9ae8f270db9717eb44e314b25947ffee71a4",
-        "series.csv": "ff5a7ffe26372d3cbba17771910fa8a2ae81b99ed1bc3a1263ccc1e7ccafc091",
+        "ledger_party0.bin": "cbdd655ab9135dd50e3853f8c037a9558d3baa9570a08326d53ab408fc469b6d",
+        "ledger_party3.bin": "56c90adc74cd3d3f8e4f828003f07854d6d3b6f2b158f9bbd3d9e213fa1036b5",
+        "ledger_party4.bin": "b8934c3cda9e1dc91080e8a82a3750d6211622920d42a038c75da6764036d114",
+        "ledger_party5.bin": "2e59e037d1aeffe36f4b6acc128c6cd2d2f7b748545147b4b8e9bbcf2ab0e7f7",
+        "ledger_party6.bin": "241834bc8f3b992ba8e185e430b112b70b99a596c768207f1bef0b756e722071",
+        "report.json": "dae9a9d7040eeb530ac0035c79ac683f7e00b19f352db0685b6274f819958905",
+        "series.csv": "34f20faf8b43187e56eb4727f5ebdcfc3f019410632bd9589bd34fd11f1cb81f",
     },
 }
 
@@ -235,9 +235,8 @@ def grid_digest(docs) -> str:
     return digest.hexdigest()
 
 
-# Recorded when batchers began submitting straight to the total order, as
-# GOLDEN was.
-GRID_DIGEST = "36cf33f648e6e413312de6cfca25c5719f5d724fc0110a4f4920868753bcda47"
+# Recorded when each link got its own delay stream, as GOLDEN was.
+GRID_DIGEST = "e5ea6b80f7b9849bfccebae2793ad4c4e31ed42d4eae9cbeadd70fc0237ec0cb"
 
 
 def test_random_grid_reports_match_golden_digest():
@@ -394,20 +393,19 @@ def test_event_count_and_heap_size_on_baseline():
     _observe_pushes(runner, track)
     runner.run()
     # The count perfbench's host_events_per_s divides by, as before client
-    # arrivals were held back from the heap. Re-pinned from 9,481 when each
-    # share became one submission to the total order instead of 4 sends to
-    # the consensus nodes and up to 4 forwards: the 152 shares are 152
-    # events, not 1,214 (-1,062). The shifted delay stream makes 30 blocks,
-    # not 32: 24 header shares, 8 published headers, 28 round deliveries, 8
-    # round ticks and 22 bucket ticks fewer (-90). 9,481 - 1,152 = 8,329.
-    assert sum(runner.send_seq.values()) == 8329
+    # arrivals were held back from the heap. Re-pinned from 8,329 when each
+    # link got its own delay stream and the goal check its 20 ms tick. The
+    # redrawn delays make 35 blocks, not 30: 60 header shares, 20 published
+    # headers and 28 round deliveries more (+108). The run stops at 2.16 s,
+    # not 2.55 s: 61 bucket ticks and 19 round ticks fewer (-80).
+    assert sum(runner.send_seq.values()) == 8357
     submissions = cfg.resolved_tx_count() * cfg.n_parties
     assert 0 < peak[0] < submissions
     # Distinct objects behind those events: a relay passes on the object it
-    # got, and a share, complaint or batch goes out as itself. From 3,493,
-    # the same 30-block run takes 8 header shares, 8 published headers, 7
-    # rounds, 8 round ticks and 22 bucket ticks (-53).
-    assert len(pushed) == 3440
+    # got, and a share, complaint or batch goes out as itself. From 3,440,
+    # 20 header shares, 20 published headers and 7 rounds more, 61 bucket
+    # ticks and 19 round ticks fewer (-33).
+    assert len(pushed) == 3407
 
 
 def test_every_message_class_is_sent():

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -128,16 +129,26 @@ def test_crash_failover_recovers():
     assert all(v["pass"] for v in report.checks.values())
 
 
-def test_rounds_reordered_before_gst_still_commit_everywhere():
+def test_rounds_reordered_before_gst_still_commit_everywhere(monkeypatch):
     # Criterion 1's grid config at N=7, F=2, k=3 with GST at 0.5 s: the
     # pre-GST network delivers some sequencer rounds out of order.
+    rounds: dict[int, list[int]] = {}  # party -> round numbers in arrival order
+    handle = ConsensusNode.handle
+
+    def observed(node, message, ctx):
+        if isinstance(message, msg.RoundDelivery):
+            rounds.setdefault(node.party, []).append(message.round_no)
+        handle(node, message, ctx)
+
+    monkeypatch.setattr(ConsensusNode, "handle", observed)
     report = run_scenario(
-        _cfg(parties=7, faults=2, shards=3, seed=246614, gst=0.5, duration=0.6, drain=20.0)
+        _cfg(parties=7, faults=2, shards=3, seed=2, gst=0.5, duration=0.6, drain=20.0)
     )
+    assert any(b < a for seen in rounds.values() for a, b in zip(seen, seen[1:]))
     assert report.quiescent
     assert report.checks["agreement"]["pass"]
     assert report.checks["no_loss_no_unbounded_dup"]["pass"]
-    assert {len(blocks) for blocks in report.ledgers.values()} == {6}
+    assert {len(blocks) for blocks in report.ledgers.values()} == {7}
 
 
 def test_censorship_recovered_within_bound():
@@ -286,6 +297,27 @@ def test_held_back_arrivals_count_as_in_flight(monkeypatch):
     assert runner.held_arrivals and not runner._network_idle()
     runner.held_arrivals.clear()
     assert runner._network_idle()
+
+
+def test_a_message_to_a_silent_node_moves_no_commit_time(monkeypatch):
+    # The hub sends nothing, so extra traffic to it cannot cause anything in
+    # the protocol; with one delay stream per link it cannot shift any other
+    # message's delay either.
+    cfg = ScenarioConfig.from_dict(json.loads((CONFIGS / "censorship.json").read_text()))
+    plain = run_scenario(cfg)
+    handle = BatcherNode.handle
+
+    def chatty(node, message, ctx):
+        handle(node, message, ctx)
+        ctx.send(node.d.hub, msg.SubmissionReply(0, node.party, False, "extra"))
+
+    monkeypatch.setattr(BatcherNode, "handle", chatty)
+    noisy = run_scenario(cfg)
+    assert noisy.tx_records[0].rejects["extra"] > 500
+    times = [(r.first_commit_us, r.last_commit_us) for r in plain.tx_records]
+    assert [(r.first_commit_us, r.last_commit_us) for r in noisy.tx_records] == times
+    assert None not in chain.from_iterable(times)
+    assert noisy.ledger_digests == plain.ledger_digests
 
 
 def test_one_submission_per_tx_shared_by_every_router():
