@@ -168,7 +168,7 @@ class BatcherNode:
             # A duplicate is already in the pool or the ledger: the
             # submission goal is met, so it still acknowledges.
             ok = status in (INSERT_ACCEPTED, INSERT_DUPLICATE)
-            ctx.send(self.d.router[self.party], msg.SubmissionReply(m.submission_id, self.party, ok, status))
+            ctx.send(self.d.hub, msg.SubmissionReply(m.submission_id, self.party, ok, status))
 
     def _insert(self, tx: Transaction, ctx) -> str:
         if self.adversary is not None and self.adversary.censors(tx):

@@ -2,15 +2,15 @@
 
 A router checks that a submission is well formed and signed by a known
 client, maps it to a shard by CRC32 of the transaction id, and forwards it
-to its own party's batcher for that shard. The acknowledgement sent back to
-the client is tied to the batcher confirming the enqueue, so a client
-counting acks knows the transaction actually sits in a memory pool.
+to its own party's batcher for that shard. The acknowledgement is the
+batcher's own ``SubmissionReply`` to the deployment's hub, sent once it has
+enqueued the transaction, so a client counting acks knows the transaction
+actually sits in a memory pool.
 
 The router keeps no state and builds nothing for a valid submission: it
-forwards the ``SubmitTx`` it received, and relays the batcher's
-``SubmissionReply`` to the deployment's hub unchanged. It builds a reply
-only to reject an invalid submission. A submission without an id (a
-secondary batcher's forward to the primary) gets no reply.
+forwards the ``SubmitTx`` it received. It builds a reply only to reject an
+invalid submission. A submission without an id (a secondary batcher's
+forward to the primary) gets no reply.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def validate_transaction(
 
 def map_to_shard(tx_id: bytes, shard_count: int) -> int:
     """CRC32 of the transaction id mod the shard count."""
-    if shard_count < 1:
-        raise ValueError("shard count must be >= 1")
     return zlib.crc32(tx_id) % shard_count
 
 
@@ -60,13 +58,7 @@ class RouterNode:
         self.node_id = d.router[party]
         self.batchers = d.batcher[party]  # shard -> this party's batcher
 
-    def handle(self, message, ctx) -> None:
-        if isinstance(message, msg.SubmitTx):
-            self._on_submit(message, ctx)
-        elif isinstance(message, msg.SubmissionReply):
-            ctx.send(self.d.hub, message)
-
-    def _on_submit(self, m: msg.SubmitTx, ctx) -> None:
+    def handle(self, m: msg.SubmitTx, ctx) -> None:
         d = self.d
         reason = validate_transaction(m.tx, d.client_directory, d.protocol.max_tx_size)
         if reason is None:

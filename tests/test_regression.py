@@ -102,9 +102,10 @@ SCENARIOS = {
     "withhold_short": _withhold_short,
 }
 
-# sha256 of every file `shardbft run` writes, recorded when each link got its
-# own seeded delay stream and the goal check a virtual-time tick: every delay
-# is redrawn and every run stops at another time (keys.json is as before).
+# sha256 of every file `shardbft run` writes, recorded when each batcher began
+# acknowledging straight to the hub. Only report.json moved, by its ack
+# times: with one delay stream per link, the ledgers and series.csv are
+# those of the two-hop ack.
 GOLDEN = {
     "baseline": {
         "keys.json": "52f14feccb2b10dbd0b719133180e6c0747d2ca92d07ea33dbbab7dcd650b33b",
@@ -112,7 +113,7 @@ GOLDEN = {
         "ledger_party1.bin": "bb7f38be4e92ee6c349c13aebd3014aad1b547c2138b93e6a676418004cf8e4a",
         "ledger_party2.bin": "3130e2f169fc67359bd2deebee1e0c8f625d9133856d081cc671b443b7336489",
         "ledger_party3.bin": "c58e037e5bf83582f1cda7247e548e07142292df17b46c3241d6eeb43d61bd5f",
-        "report.json": "0b102b78ba1e91ec813720522c2261b429759ca66338961e6f5eef719ea44726",
+        "report.json": "aac90c13292151d11ae3d547a07d701e54022432519675c4db763caf304d444e",
         "series.csv": "1b8b1550196e53a54a343f936615ef9e8765e07dbc1d9c988136521d2b68a21f",
     },
     "censorship": {
@@ -120,7 +121,7 @@ GOLDEN = {
         "ledger_party1.bin": "3e0b318e147fcdcadf5c1b4d9faedd85398b757c2f3ce648372a980adcf2a55e",
         "ledger_party2.bin": "4d167f4a128457c9adf3c1cfbfc1b136f84f68c8792ff361df51628550a94544",
         "ledger_party3.bin": "4dfe115ff4254e6335118100e4a58321d094db4cd8aac211c568c5fda293904d",
-        "report.json": "593a80b73986dc04c652f27aa6c6aceacbbeef96c26c7ed89848d18bed6acca6",
+        "report.json": "b5741e89df3938a1e090376eb92b70d46fcee285454f250ad92607bab9534bac",
         "series.csv": "81e72fa68d71fa489f2b71ed27fc2d22f6da30336a808adf07111e45b58b88ef",
     },
     "failover": {
@@ -128,7 +129,7 @@ GOLDEN = {
         "ledger_party1.bin": "4934b16c868b0b97824ceef00fa9a43bce3b9559354ecd56d8658b50c508eebd",
         "ledger_party2.bin": "4934b16c868b0b97824ceef00fa9a43bce3b9559354ecd56d8658b50c508eebd",
         "ledger_party3.bin": "4934b16c868b0b97824ceef00fa9a43bce3b9559354ecd56d8658b50c508eebd",
-        "report.json": "13fe836798daf7116556ba85e8f4012a467eb8452e1faec794b3c5c2fa9f0180",
+        "report.json": "a140c964c9c94413b872b6d191857e750d9ec04a8552e7900db4ee6bc907450b",
         "series.csv": "e052fc3bfea6fbd20336f69b3e8b81668751cfa0302740d917648ce89ffa1592",
     },
     "ed25519_short": {
@@ -137,7 +138,7 @@ GOLDEN = {
         "ledger_party1.bin": "32f330b065ff36898afc46be5c5c8a5ffdea923bbda63fda0172fd9c88349470",
         "ledger_party2.bin": "0c9b591315a90103d56f049a943c8915bc5214fe0922028a1dc095699f63f42e",
         "ledger_party3.bin": "f8652a20c7f11d04711c4563060f297b01aabe65a779a3e54d0daec8510cf2f3",
-        "report.json": "569b1f88061a8404e9ac9b1ee14fd6a8a6f176f20f5f9988d147f4eee53f70d4",
+        "report.json": "46bfb571b1f515020f2917dac75cedec51c1f7c1323954130c6a8a4aa0fc30b5",
         "series.csv": "0f5062f3919dbf56db3e6229f210f9e7c39e06917a87c349a66200b361b40ffd",
     },
     "ordering_short": {
@@ -147,7 +148,7 @@ GOLDEN = {
         "ledger_party4.bin": "33edb605d6be6af399374b1cefecba274d85fe28997426f2c63942a463700806",
         "ledger_party5.bin": "5e2ec7c0c2bf1514998e472b1b004e4441cbbb1e9772111e4400732030c00124",
         "ledger_party6.bin": "464749b03022b1be8d12201cfa1931235eb102b6f18d5aaee9509a98eba38bf5",
-        "report.json": "ed06a424e032d56da6ba29471bf53225cf10956f14ed14d5b83f17023f938fc0",
+        "report.json": "85aee1ca244358713904c5160e598d3ef441745e05addf0be1b1bf1022f5be33",
         "series.csv": "f4027c2c6a596f7f4841015934fecc01217c255fb873b794d8019c5215fe1e64",
     },
     "late_gst": {
@@ -156,7 +157,7 @@ GOLDEN = {
         "ledger_party1.bin": "8502c5d64067925f14e9776b46e54742c7e75276f505dde006551833ad13eb76",
         "ledger_party2.bin": "38a1a42c86bbfbc64fc6eec41716372e91bc921c4ab8039f70cad08a0a720ffb",
         "ledger_party3.bin": "7f3e94bca11c345b96c8ddbed9c9724b8baf92fff421c1e8d471def8a9397958",
-        "report.json": "af6bc62b94e325f69d1c8a69c9ee60ea26176b7ae68eeab2ef3635217afa9098",
+        "report.json": "23898316ad71155ebe62a5b41f2376c21fd37a44902a5ab5b76d66e52f116d6d",
         "series.csv": "217921959f084c5a7fb9c8c6327fa3f732cfa8573d5d08c8949510d07f819bbe",
     },
     "bogus_short": {
@@ -166,7 +167,7 @@ GOLDEN = {
         "ledger_party4.bin": "0076f52f46c826bbcfe5455f7fdb9462888581de959a01ff37d3d9531c73330f",
         "ledger_party5.bin": "c5c3e69cc4fb509257acf80aeaaf247500a225fe6e9c9ff3ce40a9f91b3570a0",
         "ledger_party6.bin": "ed1dfbe82400ce1d2795f6c5f68d19902a7003db74c2358f899663dd234e6b44",
-        "report.json": "86c32a5fc9a49b9cffac863a2528772cd2951689ac2c2b00e4d2ba8a0aba7a5b",
+        "report.json": "275b07a5f25fa05b1091e89d199b62f3283d35fa2f3692d91e2e417ffcee94d6",
         "series.csv": "c85a946dbce4e365853aaafb55090375f38e9fbc45b12ce6a66e469fe9629fdb",
     },
     "withhold_short": {
@@ -176,7 +177,7 @@ GOLDEN = {
         "ledger_party4.bin": "b8934c3cda9e1dc91080e8a82a3750d6211622920d42a038c75da6764036d114",
         "ledger_party5.bin": "2e59e037d1aeffe36f4b6acc128c6cd2d2f7b748545147b4b8e9bbcf2ab0e7f7",
         "ledger_party6.bin": "241834bc8f3b992ba8e185e430b112b70b99a596c768207f1bef0b756e722071",
-        "report.json": "dae9a9d7040eeb530ac0035c79ac683f7e00b19f352db0685b6274f819958905",
+        "report.json": "524aa25e8eeec6226e30de5552624143917a5509825e1d74eef2050f2f92cd05",
         "series.csv": "34f20faf8b43187e56eb4727f5ebdcfc3f019410632bd9589bd34fd11f1cb81f",
     },
 }
@@ -235,8 +236,9 @@ def grid_digest(docs) -> str:
     return digest.hexdigest()
 
 
-# Recorded when each link got its own delay stream, as GOLDEN was.
-GRID_DIGEST = "e5ea6b80f7b9849bfccebae2793ad4c4e31ed42d4eae9cbeadd70fc0237ec0cb"
+# Recorded when each batcher began acknowledging straight to the hub, as
+# GOLDEN was.
+GRID_DIGEST = "be07324294cd716a2d51186601b1fe94eba20d95061e0ef2f888138140032a5e"
 
 
 def test_random_grid_reports_match_golden_digest():
@@ -397,14 +399,16 @@ def test_event_count_and_heap_size_on_baseline():
     # link got its own delay stream and the goal check its 20 ms tick. The
     # redrawn delays make 35 blocks, not 30: 60 header shares, 20 published
     # headers and 28 round deliveries more (+108). The run stops at 2.16 s,
-    # not 2.55 s: 61 bucket ticks and 19 round ticks fewer (-80).
-    assert sum(runner.send_seq.values()) == 8357
+    # not 2.55 s: 61 bucket ticks and 19 round ticks fewer (-80). Then each
+    # batcher acked straight to the hub: the routers' 1,600 relays went.
+    assert sum(runner.send_seq.values()) == 6757
     submissions = cfg.resolved_tx_count() * cfg.n_parties
     assert 0 < peak[0] < submissions
-    # Distinct objects behind those events: a relay passes on the object it
+    # Distinct objects behind those events: a router forwards the object it
     # got, and a share, complaint or batch goes out as itself. From 3,440,
     # 20 header shares, 20 published headers and 7 rounds more, 61 bucket
-    # ticks and 19 round ticks fewer (-33).
+    # ticks and 19 round ticks fewer (-33). A relay sent no new object, so
+    # the one-hop ack keeps the count.
     assert len(pushed) == 3407
 
 
@@ -420,7 +424,7 @@ def test_every_message_class_is_sent():
 
 def test_no_node_mutates_a_message_once_sent():
     # Longer than ordering_short, so that more than 10,000 messages are checked.
-    runner = _Runner(ScenarioConfig.from_dict(dict(_ordering_short(), duration=1.3)))
+    runner = _Runner(ScenarioConfig.from_dict(dict(_ordering_short(), duration=1.5)))
     sent = []
 
     def snapshot(message):
@@ -462,19 +466,21 @@ def test_routers_keep_no_state(monkeypatch):
 
     monkeypatch.setattr(router.RouterNode, "handle", observed)
     run_scenario(ScenarioConfig.from_dict(_ordering_short()))
-    assert handled["SubmitTx"] > 1_000 and handled["SubmissionReply"] > 1_000
+    # A router handles only submissions: each batcher acks to the hub itself.
+    assert set(handled) == {"SubmitTx"} and handled["SubmitTx"] > 1_000
 
 
 def test_protocol_objects_travel_as_themselves(monkeypatch):
-    # A node passes on the object it received and sends a share, complaint
-    # or persisted batch as the object it built, never a wrapper around it.
+    # A router forwards the object it received, and a batcher sends an ack,
+    # share, complaint or persisted batch as the object it built, never a
+    # wrapper around it.
     runner = _Runner(ScenarioConfig.from_dict(_ordering_short()))
     d, nodes = runner.d, runner.nodes
     routers, batchers = set(d.router), set(chain.from_iterable(d.batcher))
     handling = {}  # router node id -> the message it is handling
     events = {}  # id -> share or complaint a batcher submitted, held so ids stay unique
     stored = {nid: [] for nid in batchers}  # batches each batcher pushed to its assembler
-    relayed = Counter()
+    travelled = Counter()
     handle = router.RouterNode.handle
 
     def handle_and_note(node, message, ctx):
@@ -491,13 +497,17 @@ def test_protocol_objects_travel_as_themselves(monkeypatch):
                 assert isinstance(got, msg.SubmitTx) and not message.ok
                 assert message.reason in {REASON_MALFORMED, REASON_UNKNOWN_CLIENT, REASON_BAD_SIGNATURE}
             else:
-                assert message is got and dest in (d.hub, *d.batcher[nodes[sender].party])
-                relayed[type(message).__name__] += 1
+                assert message is got and dest in d.batcher[nodes[sender].party]
+                travelled[type(message).__name__] += 1
+        elif dest == d.hub:  # a batcher acks once, naming its own party
+            assert sender in batchers and isinstance(message, msg.SubmissionReply)
+            assert message.party == nodes[sender].party
+            travelled[type(message).__name__] += 1
         elif dest == d.sequencer:  # a batcher submits each share or complaint once
             assert sender in batchers and isinstance(message, (core.BatchAttestationShare, core.ComplaintVote))
             assert id(message) not in events
             events[id(message)] = message
-            relayed[type(message).__name__] += 1
+            travelled[type(message).__name__] += 1
         elif sender in batchers and isinstance(message, core.Batch):
             assert dest == d.assembler[nodes[sender].party] and message is nodes[sender].ledger[-1]
             stored[sender].append(message)
@@ -505,7 +515,7 @@ def test_protocol_objects_travel_as_themselves(monkeypatch):
 
     runner.network_send = observe
     runner.run()
-    assert all(relayed[name] > 100 for name in ("SubmitTx", "SubmissionReply", "BatchAttestationShare"))
-    assert relayed["ComplaintVote"] > 0
+    assert all(travelled[name] > 100 for name in ("SubmitTx", "SubmissionReply", "BatchAttestationShare"))
+    assert travelled["ComplaintVote"] > 0
     for nid in batchers:
         assert [id(b) for b in stored[nid]] == [id(b) for b in nodes[nid].ledger]

@@ -299,6 +299,15 @@ def test_held_back_arrivals_count_as_in_flight(monkeypatch):
     assert runner._network_idle()
 
 
+def test_the_goal_needs_every_acked_tx_committed_at_every_correct_party():
+    runner = _Runner(_cfg(seed=5))
+    report = runner.run()
+    assert report.quiescent and runner._goal_met()
+    acked = next(r for r in report.tx_records if r.ack_quorum_us is not None)
+    del runner.assemblers[0].inclusion_times[acked.tx_id]
+    assert not runner._goal_met()
+
+
 def test_a_message_to_a_silent_node_moves_no_commit_time(monkeypatch):
     # The hub sends nothing, so extra traffic to it cannot cause anything in
     # the protocol; with one delay stream per link it cannot shift any other
@@ -348,10 +357,12 @@ def test_one_submission_per_tx_shared_by_every_router():
     for message, routers in routed.values():
         assert sorted(routers) == list(d.router)
         assert runner.tx_records[message.submission_id].tx_id == message.tx.tx_id
-    # Each reply names the party of the router that sent it.
+    # Each reply names the party of the batcher that sent it, the one of the
+    # tx's shard.
     assert len(replies) == len(runner.tx_records) * d.n
     for sender, reply in replies:
-        assert isinstance(reply, msg.SubmissionReply) and sender == d.router[reply.party]
+        record = runner.tx_records[reply.submission_id]
+        assert isinstance(reply, msg.SubmissionReply) and sender == d.batcher[reply.party][record.shard]
     assert all(record.to_dict()["acks"] == d.n for record in report.tx_records)
 
 
