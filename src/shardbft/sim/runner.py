@@ -51,9 +51,8 @@ HUB = 1
 
 _NEVER = 1 << 62
 
-# After the submission window, the goal is checked on this virtual-time
-# tick, so the stop time depends on when the goal holds, not on how many
-# deliveries led up to it.
+# After `duration` the goal is checked on this virtual-time tick, so a run
+# stops when the goal holds, not after some count of deliveries.
 GOAL_CHECK_US = 20_000
 # Client arrivals move from the held-back list onto the heap this many at a time.
 ARRIVAL_CHUNK = 256
@@ -184,8 +183,7 @@ class _Runner:
             heapq.heappush(self.heap, (t, sender, seq, dest, message))
 
     def _new_link(self, sender: int, dest: int):
-        rng = random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
-        self.link_rngs[sender, dest] = rng
+        rng = self.link_rngs[sender, dest] = random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
         latency = self.cfg.latency
         link = self.links[sender][dest] = link_delay_sampler(rng, latency.base_us, latency.jitter_us)
         return link
@@ -294,8 +292,8 @@ class _Runner:
         limit = cfg.duration_us + cfg.drain_us
         check_at = min(cfg.duration_us + GOAL_CHECK_US, limit)
         quiescent = False
-        while heap:
-            if heap[0][0] > check_at:
+        while True:
+            if not heap or heap[0][0] > check_at:
                 # Every delivery due by check_at is handled: the run stops
                 # here if the goal holds, whatever traffic led up to it.
                 self.now_us = check_at
@@ -335,13 +333,13 @@ class _Runner:
                     # batch for a seq it filled during an old term).
                     if any(tx_id not in self.assemblers[q].inclusion_times for q in correct):
                         return False
-        for record in self.tx_records:
-            if record.ack_quorum_us is None:
-                continue
-            for p in correct:
-                if record.tx_id not in self.assemblers[p].inclusion_times:
-                    return False
-        return True
+        inclusion = [self.assemblers[p].inclusion_times for p in correct]
+        return all(
+            record.tx_id in times
+            for record in self.tx_records
+            if record.ack_quorum_us is not None
+            for times in inclusion
+        )
 
     # --- report ----------------------------------------------------------------------
 
