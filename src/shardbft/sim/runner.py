@@ -2,13 +2,12 @@
 
 One virtual clock (integer microseconds), one event heap. Events are
 ordered by (time, sender id, per-sender sequence) so ties are broken
-deterministically. The heap holds only traffic in flight: client arrivals
-wait in a sorted list and are fed onto it in chunks. Each (sender, dest)
-link draws its latency from its own RNG, seeded from the run seed and the
-two ids, so a message's delay depends only on the messages sent before it
-on the same link, never on traffic elsewhere. Messages sent before GST may
-be delayed arbitrarily (but land by GST + Delta); after GST every
-correct-to-correct message lands within the declared bound.
+deterministically. Each (sender, dest) link draws its latency from its
+own RNG, seeded from the run seed and the two ids, so a message's delay
+depends only on the messages sent before it on the same link, never on
+traffic elsewhere. Messages sent before GST may be delayed arbitrarily
+(but land by GST + Delta); after GST every correct-to-correct message
+lands within the declared bound.
 Node CPU time is free: this is a protocol-logic simulator, not a
 performance model.
 
@@ -20,7 +19,8 @@ every consensus node. A repeat is ordered again; consensus counts it once.
 Every delivery goes through one handler table indexed by node id: the
 sequencer (0) and the client hub (1) are runner methods in it next to the
 nodes' ``handle``, and each acts through its own context, as a node does.
-Only the entry that feeds held-back arrivals is handled apart.
+The hub is the clients' open loop: on its own timer it sends each tx to
+every router at the tx's submit time, then sets the timer for the next.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ _NEVER = 1 << 62
 # After `duration` the goal is checked on this virtual-time tick, so a run
 # stops when the goal holds, not after some count of deliveries.
 GOAL_CHECK_US = 20_000
-# Client arrivals move from the held-back list onto the heap this many at a time.
-ARRIVAL_CHUNK = 256
-# Sender of the heap entry that feeds the next chunk. It is due when the
-# first held-back arrival is, and at equal time sorts before every real
-# sender, so every entry pops in the order it would from one big heap.
-_FEED = -1
 
 
 def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, KeyPair]:
@@ -143,7 +137,6 @@ class _Runner:
         self.cfg = cfg
         self.now_us = 0
         self.heap: list = []
-        self.held_arrivals: list = []  # heap entries, latest first
         self.send_seq: dict[int, int] = {}
         self.rng_client = random.Random(self._derive(b"client"))
 
@@ -157,16 +150,15 @@ class _Runner:
         self.batchers = {(p, s): BatcherNode(d, p, s) for p in range(d.n) for s in range(d.k)}
         routers = [RouterNode(d, p) for p in range(d.n)]
         self.nodes: list = [None] * d.node_count
-        self.party_of = [-1] * d.node_count
         for node in chain(routers, self.consensus.values(), self.assemblers.values(), self.batchers.values()):
             self.nodes[node.node_id] = node
-            self.party_of[node.node_id] = node.party
         self.ctxs = [_Ctx(self, nid) for nid in range(d.node_count)]
         # Deliveries due at or after these times are dropped when queued:
         # everything to a crashed party's nodes from its crash on.
         crash_at = {a.party: a.crash_at_us for a in cfg.adversaries if a.kind == CRASH}
-        self.crash_us = [crash_at.get(party, _NEVER) for party in self.party_of]
+        self.crash_us = [_NEVER if node is None else crash_at.get(node.party, _NEVER) for node in self.nodes]
         self.tx_records: list[TxRecord] = []
+        self.submissions: list[msg.SubmitTx] = []  # the hub's, in submission order
         # Sequencer state.
         self.round_buffer: list = []
         self.round_no = 0
@@ -188,34 +180,23 @@ class _Runner:
         link = self.links[sender][dest] = link_delay_sampler(rng, latency.base_us, latency.jitter_us)
         return link
 
-    def delivery_time(self, at: int, sender: int, dest: int) -> int:
-        link = self.links[sender][dest] or self._new_link(sender, dest)
-        gst = self.cfg.gst_us
-        if at < gst:
-            # Adversarial pre-GST scheduling, still bounded by GST + Delta.
-            slack = (gst - at) + self.cfg.delta_us
-            chosen = at + self.link_rngs[sender, dest].randint(link(), slack)
-            return min(chosen, gst + link())
-        return at + link()
-
     def network_send(self, sender: int, dest: int, message) -> None:
         now = self.now_us
-        if now >= self.cfg.gst_us:
-            link = self.links[sender][dest] or self._new_link(sender, dest)
+        link = self.links[sender][dest] or self._new_link(sender, dest)
+        gst = self.cfg.gst_us
+        if now >= gst:
             self.push(now + link(), sender, dest, message)
         else:
-            self.push(self.delivery_time(now, sender, dest), sender, dest, message)
+            # Adversarial pre-GST scheduling, still bounded by GST + Delta.
+            slack = (gst - now) + self.cfg.delta_us
+            chosen = now + self.link_rngs[sender, dest].randint(link(), slack)
+            self.push(min(chosen, gst + link()), sender, dest, message)
 
     # --- clients -----------------------------------------------------------
 
     def _schedule_clients(self) -> None:
         cfg = self.cfg
         count = cfg.resolved_tx_count()
-        # Arrivals take their delays from the hub->router links and their HUB
-        # sequence numbers in submission order, exactly as if each were pushed.
-        seq = self.send_seq.get(HUB, 0)
-        crash_us = self.crash_us
-        arrivals = []
         for i in range(count):
             t = cfg.duration_us * i // count
             client = i % cfg.clients
@@ -233,26 +214,17 @@ class _Runner:
                 censored=censored,
             )
             self.tx_records.append(record)
-            submit = msg.SubmitTx(tx, i)  # one object, pushed to every router
+            self.submissions.append(msg.SubmitTx(tx, i))  # one object, sent to every router
+        self.push(self.tx_records[0].submit_us, HUB, HUB, self.submissions[0])
+
+    def _on_hub(self, message: msg.SubmitTx | msg.SubmissionReply, ctx) -> None:
+        if type(message) is msg.SubmitTx:  # the hub's own timer: submit, then wait for the next
             for router in self.d.router:
-                at = self.delivery_time(t, HUB, router)
-                if at < crash_us[router]:
-                    arrivals.append((at, HUB, seq, router, submit))
-                seq += 1
-        self.send_seq[HUB] = seq
-        arrivals.sort(reverse=True)
-        self.held_arrivals = arrivals
-        self._feed_arrivals()
-
-    def _feed_arrivals(self) -> None:
-        """Move the next chunk of held-back arrivals onto the heap."""
-        held, heap = self.held_arrivals, self.heap
-        for _ in range(min(ARRIVAL_CHUNK, len(held))):
-            heapq.heappush(heap, held.pop())
-        if held:
-            heapq.heappush(heap, (held[-1][0], _FEED, 0, SEQUENCER, None))
-
-    def _on_hub(self, message: msg.SubmissionReply, ctx) -> None:
+                ctx.send(router, message)
+            i = message.submission_id + 1
+            if i < len(self.submissions):
+                ctx.schedule(self.tx_records[i].submit_us - self.now_us, self.submissions[i])
+            return
         record = self.tx_records[message.submission_id]
         if message.ok:
             record.acks |= 1 << message.party
@@ -302,19 +274,15 @@ class _Runner:
                     break
                 check_at = min(check_at + GOAL_CHECK_US, limit)
                 continue
-            t, sender, _seq, dest, message = heappop(heap)
+            t, _sender, _seq, dest, message = heappop(heap)
             self.now_us = t
-            if sender == _FEED:
-                self._feed_arrivals()
-            else:
-                handles[dest](message, ctxs[dest])
+            handles[dest](message, ctxs[dest])
         return self._build_report(quiescent)
 
     def _network_idle(self) -> bool:
-        """Nothing queued except self-timers and the entry that feeds arrivals
-        (a delivery that is dropped is never queued)."""
-        queued = chain(self.heap, self.held_arrivals)
-        return all(sender == dest or sender == _FEED for _t, sender, _seq, dest, _m in queued)
+        """Nothing queued except self-timers (a delivery that is dropped is
+        never queued)."""
+        return all(sender == dest for _t, sender, _seq, dest, _m in self.heap)
 
     def _goal_met(self) -> bool:
         correct = self.cfg.correct_parties()

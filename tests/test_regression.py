@@ -394,21 +394,23 @@ def test_event_count_and_heap_size_on_baseline():
 
     _observe_pushes(runner, track)
     runner.run()
-    # The count perfbench's host_events_per_s divides by, as before client
-    # arrivals were held back from the heap. Re-pinned from 8,329 when each
-    # link got its own delay stream and the goal check its 20 ms tick. The
-    # redrawn delays make 35 blocks, not 30: 60 header shares, 20 published
-    # headers and 28 round deliveries more (+108). The run stops at 2.16 s,
-    # not 2.55 s: 61 bucket ticks and 19 round ticks fewer (-80). Then each
-    # batcher acked straight to the hub: the routers' 1,600 relays went.
-    assert sum(runner.send_seq.values()) == 6757
+    # The count perfbench's host_events_per_s divides by. Re-pinned from
+    # 8,329 when each link got its own delay stream and the goal check its
+    # 20 ms tick. The redrawn delays make 35 blocks, not 30: 60 header
+    # shares, 20 published headers and 28 round deliveries more (+108). The
+    # run stops at 2.16 s, not 2.55 s: 61 bucket ticks and 19 round ticks
+    # fewer (-80). Then each batcher acked straight to the hub: the routers'
+    # 1,600 relays went (6,757). Then the hub submitted on its own timer:
+    # one timer per tx, 400 txs (+400).
+    assert sum(runner.send_seq.values()) == 7157
     submissions = cfg.resolved_tx_count() * cfg.n_parties
     assert 0 < peak[0] < submissions
     # Distinct objects behind those events: a router forwards the object it
     # got, and a share, complaint or batch goes out as itself. From 3,440,
     # 20 header shares, 20 published headers and 7 rounds more, 61 bucket
     # ticks and 19 round ticks fewer (-33). A relay sent no new object, so
-    # the one-hop ack keeps the count.
+    # the one-hop ack kept the count; a hub timer carries the SubmitTx that
+    # the routers forward, so the hub's own timer keeps it too.
     assert len(pushed) == 3407
 
 
@@ -431,15 +433,6 @@ def test_no_node_mutates_a_message_once_sent():
         sent.append((message, [getattr(message, f.name) for f in fields(message)]))
 
     _observe_pushes(runner, snapshot)
-    schedule_clients = runner._schedule_clients
-
-    def snapshot_arrivals():
-        schedule_clients()
-        for *_key, message in [*runner.heap, *runner.held_arrivals]:
-            if message is not None:  # not the entry that feeds arrivals
-                snapshot(message)
-
-    runner._schedule_clients = snapshot_arrivals
     runner.run()
     assert len(sent) > 10_000
     for message, values in sent:

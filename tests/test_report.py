@@ -183,12 +183,11 @@ def test_report_acks_equal_the_distinct_parties_that_acked():
     on_hub = runner._on_hub
 
     def observed(message, ctx):
-        index, party = message.submission_id, message.party
-        if message.ok:
-            parties = acked.setdefault(index, set())
-            parties.add(party)
+        if isinstance(message, msg.SubmissionReply) and message.ok:  # not one of the hub's own SubmitTx
+            parties = acked.setdefault(message.submission_id, set())
+            parties.add(message.party)
             if len(parties) == quorum:
-                quorum_at.setdefault(index, runner.now_us)
+                quorum_at.setdefault(message.submission_id, runner.now_us)
         on_hub(message, ctx)
 
     runner._on_hub = observed

@@ -28,7 +28,6 @@ from shardbft.core import (
 )
 from shardbft.sim.checks import check_agreement, check_censorship_bound, check_no_loss_no_unbounded_dup
 from shardbft.sim.report import RunReport, TxRecord, report_to_json
-from shardbft.sim import runner as sim_runner
 from shardbft.router import REASON_MALFORMED, RouterNode
 from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
@@ -211,9 +210,9 @@ def test_message_loss_after_gst_breaks_agreement():
     cfg = _cfg(drain=3.0, seed=9)
     assert 2 in cfg.correct_parties()
     runner = _Runner(cfg)
-    for node_id, party in enumerate(runner.party_of):
-        if party == 2:
-            runner.crash_us[node_id] = cfg.gst_us
+    for node in runner.nodes[2:]:
+        if node.party == 2:
+            runner.crash_us[node.node_id] = cfg.gst_us
     report = runner.run()
     assert not report.checks["agreement"]["pass"]
     assert report.checks["agreement"]["reason"] == "length_mismatch"
@@ -245,15 +244,6 @@ def test_pre_gst_delays_do_not_break_anything():
     assert all(v["pass"] for v in report.checks.values())
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
-def test_arrival_chunk_size_does_not_change_the_run(monkeypatch, chunk):
-    # Pre-GST delays reorder arrivals against submission order.
-    cfg = _cfg(gst=0.3, seed=10, duration=0.5)
-    expected = report_to_json(run_scenario(cfg))
-    monkeypatch.setattr(sim_runner, "ARRIVAL_CHUNK", chunk)
-    assert report_to_json(run_scenario(cfg)) == expected
-
-
 @pytest.mark.parametrize("n, k", [(4, 1), (4, 4), (7, 3)])
 def test_node_id_layout(n, k):
     # Sequencer 0, hub 1, then routers, consensus nodes and assemblers, then
@@ -265,10 +255,10 @@ def test_node_id_layout(n, k):
     assert d.assembler == tuple(2 + 2 * n + p for p in range(n))
     assert d.batcher == tuple(tuple(2 + 3 * n + p * k + s for s in range(k)) for p in range(n))
     batcher_parties = [p for p in range(n) for _ in range(k)]
-    assert runner.party_of == [-1, -1, *range(n), *range(n), *range(n), *batcher_parties]
     assert runner.nodes[:2] == [None, None] and len(runner.nodes) == 2 + 3 * n + n * k
+    assert [node.party for node in runner.nodes[2:]] == [*range(n), *range(n), *range(n), *batcher_parties]
     for nid, node in enumerate(runner.nodes[2:], start=2):
-        assert node.node_id == nid and node.party == runner.party_of[nid]
+        assert node.node_id == nid
     assert [b.shard for b in runner.batchers.values()] == [s for _ in range(n) for s in range(k)]
 
 
@@ -288,15 +278,36 @@ def test_out_of_range_party_or_shard_raises(n, k):
             BatcherNode(d, party, shard)
 
 
-def test_held_back_arrivals_count_as_in_flight(monkeypatch):
-    monkeypatch.setattr(sim_runner, "ARRIVAL_CHUNK", 16)
-    runner = _Runner(_cfg(gst=0.3, seed=10, duration=0.5))
-    runner._schedule_clients()
-    assert not runner._network_idle()
-    runner.heap.clear()  # the first chunk and the entry that feeds the next
-    assert runner.held_arrivals and not runner._network_idle()
-    runner.held_arrivals.clear()
-    assert runner._network_idle()
+def test_the_hub_submits_each_tx_to_every_router_on_its_own_timer():
+    # Pre-GST delays reorder arrivals against submission order; the sends
+    # keep it.
+    cfg = _cfg(gst=0.3, seed=10, duration=0.5)
+    runner = _Runner(cfg)
+    d = runner.d
+    sends = []  # (time, router, submission id), in the order the hub sent them
+    idle_after_send = []
+    timers_queued = []  # hub self-timers on the heap after each push
+    send, push = runner.network_send, runner.push
+
+    def observe_send(sender, dest, message):
+        send(sender, dest, message)
+        if sender == d.hub:
+            assert runner.tx_records[message.submission_id].tx_id == message.tx.tx_id
+            sends.append((runner.now_us, dest, message.submission_id))
+            idle_after_send.append(runner._network_idle())
+
+    def observe_push(t, sender, dest, message):
+        push(t, sender, dest, message)
+        timers_queued.append(sum(1 for entry in runner.heap if entry[1] == entry[3] == d.hub))
+
+    runner.network_send, runner.push = observe_send, observe_push
+    report = runner.run()
+    assert report.quiescent and len(runner.tx_records) == 50
+    assert sends == [(r.submit_us, router, r.index) for r in runner.tx_records for router in d.router]
+    assert sends[-1][0] < cfg.duration_us
+    assert max(timers_queued) == 1
+    # An arrival in flight keeps the network from reading as idle.
+    assert not any(idle_after_send)
 
 
 def test_the_goal_needs_every_acked_tx_committed_at_every_correct_party():
@@ -309,9 +320,9 @@ def test_the_goal_needs_every_acked_tx_committed_at_every_correct_party():
 
 
 def test_a_message_to_a_silent_node_moves_no_commit_time(monkeypatch):
-    # The hub sends nothing, so extra traffic to it cannot cause anything in
-    # the protocol; with one delay stream per link it cannot shift any other
-    # message's delay either.
+    # Nothing the hub receives changes what it sends, so extra traffic to it
+    # cannot cause anything in the protocol; with one delay stream per link
+    # it cannot shift any other message's delay either.
     cfg = ScenarioConfig.from_dict(json.loads((CONFIGS / "censorship.json").read_text()))
     plain = run_scenario(cfg)
     handle = BatcherNode.handle
@@ -333,24 +344,17 @@ def test_one_submission_per_tx_shared_by_every_router():
     runner = _Runner(_cfg(seed=13, duration=0.5))
     d = runner.d
     routed: dict[int, tuple] = {}  # id(SubmitTx) -> (message, routers it goes to)
-    schedule_clients = runner._schedule_clients
-
-    def inspect_arrivals():
-        schedule_clients()
-        for _t, sender, _seq, dest, message in [*runner.heap, *runner.held_arrivals]:
-            if message is not None:  # not the entry that feeds arrivals
-                assert sender == d.hub and isinstance(message, msg.SubmitTx)
-                routed.setdefault(id(message), (message, []))[1].append(dest)
-
     replies = []
     network_send = runner.network_send
 
     def observe(sender, dest, message):
+        if sender == d.hub:
+            assert isinstance(message, msg.SubmitTx)
+            routed.setdefault(id(message), (message, []))[1].append(dest)
         if dest == d.hub:
             replies.append((sender, message))
         network_send(sender, dest, message)
 
-    runner._schedule_clients = inspect_arrivals
     runner.network_send = observe
     report = runner.run()
     assert len(routed) == len(runner.tx_records) > 0
