@@ -50,7 +50,7 @@ PUBLIC_KEY_LEN = _SECRET_LEN = 32
 # Distinct (public, message, signature) verdicts kept by ``verify``: several
 # times the largest per-run working set seen (about 6.7k triples).
 VERIFY_CACHE_SIZE = 1 << 14
-# Ed25519 key objects kept, keyed by raw key bytes: one per party and client.
+# Ed25519 key objects and ``test_mac`` key states kept: one per party and client.
 _KEY_CACHE_SIZE = 256
 
 
@@ -87,9 +87,21 @@ def keygen(seed: bytes, scheme: str = SCHEME_TEST_MAC) -> KeyPair:
     raise ValueError(f"unknown signature scheme: {scheme!r}")
 
 
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _mac_state(secret: bytes) -> hmac.HMAC:
+    """HMAC-SHA256 keyed with ``secret``, fed nothing: only ever copied."""
+    return hmac.new(secret, digestmod=hashlib.sha256)
+
+
+def _mac(secret: bytes, message: bytes) -> bytes:
+    state = _mac_state(secret).copy()
+    state.update(message)
+    return state.digest()
+
+
 def sign(key: KeyPair, message: bytes) -> Signature:
     if key.scheme == SCHEME_TEST_MAC:
-        return Signature(key.scheme, hmac.digest(key.secret, message, "sha256"))
+        return Signature(key.scheme, _mac(key.secret, message))
     if key.scheme == SCHEME_ED25519:
         return Signature(key.scheme, _ed25519().sign(key.secret, message))
     raise ValueError(f"unknown signature scheme: {key.scheme!r}")
@@ -251,6 +263,6 @@ def verify(public: bytes, message: bytes, sig: Signature) -> bool:
     if expected is None or len(sig.data) != expected:
         return False
     if sig.scheme == SCHEME_TEST_MAC:
-        want = hmac.digest(public, message, "sha256")
+        want = _mac(public, message)
         return hmac.compare_digest(want, sig.data)
     return _ed25519().verify(public, message, sig.data)

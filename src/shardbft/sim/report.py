@@ -13,9 +13,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 # Transaction records encoded per piece of ``report.json``: only one chunk's
-# dicts are alive at a time, so the encoder's transient memory stays flat as
-# runs grow (256 keeps it near 3 MB on 6,000 txs at unchanged speed).
+# values are alive at a time, so the encoder's transient memory stays flat as
+# runs grow.
 JSON_CHUNK_RECORDS = 256
+
+# One tx record of ``report.json``, keys sorted and compact, as ``json.dumps`` writes it.
+_TX_TEMPLATE = (
+    '{"ack_quorum_us":%s,"acks":%d,"censored":%s,"client":%d,"commit_count":%d,"first_commit_us":%s,'
+    '"index":%d,"last_commit_us":%s,"rejects":%s,"shard":%d,"submit_us":%d,"tx_id":"%s"}'
+)
 
 
 @dataclass(slots=True)
@@ -32,22 +38,6 @@ class TxRecord:
     first_commit_us: int | None = None
     last_commit_us: int | None = None
     commit_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "tx_id": self.tx_id.hex(),
-            "client": self.client,
-            "shard": self.shard,
-            "submit_us": self.submit_us,
-            "censored": self.censored,
-            "acks": self.acks.bit_count(),
-            "ack_quorum_us": self.ack_quorum_us,
-            "rejects": dict(sorted(self.rejects.items())),
-            "first_commit_us": self.first_commit_us,
-            "last_commit_us": self.last_commit_us,
-            "commit_count": self.commit_count,
-        }
 
 
 @dataclass
@@ -104,16 +94,29 @@ def iter_report_json(report: RunReport) -> Iterator[str]:
     The pieces join to exactly the one-shot ``json.dumps`` of the whole
     document with sorted keys and compact separators: ``txs`` sorts after
     every other top-level key, so it is the last member of the object, and
-    each chunk is the inside of that array's encoding for its records.
+    each chunk is the inside of that array's encoding for its records,
+    written by ``_TX_TEMPLATE`` (the encoder runs only on a non-empty ``rejects``).
     """
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     head = report.head_dict()
     assert max(head) < "txs", "the txs array must be the last member of report.json"
-    yield encoder.encode(head)[:-1] + ',"txs":['
+    yield encode(head)[:-1] + ',"txs":['
     records = report.tx_records
     for start in range(0, len(records), JSON_CHUNK_RECORDS):
-        chunk = [r.to_dict() for r in records[start : start + JSON_CHUNK_RECORDS]]
-        yield ("," if start else "") + encoder.encode(chunk)[1:-1]
+        chunk = records[start : start + JSON_CHUNK_RECORDS]
+        # One format per chunk: a string per record raised perfbench's censor peak RSS 0.65 MB.
+        values = tuple(
+            value
+            for r in chunk
+            for value in (
+                "null" if r.ack_quorum_us is None else r.ack_quorum_us, r.acks.bit_count(),
+                "true" if r.censored else "false", r.client, r.commit_count,
+                "null" if r.first_commit_us is None else r.first_commit_us, r.index,
+                "null" if r.last_commit_us is None else r.last_commit_us,
+                encode(r.rejects) if r.rejects else "{}", r.shard, r.submit_us, r.tx_id.hex(),
+            )
+        )
+        yield ("," if start else "") + ",".join([_TX_TEMPLATE] * len(chunk)) % values
     yield "]}\n"
 
 

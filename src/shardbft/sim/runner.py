@@ -21,12 +21,16 @@ sequencer (0) and the client hub (1) are runner methods in it next to the
 nodes' ``handle``, and each acts through its own context, as a node does.
 The hub is the clients' open loop: on its own timer it sends each tx to
 every router at the tx's submit time, then sets the timer for the next.
+Nothing it receives changes what it sends, so a reply to it is tallied
+when sent, as of its landing time, not queued: it counts iff it lands by
+duration + drain, and the network is not idle until the last has landed.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from itertools import chain
 
 from .. import messages as msg
@@ -138,6 +142,7 @@ class _Runner:
         self.now_us = 0
         self.heap: list = []
         self.send_seq: dict[int, int] = {}
+        self.limit_us = cfg.duration_us + cfg.drain_us
         self.rng_client = random.Random(self._derive(b"client"))
 
         d = self.d = Deployment(cfg)
@@ -159,6 +164,10 @@ class _Runner:
         self.crash_us = [_NEVER if node is None else crash_at.get(node.party, _NEVER) for node in self.nodes]
         self.tx_records: list[TxRecord] = []
         self.submissions: list[msg.SubmitTx] = []  # the hub's, in submission order
+        # The hub's tally: landed[i * n + p] is the earliest landing of party p's ok
+        # replies to submission i; hub_busy_us the latest of any reply, counted or not.
+        self.landed = array("q", [_NEVER]) * (cfg.resolved_tx_count() * d.n)
+        self.hub_busy_us = 0
         # Sequencer state.
         self.round_buffer: list = []
         self.round_no = 0
@@ -171,8 +180,24 @@ class _Runner:
     def push(self, t: int, sender: int, dest: int, message) -> None:
         seq = self.send_seq.get(sender, 0)
         self.send_seq[sender] = seq + 1
-        if t < self.crash_us[dest]:
+        if dest == HUB and sender != HUB:
+            self._tally(t, message)
+        elif t < self.crash_us[dest]:
             heapq.heappush(self.heap, (t, sender, seq, dest, message))
+
+    def _tally(self, t: int, reply: msg.SubmissionReply) -> None:
+        """Apply a reply to its record as of its landing time ``t``."""
+        self.hub_busy_us = max(self.hub_busy_us, t)
+        if t > self.limit_us:
+            return
+        record = self.tx_records[reply.submission_id]
+        if reply.ok:
+            record.acks |= 1 << reply.party
+            i = reply.submission_id * self.d.n + reply.party
+            if t < self.landed[i]:
+                self.landed[i] = t
+        else:
+            record.rejects[reply.reason] = record.rejects.get(reply.reason, 0) + 1
 
     def _new_link(self, sender: int, dest: int):
         rng = self.link_rngs[sender, dest] = random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
@@ -217,21 +242,13 @@ class _Runner:
             self.submissions.append(msg.SubmitTx(tx, i))  # one object, sent to every router
         self.push(self.tx_records[0].submit_us, HUB, HUB, self.submissions[0])
 
-    def _on_hub(self, message: msg.SubmitTx | msg.SubmissionReply, ctx) -> None:
-        if type(message) is msg.SubmitTx:  # the hub's own timer: submit, then wait for the next
-            for router in self.d.router:
-                ctx.send(router, message)
-            i = message.submission_id + 1
-            if i < len(self.submissions):
-                ctx.schedule(self.tx_records[i].submit_us - self.now_us, self.submissions[i])
-            return
-        record = self.tx_records[message.submission_id]
-        if message.ok:
-            record.acks |= 1 << message.party
-            if record.ack_quorum_us is None and record.acks.bit_count() >= self.cfg.n_parties - self.cfg.f:
-                record.ack_quorum_us = self.now_us
-        else:
-            record.rejects[message.reason] = record.rejects.get(message.reason, 0) + 1
+    def _on_hub(self, message: msg.SubmitTx, ctx) -> None:
+        """The hub's own timer: submit, then wait for the next."""
+        for router in self.d.router:
+            ctx.send(router, message)
+        i = message.submission_id + 1
+        if i < len(self.submissions):
+            ctx.schedule(self.tx_records[i].submit_us - self.now_us, self.submissions[i])
 
     # --- total-order sequencer ----------------------------------------------------
 
@@ -261,7 +278,7 @@ class _Runner:
         handles = [self._on_sequencer, self._on_hub, *(node.handle for node in self.nodes[2:])]
 
         heap, heappop = self.heap, heapq.heappop
-        limit = cfg.duration_us + cfg.drain_us
+        limit = self.limit_us
         check_at = min(cfg.duration_us + GOAL_CHECK_US, limit)
         quiescent = False
         while True:
@@ -281,8 +298,8 @@ class _Runner:
 
     def _network_idle(self) -> bool:
         """Nothing queued except self-timers (a delivery that is dropped is
-        never queued)."""
-        return all(sender == dest for _t, sender, _seq, dest, _m in self.heap)
+        never queued), and every reply to the hub landed."""
+        return self.hub_busy_us <= self.now_us and all(sender == dest for _t, sender, _seq, dest, _m in self.heap)
 
     def _goal_met(self) -> bool:
         correct = self.cfg.correct_parties()
@@ -302,10 +319,11 @@ class _Runner:
                     if any(tx_id not in self.assemblers[q].inclusion_times for q in correct):
                         return False
         inclusion = [self.assemblers[p].inclusion_times for p in correct]
+        quorum = self.cfg.n_parties - self.cfg.f
         return all(
             record.tx_id in times
             for record in self.tx_records
-            if record.ack_quorum_us is not None
+            if record.acks.bit_count() >= quorum
             for times in inclusion
         )
 
@@ -357,12 +375,24 @@ class _Runner:
                 drops[reason] = drops.get(reason, 0) + count
 
         inclusion = [self.assemblers[p].inclusion_times for p in correct]
+        n, quorum, landed = self.d.n, cfg.n_parties - cfg.f, self.landed
         for record in self.tx_records:
-            times = [times_of.get(record.tx_id) for times_of in inclusion]
-            known = [x for x in times if x is not None]
-            record.first_commit_us = min(known) if known else None
-            record.last_commit_us = max(known) if len(known) == len(correct) else None
+            first = last = None
+            held = 0  # correct parties that commit the tx
+            for times_of in inclusion:
+                t = times_of.get(record.tx_id)
+                if t is not None:
+                    held += 1
+                    if first is None or t < first:
+                        first = t
+                    if last is None or t > last:
+                        last = t
+            record.first_commit_us = first
+            record.last_commit_us = last if held == len(correct) else None
             record.commit_count = commit_counts.get(record.tx_id, 0)
+            if record.acks.bit_count() >= quorum:  # the quorum-th earliest party to ack
+                i = record.index * n
+                record.ack_quorum_us = sorted(landed[i : i + n])[quorum - 1]
         duplicate_commits = sum(c - 1 for c in commit_counts.values() if c > 1)
 
         report = RunReport(

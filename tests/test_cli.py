@@ -292,6 +292,10 @@ def test_run_seed_out_of_range_exits_2(tmp_path, capsys, config_path, seed):
         lambda doc: {**doc, "scheme": "rsa"},
         lambda doc: {k: v for k, v in doc.items() if k != "scheme"},
         lambda doc: {**doc, "party_keys": {**doc["party_keys"], "0": doc["party_keys"]["0"][:62]}},
+        lambda doc: {**doc, "party_keys": {"01": doc["party_keys"]["0"], **doc["party_keys"]}},
+        lambda doc: {**doc, "party_keys": {(" 0" if p == "0" else p): k for p, k in doc["party_keys"].items()}},
+        lambda doc: {**doc, "party_keys": {**doc["party_keys"], "9": doc["party_keys"]["0"]}},
+        lambda doc: {**doc, "party_keys": {p: k for p, k in doc["party_keys"].items() if p != "0"}},
     ],
     ids=[
         "list_root",
@@ -303,6 +307,10 @@ def test_run_seed_out_of_range_exits_2(tmp_path, capsys, config_path, seed):
         "unknown_scheme",
         "no_scheme",
         "short_key",
+        "alias_id",
+        "padded_id",
+        "extra_id",
+        "missing_id",
     ],
 )
 def test_verify_malformed_keys_exit_2(produced, tmp_path, capsys, edit):

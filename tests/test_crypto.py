@@ -80,6 +80,25 @@ def test_test_mac_is_hmac_sha256():
         assert not verify(kp.public, message + b"!", Signature(SCHEME_TEST_MAC, want))
 
 
+def test_test_mac_key_states_are_copied_never_updated():
+    # Each key's HMAC state is kept and copied for every MAC. Interleaving
+    # signs and verifies across keys and messages would carry one message
+    # into the next if a kept state were ever updated in place. The messages
+    # are fresh, so no verify is answered from its memo.
+    keys = [keygen(bytes([i]) * 32, SCHEME_TEST_MAC) for i in range(3)]
+    rng = random.Random(11)
+    for round_no in range(40):
+        kp = keys[rng.randrange(len(keys))]
+        message = round_no.to_bytes(2, "big") + rng.randbytes(rng.randrange(0, 200))
+        want = hmac.digest(kp.secret, message, "sha256")
+        if rng.random() < 0.5:
+            assert sign(kp, message) == Signature(SCHEME_TEST_MAC, want)
+        else:
+            assert verify(kp.public, message, Signature(SCHEME_TEST_MAC, want))
+            assert not verify(kp.public, message, Signature(SCHEME_TEST_MAC, bytes(32)))
+    assert crypto._mac_state.cache_info().currsize >= len(keys)
+
+
 def test_signature_hash_is_computed_once_and_unchanged(scheme):
     # The generated hash's value, computed at construction.
     sig = sign(keygen(b"\x07" * 32, scheme), b"message")

@@ -146,14 +146,17 @@ def _ack_runner() -> _Runner:
 
 def test_ack_quorum_counts_distinct_parties():
     runner = _ack_runner()
+    d = runner.d
     n, quorum = runner.cfg.n_parties, runner.cfg.n_parties - runner.cfg.f
     assert (n, quorum) == (7, 5)
     runner._schedule_clients()
     record = runner.tx_records[3]
 
     def reply(t, party, ok=True):
-        runner.now_us = t
-        runner._on_hub(msg.SubmissionReply(3, party, ok, "" if ok else "full"), runner.ctxs[runner.d.hub])
+        # From the party's batcher of the tx's shard, landing at the hub at t.
+        sender = d.batcher[party][record.shard]
+        runner.push(t, sender, d.hub, msg.SubmissionReply(3, party, ok, "" if ok else "full"))
+        runner._build_report(False)
         return record.acks, record.ack_quorum_us
 
     reply(1, 6)
@@ -162,7 +165,7 @@ def test_ack_quorum_counts_distinct_parties():
     for t, party in ((4, 2), (5, 0), (6, 2), (7, 4)):
         reply(t, party)
     # Four distinct parties acked, one of them twice: no quorum yet.
-    assert record.to_dict()["acks"] == 4
+    assert record.acks.bit_count() == 4
     assert record.ack_quorum_us is None
     assert record.rejects == {"full": 1}
     # The fifth distinct party (N - F at N=7) makes the quorum.
@@ -170,38 +173,103 @@ def test_ack_quorum_counts_distinct_parties():
     mask = record.acks
     assert reply(21, 5) == (mask, 20)
     assert reply(22, 1)[1] == 20
-    assert record.to_dict()["acks"] == 6
+    assert record.acks.bit_count() == 6
+    # A reply that lands after duration + drain is never delivered.
+    assert reply(runner.limit_us + 1, 3) == (mask | 1 << 1, 20)
+    # The quorum is the fifth-earliest landing, whatever order the replies
+    # were sent in.
+    assert reply(10, 3)[1] == 10
     # Replies for one submission never touch another's record.
     assert all(r.acks == 0 and r.ack_quorum_us is None for r in runner.tx_records if r is not record)
+
+
+def _observe_hub_replies(runner) -> list[tuple[int, msg.SubmissionReply]]:
+    """(landing time, reply) of every message sent to the hub by another
+    node, filled in as the run pushes them."""
+    replies = []
+    push, hub = runner.push, runner.d.hub
+
+    def observed(t, sender, dest, message):
+        if dest == hub and sender != hub:  # not one of the hub's own SubmitTx timers
+            replies.append((t, message))
+        push(t, sender, dest, message)
+
+    runner.push = observed
+    return replies
 
 
 def test_report_acks_equal_the_distinct_parties_that_acked():
     runner = _ack_runner()
     quorum = runner.cfg.n_parties - runner.cfg.f
+    replies = _observe_hub_replies(runner)
+    report = runner.run()
     acked: dict[int, set] = {}
     quorum_at: dict[int, int] = {}
-    on_hub = runner._on_hub
-
-    def observed(message, ctx):
-        if isinstance(message, msg.SubmissionReply) and message.ok:  # not one of the hub's own SubmitTx
+    for t, message in sorted(replies, key=lambda entry: entry[0]):
+        assert t <= report.end_time_us  # a quiescent run ends with none in flight
+        if message.ok:
             parties = acked.setdefault(message.submission_id, set())
             parties.add(message.party)
             if len(parties) == quorum:
-                quorum_at.setdefault(message.submission_id, runner.now_us)
-        on_hub(message, ctx)
-
-    runner._on_hub = observed
-    report = runner.run()
+                quorum_at.setdefault(message.submission_id, t)
     assert report.quiescent and quorum_at
     for record in report.tx_records:
-        assert record.to_dict()["acks"] == len(acked.get(record.index, ()))
+        assert record.acks.bit_count() == len(acked.get(record.index, ()))
         assert record.ack_quorum_us == quorum_at.get(record.index)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"drain": 0},
+        {"gst": 0.4, "drain": 0.01},
+        {"protocol": {"pool_capacity": 3}},
+    ],
+    ids=["no_drain", "late_gst_short_drain", "small_pools"],
+)
+def test_report_counts_exactly_the_replies_that_land_by_the_end(edit):
+    # Replies still in flight when a run is cut at duration + drain never
+    # reach the hub; every one that lands by then counts, ok or not.
+    doc = json.loads((CONFIGS / "baseline.json").read_text())
+    doc = {**doc, **edit, "protocol": {**doc["protocol"], **edit.get("protocol", {})}}
+    runner = _Runner(ScenarioConfig.from_dict(doc))
+    quorum = runner.cfg.n_parties - runner.cfg.f
+    replies = _observe_hub_replies(runner)
+    report = runner.run()
+    end = report.end_time_us
+    landed = [(t, m) for t, m in replies if t <= end]
+    acked: dict[int, dict[int, int]] = {}  # submission -> party -> earliest ok landing
+    rejects: dict[int, dict[str, int]] = {}
+    for t, message in landed:
+        if message.ok:
+            earliest = acked.setdefault(message.submission_id, {})
+            earliest[message.party] = min(t, earliest.get(message.party, t))
+        else:
+            counts = rejects.setdefault(message.submission_id, {})
+            counts[message.reason] = counts.get(message.reason, 0) + 1
+    for record in report.tx_records:
+        times = sorted(acked.get(record.index, {}).values())
+        assert record.acks == sum(1 << party for party in acked.get(record.index, {}))
+        assert record.ack_quorum_us == (times[quorum - 1] if len(times) >= quorum else None)
+        assert record.rejects == rejects.get(record.index, {})
+    if "pool_capacity" in doc["protocol"]:
+        assert any(rejects.values())
+    else:  # the run was cut with replies in flight
+        assert not report.quiescent and len(landed) < len(replies)
 
 
 def _record(i: int) -> TxRecord:
     # Every third tx is censored and never commits; every fifth has rejects.
+    # Of every seven, the second has a reject reason that needs escaping,
+    # the third a non-ASCII one, and the fourth acks 0 and every optional
+    # field None.
     committed = i % 3 != 0
-    return TxRecord(
+    rejects = {"stale": 2, "backpressure": 1} if i % 5 == 0 else {}
+    if i % 7 == 1:
+        rejects = {'q"uote': 1, "stale": 1}
+    elif i % 7 == 2:
+        rejects = {"caf\u00e9": 3}
+    record = TxRecord(
         index=i,
         tx_id=i.to_bytes(32, "big"),
         client=i % 4,
@@ -210,11 +278,33 @@ def _record(i: int) -> TxRecord:
         censored=not committed,
         acks=0b1011 if i % 2 else 0,
         ack_quorum_us=1_000 * i + 300 if i % 2 else None,
-        rejects={"stale": 2, "backpressure": 1} if i % 5 == 0 else {},
+        rejects=rejects,
         first_commit_us=1_000 * i + 900 if committed else None,
         last_commit_us=1_000 * i + 1_200 if committed else None,
         commit_count=4 if committed else 0,
     )
+    if i % 7 == 3:
+        record.acks = 0
+        record.ack_quorum_us = record.first_commit_us = record.last_commit_us = None
+    return record
+
+
+def _record_dict(r: TxRecord) -> dict:
+    """A tx record as ``report.json`` holds it."""
+    return {
+        "index": r.index,
+        "tx_id": r.tx_id.hex(),
+        "client": r.client,
+        "shard": r.shard,
+        "submit_us": r.submit_us,
+        "censored": r.censored,
+        "acks": r.acks.bit_count(),
+        "ack_quorum_us": r.ack_quorum_us,
+        "rejects": r.rejects,
+        "first_commit_us": r.first_commit_us,
+        "last_commit_us": r.last_commit_us,
+        "commit_count": r.commit_count,
+    }
 
 
 def _synthetic_report(records: list[TxRecord]) -> RunReport:
@@ -240,11 +330,11 @@ def _synthetic_report(records: list[TxRecord]) -> RunReport:
 @pytest.mark.parametrize("count", [0, 1, JSON_CHUNK_RECORDS, JSON_CHUNK_RECORDS + 1])
 def test_chunked_encoding_equals_one_shot_dumps(count):
     report = _synthetic_report([_record(i) for i in range(count)])
-    whole = {**report.head_dict(), "txs": [r.to_dict() for r in report.tx_records]}
+    whole = {**report.head_dict(), "txs": [_record_dict(r) for r in report.tx_records]}
     expected = json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"
     assert report_to_json(report) == expected
     pieces = list(iter_report_json(report))
     assert "".join(pieces) == expected
     # The head, one piece per started chunk, and the closing.
     assert len(pieces) == 2 + -(-count // JSON_CHUNK_RECORDS)
-    assert json.loads(expected)["txs"][-1:] == [r.to_dict() for r in report.tx_records[-1:]]
+    assert json.loads(expected)["txs"][-1:] == [_record_dict(r) for r in report.tx_records[-1:]]
