@@ -63,10 +63,7 @@ def sample_verify(batch: Batch, sample_count: int, rng: random.Random, is_valid)
     better.
     """
     n = len(batch.txs)
-    if n == 0:
-        return None
-    draws = min(sample_count, n)
-    for _ in range(draws):
+    for _ in range(min(sample_count, n)):
         idx = rng.randrange(n)
         if not is_valid(batch.txs[idx]):
             return idx
@@ -99,7 +96,8 @@ class BatcherNode:
         self.node_id = d.batcher[party][shard]
         self.keypair = d.party_keys[party]
         self.adversary = d.adversaries.get(party)  # this party's scenario entry, if any
-        self.term = 0
+        self.kind = None if self.adversary is None else self.adversary.kind
+        self._set_term(0)
         self.ledger: list[Batch] = []
         self.persisted_ids: set[bytes] = set()
         self.thresholded: set[BatchKey] = set()
@@ -118,25 +116,20 @@ class BatcherNode:
 
     # --- role -----------------------------------------------------------
 
-    @property
-    def is_primary(self) -> bool:
-        return primary_for_term(self.term, self.d.n) == self.party
+    def _set_term(self, term: int) -> None:
+        self.term = term
+        self.primary = primary_for_term(term, self.d.n)  # the term's primary party
+        self.is_primary = self.primary == self.party
 
     @property
     def height(self) -> int:
         return len(self.ledger)
 
-    def _behaves(self, kind: str) -> bool:
-        return self.adversary is not None and self.adversary.kind == kind
-
     # --- lifecycle --------------------------------------------------------
 
     def start(self, ctx) -> None:
         ctx.schedule(self.d.protocol.bucket_period_us, msg.BucketTick())
-        if not self.is_primary:
-            self._issue_pull(ctx)
-        if self._behaves(FALSE_COMPLAINT) and not self.is_primary:
-            self._send_complaint(ctx)
+        self._change_term(0, ctx)
 
     def handle(self, message, ctx) -> None:
         if isinstance(message, msg.SubmitTx):
@@ -218,10 +211,10 @@ class BatcherNode:
 
     def _build_batch(self, txs: tuple[Transaction, ...]) -> Batch:
         seq = self.height
-        if self._behaves(INJECT_BOGUS) and txs:
+        if self.kind == INJECT_BOGUS and txs:
             txs = self._inject_bogus(txs)
         batch = Batch(self.shard, seq, self.term, self.party, txs)
-        if self._behaves(EQUIVOCATE_BATCH) and len(txs) > 1:
+        if self.kind == EQUIVOCATE_BATCH and len(txs) > 1:
             variant = Batch(self.shard, seq, self.term, self.party, tuple(reversed(txs)))
             others = [p for p in range(self.d.n) if p != self.party]
             split = {p: (batch if i < len(others) // 2 else variant) for i, p in enumerate(others)}
@@ -246,7 +239,7 @@ class BatcherNode:
         self.persisted_ids.update(ids)
         self.pool.remove(ids)
         ctx.send(self.d.assembler[self.party], batch)
-        if not (self._behaves(WITHHOLD_BAS) or self._behaves(SILENT_SECONDARY)):
+        if self.kind not in (WITHHOLD_BAS, SILENT_SECONDARY):
             self._send_attestation(batch, ctx)
         for party in self.pending_pulls.pop(batch.seq, ()):
             self._serve(batch.seq, party, ctx)
@@ -285,21 +278,19 @@ class BatcherNode:
     # --- secondary: pulling, verifying, persisting --------------------------------
 
     def _issue_pull(self, ctx) -> None:
-        if self.is_primary or self.halted or self._behaves(SILENT_SECONDARY):
+        if self.is_primary or self.halted or self.kind == SILENT_SECONDARY:
             return
-        primary_party = primary_for_term(self.term, self.d.n)
-        ctx.send(self.d.batcher[primary_party][self.shard], msg.PullRequest(self.height, self.party))
+        ctx.send(self.d.batcher[self.primary][self.shard], msg.PullRequest(self.height, self.party))
 
     def _on_pull_response(self, m: msg.PullResponse, ctx) -> None:
         if self.is_primary or self.halted:
             return
-        primary_party = primary_for_term(self.term, self.d.n)
-        if m.responder_party != primary_party or m.batch is None:
+        if m.responder_party != self.primary or m.batch is None:
             return
         batch = m.batch
         if batch.seq != self.height:
             return
-        current = batch.term == self.term and batch.primary == primary_party
+        current = batch.term == self.term and batch.primary == self.primary
         historical = batch.term < self.term
         if not (current or historical):
             # Mislabelled batch served by the live primary: misbehavior.
@@ -335,14 +326,13 @@ class BatcherNode:
     def _on_bucket_tick(self, ctx) -> None:
         proto = self.d.protocol
         ctx.schedule(proto.bucket_period_us, msg.BucketTick())
-        if self._behaves(FALSE_COMPLAINT) and not self.is_primary:
+        if self.kind == FALSE_COMPLAINT and not self.is_primary:
             self._send_complaint(ctx)
-        if self.is_primary or self.halted or self._behaves(SILENT_SECONDARY):
+        if self.is_primary or self.halted or self.kind == SILENT_SECONDARY:
             return
         to_forward, complain = self.pool.scan(ctx.now(), proto.t_forward_us, proto.t_complain_us)
-        router = self.d.router[primary_for_term(self.term, self.d.n)]
         for tx in to_forward:
-            ctx.send(router, msg.SubmitTx(tx, None))
+            ctx.send(self.d.router[self.primary], msg.SubmitTx(tx, None))
         if complain:
             self._send_complaint(ctx)
 
@@ -354,7 +344,7 @@ class BatcherNode:
             self._change_term(m.new_term, ctx)
 
     def _change_term(self, new_term: int, ctx) -> None:
-        self.term = new_term
+        self._set_term(new_term)
         self.halted = False
         self.pool.new_term(ctx.now())
         if self.is_primary:
@@ -369,5 +359,5 @@ class BatcherNode:
             self._arm_proposal(ctx)
         else:
             self._issue_pull(ctx)
-            if self._behaves(FALSE_COMPLAINT):
+            if self.kind == FALSE_COMPLAINT:
                 self._send_complaint(ctx)

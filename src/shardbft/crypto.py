@@ -11,8 +11,11 @@ Two schemes share one interface:
   asymmetric scheme. Its backend is chosen once per process, on the first
   Ed25519 key operation, from what loads: the system libsodium through
   ``ctypes`` if it loads and reproduces RFC 8032's TEST 1, else the
-  ``cryptography`` package. Both give the same bytes, so the choice changes
-  speed and memory, never a result. A ``test_mac`` process loads neither.
+  ``cryptography`` package, imported when that fallback is built. Each
+  backend object owns its key caches. Both give the same keys, signatures
+  and, on every key ``keygen`` derives, verdicts, so no simulation depends on
+  the choice; on a small-order public key OpenSSL accepts forgeries that
+  libsodium refuses. A ``test_mac`` process loads neither.
 
 Key generation is deterministic in the seed so that whole simulations replay
 bit-for-bit.
@@ -29,13 +32,6 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-        Ed25519PublicKey,
-    )
 
 SCHEME_TEST_MAC = "test_mac"
 SCHEME_ED25519 = "standard_signature"
@@ -135,47 +131,29 @@ class _Cryptography:
 
     name = "cryptography"
 
-    @staticmethod
-    def public_key(secret: bytes) -> bytes:
-        return _private_key(secret).public_key().public_bytes_raw()
+    def __init__(self):
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
-    @staticmethod
-    def sign(secret: bytes, message: bytes) -> bytes:
-        return _private_key(secret).sign(message)
+        # What a check that does not verify raises.
+        self._rejects = (ValueError, InvalidSignature)
+        # One key object per raw key, that is per party and client. A malformed
+        # key raises ValueError, which lru_cache never stores.
+        self._private_key = lru_cache(maxsize=_KEY_CACHE_SIZE)(Ed25519PrivateKey.from_private_bytes)
+        self._public_key = lru_cache(maxsize=_KEY_CACHE_SIZE)(Ed25519PublicKey.from_public_bytes)
 
-    @staticmethod
-    def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    def public_key(self, secret: bytes) -> bytes:
+        return self._private_key(secret).public_key().public_bytes_raw()
+
+    def sign(self, secret: bytes, message: bytes) -> bytes:
+        return self._private_key(secret).sign(message)
+
+    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         try:
-            _public_key(public).verify(signature, message)
+            self._public_key(public).verify(signature, message)
             return True
-        except (ValueError, _invalid_signature()):
+        except self._rejects:
             return False
-
-
-# The package is imported in the three functions below. The key caches run an
-# import once per key, and ``_invalid_signature`` runs only on a failed check,
-# so a verify pays no import.
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _private_key(raw: bytes) -> Ed25519PrivateKey:
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-    return Ed25519PrivateKey.from_private_bytes(raw)
-
-
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _public_key(raw: bytes) -> Ed25519PublicKey:
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-
-    # A malformed key raises ValueError, which lru_cache never stores.
-    return Ed25519PublicKey.from_public_bytes(raw)
-
-
-def _invalid_signature() -> type[Exception]:
-    # Called only while an exception propagates out of an Ed25519 check, by
-    # which time ``_public_key`` has loaded the package.
-    from cryptography.exceptions import InvalidSignature
-
-    return InvalidSignature
 
 
 class _Sodium:

@@ -481,6 +481,7 @@ def test_one_pool_across_term_changes(client_directory, client_keys, party_keys)
     for term, primary in ((1, True), (2, False), (4, False), (5, True), (9, True), (11, False)):
         node.handle(msg.OrderedUpdate((), new_term=term), ctx)
         assert node.term == term and node.is_primary == primary
+        assert node.primary == term % 4 and (node.primary == node.party) == primary
         assert node.pool is pool
         assert pooled.tx_id in pool.tx_index
         if primary:

@@ -203,10 +203,16 @@ def test_memo_cached_false_never_turns_true(scheme):
 
 
 @pytest.mark.parametrize("public", [b"", b"\x01" * 31, b"\x01" * 33])
-def test_malformed_ed25519_public_key_false_on_every_call(public):
-    sig = sign(keygen(b"\x09" * 32, SCHEME_ED25519), b"m")
-    assert verify(public, b"m", sig) is False
-    assert verify(public, b"m", sig) is False
+def test_malformed_ed25519_public_key_false_on_every_call(public, swap_backend):
+    # On the selected backend, then on the fallback, whose key cache must never
+    # keep a key that failed to load. The direct calls go past the verify memo.
+    for backend in (crypto._ed25519(), crypto._Cryptography()):
+        swap_backend(backend)
+        sig = sign(keygen(b"\x09" * 32, SCHEME_ED25519), b"m")
+        assert verify(public, b"m", sig) is False
+        assert verify(public, b"m", sig) is False
+        assert backend.verify(public, b"m", sig.data) is False
+        assert backend.verify(public, b"m", sig.data) is False
 
 
 # --- the two Ed25519 backends -------------------------------------------------
