@@ -156,24 +156,22 @@ class BatcherNode:
     # --- pool intake ------------------------------------------------------
 
     def _on_submit(self, m: msg.SubmitTx, ctx) -> None:
-        status = self._insert(m.tx, ctx)
+        tx = m.tx
+        if self.adversary is not None and self.adversary.censors(tx):
+            # A censoring party drops the transaction but acknowledges it, so
+            # the client cannot tell this party apart from an honest one.
+            status = INSERT_ACCEPTED
+        elif tx.tx_id in self.persisted_ids:
+            status = INSERT_DUPLICATE
+        else:
+            status = self.pool.insert(tx)
+            if status == INSERT_ACCEPTED and self.is_primary:
+                self._arm_proposal(ctx)
         if m.submission_id is not None:
             # A duplicate is already in the pool or the ledger: the
             # submission goal is met, so it still acknowledges.
             ok = status in (INSERT_ACCEPTED, INSERT_DUPLICATE)
             ctx.send(self.d.hub, msg.SubmissionReply(m.submission_id, self.party, ok, status))
-
-    def _insert(self, tx: Transaction, ctx) -> str:
-        if self.adversary is not None and self.adversary.censors(tx):
-            # A censoring party drops the transaction but acknowledges it, so
-            # the client cannot tell this party apart from an honest one.
-            return INSERT_ACCEPTED
-        if tx.tx_id in self.persisted_ids:
-            return INSERT_DUPLICATE
-        status = self.pool.insert(tx)
-        if status == INSERT_ACCEPTED and self.is_primary:
-            self._arm_proposal(ctx)
-        return status
 
     # --- primary: proposing ----------------------------------------------
 

@@ -139,6 +139,7 @@ class ConsensusNode:
         self.party = party
         self.node_id = d.consensus[party]
         self.peers = tuple(c for c in d.consensus if c != self.node_id)
+        self.quorum = quorum_size(d.n, d.f)  # header signatures that publish a block
         self.state = ConsensusState(d.protocol.epoch_window, d.k)
         self.next_round = 1  # the sequencer numbers rounds from 1
         self.early_rounds: dict[int, msg.RoundDelivery] = {}
@@ -251,7 +252,7 @@ class ConsensusNode:
 
     def _try_publish(self, seq: int, ctx) -> None:
         header, sigs = self.headers[seq]
-        quorum = quorum_size(self.d.n, self.d.f)
+        quorum = self.quorum
         if len(sigs) < quorum:
             return
         del self.headers[seq]

@@ -26,10 +26,7 @@ _TAG_COMPLAINT = b"\x43"
 _TAG_HEADER = b"\x48"
 
 _U64 = struct.Struct(">Q")
-
-
-def u64(value: int) -> bytes:
-    return _U64.pack(value)
+u64 = _U64.pack  # u64(value) -> 8 bytes; no Python frame on the per-tx path
 
 
 # Decoders read untrusted bytes (ledger files): every integer, length and

@@ -6,7 +6,8 @@ Two schemes share one interface:
   recomputes the MAC, so the "public" key equals the secret key. This is the
   default for simulations: it is fast, reproducible, and unforgeable by
   construction as long as the harness never signs with a key on behalf of a
-  node that does not own it.
+  node that does not own it. Each key keeps two SHA-256 states, fed its
+  inner and its outer padded block once (RFC 2104); a MAC copies both.
 * ``standard_signature`` -- Ed25519 (RFC 8032), for runs that want a real
   asymmetric scheme. Its backend is chosen once per process, on the first
   Ed25519 key operation, from what loads: the system libsodium through
@@ -83,16 +84,30 @@ def keygen(seed: bytes, scheme: str = SCHEME_TEST_MAC) -> KeyPair:
     raise ValueError(f"unknown signature scheme: {scheme!r}")
 
 
+# RFC 2104 over SHA-256's 64-byte block: byte tables that XOR a key with its
+# inner (0x36) and outer (0x5c) pad.
+_BLOCK_LEN = 64
+_INNER_PAD = bytes(b ^ 0x36 for b in range(256))
+_OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
+
+
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _mac_state(secret: bytes) -> hmac.HMAC:
-    """HMAC-SHA256 keyed with ``secret``, fed nothing: only ever copied."""
-    return hmac.new(secret, digestmod=hashlib.sha256)
+def _mac_state(secret: bytes) -> tuple:
+    """The SHA-256 states fed ``secret``'s inner and outer padded block: only ever copied."""
+    if len(secret) > _BLOCK_LEN:
+        secret = hashlib.sha256(secret).digest()
+    block = secret.ljust(_BLOCK_LEN, b"\0")
+    return hashlib.sha256(block.translate(_INNER_PAD)), hashlib.sha256(block.translate(_OUTER_PAD))
 
 
 def _mac(secret: bytes, message: bytes) -> bytes:
-    state = _mac_state(secret).copy()
-    state.update(message)
-    return state.digest()
+    """HMAC-SHA256 (RFC 2104): H(K ^ opad || H(K ^ ipad || message))."""
+    inner, outer = _mac_state(secret)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def sign(key: KeyPair, message: bytes) -> Signature:

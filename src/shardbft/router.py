@@ -57,11 +57,11 @@ class RouterNode:
         self.party = party
         self.node_id = d.router[party]
         self.batchers = d.batcher[party]  # shard -> this party's batcher
+        self.directory, self.max_tx_size, self.k = d.client_directory, d.protocol.max_tx_size, d.k
 
     def handle(self, m: msg.SubmitTx, ctx) -> None:
-        d = self.d
-        reason = validate_transaction(m.tx, d.client_directory, d.protocol.max_tx_size)
+        reason = validate_transaction(m.tx, self.directory, self.max_tx_size)
         if reason is None:
-            ctx.send(self.batchers[map_to_shard(m.tx.tx_id, d.k)], m)
+            ctx.send(self.batchers[map_to_shard(m.tx.tx_id, self.k)], m)
         elif m.submission_id is not None:
-            ctx.send(d.hub, msg.SubmissionReply(m.submission_id, self.party, False, reason))
+            ctx.send(self.d.hub, msg.SubmissionReply(m.submission_id, self.party, False, reason))

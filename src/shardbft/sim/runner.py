@@ -180,24 +180,22 @@ class _Runner:
     def push(self, t: int, sender: int, dest: int, message) -> None:
         seq = self.send_seq.get(sender, 0)
         self.send_seq[sender] = seq + 1
-        if dest == HUB and sender != HUB:
-            self._tally(t, message)
-        elif t < self.crash_us[dest]:
-            heapq.heappush(self.heap, (t, sender, seq, dest, message))
-
-    def _tally(self, t: int, reply: msg.SubmissionReply) -> None:
-        """Apply a reply to its record as of its landing time ``t``."""
+        if dest != HUB or sender == HUB:
+            if t < self.crash_us[dest]:
+                heapq.heappush(self.heap, (t, sender, seq, dest, message))
+            return
+        # A reply to the hub, applied to its record as of its landing time t.
         self.hub_busy_us = max(self.hub_busy_us, t)
         if t > self.limit_us:
             return
-        record = self.tx_records[reply.submission_id]
-        if reply.ok:
-            record.acks |= 1 << reply.party
-            i = reply.submission_id * self.d.n + reply.party
+        record = self.tx_records[message.submission_id]
+        if message.ok:
+            record.acks |= 1 << message.party
+            i = message.submission_id * self.d.n + message.party
             if t < self.landed[i]:
                 self.landed[i] = t
         else:
-            record.rejects[reply.reason] = record.rejects.get(reply.reason, 0) + 1
+            record.rejects[message.reason] = record.rejects.get(message.reason, 0) + 1
 
     def _new_link(self, sender: int, dest: int):
         rng = self.link_rngs[sender, dest] = random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
@@ -221,26 +219,19 @@ class _Runner:
 
     def _schedule_clients(self) -> None:
         cfg = self.cfg
-        count = cfg.resolved_tx_count()
+        count, clients, duration, shards = cfg.resolved_tx_count(), cfg.clients, cfg.duration_us, cfg.shard_count
+        keys, randbytes, filler = self.d.client_keys, self.rng_client.randbytes, cfg.tx_size - 8
+        censors = [a for a in cfg.adversaries if a.kind == CENSOR_TX]
+        records, submissions = self.tx_records, self.submissions
         for i in range(count):
-            t = cfg.duration_us * i // count
-            client = i % cfg.clients
-            payload = u64(i) + self.rng_client.randbytes(cfg.tx_size - 8)
-            tx = Transaction(
-                client, payload, sign(self.d.client_keys[client], tx_signing_bytes(client, payload))
-            )
-            censored = any(a.censors(tx) for a in cfg.adversaries)
-            record = TxRecord(
-                index=i,
-                tx_id=tx.tx_id,
-                client=client,
-                shard=map_to_shard(tx.tx_id, cfg.shard_count),
-                submit_us=t,
-                censored=censored,
-            )
-            self.tx_records.append(record)
-            self.submissions.append(msg.SubmitTx(tx, i))  # one object, sent to every router
-        self.push(self.tx_records[0].submit_us, HUB, HUB, self.submissions[0])
+            client = i % clients
+            payload = u64(i) + randbytes(filler)
+            tx = Transaction(client, payload, sign(keys[client], tx_signing_bytes(client, payload)))
+            censored = bool(censors) and any(a.censors(tx) for a in censors)
+            shard = map_to_shard(tx.tx_id, shards)
+            records.append(TxRecord(i, tx.tx_id, client, shard, duration * i // count, censored))
+            submissions.append(msg.SubmitTx(tx, i))  # one object, sent to every router
+        self.push(records[0].submit_us, HUB, HUB, submissions[0])
 
     def _on_hub(self, message: msg.SubmitTx, ctx) -> None:
         """The hub's own timer: submit, then wait for the next."""

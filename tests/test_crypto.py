@@ -80,8 +80,19 @@ def test_test_mac_is_hmac_sha256():
         assert not verify(kp.public, message + b"!", Signature(SCHEME_TEST_MAC, want))
 
 
+@pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
+@pytest.mark.parametrize("message_len", [0, 1, 300])
+def test_test_mac_is_hmac_sha256_at_every_key_length(key_len, message_len):
+    # Keys past SHA-256's 64-byte block are hashed first (RFC 2104); keygen
+    # only makes 32-byte keys, so no run reaches that rule.
+    rng = random.Random(key_len * 1000 + message_len)
+    key, message = rng.randbytes(key_len), rng.randbytes(message_len)
+    assert crypto._mac(key, message) == hmac.digest(key, message, "sha256")
+    assert crypto._mac(key, message) == hmac.digest(key, message, "sha256")  # from the kept state
+
+
 def test_test_mac_key_states_are_copied_never_updated():
-    # Each key's HMAC state is kept and copied for every MAC. Interleaving
+    # Each key's two pad states are kept and copied for every MAC. Interleaving
     # signs and verifies across keys and messages would carry one message
     # into the next if a kept state were ever updated in place. The messages
     # are fresh, so no verify is answered from its memo.

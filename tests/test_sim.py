@@ -326,6 +326,34 @@ def test_held_back_arrivals_count_as_in_flight():
     assert runner.tx_records[-1].submit_us < cfg.duration_us
 
 
+def test_patched_network_send_and_push_see_every_message():
+    # perfbench's tracer patches both on the instance before run(), and
+    # counts messages and the heap's peak through them: every event is one
+    # push, and every message between two nodes comes through network_send.
+    runner = _Runner(ScenarioConfig.from_dict(json.loads((CONFIGS / "baseline.json").read_text())))
+    send, push = runner.network_send, runner.push
+    sending = []  # the (sender, dest) network_send is carrying
+    counts = Counter()
+
+    def observe_send(sender, dest, message):
+        counts["send"] += 1
+        sending.append((sender, dest))
+        send(sender, dest, message)
+        sending.pop()
+
+    def observe_push(t, sender, dest, message):
+        counts["push"] += 1
+        if sender != dest:
+            assert sending and sending[-1] == (sender, dest)
+            counts["sent"] += 1
+        push(t, sender, dest, message)
+
+    runner.network_send, runner.push = observe_send, observe_push
+    runner.run()
+    assert counts["push"] == sum(runner.send_seq.values()) == 7157
+    assert counts["sent"] == counts["send"] > 0  # each send pushes once
+
+
 def test_the_hub_submits_each_tx_to_every_router_on_its_own_timer():
     # Pre-GST delays reorder arrivals against submission order; the sends
     # keep it.
