@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .crypto import Signature
 
@@ -200,23 +201,13 @@ def decode_batch(buf: bytes, off: int, scheme: str) -> tuple[Batch, int]:
 # Attestations
 
 
-@dataclass(frozen=True, slots=True)
-class BatchKey:
-    """Aggregation key for attestation counting: (seq, shard, digest, primary)."""
+class BatchKey(NamedTuple):
+    """Aggregation key for attestation counting; a tuple, so it hashes and compares in C."""
 
     seq: int
     shard: int
     digest: bytes
     primary: int
-    # The hash the generated one would give, computed once: keys are hashed
-    # on every set and dict operation in consensus.
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.seq, self.shard, self.digest, self.primary)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def slot(self) -> tuple[int, int, int]:
         # The ledger position a key occupies, independent of content digest.

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 SCHEME_TEST_MAC = "test_mac"
 SCHEME_ED25519 = "standard_signature"
@@ -51,19 +52,10 @@ VERIFY_CACHE_SIZE = 1 << 14
 _KEY_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(NamedTuple):
+    # A tuple, so ``verify``'s memo hashes it in C on every call.
     scheme: str
     data: bytes
-    # The hash the generated one would give, computed once: ``verify``'s
-    # memo hashes its signature argument on every call.
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.scheme, self.data)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True, slots=True)

@@ -104,6 +104,7 @@ class Deployment:
     def __init__(self, cfg: ScenarioConfig):
         n, k = self.n, self.k = cfg.n_parties, cfg.shard_count
         self.f, self.seed, self.scheme, self.protocol = cfg.f, cfg.seed, cfg.scheme, cfg.protocol
+        self.ack_quorum = n - cfg.f  # distinct parties' ok replies that make a tx acked
         self.sample_count = cfg.protocol.resolved_sample_count()
         self.adversaries = {a.party: a for a in cfg.adversaries}
         self.party_keys = derive_keys(b"party", cfg.seed, n, cfg.scheme)
@@ -310,7 +311,7 @@ class _Runner:
                     if any(tx_id not in self.assemblers[q].inclusion_times for q in correct):
                         return False
         inclusion = [self.assemblers[p].inclusion_times for p in correct]
-        quorum = self.cfg.n_parties - self.cfg.f
+        quorum = self.d.ack_quorum
         return all(
             record.tx_id in times
             for record in self.tx_records
@@ -366,7 +367,7 @@ class _Runner:
                 drops[reason] = drops.get(reason, 0) + count
 
         inclusion = [self.assemblers[p].inclusion_times for p in correct]
-        n, quorum, landed = self.d.n, cfg.n_parties - cfg.f, self.landed
+        n, quorum, landed = self.d.n, self.d.ack_quorum, self.landed
         for record in self.tx_records:
             first = last = None
             held = 0  # correct parties that commit the tx

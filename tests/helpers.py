@@ -1,12 +1,12 @@
 """Builders shared by the unit tests: transactions, batches, pending
-attestation shares, a deployment wired to the fixture keys, and a context
-that records what a node does."""
+attestation shares, a deployment wired to the fixture keys, a context
+that records what a node does, and a run checked after every delivery."""
 
 from __future__ import annotations
 
 from shardbft.core import Batch, Transaction, tx_signing_bytes
 from shardbft.crypto import sign
-from shardbft.sim.runner import Deployment
+from shardbft.sim.runner import Deployment, _Runner
 from shardbft.sim.scenario import ProtocolParams, ScenarioConfig
 
 
@@ -56,6 +56,26 @@ def make_deployment(party_keys=None, client_directory=None, n=4, f=1, shards=1, 
     if client_directory is not None:
         d.client_directory = client_directory
     return d
+
+
+def run_checked(cfg: ScenarioConfig, check):
+    """Run ``cfg``, calling ``check(node, message)`` after each delivery to a
+    node (the sequencer and the hub are not nodes); returns the report.
+
+    Each node instance's ``handle`` is wrapped before ``run()`` binds its
+    handler table, so the check sees the state that delivery left."""
+    runner = _Runner(cfg)
+    for node in runner.nodes[2:]:
+        node.handle = _checked(node, node.handle, check)
+    return runner.run()
+
+
+def _checked(node, handle, check):
+    def checked(message, ctx):
+        handle(message, ctx)
+        check(node, message)
+
+    return checked
 
 
 class StubCtx:

@@ -290,6 +290,25 @@ def test_a_generated_scenario_passes_every_check(doc):
     assert bound is None, bound
 
 
+@pytest.mark.parametrize("kind", ADVERSARY_KINDS)
+@pytest.mark.parametrize("n, f", [(5, 1), (6, 1), (8, 2), (10, 3)])
+def test_more_than_3f_plus_1_parties_pass_every_check(n, f, kind):
+    # The grid config at N > 3F+1, where the quorum ceil((N+F+1)/2) is not
+    # 2F+1, with no adversary or with F adversaries of one kind.
+    extra = {"crash": {"crash_at": 0.25}, "censor_tx": {"censor_clients": [0]}}.get(kind, {})
+    doc = _grid_config(0).to_dict()
+    doc.update(
+        parties=n,
+        faults=f,
+        shards=2,
+        gst=0,
+        adversaries=[] if kind == "none" else [{"party": p, "kind": kind, **extra} for p in range(f)],
+    )
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    failed = {name: check for name, check in report.checks.items() if not check["pass"]}
+    assert report.quiescent and not failed, failed
+
+
 def test_criterion_3_censorship_bound():
     results = []
     for seed in range(50):

@@ -24,10 +24,9 @@ from shardbft.core import (
     header_digest,
 )
 from shardbft.crypto import Signature, sign
-from shardbft.sim.runner import run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
-from helpers import StubCtx, make_deployment, make_tx
+from helpers import StubCtx, make_deployment, make_tx, run_checked
 from test_regression import SCENARIOS
 
 
@@ -220,25 +219,24 @@ def test_a_header_for_an_appended_or_buffered_seq_is_ignored(monkeypatch, party_
 def test_each_header_is_verified_once_on_arrival(monkeypatch, name):
     # Only a PublishedHeader runs the quorum check, once; the batches and
     # fetches that let the header at the height append run none.
-    handle, verify = AssemblerNode.handle, assembler.verify_header
+    verify = assembler.verify_header
     calls = []
-    headers = 0
+    headers = seen = 0
 
     def counted(*args):
         calls.append(args[0])
         return verify(*args)
 
-    def checked(node, message, ctx):
-        nonlocal headers
-        before = len(calls)
-        handle(node, message, ctx)
-        is_header = isinstance(message, msg.PublishedHeader)
-        headers += is_header
-        assert len(calls) - before == is_header, message
+    def check(node, message):
+        nonlocal headers, seen
+        if isinstance(node, AssemblerNode):
+            is_header = isinstance(message, msg.PublishedHeader)
+            headers += is_header
+            assert len(calls) - seen == is_header, message
+        seen = len(calls)
 
     monkeypatch.setattr(assembler, "verify_header", counted)
-    monkeypatch.setattr(AssemblerNode, "handle", checked)
-    run_scenario(ScenarioConfig.from_dict(SCENARIOS[name]()))
+    run_checked(ScenarioConfig.from_dict(SCENARIOS[name]()), check)
     assert headers and len(calls) == headers
 
 
@@ -285,20 +283,19 @@ def test_no_key_being_fetched_is_held(monkeypatch, name):
     # there is ever already indexed: checked after every assembler message
     # of two pinned scenarios whose withheld and equivocated batches are
     # fetched, some of them past the first party asked.
-    handle, fetch = AssemblerNode.handle, AssemblerNode._fetch
+    fetch = AssemblerNode._fetch
     attempts = []
 
-    def checked(node, message, ctx):
-        handle(node, message, ctx)
-        assert not [key for key in node.fetching if node._held(key)]
+    def check(node, _message):
+        if isinstance(node, AssemblerNode):
+            assert not [key for key in node.fetching if node._held(key)]
 
     def counted(node, key, attempt, ctx):
         attempts.append(attempt)
         fetch(node, key, attempt, ctx)
 
-    monkeypatch.setattr(AssemblerNode, "handle", checked)
     monkeypatch.setattr(AssemblerNode, "_fetch", counted)
-    run_scenario(ScenarioConfig.from_dict(SCENARIOS[name]()))
+    run_checked(ScenarioConfig.from_dict(SCENARIOS[name]()), check)
     assert 0 in attempts and max(attempts) > 0
 
 

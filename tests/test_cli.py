@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import random
+import runpy
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +211,18 @@ def test_sample_size_values(capsys):
     assert capsys.readouterr().out.strip() == "73"
     assert main(["sample-size", "--alpha", "0.95", "--p-fail", str(2.0**-30)]) == 0
     assert capsys.readouterr().out.strip() == "406"
+
+
+def test_module_entry_exits_with_mains_status(monkeypatch, capsys):
+    # ``python -m shardbft.cli``, run in this process.
+    monkeypatch.setattr(sys, "argv", ["shardbft.cli", "sample-size", "--alpha", "0.5", "--p-fail", str(2.0**-30)])
+    with warnings.catch_warnings():
+        # The module is already imported, which runpy warns about.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("shardbft.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.strip() == "30"
 
 
 def test_sample_size_invalid_args_exit_2():

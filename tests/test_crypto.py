@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import hmac
 import io
@@ -19,6 +18,7 @@ from shardbft.cli import main
 from shardbft.crypto import (
     SCHEME_ED25519,
     SCHEME_TEST_MAC,
+    KeyPair,
     Signature,
     keygen,
     sign,
@@ -111,16 +111,16 @@ def test_test_mac_key_states_are_copied_never_updated():
 
 
 def test_signature_hash_is_computed_once_and_unchanged(scheme):
-    # The generated hash's value, computed at construction.
+    # The field tuple's hash: the verify memo's key.
     sig = sign(keygen(b"\x07" * 32, scheme), b"message")
     assert hash(sig) == hash((sig.scheme, sig.data))
     twin = Signature(sig.scheme, sig.data)
-    object.__setattr__(twin, "_hash", 0)
-    assert twin == sig and repr(twin) == repr(sig)
-    assert "_hash" not in repr(sig)
-    assert [f.name for f in dataclasses.fields(Signature) if f.compare] == ["scheme", "data"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert twin == sig and hash(twin) == hash(sig)
+    assert repr(twin) == repr(sig) == f"Signature(scheme={scheme!r}, data={sig.data!r})"
+    with pytest.raises(AttributeError):
         sig.data = b"x"
+    other = SCHEME_ED25519 if scheme == SCHEME_TEST_MAC else SCHEME_TEST_MAC
+    assert Signature(other, sig.data) != sig
 
 
 def test_tampered_message_rejected(scheme):
@@ -160,6 +160,8 @@ def test_signature_lengths_fixed():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         keygen(b"\x00" * 32, "unknown")
+    with pytest.raises(ValueError):
+        sign(KeyPair("unknown", b"\x00" * 32, b"\x00" * 32), b"m")
 
 
 # --- the verify memo ---------------------------------------------------------
