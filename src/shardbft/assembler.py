@@ -208,9 +208,7 @@ def verify_ledger_blocks(blocks, party_keys, n_parties: int, f: int):
         if len(block.batches) != len(block.header.batch_digests):
             return False, i, REJECT_CONTENT_MISMATCH
         for key, batch in zip(block.header.batch_digests, block.batches):
-            if batch.digest() != key.digest:
-                return False, i, REJECT_CONTENT_MISMATCH
-            if batch.shard != key.shard or batch.seq != key.seq or batch.primary != key.primary:
+            if batch.key() != key:
                 return False, i, REJECT_CONTENT_MISMATCH
         prev = block.header.header_hash
     return True, None, None

@@ -243,18 +243,9 @@ class BatcherNode:
             self._serve(batch.seq, party, ctx)
 
     def _send_attestation(self, batch: Batch, ctx) -> None:
-        epoch = ctx.now() // self.d.protocol.epoch_length_us
-        payload = encode_bas_payload(batch.seq, batch.digest(), batch.shard, batch.primary, epoch)
-        share = BatchAttestationShare(
-            signer=self.party,
-            seq=batch.seq,
-            digest=batch.digest(),
-            shard=batch.shard,
-            primary=batch.primary,
-            epoch=epoch,
-            signature=sign(self.keypair, payload),
-        )
-        ctx.send(self.d.sequencer, share)
+        key, epoch = batch.key(), ctx.now() // self.d.protocol.epoch_length_us
+        signature = sign(self.keypair, encode_bas_payload(key, epoch))
+        ctx.send(self.d.sequencer, BatchAttestationShare(self.party, key, epoch, signature))
 
     # --- serving pulls ----------------------------------------------------------
 

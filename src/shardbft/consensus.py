@@ -5,11 +5,12 @@ a pluggable total order broadcast, which delivers rounds that are identical
 at every correct node; an event submitted again is ordered again. One
 admission rule, ``filter_event``, gates each ordered event against the
 ordered epoch. A round is one deterministic pass: it admits its events
-against its start state, raises the ordered epoch, keeps pending shares per
-batch key, gives each ledger slot the first key to reach F+1 attestations
-and refuses every other share of a slot with a header (``headed``), advances
-terms on F+1 complaints, bounds replay with an epoch window, and chains one
-block header per productive round, which nodes sign, swap, publish and drop.
+against its start state, raises the ordered epoch, counts the distinct
+signers of each pending batch key, gives each ledger slot the first key to
+reach F+1 signers and refuses every other share of a slot with a header
+(``headed``), advances terms on F+1 complaints, bounds replay with an epoch
+window, and chains one block header per productive round, which nodes sign,
+swap, publish and drop. No state keeps a share once it is counted.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ DROP_UNKNOWN_SHARD = "unknown_shard"
 class ConsensusState:
     epoch_window: int
     shard_count: int
-    # key -> signer -> share, keys in first-appearance order.
-    pending: dict[BatchKey, dict[int, BatchAttestationShare]] = field(default_factory=dict)
+    # key -> the signers of its admitted shares, keys in first-appearance order.
+    pending: dict[BatchKey, set[int]] = field(default_factory=dict)
     # One header ever per ledger slot (shard, seq, primary) while its entry
     # lives; the value is the ordered epoch the slot was won in.
     dedup: dict[tuple[int, int, int], int] = field(default_factory=dict)
@@ -63,7 +64,7 @@ def verify_event(event, party_keys) -> bool:
 def headed(state: ConsensusState, share: BatchAttestationShare) -> bool:
     """Whether the share's ledger slot already has a header. Every correct
     node applies the same rounds, so all learn this in the same round."""
-    return share.key().slot() in state.dedup
+    return share.key.slot() in state.dedup
 
 
 def filter_event(event, state: ConsensusState, party_keys) -> tuple[bool, str | None]:
@@ -71,24 +72,25 @@ def filter_event(event, state: ConsensusState, party_keys) -> tuple[bool, str | 
     is stale against the ordered epoch."""
     if not verify_event(event, party_keys):
         return False, DROP_BAD_SIGNATURE
-    if event.shard >= state.shard_count:
-        return False, DROP_UNKNOWN_SHARD
     if isinstance(event, BatchAttestationShare):
+        if event.key.shard >= state.shard_count:
+            return False, DROP_UNKNOWN_SHARD
         if event.epoch < state.ordered_epoch - state.epoch_window:
             return False, DROP_STALE_EPOCH
-        if headed(state, event) or event.signer in state.pending.get(event.key(), ()):
+        if headed(state, event) or event.signer in state.pending.get(event.key, ()):
             return False, DROP_DUPLICATE
         return True, None
+    if event.shard >= state.shard_count:
+        return False, DROP_UNKNOWN_SHARD
     if event.term < state.terms.get(event.shard, 0):
         return False, DROP_STALE_TERM
-    signers = state.complaint_signers.get((event.shard, event.term))
-    if signers and event.signer in signers:
+    if event.signer in state.complaint_signers.get((event.shard, event.term), ()):
         return False, DROP_DUPLICATE
     return True, None
 
 
 def process_round(
-    pending: dict[BatchKey, dict[int, BatchAttestationShare]],
+    pending: dict[BatchKey, set[int]],
     batch: list[BatchAttestationShare],
     f: int,
 ) -> list[BatchKey]:
@@ -99,7 +101,7 @@ def process_round(
     reached F+1, and any key short of it. Returns the winners, in order.
     """
     for share in batch:
-        pending.setdefault(share.key(), {}).setdefault(share.signer, share)
+        pending.setdefault(share.key, set()).add(share.signer)
     threshold = attestation_threshold(f)
     awarded: dict[tuple[int, int, int], BatchKey] = {}
     for key, signers in pending.items():

@@ -214,11 +214,11 @@ class BatchKey(NamedTuple):
         return (self.shard, self.seq, self.primary)
 
 
-def _encode_batch_key(key: BatchKey) -> bytes:
+def _encode_key(key: BatchKey) -> bytes:
     return u64(key.seq) + u64(key.shard) + key.digest + u64(key.primary)
 
 
-def _decode_batch_key(buf: bytes, off: int) -> tuple[BatchKey, int]:
+def _decode_key(buf: bytes, off: int) -> tuple[BatchKey, int]:
     seq, off = read_u64(buf, off)
     shard, off = read_u64(buf, off)
     digest, off = _read_bytes(buf, off, DIGEST_LEN)
@@ -228,37 +228,27 @@ def _decode_batch_key(buf: bytes, off: int) -> tuple[BatchKey, int]:
 
 @dataclass(frozen=True, slots=True)
 class BatchAttestationShare:
-    """One party's signed claim that a batch is persisted on its disk."""
+    """One party's signed claim that the batch ``key`` names is persisted on its disk."""
 
     signer: int
-    seq: int
-    digest: bytes
-    shard: int
-    primary: int
+    key: BatchKey
     epoch: int
     signature: Signature
     # Computed once at construction; derived, so not part of ==, hash or repr.
     # The payload is None when the digest has the wrong length: such a share
     # has no signing payload and never verifies.
-    batch_key: BatchKey = field(init=False, compare=False, repr=False)
     signing_payload: bytes | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "batch_key", BatchKey(self.seq, self.shard, self.digest, self.primary))
-        payload = None
-        if len(self.digest) == DIGEST_LEN:
-            payload = encode_bas_payload(self.seq, self.digest, self.shard, self.primary, self.epoch)
+        payload = encode_bas_payload(self.key, self.epoch) if len(self.key.digest) == DIGEST_LEN else None
         object.__setattr__(self, "signing_payload", payload)
 
-    def key(self) -> BatchKey:
-        return self.batch_key
 
-
-def encode_bas_payload(seq: int, digest: bytes, shard: int, primary: int, epoch: int) -> bytes:
+def encode_bas_payload(key: BatchKey, epoch: int) -> bytes:
     """Injective signing payload for a batch attestation share."""
-    if len(digest) != DIGEST_LEN:
+    if len(key.digest) != DIGEST_LEN:
         raise ValueError(f"digest must be {DIGEST_LEN} bytes")
-    return b"".join((_TAG_BAS, u64(seq), digest, u64(shard), u64(primary), u64(epoch)))
+    return b"".join((_TAG_BAS, u64(key.seq), key.digest, u64(key.shard), u64(key.primary), u64(epoch)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +295,7 @@ class BlockHeader:
 
 def encode_header_payload(header: BlockHeader) -> bytes:
     parts = [_TAG_HEADER, u64(header.block_seq), header.prev_header_hash, u64(len(header.batch_digests))]
-    parts.extend(map(_encode_batch_key, header.batch_digests))
+    parts.extend(map(_encode_key, header.batch_digests))
     return b"".join(parts)
 
 
@@ -345,7 +335,7 @@ def decode_header_payload(buf: bytes, off: int) -> tuple[BlockHeader, int]:
     count, off = _read_count(buf, off, _BATCH_KEY_LEN)
     keys = []
     for _ in range(count):
-        key, off = _decode_batch_key(buf, off)
+        key, off = _decode_key(buf, off)
         keys.append(key)
     return BlockHeader(block_seq, prev, tuple(keys)), off
 

@@ -1,6 +1,7 @@
 """Builders shared by the unit tests: transactions, batches, pending
 attestation shares, a deployment wired to the fixture keys, a context
-that records what a node does, and a run checked after every delivery."""
+that records what a node does, a run checked after every delivery, and
+the batcher forks a finished run holds."""
 
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ def make_batch(txs, shard=0, seq=0, term=0, primary=0) -> Batch:
 
 
 def as_pending(shares) -> dict:
-    """Consensus pending shares in their stored form: key -> signer -> the
-    first share of that signer, keys in first-appearance order."""
+    """Consensus pending shares in their stored form: key -> the set of its
+    signers, keys in first-appearance order."""
     pending: dict = {}
     for share in shares:
-        pending.setdefault(share.key(), {}).setdefault(share.signer, share)
+        pending.setdefault(share.key, set()).add(share.signer)
     return pending
 
 
@@ -35,14 +36,29 @@ def pending_oracle(pending_shares, batch, f):
     shares = [*pending_shares, *batch]
     signers: dict = {}
     for share in shares:
-        signers.setdefault(share.key(), set()).add(share.signer)
+        signers.setdefault(share.key, set()).add(share.signer)
     winners, slots = [], set()
     for key, who in signers.items():  # first-appearance order
         if len(who) >= f + 1 and key.slot() not in slots:
             winners.append(key)
             slots.add(key.slot())
     dropped = {key for key in signers if key.slot() in slots} - set(winners)
-    return winners, dropped, [share for share in shares if share.key().slot() not in slots]
+    return winners, dropped, [share for share in shares if share.key.slot() not in slots]
+
+
+def batcher_forks(runner, cfg) -> list[tuple[int, int]]:
+    """Every (shard, seq) at which two correct batchers of the shard hold
+    ledger batches of different terms, for seq up to the highest seq among
+    the thresholded keys of the shard's correct batchers: ROADMAP item 1's
+    batcher agreement, judged when ``runner`` has run."""
+    forks = []
+    for shard in range(cfg.shard_count):
+        batchers = [runner.batchers[party, shard] for party in cfg.correct_parties()]
+        top = max((key.seq for batcher in batchers for key in batcher.thresholded), default=-1)
+        for seq in range(top + 1):
+            if len({batcher.ledger[seq].term for batcher in batchers if seq < batcher.height}) > 1:
+                forks.append((shard, seq))
+    return forks
 
 
 def make_deployment(party_keys=None, client_directory=None, n=4, f=1, shards=1, seed=42, **protocol):

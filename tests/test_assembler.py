@@ -16,7 +16,6 @@ from shardbft.assembler import (
 )
 from shardbft.core import (
     Batch,
-    BatchKey,
     Block,
     BlockHeader,
     ZERO_DIGEST,
@@ -350,8 +349,11 @@ def test_ledger_verification_catches_chain_break_and_bad_seq(party_keys, client_
     batches = blocks[1].batches
     prev = blocks[0].header.header_hash
     extra = _batch(client_keys, seq=3, tag=b"x")
-    # The batch's own digest, signed under another seq.
-    moved = BlockHeader(1, prev, (BatchKey(9, 0, batches[0].digest(), 0),))
+    # The batch's own digest, signed under another seq, shard or primary.
+    key = batches[0].key()
+    moved, other_shard, other_primary = (
+        BlockHeader(1, prev, (key._replace(**field),)) for field in ({"seq": 9}, {"shard": 1}, {"primary": 1})
+    )
     for header, sigs, reason in (
         (*_signed_header(party_keys, batches, block_seq=1, prev=b"\x11" * 32), REJECT_CHAIN_BREAK),
         (*_signed_header(party_keys, batches, block_seq=5, prev=prev), REJECT_BAD_SEQ),
@@ -359,6 +361,8 @@ def test_ledger_verification_catches_chain_break_and_bad_seq(party_keys, client_
         # one batch fewer than keys, and a key with the right digest.
         (*_signed_header(party_keys, [*batches, extra], block_seq=1, prev=prev), REJECT_CONTENT_MISMATCH),
         (*_signed(party_keys, moved), REJECT_CONTENT_MISMATCH),
+        (*_signed(party_keys, other_shard), REJECT_CONTENT_MISMATCH),
+        (*_signed(party_keys, other_primary), REJECT_CONTENT_MISMATCH),
     ):
         forged = [*blocks[:1], Block(header, sigs, batches), *blocks[2:]]
         assert verify_ledger_blocks(forged, _pubs(party_keys), 4, 1) == (False, 1, reason)

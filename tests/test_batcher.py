@@ -148,7 +148,7 @@ def test_primary_batches_on_timer(client_directory, client_keys, party_keys):
     shares = _sent_of(ctx, BatchAttestationShare)
     assert [d for d, _ in shares] == [node.d.sequencer]  # once, straight to the total order
     bas = [m for _, m in shares]
-    assert bas[0].seq == 0 and bas[0].digest == batch.digest()
+    assert bas[0].key == batch.key()
     stored = _sent_of(ctx, Batch)
     assert stored == [(node.d.assembler[0], batch)] and stored[0][1] is batch
 
@@ -314,8 +314,8 @@ def test_secondary_persists_and_attests(client_directory, client_keys, party_key
     bas = [m for _, m in _sent_of(ctx, (BatchAttestationShare, ComplaintVote))]
     assert all(isinstance(e, BatchAttestationShare) for e in bas)
     # Matches the proposer's key field-for-field.
-    assert bas[0].key() == batch.key()
-    assert bas[0].signer == 1 and bas[0].primary == 0
+    assert bas[0].key == batch.key()
+    assert bas[0].signer == 1 and bas[0].key.primary == 0
     # Pulls the next height.
     next_pulls = _sent_of(ctx, msg.PullRequest)
     assert next_pulls and next_pulls[0][1].seq == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from shardbft.consensus import (
 )
 from shardbft.core import (
     BatchAttestationShare,
+    BatchKey,
     ComplaintVote,
     encode_bas_payload,
     encode_complaint_payload,
@@ -34,8 +36,8 @@ from helpers import StubCtx, as_pending, make_deployment, pending_oracle
 
 def make_share(party_keys, signer, seq, digest=None, shard=0, primary=0, epoch=0):
     digest = digest if digest is not None else sha256(b"batch" + u64(seq) + u64(shard) + u64(primary))
-    payload = encode_bas_payload(seq, digest, shard, primary, epoch)
-    return BatchAttestationShare(signer, seq, digest, shard, primary, epoch, sign(party_keys[signer], payload))
+    key = BatchKey(seq, shard, digest, primary)
+    return BatchAttestationShare(signer, key, epoch, sign(party_keys[signer], encode_bas_payload(key, epoch)))
 
 
 def make_complaint(party_keys, signer, term, shard=0):
@@ -96,18 +98,28 @@ def test_filter_drops_dedup_slot(party_keys):
     state = ConsensusState(epoch_window=2, shard_count=1)
     share = make_share(party_keys, 0, 0)
     assert not headed(state, share)
-    state.dedup[share.key().slot()] = 0
+    state.dedup[share.key.slot()] = 0
     assert headed(state, share)
     ok, reason = filter_event(share, state, pubs(party_keys))
     assert not ok and reason == DROP_DUPLICATE
 
 
 def test_filter_drops_bad_signature(party_keys):
+    # The signature covers every field of the share: another signer, key
+    # or epoch under the same signature does not verify.
     share = make_share(party_keys, 0, 0)
-    forged = BatchAttestationShare(1, share.seq, share.digest, share.shard, share.primary, share.epoch, share.signature)
     state = ConsensusState(epoch_window=2, shard_count=1)
-    ok, reason = filter_event(forged, state, pubs(party_keys))
-    assert not ok and reason == DROP_BAD_SIGNATURE
+    key = share.key
+    for forged in (
+        dataclasses.replace(share, signer=1),
+        dataclasses.replace(share, key=key._replace(seq=1)),
+        dataclasses.replace(share, key=key._replace(shard=1)),
+        dataclasses.replace(share, key=key._replace(primary=1)),
+        dataclasses.replace(share, key=key._replace(digest=sha256(b"other"))),
+        dataclasses.replace(share, epoch=1),
+    ):
+        ok, reason = filter_event(forged, state, pubs(party_keys))
+        assert not ok and reason == DROP_BAD_SIGNATURE
 
 
 def test_filter_drops_stale_term_complaint(party_keys):
@@ -127,14 +139,14 @@ def test_process_round_completes_threshold(party_keys):
     a = make_share(party_keys, 0, 0)
     b = make_share(party_keys, 1, 0)
     pending = as_pending([a])
-    assert process_round(pending, [b], f=1) == [a.key()]
+    assert process_round(pending, [b], f=1) == [a.key]
     assert pending == {}
 
 
 def test_process_round_below_threshold_stays_pending(party_keys):
     a = make_share(party_keys, 0, 0)
     pending = {}
-    assert process_round(pending, [a], f=1) == [] and pending == {a.key(): {0: a}}
+    assert process_round(pending, [a], f=1) == [] and pending == {a.key: {0}}
 
 
 def test_process_round_mixed_keys(party_keys):
@@ -143,19 +155,19 @@ def test_process_round_mixed_keys(party_keys):
     k1_c = make_share(party_keys, 2, 0)
     k1_d = make_share(party_keys, 3, 0)
     pending = as_pending([k1_a, k2_b])
-    assert process_round(pending, [k1_c, k1_d], f=1) == [k1_a.key()]
-    assert pending == {k2_b.key(): {1: k2_b}}  # all three k1 shares left
+    assert process_round(pending, [k1_c, k1_d], f=1) == [k1_a.key]
+    assert pending == {k2_b.key: {1}}  # all three k1 signers left
 
 
 def test_process_round_requires_distinct_signers(party_keys):
     a = make_share(party_keys, 0, 0)
     pending = as_pending([a])
-    assert process_round(pending, [a], f=1) == [] and pending == {a.key(): {0: a}}
+    assert process_round(pending, [a], f=1) == [] and pending == {a.key: {0}}
     # A second share of the same signer for the key, from a later epoch,
-    # neither counts nor replaces the first.
+    # does not count again.
     later = make_share(party_keys, 0, 0, epoch=1)
-    assert later.key() == a.key() and later != a
-    assert process_round(pending, [later], f=1) == [] and pending == {a.key(): {0: a}}
+    assert later.key == a.key and later != a
+    assert process_round(pending, [later], f=1) == [] and pending == {a.key: {0}}
 
 
 def test_process_round_first_appearance_order(party_keys):
@@ -175,7 +187,7 @@ def test_process_round_one_winner_per_slot_and_the_slot_leaves_pending(party_key
     partial = make_share(party_keys, 0, 0, digest=d3)
     other = make_share(party_keys, 0, 1)
     pending = as_pending([partial, b[0], other, a[0]])
-    assert process_round(pending, [a[1], b[1]], f=1) == [b[0].key()]
+    assert process_round(pending, [a[1], b[1]], f=1) == [b[0].key]
     assert pending == as_pending([other])
 
 
@@ -405,7 +417,7 @@ def _expire_slot_zero(party_keys):
     for round_no, seq in ((2, 1), (3, 2)):
         shares = tuple(make_share(party_keys, s, seq, epoch=5) for s in (0, 1))
         node.handle(msg.RoundDelivery(round_no, shares), ctx)
-    return node, ctx, events[0].key().slot()
+    return node, ctx, events[0].key.slot()
 
 
 def _header_slots(node):
@@ -469,10 +481,11 @@ def test_replayed_stale_share_never_makes_second_header(party_keys):
     original = [make_share(party_keys, s, 0, epoch=0) for s in (0, 1)]
     node.handle(msg.RoundDelivery(1, tuple(original)), ctx)
     assert node.state.next_block_seq == 1
-    slot = original[0].key().slot()
+    slot = original[0].key.slot()
     assert slot in node.state.dedup
     # Epochs advance well past the window; the dedup entry is evicted.
-    node.handle(msg.RoundDelivery(2, (make_share(party_keys, 0, 7, epoch=5),)), ctx)
+    fresh = make_share(party_keys, 0, 7, epoch=5)
+    node.handle(msg.RoundDelivery(2, (fresh,)), ctx)
     assert slot not in node.state.dedup
     # The admission rule refuses the replay: stale epoch.
     ok, reason = filter_event(original[0], node.state, pubs(party_keys))
@@ -480,9 +493,8 @@ def test_replayed_stale_share_never_makes_second_header(party_keys):
     # Replay forced straight into a round: still no second header.
     node.handle(msg.RoundDelivery(3, tuple(original)), ctx)
     assert node.state.next_block_seq == 1
-    assert all(
-        s.epoch >= node.state.ordered_epoch - 2 for who in node.state.pending.values() for s in who.values()
-    )
+    assert node.state.pending == {fresh.key: {0}}
+    assert node.drops == {DROP_STALE_EPOCH: 2}
 
 
 def test_replayed_rounds_emit_exactly_what_single_delivery_emits(party_keys):
@@ -559,17 +571,23 @@ def test_term_change_notifies_batchers(party_keys):
 def test_an_event_for_a_shard_past_the_last_is_refused_when_ordered(party_keys):
     # Shard 2 of 2 has no batcher: its shares and complaints are refused by
     # the one admission rule, so no header names it and no term moves.
-    node = make_node(party_keys, shards=2)
+    # The shard is judged before the epoch: a share of shard 2 whose epoch
+    # is also stale reads unknown_shard, where one of shard 1 reads stale.
+    node = make_node(party_keys, shards=2, window=2)
+    node.state.ordered_epoch = 3
     ctx = StubCtx()
-    bad_shares = [make_share(party_keys, s, 0, shard=2) for s in (0, 1)]
+    bad_shares = [make_share(party_keys, s, 0, shard=2, epoch=3) for s in (0, 1)]
+    bad_shares.append(make_share(party_keys, 2, 0, shard=2, epoch=0))
+    stale = make_share(party_keys, 2, 0, shard=1, epoch=0)
+    assert filter_event(stale, node.state, pubs(party_keys)) == (False, DROP_STALE_EPOCH)
     bad_votes = [make_complaint(party_keys, s, 0, shard=2) for s in (1, 2)]
     for event in (*bad_shares, *bad_votes):
         assert filter_event(event, node.state, pubs(party_keys)) == (False, DROP_UNKNOWN_SHARD)
-    good = [make_share(party_keys, s, 0, shard=1) for s in (0, 1)]
+    good = [make_share(party_keys, s, 0, shard=1, epoch=3) for s in (0, 1)]
     node.handle(msg.RoundDelivery(1, (*bad_shares, *bad_votes, *good)), ctx)
     assert [k.shard for k in node.headers[0][0].batch_digests] == [1]
     assert node.state.terms == {} and node.state.complaint_signers == {}
-    assert node.drops == {DROP_UNKNOWN_SHARD: 4}
+    assert node.drops == {DROP_UNKNOWN_SHARD: 5}
     updates = [(d, m) for d, m in ctx.sent if isinstance(m, msg.OrderedUpdate)]
     assert [(d, [k.shard for k in m.thresholded], m.new_term) for d, m in updates] == [
         (node.d.batcher[0][1], [1], None)
@@ -620,18 +638,19 @@ def test_byzantine_garbage_in_round_is_ignored(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
     good = [make_share(party_keys, s, 0) for s in (0, 1)]
-    forged = BatchAttestationShare(2, 0, good[0].digest, 0, 0, 0, Signature("test_mac", b"\x00" * 32))
+    forged = BatchAttestationShare(2, good[0].key, 0, Signature("test_mac", b"\x00" * 32))
     unknown_signer = make_share({**party_keys, 9: party_keys[0]}, 9, 0)
     node.handle(msg.RoundDelivery(1, (forged, unknown_signer, *good)), ctx)
     assert node.state.next_block_seq == 1
-    assert node.headers[0][0].batch_digests[0] == good[0].key()
+    assert node.headers[0][0].batch_digests[0] == good[0].key
 
 
 def test_share_with_a_short_digest_never_verifies(party_keys):
     node = make_node(party_keys)
     ctx = StubCtx()
     good = make_share(party_keys, 0, 0)
-    short = BatchAttestationShare(1, 0, good.digest[:31], 0, 0, 0, sign(party_keys[1], good.signing_payload))
+    short_key = good.key._replace(digest=good.key.digest[:31])
+    short = BatchAttestationShare(1, short_key, 0, sign(party_keys[1], good.signing_payload))
     assert short.signing_payload is None
     assert not verify_event(short, pubs(party_keys))
     ok, reason = filter_event(short, ConsensusState(epoch_window=2, shard_count=1), pubs(party_keys))

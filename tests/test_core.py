@@ -82,18 +82,31 @@ def test_attestation_threshold():
         attestation_threshold(-1)
 
 
+def _bas_layout(key, epoch):
+    """The share payload as docs/formats.md lays it out: tag 0x42, then the
+    key's seq, digest, shard and primary, then the epoch."""
+    return b"\x42" + struct.pack(">Q32sQQQ", key.seq, key.digest, key.shard, key.primary, epoch)
+
+
 def test_bas_payload_deterministic_and_distinct():
-    digest = b"\x00" * 32
-    a = encode_bas_payload(0, digest, 0, 0, 0)
-    assert a == encode_bas_payload(0, digest, 0, 0, 0)
-    assert a != encode_bas_payload(0, digest, 1, 0, 0)
-    assert a != encode_bas_payload(1, digest, 0, 0, 0)
-    assert a != encode_bas_payload(0, digest, 0, 0, 1)
+    key = BatchKey(0, 0, b"\x00" * 32, 0)
+    a = encode_bas_payload(key, 0)
+    assert a == encode_bas_payload(BatchKey(0, 0, b"\x00" * 32, 0), 0) == _bas_layout(key, 0)
+    assert len(a) == 65
+    for other, epoch in (
+        (key._replace(seq=1), 0),
+        (key._replace(shard=1), 0),
+        (key._replace(digest=b"\x01" * 32), 0),
+        (key._replace(primary=1), 0),
+        (key, 1),
+    ):
+        assert encode_bas_payload(other, epoch) != a
 
 
 def test_bas_payload_rejects_bad_digest():
-    with pytest.raises(ValueError):
-        encode_bas_payload(0, b"\x00" * 31, 0, 0, 0)
+    for length in (0, 31, 33):
+        with pytest.raises(ValueError):
+            encode_bas_payload(BatchKey(0, 0, b"\x00" * length, 0), 0)
 
 
 _keys = st.builds(
@@ -104,10 +117,13 @@ _keys = st.builds(
     st.integers(0, 64),
 )
 _payload_args = st.tuples(
-    st.integers(0, 2**40),
-    st.binary(min_size=32, max_size=32),
-    st.integers(0, 1000),
-    st.integers(0, 1000),
+    st.builds(
+        BatchKey,
+        st.integers(0, 2**40),
+        st.integers(0, 1000),
+        st.binary(min_size=32, max_size=32),
+        st.integers(0, 1000),
+    ),
     st.integers(0, 2**32),
 )
 
@@ -117,6 +133,7 @@ _payload_args = st.tuples(
 def test_bas_payload_injective(a, b):
     ea = encode_bas_payload(*a)
     eb = encode_bas_payload(*b)
+    assert ea == _bas_layout(*a)
     assert (ea == eb) == (a == b)
 
 
@@ -238,21 +255,22 @@ def _assert_derived(obj, names, compared):
 @settings(max_examples=200)
 @given(_payload_args, st.integers(0, 6), st.binary(max_size=40))
 def test_share_caches_its_key_and_signing_payload(args, signer, sig):
-    seq, digest, shard, primary, epoch = args
-    share = BatchAttestationShare(signer, seq, digest, shard, primary, epoch, Signature("test_mac", sig))
-    assert share.signing_payload == encode_bas_payload(*args)
-    assert share.key() == BatchKey(seq, shard, digest, primary)
-    _assert_derived(
-        share,
-        ("batch_key", "signing_payload"),
-        ["signer", "seq", "digest", "shard", "primary", "epoch", "signature"],
-    )
+    # A share signs the bytes of its own key and epoch, so a copy with
+    # another key or epoch signs other bytes.
+    key, epoch = args
+    share = BatchAttestationShare(signer, key, epoch, Signature("test_mac", sig))
+    assert share.key == key and share.signing_payload == _bas_layout(key, epoch)
+    moved = key._replace(seq=key.seq + 1)
+    assert dataclasses.replace(share, key=moved).signing_payload == _bas_layout(moved, epoch)
+    assert dataclasses.replace(share, epoch=epoch + 1).signing_payload == _bas_layout(key, epoch + 1)
+    _assert_derived(share, ("signing_payload",), ["signer", "key", "epoch", "signature"])
 
 
 def test_share_with_a_short_digest_constructs_without_a_payload():
-    share = BatchAttestationShare(0, 1, b"\x01" * 31, 0, 0, 0, Signature("test_mac", b""))
+    key = BatchKey(1, 0, b"\x01" * 31, 0)
+    share = BatchAttestationShare(0, key, 0, Signature("test_mac", b""))
     assert share.signing_payload is None
-    assert share.key() == BatchKey(1, 0, b"\x01" * 31, 0)
+    assert share.key == key
 
 
 def test_complaint_caches_its_signing_payload():

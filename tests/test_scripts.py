@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import byte_sweep
+import fork_sweep
 import state_sizes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +21,11 @@ def test_state_sizes_reads_every_structure():
 
 def test_byte_sweep_builds_every_scenario():
     assert len(byte_sweep.scenarios()) == 622
+
+
+def test_fork_sweep_flags_the_pinned_forked_draws():
+    # Tier-1's first draws, whose forks test_acceptance.py pins as xfails.
+    assert list(fork_sweep.forked_draws(20261018, 11)) == [2, 5, 7, 8, 10]
 
 
 def test_unreached_lists_what_a_selection_never_runs():
