@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 from .crypto import Signature
@@ -109,9 +109,12 @@ class Transaction:
     # Computed once at construction; derived, so not part of ==, hash or repr.
     signing_bytes: bytes = field(init=False, compare=False, repr=False)
     tx_id: bytes = field(init=False, compare=False, repr=False)
+    # The signer's own ``tx_signing_bytes(client_id, payload)``, when it has
+    # them, so they are not built again.
+    signed_over: InitVar[bytes | None] = None
 
-    def __post_init__(self):
-        signing_bytes = tx_signing_bytes(self.client_id, self.payload)
+    def __post_init__(self, signed_over):
+        signing_bytes = tx_signing_bytes(self.client_id, self.payload) if signed_over is None else signed_over
         object.__setattr__(self, "signing_bytes", signing_bytes)
         object.__setattr__(self, "tx_id", sha256(signing_bytes))
 

@@ -25,12 +25,23 @@ bit-for-bit.
 arguments, so it is memoized: a simulation runs every party in one process
 and re-checks the same triple at each of them. Every caller still calls it;
 only the primitive runs once per distinct triple (see ``verify.cache_info()``).
+
+Where the signatures are known in advance, two bulk calls do the work up
+front: ``sign_all`` signs a list, and ``verify_ahead`` fills ``verify``'s
+memo with a list of triples before anyone asks for them. They split the
+list into one contiguous chunk per CPU this process may run on, one thread
+per chunk, only when the Ed25519 backend releases the GIL while it computes
+(libsodium through ``ctypes``) and there is more than one CPU. Otherwise
+``sign_all`` is the plain loop and ``verify_ahead`` does nothing: the first
+caller's own ``verify`` does that work, as it would anyway.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -137,6 +148,8 @@ class _Cryptography:
     """Ed25519 through the ``cryptography`` package (OpenSSL)."""
 
     name = "cryptography"
+    # Its verify measured 0.67-1.05x as fast on two threads as on one.
+    releases_gil = False
 
     def __init__(self):
         from cryptography.exceptions import InvalidSignature
@@ -170,6 +183,8 @@ class _Sodium:
     """
 
     name = "libsodium"
+    # ctypes drops the GIL for the length of each call into C.
+    releases_gil = True
 
     def __init__(self, lib):
         import ctypes
@@ -251,3 +266,56 @@ def verify(public: bytes, message: bytes, sig: Signature) -> bool:
         want = _mac(public, message)
         return hmac.compare_digest(want, sig.data)
     return _ed25519().verify(public, message, sig.data)
+
+
+# --- bulk calls ---------------------------------------------------------------
+
+
+def _workers(scheme: str) -> int:
+    """Threads that share a bulk call on ``scheme``: one per CPU this process
+    may run on when the Ed25519 backend releases the GIL, else 1."""
+    if scheme != SCHEME_ED25519 or not _ed25519().releases_gil:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_chunks(fn, items: list, workers: int) -> list:
+    """``[fn(*item) for item in items]``, one contiguous chunk per thread; the
+    calling thread works the first. The first failing chunk's exception is
+    raised, which is the one the plain loop would raise."""
+    size = -(-len(items) // workers)
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    done: list = [None] * len(chunks)
+
+    def work(j: int) -> None:
+        try:
+            done[j] = [fn(*item) for item in chunks[j]]
+        except BaseException as exc:
+            done[j] = exc
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(1, len(chunks))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for part in done:
+        if isinstance(part, BaseException):
+            raise part
+    return [out for part in done for out in part]
+
+
+def sign_all(pairs: list[tuple[KeyPair, bytes]]) -> list[Signature]:
+    """``[sign(key, message) for key, message in pairs]``, in order."""
+    workers = _workers(pairs[0][0].scheme) if len(pairs) > 1 else 1
+    if workers == 1:
+        return [sign(key, message) for key, message in pairs]
+    return _in_chunks(sign, pairs, workers)
+
+
+def verify_ahead(triples: list[tuple[bytes, bytes, Signature]]) -> None:
+    """Fill ``verify``'s memo with each ``(public, message, signature)`` triple,
+    where threads make that pay (see the module docstring)."""
+    workers = _workers(triples[0][2].scheme) if len(triples) > 1 else 1
+    if workers > 1:
+        _in_chunks(verify, triples, workers)

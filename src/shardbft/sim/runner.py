@@ -39,7 +39,7 @@ from ..batcher import BatcherNode
 from ..behaviors import CENSOR_TX, CRASH, INJECT_BOGUS
 from ..consensus import ConsensusNode
 from ..core import Transaction, header_digest, sha256, tx_signing_bytes, u64
-from ..crypto import KeyPair, keygen, sign
+from ..crypto import SCHEME_ED25519, VERIFY_CACHE_SIZE, KeyPair, keygen, sign_all, verify_ahead
 from ..router import RouterNode, map_to_shard, validate_transaction
 from .checks import (
     check_agreement,
@@ -58,6 +58,10 @@ _NEVER = 1 << 62
 # After `duration` the goal is checked on this virtual-time tick, so a run
 # stops when the goal holds, not after some count of deliveries.
 GOAL_CHECK_US = 20_000
+
+# The hub warms the verify memo this many submissions at a time: few enough
+# that every warmed verdict is still in the memo when its first router asks.
+VERIFY_WINDOW = VERIFY_CACHE_SIZE // 16
 
 
 def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, KeyPair]:
@@ -224,10 +228,14 @@ class _Runner:
         keys, randbytes, filler = self.d.client_keys, self.rng_client.randbytes, cfg.tx_size - 8
         censors = [a for a in cfg.adversaries if a.kind == CENSOR_TX]
         records, submissions = self.tx_records, self.submissions
+        unsigned = []  # (client, payload, signing bytes) per tx
         for i in range(count):
             client = i % clients
             payload = u64(i) + randbytes(filler)
-            tx = Transaction(client, payload, sign(keys[client], tx_signing_bytes(client, payload)))
+            unsigned.append((client, payload, tx_signing_bytes(client, payload)))
+        signatures = sign_all([(keys[client], message) for client, _payload, message in unsigned])
+        for i, ((client, payload, message), signature) in enumerate(zip(unsigned, signatures)):
+            tx = Transaction(client, payload, signature, message)
             censored = bool(censors) and any(a.censors(tx) for a in censors)
             shard = map_to_shard(tx.tx_id, shards)
             records.append(TxRecord(i, tx.tx_id, client, shard, duration * i // count, censored))
@@ -235,10 +243,23 @@ class _Runner:
         self.push(records[0].submit_us, HUB, HUB, submissions[0])
 
     def _on_hub(self, message: msg.SubmitTx, ctx) -> None:
-        """The hub's own timer: submit, then wait for the next."""
+        """The hub's own timer: submit, then wait for the next. The first
+        submission of each window also warms the verify memo with the
+        window's client signatures, which every router is about to check."""
+        i = message.submission_id
+        # A test_mac check holds the GIL, so there is nothing to warm ahead.
+        if i % VERIFY_WINDOW == 0 and self.d.scheme == SCHEME_ED25519:
+            directory, max_tx_size = self.d.client_directory, self.cfg.protocol.max_tx_size
+            verify_ahead(
+                [
+                    (directory[m.tx.client_id], m.tx.signing_bytes, m.tx.signature)
+                    for m in self.submissions[i : i + VERIFY_WINDOW]
+                    if len(m.tx.payload) <= max_tx_size  # a router refuses a longer one unchecked
+                ]
+            )
         for router in self.d.router:
             ctx.send(router, message)
-        i = message.submission_id + 1
+        i += 1
         if i < len(self.submissions):
             ctx.schedule(self.tx_records[i].submit_us - self.now_us, self.submissions[i])
 

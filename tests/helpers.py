@@ -1,7 +1,7 @@
 """Builders shared by the unit tests: transactions, batches, pending
 attestation shares, a deployment wired to the fixture keys, a context
 that records what a node does, a run checked after every delivery, and
-the batcher forks a finished run holds."""
+the batcher forks and deposed correct primaries a finished run holds."""
 
 from __future__ import annotations
 
@@ -59,6 +59,24 @@ def batcher_forks(runner, cfg) -> list[tuple[int, int]]:
             if len({batcher.ledger[seq].term for batcher in batchers if seq < batcher.height}) > 1:
                 forks.append((shard, seq))
     return forks
+
+
+def deposed_correct_primaries(runner, cfg) -> list[tuple[int, int]]:
+    """Every (shard, term) whose primary (``term % n``) is correct, which
+    began at or after GST + Delta and which a later term ended, as the first
+    correct consensus node's ``term_change_log`` records them: ROADMAP item
+    16's "no correct primary deposed after GST + Delta", judged when
+    ``runner`` has run. Term 0 begins at time 0."""
+    correct = cfg.correct_parties()
+    after = cfg.gst_us + cfg.delta_us
+    current = {shard: (0, 0) for shard in range(cfg.shard_count)}  # shard -> (term, began at)
+    deposed = []
+    for at, shard, term in runner.consensus[correct[0]].term_change_log:
+        old, began = current[shard]
+        if began >= after and old % cfg.n_parties in correct:
+            deposed.append((shard, old))
+        current[shard] = (term, at)
+    return deposed
 
 
 def make_deployment(party_keys=None, client_directory=None, n=4, f=1, shards=1, seed=42, **protocol):

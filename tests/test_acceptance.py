@@ -28,7 +28,7 @@ from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
-from helpers import as_pending, batcher_forks, pending_oracle
+from helpers import as_pending, batcher_forks, deposed_correct_primaries, pending_oracle
 
 US = 1_000_000
 
@@ -311,6 +311,23 @@ def test_correct_batchers_agree_up_to_the_thresholded_seq(doc):
     runner = _Runner(cfg)
     runner.run()
     assert batcher_forks(runner, cfg) == []
+
+
+_CORRECT_PRIMARY_DEPOSED = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a term whose primary is correct, begun after GST + Delta, ends: in draw 88 shards 1 and 2 "
+    "leave term 2 at 2.822 s; ROADMAP item 1's one agreed shard sequence closes it",
+)
+
+
+@pytest.mark.parametrize("doc", _generated_draws(100, _CORRECT_PRIMARY_DEPOSED, {88}))
+def test_no_correct_primary_is_deposed_after_gst_plus_delta(doc):
+    # ROADMAP item 16's third oracle, judged at run end over the same draws.
+    cfg = ScenarioConfig.from_dict(doc)
+    runner = _Runner(cfg)
+    runner.run()
+    assert deposed_correct_primaries(runner, cfg) == []
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)

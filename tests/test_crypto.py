@@ -7,10 +7,11 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
-from test_regression import _ed25519_short
+from test_regression import _ed25519_short, _rebind
 
 import shardbft
 from shardbft import crypto
@@ -24,6 +25,9 @@ from shardbft.crypto import (
     sign,
     verify,
 )
+from shardbft.sim import runner as runner_module
+from shardbft.sim.runner import run_scenario
+from shardbft.sim.scenario import ScenarioConfig
 
 # The Ed25519 tests below run twice: on the backend this process selected
 # (libsodium wherever it loads), and on the ``cryptography`` fallback.
@@ -226,6 +230,150 @@ def test_malformed_ed25519_public_key_false_on_every_call(public, swap_backend):
         assert verify(public, b"m", sig) is False
         assert backend.verify(public, b"m", sig.data) is False
         assert backend.verify(public, b"m", sig.data) is False
+
+
+# --- bulk calls ----------------------------------------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` gives this process an affinity mask of ``k`` CPUs for the
+    rest of the test."""
+
+    def set_cpus(k: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    return set_cpus
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """The threads started from here on, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def _threaded(scheme: str, cpu_count: int) -> bool:
+    return scheme == SCHEME_ED25519 and crypto._ed25519().releases_gil and cpu_count > 1
+
+
+@pytest.mark.parametrize("cpu_count", [1, 3])
+def test_bulk_calls_give_the_per_item_results_in_order(scheme, cpus, threads_started, cpu_count):
+    cpus(cpu_count)
+    keys = [keygen(bytes([i + 20]) * 32, scheme) for i in range(3)]
+    pairs = [(keys[i % 3], b"bulk %d" % i) for i in range(40)]
+    signatures = crypto.sign_all(pairs)
+    assert signatures == [sign(key, message) for key, message in pairs]
+    triples = [(key.public, message, sig) for (key, message), sig in zip(pairs, signatures)]
+    public, sig = keys[0].public, signatures[0]
+    triples += [
+        (public, b"bulk 0", Signature(scheme, _flip(sig.data, 5))),  # forged
+        (keys[1].public, b"bulk 0", sig),  # another client's key
+        (public[:31], b"bulk 0", sig),
+        (public + b"\1", b"bulk 0", sig),  # HMAC pads a key with zeros: not b"\0"
+        (public, b"bulk 0", Signature(scheme, sig.data[:-1])),
+        (public, b"bulk 0", Signature(scheme, sig.data + b"\0")),
+    ]
+    verify.cache_clear()
+    want = [verify(*triple) for triple in triples]
+    assert want == [True] * 40 + [False] * 6
+    verify.cache_clear()
+    crypto.verify_ahead(triples)
+    # Warmed only where threads pay; otherwise each verify below does the work.
+    threaded = _threaded(scheme, cpu_count)
+    assert verify.cache_info().currsize == (len(triples) if threaded else 0)
+    assert [verify(*triple) for triple in triples] == want
+    assert verify.cache_info().misses == len(triples)
+    # Two of three chunks in a thread of their own, for each call.
+    assert len(threads_started) == (4 if threaded else 0)
+
+
+def test_bulk_sign_raises_in_the_caller_what_the_loop_raises(scheme, cpus):
+    cpus(3)
+    good = keygen(b"\x0a" * 32, scheme)
+    short_secret = KeyPair(SCHEME_ED25519, b"\x01" * 31, good.public)
+    unknown = KeyPair("unknown", b"\x00" * 32, b"\x00" * 32)
+    # Chunks of four: a bad key at `at`, and maybe another in the last chunk.
+    cases = [(0, short_secret, unknown), (5, short_secret, unknown), (2, unknown, short_secret)]
+    cases += [(11, short_secret, None), (11, unknown, None)]
+    for at, key, later in cases:
+        pairs = [(good, b"m%d" % i) for i in range(12)]
+        if later is not None:
+            pairs[11] = (later, b"m")
+        pairs[at] = (key, b"m")
+        with pytest.raises(ValueError) as loop:
+            [sign(k, m) for k, m in pairs]
+        with pytest.raises(ValueError) as bulk:
+            crypto.sign_all(pairs)
+        assert str(bulk.value) == str(loop.value)
+
+
+def test_bulk_calls_lose_nothing_on_more_threads_than_cores(sodium, swap_backend, cpus, threads_started):
+    # Eight threads and a switch every microsecond: a lost memo update would
+    # show as a second miss, a lost result as a wrong or missing signature.
+    swap_backend(sodium)
+    cpus(8)
+    keys = [keygen(bytes([i + 40]) * 32, SCHEME_ED25519) for i in range(4)]
+    pairs = [(keys[i % 4], b"stress %d" % i) for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        signatures = crypto.sign_all(pairs)
+        triples = [(key.public, message, sig) for (key, message), sig in zip(pairs, signatures)]
+        crypto.verify_ahead(triples)
+    finally:
+        sys.setswitchinterval(interval)
+    assert signatures == [sign(key, message) for key, message in pairs]
+    info = verify.cache_info()
+    assert info.misses == info.currsize == len(triples) and info.hits == 0
+    assert all(verify(*triple) for triple in triples)
+    assert verify.cache_info().misses == len(triples)
+    assert len(threads_started) == 14
+
+
+@pytest.mark.parametrize("case", ["test_mac", "fallback", "one_cpu"])
+def test_a_run_that_cannot_gain_starts_no_thread(case, swap_backend, cpus, threads_started):
+    doc = _ed25519_short()
+    cpus(1 if case == "one_cpu" else 2)
+    if case == "test_mac":
+        doc["scheme"] = SCHEME_TEST_MAC
+    elif case == "fallback":
+        swap_backend(crypto._Cryptography())
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    assert report.all_checks_pass()
+    assert threads_started == []
+
+
+def test_a_libsodium_run_signs_and_warms_on_threads(sodium, swap_backend, cpus, threads_started):
+    # 50 txs, one window: one worker thread signs, one warms the memo.
+    swap_backend(sodium)
+    cpus(2)
+    run_scenario(ScenarioConfig.from_dict(_ed25519_short()))
+    assert len(threads_started) == 2
+
+
+def test_no_client_triple_is_verified_twice(monkeypatch, cpus):
+    # Windows of 16 submissions: every warmed verdict is read from the memo,
+    # never evicted and verified again, and no router races the warm-up.
+    monkeypatch.setattr(runner_module, "VERIFY_WINDOW", 16)
+    cpus(2)
+    memo, calls = verify, []
+
+    def counting(public, message, sig):
+        calls.append((public, message, sig))
+        return memo(public, message, sig)
+
+    _rebind(monkeypatch, memo, counting)
+    memo.cache_clear()
+    run_scenario(ScenarioConfig.from_dict(_ed25519_short()))
+    assert memo.cache_info().misses == len(set(calls))
 
 
 # --- the two Ed25519 backends -------------------------------------------------

@@ -277,6 +277,36 @@ def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
     assert len(calls) > 3 * distinct
 
 
+def _steady(seed: int) -> dict:
+    """perfbench's steady workload scenario at ``seed``: 6,000 test_mac txs."""
+    root = str(CONFIGS.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.workloads import BY_NAME
+
+    return BY_NAME["steady"].scenario(seed)
+
+
+def test_each_transaction_builds_its_signing_bytes_once(monkeypatch):
+    # The client generator signs the bytes it built and hands them to the
+    # Transaction, which keeps them instead of building them again.
+    built = core.tx_signing_bytes
+    calls = []
+
+    def counting(client_id, payload):
+        calls.append(client_id)
+        return built(client_id, payload)
+
+    _rebind(monkeypatch, built, counting)
+    runner = _Runner(ScenarioConfig.from_dict(_steady(505)))
+    runner.run()
+    assert len(calls) == len(runner.submissions) == 6000
+    for submission in runner.submissions:
+        tx = submission.tx
+        assert tx.signing_bytes == built(tx.client_id, tx.payload)
+        assert tx.tx_id == hashlib.sha256(tx.signing_bytes).digest()
+
+
 def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
     # Each share, complaint and header is encoded when it is built, and a
     # share or complaint once more where its batcher signs it. No node
