@@ -8,7 +8,10 @@ a header's consensus quorum is verified once, when it arrives; the header at
 the ledger's height is checked against the last block's hash, then appended
 to an append-only block ledger, which serializes to length-prefixed
 canonical block encodings so it can be re-verified offline with nothing but
-the consensus public keys.
+the consensus public keys. It keeps no per-transaction state past the
+ledger: ``throughput_series`` holds one (append time, running tx count) entry
+per block, so block ``i`` was committed at ``throughput_series[i][0]``, and
+the runner reads each tx's commit time from there.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ class AssemblerNode:
         self.header_buffer: dict[int, tuple[BlockHeader, tuple]] = {}
         self.fetching: dict[BatchKey, int] = {}
         self.rejects: list[tuple[int, str]] = []
-        # Commit bookkeeping for reports.
-        self.inclusion_times: dict[bytes, int] = {}
+        # Commit bookkeeping for reports: one entry per appended block.
         self.committed_txs = 0
         self.throughput_series: list[tuple[int, int]] = []
 
@@ -127,12 +129,8 @@ class AssemblerNode:
         # slot is headed once.
         batches = tuple(self.index.pop(key.slot())[key.digest] for key in header.batch_digests)
         self.ledger.append(Block(header, tuple(sigs), batches))
-        now = ctx.now()
-        for batch in batches:
-            for tx in batch.txs:
-                self.inclusion_times.setdefault(tx.tx_id, now)
-            self.committed_txs += len(batch.txs)
-        self.throughput_series.append((now, self.committed_txs))
+        self.committed_txs += sum(len(batch.txs) for batch in batches)
+        self.throughput_series.append((ctx.now(), self.committed_txs))
 
     # --- batch fetching --------------------------------------------------------
 

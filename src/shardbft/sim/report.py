@@ -38,6 +38,8 @@ class TxRecord:
     first_commit_us: int | None = None
     last_commit_us: int | None = None
     commit_count: int = 0
+    # Bitmask of the correct parties whose ledgers hold the tx; not in report.json.
+    holders: int = 0
 
 
 @dataclass

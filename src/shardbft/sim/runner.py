@@ -61,7 +61,7 @@ GOAL_CHECK_US = 20_000
 
 # The hub warms the verify memo this many submissions at a time: few enough
 # that every warmed verdict is still in the memo when its first router asks.
-VERIFY_WINDOW = VERIFY_CACHE_SIZE // 16
+VERIFY_WINDOW = VERIFY_CACHE_SIZE // 4
 
 
 def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, KeyPair]:
@@ -168,6 +168,13 @@ class _Runner:
         crash_at = {a.party: a.crash_at_us for a in cfg.adversaries if a.kind == CRASH}
         self.crash_us = [_NEVER if node is None else crash_at.get(node.party, _NEVER) for node in self.nodes]
         self.tx_records: list[TxRecord] = []
+        self.record_of: dict[bytes, TxRecord] = {}  # tx_id -> its record
+        # Commits folded into the records so far: each correct party's ledger
+        # blocks folded, and per tx with no record (an inject_bogus primary's)
+        # the bitmask of the correct parties that hold it.
+        self.folded = dict.fromkeys(cfg.correct_parties(), 0)
+        self.everyone = sum(1 << p for p in self.folded)
+        self.unrecorded: dict[bytes, int] = {}
         self.submissions: list[msg.SubmitTx] = []  # the hub's, in submission order
         # The hub's tally: landed[i * n + p] is the earliest landing of party p's ok
         # replies to submission i; hub_busy_us the latest of any reply, counted or not.
@@ -227,7 +234,7 @@ class _Runner:
         count, clients, duration, shards = cfg.resolved_tx_count(), cfg.clients, cfg.duration_us, cfg.shard_count
         keys, randbytes, filler = self.d.client_keys, self.rng_client.randbytes, cfg.tx_size - 8
         censors = [a for a in cfg.adversaries if a.kind == CENSOR_TX]
-        records, submissions = self.tx_records, self.submissions
+        records, record_of, submissions = self.tx_records, self.record_of, self.submissions
         unsigned = []  # (client, payload, signing bytes) per tx
         for i in range(count):
             client = i % clients
@@ -238,7 +245,8 @@ class _Runner:
             tx = Transaction(client, payload, signature, message)
             censored = bool(censors) and any(a.censors(tx) for a in censors)
             shard = map_to_shard(tx.tx_id, shards)
-            records.append(TxRecord(i, tx.tx_id, client, shard, duration * i // count, censored))
+            record = record_of[tx.tx_id] = TxRecord(i, tx.tx_id, client, shard, duration * i // count, censored)
+            records.append(record)
             submissions.append(msg.SubmitTx(tx, i))  # one object, sent to every router
         self.push(records[0].submit_us, HUB, HUB, submissions[0])
 
@@ -314,6 +322,35 @@ class _Runner:
         never queued), and every reply to the hub landed."""
         return self.hub_busy_us <= self.now_us and all(sender == dest for _t, sender, _seq, dest, _m in self.heap)
 
+    def _fold_commits(self) -> None:
+        """Fold the blocks each correct assembler appended since the last fold
+        into the tx records: a record's ``holders`` gains the party's bit at
+        the first block that holds its tx, and its first and last commit
+        times are the earliest and the latest of the holders' first commit
+        times. Block ``i`` was appended at ``throughput_series[i][0]``."""
+        record_of, unrecorded = self.record_of, self.unrecorded
+        for p, start in self.folded.items():
+            assembler = self.assemblers[p]
+            if start == len(assembler.ledger):
+                continue
+            bit = 1 << p
+            for block, (t, _total) in zip(assembler.ledger[start:], assembler.throughput_series[start:]):
+                for batch in block.batches:
+                    for tx in batch.txs:
+                        record = record_of.get(tx.tx_id)
+                        if record is None:
+                            unrecorded[tx.tx_id] = unrecorded.get(tx.tx_id, 0) | bit
+                        elif not record.holders:
+                            record.holders = bit
+                            record.first_commit_us = record.last_commit_us = t
+                        elif not record.holders & bit:
+                            record.holders |= bit
+                            if t < record.first_commit_us:
+                                record.first_commit_us = t
+                            elif t > record.last_commit_us:
+                                record.last_commit_us = t
+            self.folded[p] = len(assembler.ledger)
+
     def _goal_met(self) -> bool:
         correct = self.cfg.correct_parties()
         # Equal heights leave no header buffered and no batch being fetched:
@@ -323,22 +360,23 @@ class _Runner:
         heights.update(self.consensus[p].state.next_block_seq for p in correct)
         if len(heights) != 1 or not self._network_idle():
             return False
+        # Only the blocks appended since the last check are read, so a check
+        # costs the new blocks plus one pass over the pools and the records.
+        self._fold_commits()
+        everyone, record_of, unrecorded = self.everyone, self.record_of, self.unrecorded
         for p in correct:
             for s in range(self.cfg.shard_count):
                 for tx_id in self.batchers[(p, s)].pool.tx_index:
                     # Pool residue is fine once the tx is committed everywhere
                     # (a diverged secondary can never persist the winning
-                    # batch for a seq it filled during an old term).
-                    if any(tx_id not in self.assemblers[q].inclusion_times for q in correct):
+                    # batch for a seq it filled during an old term). A pooled
+                    # tx with no record is a bogus one a correct primary
+                    # re-queued at a term change.
+                    record = record_of.get(tx_id)
+                    if (unrecorded.get(tx_id, 0) if record is None else record.holders) != everyone:
                         return False
-        inclusion = [self.assemblers[p].inclusion_times for p in correct]
         quorum = self.d.ack_quorum
-        return all(
-            record.tx_id in times
-            for record in self.tx_records
-            if record.acks.bit_count() >= quorum
-            for times in inclusion
-        )
+        return all(record.holders == everyone for record in self.tx_records if record.acks.bit_count() >= quorum)
 
     # --- report ----------------------------------------------------------------------
 
@@ -387,21 +425,11 @@ class _Runner:
             for reason, count in self.consensus[p].drops.items():
                 drops[reason] = drops.get(reason, 0) + count
 
-        inclusion = [self.assemblers[p].inclusion_times for p in correct]
-        n, quorum, landed = self.d.n, self.d.ack_quorum, self.landed
+        self._fold_commits()
+        n, quorum, landed, everyone = self.d.n, self.d.ack_quorum, self.landed, self.everyone
         for record in self.tx_records:
-            first = last = None
-            held = 0  # correct parties that commit the tx
-            for times_of in inclusion:
-                t = times_of.get(record.tx_id)
-                if t is not None:
-                    held += 1
-                    if first is None or t < first:
-                        first = t
-                    if last is None or t > last:
-                        last = t
-            record.first_commit_us = first
-            record.last_commit_us = last if held == len(correct) else None
+            if record.holders != everyone:  # a tx's last commit is at the last correct party
+                record.last_commit_us = None
             record.commit_count = commit_counts.get(record.tx_id, 0)
             if record.acks.bit_count() >= quorum:  # the quorum-th earliest party to ack
                 i = record.index * n

@@ -8,7 +8,9 @@ hold batches of different terms at a seq up to the shard's highest
 thresholded one. Each forked index prints on its own line, and the last
 line sums them up, together with the draws in which
 ``deposed_correct_primaries`` finds a correct primary deposed after
-GST + Delta:
+GST + Delta and those in which ``assembler_prefix_check``, run after every
+delivery, finds two correct assemblers' ledgers that are not prefixes of
+one another:
 
     python3 tests/fork_sweep.py 7 1500
     python3 tests/fork_sweep.py 20261018 100   # tier-1's draws
@@ -27,36 +29,48 @@ ROOT = Path(__file__).resolve().parents[1]
 for path in (ROOT / "src", ROOT / "tests"):
     sys.path.insert(0, str(path))
 
-from helpers import batcher_forks, deposed_correct_primaries  # noqa: E402
+from helpers import (  # noqa: E402
+    assembler_prefix_check,
+    batcher_forks,
+    check_each_delivery,
+    deposed_correct_primaries,
+)
 from shardbft.sim.runner import _Runner  # noqa: E402
 from shardbft.sim.scenario import ScenarioConfig  # noqa: E402
 from test_acceptance import draw  # noqa: E402
 
 
 def _runs(seed: int, count: int):
-    """Yield (index, finished runner, config) for each of the first ``count`` draws."""
+    """Yield (index, finished runner, config, assembler prefix violations) for
+    each of the first ``count`` draws."""
     rng = random.Random(seed)
     for i in range(count):
         cfg = ScenarioConfig.from_dict(draw(rng))
         runner = _Runner(cfg)
+        prefix, broken = assembler_prefix_check(cfg)
+        check_each_delivery(runner, prefix)
         runner.run()
-        yield i, runner, cfg
+        yield i, runner, cfg, broken
 
 
 def forked_draws(seed: int, count: int):
     """Yield the index of each of the first ``count`` draws that forks."""
-    return (i for i, runner, cfg in _runs(seed, count) if batcher_forks(runner, cfg))
+    return (i for i, runner, cfg, _broken in _runs(seed, count) if batcher_forks(runner, cfg))
 
 
 def main(argv: list[str]) -> None:
     seed, count = map(int, argv)
-    forked = deposed = 0
-    for i, runner, cfg in _runs(seed, count):
+    forked = deposed = unprefixed = 0
+    for i, runner, cfg, broken in _runs(seed, count):
         if batcher_forks(runner, cfg):
             print(i, flush=True)
             forked += 1
         deposed += bool(deposed_correct_primaries(runner, cfg))
-    print(f"{forked} of {count} draws fork; {deposed} depose a correct primary after GST + Delta")
+        unprefixed += bool(broken)
+    print(
+        f"{forked} of {count} draws fork; {deposed} depose a correct primary after GST + Delta; "
+        f"{unprefixed} break the assembler prefix"
+    )
 
 
 if __name__ == "__main__":

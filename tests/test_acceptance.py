@@ -28,7 +28,15 @@ from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
-from helpers import as_pending, batcher_forks, deposed_correct_primaries, pending_oracle
+from helpers import (
+    as_pending,
+    assembler_prefix_check,
+    batcher_forks,
+    deposed_correct_primaries,
+    pending_oracle,
+    run_checked,
+    run_with_fold_checked,
+)
 
 US = 1_000_000
 
@@ -281,14 +289,28 @@ def _generated_draws(count: int, mark, marked: set[int]) -> list:
 
 @pytest.mark.parametrize("doc", _generated_draws(100, _BOUND_FROM_SUBMIT, _BOUND_FROM_SUBMIT_DRAWS))
 def test_a_generated_scenario_passes_every_check(doc):
-    report = run_scenario(ScenarioConfig.from_dict(doc))
+    # ROADMAP item 16's assembler prefix is checked after every delivery.
+    cfg = ScenarioConfig.from_dict(doc)
+    prefix, broken = assembler_prefix_check(cfg)
+    report = run_checked(cfg, prefix)
     failed = {name: check for name, check in report.checks.items() if not check["pass"]}
     bound = failed.pop("censorship_bound", None)
     # Only the bound raises AssertionError, so a pinned draw that fails
     # anything else is reported as a failure, not as its xfail.
-    if failed or not report.quiescent:
-        pytest.fail(f"quiescent={report.quiescent}, failed checks: {failed}")
+    if failed or not report.quiescent or broken:
+        pytest.fail(f"quiescent={report.quiescent}, failed checks: {failed}, assembler prefix: {broken}")
     assert bound is None, bound
+
+
+@pytest.mark.parametrize("doc", _generated_draws(20, (), set()))
+def test_the_commit_fold_matches_a_scan_of_the_ledgers(doc):
+    run_with_fold_checked(ScenarioConfig.from_dict(doc))
+
+
+def test_the_commit_fold_keeps_a_committed_bogus_tx_in_its_side_map():
+    # The grid's inject_bogus run 9 commits txs that no client submitted.
+    runner, _report = run_with_fold_checked(_grid_config(9))
+    assert runner.unrecorded and set(runner.unrecorded.values()) == {runner.everyone}
 
 
 _BATCHERS_FORK = pytest.mark.xfail(

@@ -25,7 +25,7 @@ from shardbft.core import (
 from shardbft.crypto import Signature, sign
 from shardbft.sim.scenario import ScenarioConfig
 
-from helpers import StubCtx, make_deployment, make_tx, run_checked
+from helpers import StubCtx, assembler_prefix_check, make_deployment, make_tx, run_checked
 from test_regression import SCENARIOS
 
 
@@ -91,14 +91,33 @@ def test_verify_header_duplicate_signers_not_a_quorum(party_keys, client_keys):
 
 def test_batch_then_header_appends(party_keys, client_keys):
     node = _node(party_keys)
-    ctx = StubCtx()
+    ctx = StubCtx(now_us=1_234)
     batch = _batch(client_keys)
     node.handle(batch, ctx)
     header, sigs = _signed_header(party_keys, [batch])
     node.handle(msg.PublishedHeader(header, sigs), ctx)
     assert len(node.ledger) == 1
     assert node.ledger[0].batches == (batch,)
-    assert node.inclusion_times.keys() == {tx.tx_id for tx in batch.txs}
+    # The block's txs, and no others, are committed at the append: its
+    # throughput entry is its append time and the running tx count.
+    assert node.throughput_series == [(1_234, len(batch.txs))]
+    assert node.committed_txs == len(batch.txs) > 0
+
+
+def test_the_assembler_prefix_check_names_a_block_that_differs(party_keys, client_keys):
+    # p0 and p1 append the same block 0, and p2 another one.
+    check, broken = assembler_prefix_check(ScenarioConfig(n_parties=4, f=1))
+    same, other = _batch(client_keys, tag=b"same"), _batch(client_keys, tag=b"other")
+    for party, batch, now in ((0, same, 0), (1, same, 10), (2, other, 250_000)):
+        node, ctx = _node(party_keys, party=party), StubCtx(now)
+        node.handle(batch, ctx)
+        check(node, batch)  # indexed, not appended: nothing to compare
+        header, sigs = _signed_header(party_keys, [batch])
+        message = msg.PublishedHeader(header, sigs)
+        node.handle(message, ctx)
+        check(node, message)
+        check(node, message)  # a delivery that grows nothing adds nothing
+    assert broken == ["t=0.250000 s: p2 appends block 0 on a PublishedHeader, not p0's block 0"]
 
 
 def test_duplicate_batch_single_index_entry(party_keys, client_keys):

@@ -277,14 +277,36 @@ def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
     assert len(calls) > 3 * distinct
 
 
-def _steady(seed: int) -> dict:
-    """perfbench's steady workload scenario at ``seed``: 6,000 test_mac txs."""
+def _workload(name: str, seed: int) -> dict:
+    """perfbench's ``name`` workload scenario at ``seed`` (``steady``: 6,000 test_mac txs)."""
     root = str(CONFIGS.parent)
     if root not in sys.path:
         sys.path.insert(0, root)
     from perfbench.workloads import BY_NAME
 
-    return BY_NAME["steady"].scenario(seed)
+    return BY_NAME[name].scenario(seed)
+
+
+@pytest.mark.parametrize("name", ["steady", "censor", "ed25519"])
+def test_the_memo_keeps_every_verdict_a_benchmark_run_reads_again(monkeypatch, name):
+    # VERIFY_CACHE_SIZE is sized by reuse distance, not by a run's distinct
+    # triples, which outnumber it on steady and censor: still no verdict is
+    # evicted before a later check reads it, so the primitive runs once per
+    # distinct triple. ed25519's hub warms the memo a window ahead.
+    memo = crypto.verify
+    calls = []
+
+    def counting(public, message, sig):
+        calls.append((public, message, sig))
+        return memo(public, message, sig)
+
+    _rebind(monkeypatch, memo, counting)
+    memo.cache_clear()
+    run_scenario(ScenarioConfig.from_dict(_workload(name, 505)))
+    info, distinct = memo.cache_info(), len(set(calls))
+    assert info.maxsize == crypto.VERIFY_CACHE_SIZE
+    assert info.misses == distinct
+    assert distinct > crypto.VERIFY_CACHE_SIZE or name == "ed25519"
 
 
 def test_each_transaction_builds_its_signing_bytes_once(monkeypatch):
@@ -298,7 +320,7 @@ def test_each_transaction_builds_its_signing_bytes_once(monkeypatch):
         return built(client_id, payload)
 
     _rebind(monkeypatch, built, counting)
-    runner = _Runner(ScenarioConfig.from_dict(_steady(505)))
+    runner = _Runner(ScenarioConfig.from_dict(_workload("steady", 505)))
     runner.run()
     assert len(calls) == len(runner.submissions) == 6000
     for submission in runner.submissions:

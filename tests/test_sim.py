@@ -23,16 +23,18 @@ from shardbft.core import (
     Block,
     BlockHeader,
     ComplaintVote,
+    Transaction,
     ZERO_DIGEST,
     header_digest,
 )
+from shardbft.crypto import Signature
 from shardbft.sim.checks import check_agreement, check_censorship_bound, check_no_loss_no_unbounded_dup
 from shardbft.sim.report import RunReport, TxRecord, report_to_json
 from shardbft.router import REASON_MALFORMED, RouterNode
 from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
-from helpers import StubCtx, make_tx
+from helpers import StubCtx, make_tx, run_with_fold_checked
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -382,13 +384,77 @@ def test_the_hub_submits_each_tx_to_every_router_on_its_own_timer():
     assert max(timers_queued) == 1
 
 
+def _refold(runner) -> None:
+    """Forget every folded commit: the next goal check reads each correct
+    ledger again from its first block."""
+    for record in runner.tx_records:
+        record.holders, record.first_commit_us, record.last_commit_us = 0, None, None
+    runner.folded = dict.fromkeys(runner.folded, 0)
+    runner.unrecorded.clear()
+
+
+def _edit_last_block(runner, party, edit) -> None:
+    """Replace the last batch of ``party``'s last block by one whose txs are ``edit(txs)``."""
+    ledger = runner.assemblers[party].ledger
+    block = ledger[-1]
+    last = block.batches[-1]
+    batch = Batch(last.shard, last.seq, last.term, last.primary, edit(last.txs))
+    ledger[-1] = Block(block.header, block.quorum_sigs, (*block.batches[:-1], batch))
+
+
 def test_the_goal_needs_every_acked_tx_committed_at_every_correct_party():
     runner = _Runner(_cfg(seed=5))
     report = runner.run()
     assert report.quiescent and runner._goal_met()
-    acked = next(r for r in report.tx_records if r.ack_quorum_us is not None)
-    del runner.assemblers[0].inclusion_times[acked.tx_id]
+    _refold(runner)
+    assert runner._goal_met()  # read from the ledgers afresh, it still holds
+    # Without an acked tx in party 0's ledger, it does not.
+    acked_id = runner.assemblers[0].ledger[-1].batches[-1].txs[-1].tx_id
+    assert runner.record_of[acked_id].ack_quorum_us is not None
+    _edit_last_block(runner, 0, lambda txs: txs[:-1])
+    _refold(runner)
     assert not runner._goal_met()
+
+
+def test_a_pooled_tx_with_no_record_counts_once_committed_everywhere():
+    # An inject_bogus primary's tx has no record; a correct batcher may pool
+    # it again at a term change. Pool residue is fine only once the tx is
+    # committed at every correct party, as for a recorded tx.
+    runner = _Runner(_cfg(seed=5))
+    assert runner.run().quiescent
+    bogus = Transaction(1 << 40, b"bogus", Signature(runner.d.scheme, bytes(32)))
+    assert bogus.tx_id not in runner.record_of
+    runner.batchers[1, 0].pool.push_front([bogus])
+    assert not runner._goal_met()
+    correct = runner.cfg.correct_parties()
+    for party in correct[:-1]:
+        _edit_last_block(runner, party, lambda txs: (*txs, bogus))
+    _refold(runner)
+    assert not runner._goal_met()  # held by every correct party but one
+    _edit_last_block(runner, correct[-1], lambda txs: (*txs, bogus))
+    _refold(runner)
+    assert runner._goal_met()
+    assert runner.unrecorded == {bogus.tx_id: runner.everyone}
+
+
+def test_the_commit_fold_counts_a_reproposed_tx_once_per_party():
+    # A censor run whose term changes re-propose txs, some of them committed
+    # twice: a party's first block with the tx gives its commit time.
+    doc = json.loads((CONFIGS / "censorship.json").read_text())
+    doc["seed"] = 20
+    _runner, report = run_with_fold_checked(ScenarioConfig.from_dict(doc))
+    assert report.reproposed_tx_ids and report.duplicate_commits > 0
+    assert report.checks["no_loss_no_unbounded_dup"]["pass"]
+
+
+def test_a_run_cut_short_leaves_no_last_commit_where_a_correct_party_lacks_the_tx():
+    # No drain and wide jitter: the run ends with the correct ledgers at
+    # different heights, so some txs are held by some correct parties only.
+    doc = json.loads((CONFIGS / "censorship.json").read_text())
+    doc.update(drain=0.0, delta=0.4, latency={"base": 0.002, "jitter": 0.05})
+    _runner, report = run_with_fold_checked(ScenarioConfig.from_dict(doc))
+    assert not report.quiescent
+    assert any(r.first_commit_us is not None and r.last_commit_us is None for r in report.tx_records)
 
 
 def test_a_message_to_a_silent_node_moves_no_commit_time(monkeypatch):
