@@ -274,7 +274,7 @@ class BatcherNode:
     def _on_pull_response(self, m: msg.PullResponse, ctx) -> None:
         if self.is_primary or self.halted:
             return
-        if m.responder_party != self.primary or m.batch is None:
+        if m.responder_party != self.primary:
             return
         batch = m.batch
         if batch.seq != self.height:

@@ -69,7 +69,7 @@ class PullRequest:
 
 @dataclass(slots=True)
 class PullResponse:
-    batch: Batch | None
+    batch: Batch
     responder_party: int
 
 

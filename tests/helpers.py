@@ -1,13 +1,23 @@
 """Builders shared by the unit tests: transactions, batches, pending
 attestation shares, a deployment wired to the fixture keys, a context
-that records what a node does, a run checked after every delivery, the
-correct assemblers' ledgers checked to be prefixes of one another, the
-batcher forks and deposed correct primaries a finished run holds, and each
-tx's first commit time at each correct party, scanned from the ledgers."""
+that records what a node does, and a run checked after every delivery.
+
+ROADMAP item 16's oracles run after every delivery, and each names the
+delivery that made a violation visible: the assembler prefix, batcher
+agreement, and no correct primary deposed after GST + Delta. The last two
+are also scans of a finished run (``batcher_forks`` and
+``deposed_correct_primaries``), the references their per-delivery results
+must equal. ``checked_draw`` runs a generated scenario once per process
+with all of them, and keeps only its ``Verdict``."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cache
+
+import families
 from shardbft.assembler import AssemblerNode
+from shardbft.batcher import BatcherNode
 from shardbft.core import Batch, Transaction, primary_for_term, tx_signing_bytes
 from shardbft.crypto import sign
 from shardbft.sim.runner import Deployment, _Runner
@@ -116,6 +126,88 @@ def assembler_prefix_check(cfg):
     return check, violations
 
 
+def _at(t_us: int) -> str:
+    return f"t={t_us / 1e6:.6f} s"
+
+
+def batcher_agreement_check(runner, cfg):
+    """``batcher_forks`` as a ``run_checked`` check on ``runner``: after every
+    delivery, no two correct batchers of a shard hold batches of different
+    terms at a seq up to the shard's highest thresholded one. Returns the
+    check and a dict (shard, seq) -> the delivery that made that fork
+    visible.
+
+    Ledgers and ``thresholded`` sets only grow, so a fork stays visible once
+    it is, and the check looks only at a correct batcher whose ledger or
+    ``thresholded`` set the delivery grew: its new batches, against the
+    terms other correct batchers hold at those seqs, and the seqs that a
+    rise of the shard's highest thresholded seq passes."""
+    correct = set(cfg.correct_parties())
+    top = [-1] * cfg.shard_count  # shard -> highest thresholded seq of its correct batchers
+    terms: list[list[dict[int, int]]] = [[] for _ in range(cfg.shard_count)]  # shard -> seq -> term -> first holder
+    checked: dict[BatcherNode, tuple[int, int]] = {}  # batcher -> (ledger length, thresholded count) seen
+    forks: dict[tuple[int, int], str] = {}
+
+    def fork(shard: int, seq: int, what: str) -> None:
+        held = terms[shard][seq]
+        if len(held) > 1 and seq <= top[shard] and (shard, seq) not in forks:
+            holders = " and ".join(f"p{party} term {term}" for term, party in held.items())
+            forks[shard, seq] = f"{_at(runner.now_us)}: {what}; shard {shard} seq {seq} is held as {holders}"
+
+    def check(node, message) -> None:
+        if not isinstance(node, BatcherNode) or node.party not in correct:
+            return
+        height, count = checked.get(node, (0, 0))
+        if height == len(node.ledger) and count == len(node.thresholded):
+            return
+        checked[node] = len(node.ledger), len(node.thresholded)
+        shard, party, event = node.shard, node.party, type(message).__name__
+        for seq in range(height, len(node.ledger)):
+            term = node.ledger[seq].term
+            if seq == len(terms[shard]):
+                terms[shard].append({})
+            terms[shard][seq].setdefault(term, party)
+            fork(shard, seq, f"p{party} persists seq {seq} of term {term} on a {event}")
+        if count != len(node.thresholded):  # the OrderedUpdate's keys are the new ones
+            old = top[shard]
+            top[shard] = max(old, *(key.seq for key in message.thresholded))
+            for seq in range(old + 1, min(top[shard] + 1, len(terms[shard]))):
+                fork(shard, seq, f"p{party}'s {event} thresholds seq {top[shard]}")
+
+    return check, forks
+
+
+def deposed_primary_check(runner, cfg):
+    """``deposed_correct_primaries`` as a ``run_checked`` check on ``runner``:
+    after every delivery to the first correct consensus node, each new
+    ``term_change_log`` entry is checked. Returns the check and a dict
+    (shard, term) -> the term change that deposed that term's correct
+    primary."""
+    correct = cfg.correct_parties()
+    watched = runner.consensus[correct[0]]
+    after = cfg.gst_us + cfg.delta_us
+    current = [(0, 0)] * cfg.shard_count  # shard -> (term, began at)
+    deposed: dict[tuple[int, int], str] = {}
+    logged = 0
+
+    def check(node, _message) -> None:
+        nonlocal logged
+        if node is not watched or logged == len(node.term_change_log):
+            return
+        for at, shard, term in node.term_change_log[logged:]:
+            old, began = current[shard]
+            primary = primary_for_term(old, cfg.n_parties)
+            if began >= after and primary in correct:
+                deposed[shard, old] = (
+                    f"{_at(at)}: shard {shard} leaves term {old}, whose primary p{primary} is correct "
+                    f"and began at {began / 1e6:.6f} s"
+                )
+            current[shard] = (term, at)
+        logged = len(node.term_change_log)
+
+    return check, deposed
+
+
 def first_commits(runner, cfg) -> dict[bytes, dict[int, int]]:
     """tx_id -> {correct party: the append time of its first ledger block
     holding the tx}, scanned from each correct assembler's ledger and its
@@ -147,11 +239,10 @@ def assert_fold_matches_ledgers(runner, cfg, ended: bool) -> None:
     assert runner.unrecorded == {tx_id: sum(1 << party for party in times) for tx_id, times in scanned.items()}
 
 
-def run_with_fold_checked(cfg: ScenarioConfig):
-    """Run ``cfg``, checking the runner's commit fold with
-    ``assert_fold_matches_ledgers`` after every delivery that grows a correct
-    ledger and once the report is built; returns the runner and the report."""
-    runner = _Runner(cfg)
+def fold_check(runner, cfg):
+    """A ``run_checked`` check on ``runner`` that checks its commit fold with
+    ``assert_fold_matches_ledgers`` after every delivery that grows a
+    correct ledger."""
     heights = dict.fromkeys(runner.folded, 0)
 
     def check(node, _message) -> None:
@@ -161,7 +252,14 @@ def run_with_fold_checked(cfg: ScenarioConfig):
             runner._fold_commits()
             assert_fold_matches_ledgers(runner, cfg, ended=False)
 
-    check_each_delivery(runner, check)
+    return check
+
+
+def run_with_fold_checked(cfg: ScenarioConfig):
+    """Run ``cfg`` with ``fold_check`` attached, then check the fold once
+    more on the built report; returns the runner and the report."""
+    runner = _Runner(cfg)
+    check_each_delivery(runner, fold_check(runner, cfg))
     report = runner.run()
     assert_fold_matches_ledgers(runner, cfg, ended=True)
     return runner, report
@@ -202,6 +300,69 @@ def _checked(node, handle, check):
         check(node, message)
 
     return checked
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What the oracle tests and the sweeps read of one run, which keeps no
+    runner alive: the report's checks and quiescence, each per-delivery
+    oracle's violations, the earliest of them, and the run-end scans the
+    per-delivery ``forks`` and ``deposed`` equal."""
+
+    checks: dict
+    quiescent: bool
+    prefix: list[str]
+    forks: dict[tuple[int, int], str]
+    deposed: dict[tuple[int, int], str]
+    first: str | None
+    batcher_forks: list[tuple[int, int]]
+    deposed_correct_primaries: list[tuple[int, int]]
+
+
+def checked_run(cfg: ScenarioConfig, fold: bool = False) -> Verdict:
+    """Run ``cfg`` with every item-16 oracle checked after each delivery,
+    and with ``fold_check`` too if ``fold``. Raises if a per-delivery oracle
+    and its run-end scan disagree: that is a fault of the oracle, not of the
+    run, so it is not an AssertionError a strict xfail could absorb."""
+    runner = _Runner(cfg)
+    prefix, broken = assembler_prefix_check(cfg)
+    agreement, forks = batcher_agreement_check(runner, cfg)
+    primaries, deposed = deposed_primary_check(runner, cfg)
+    oracles = [prefix, agreement, primaries, *([fold_check(runner, cfg)] if fold else [])]
+    first: list[str] = []
+
+    def check(node, message) -> None:
+        for each in oracles:
+            each(node, message)
+        if not first and (broken or forks or deposed):
+            first.append([*broken, *forks.values(), *deposed.values()][0])
+
+    check_each_delivery(runner, check)
+    report = runner.run()
+    if fold:
+        assert_fold_matches_ledgers(runner, cfg, ended=True)
+    verdict = Verdict(
+        report.checks,
+        report.quiescent,
+        broken,
+        forks,
+        deposed,
+        first[0] if first else None,
+        batcher_forks(runner, cfg),
+        deposed_correct_primaries(runner, cfg),
+    )
+    if sorted(forks) != verdict.batcher_forks or sorted(deposed) != sorted(verdict.deposed_correct_primaries):
+        raise RuntimeError(f"a per-delivery oracle disagrees with its run-end scan: {verdict}")
+    return verdict
+
+
+FOLD_CHECKED_DRAWS = 20  # draws 0-19 of each generator seed also check the commit fold
+
+
+@cache
+def checked_draw(name: str) -> Verdict:
+    """``checked_run`` of the ``draw/R/I`` scenario ``name``, once per process."""
+    return checked_run(families.load(name), fold=int(name.rsplit("/", 1)[1]) < FOLD_CHECKED_DRAWS)
 
 
 class StubCtx:

@@ -1,9 +1,9 @@
 """Print the protocol state one party holds at the end of a run, to see
 which structures grow with run length.
 
-The run is the criterion-1 grid scenario (`tests/test_acceptance.py`) at
-N=7, F=2, k=3, 200 tx/s and seed 5, with ``equivocate_batch`` at party 0
-and ``withhold_bas`` at party 1. It runs once per duration (2, 8 and 32
+The run is ``suite1/23`` (`tests/families.py`), the criterion-1 grid's
+N=7, F=2 run with ``equivocate_batch`` at party 0 and ``withhold_bas`` at
+party 1, at k=3, 200 tx/s and seed 5. It runs once per duration (2, 8 and 32
 virtual seconds by default) and prints one row per structure of party 3,
 one column per duration:
 
@@ -19,8 +19,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+for path in (ROOT / "src", ROOT / "tests"):
+    sys.path.insert(0, str(path))
 
+from families import config  # noqa: E402
 from shardbft.sim.runner import _Runner  # noqa: E402
 from shardbft.sim.scenario import ScenarioConfig  # noqa: E402
 
@@ -29,32 +31,7 @@ SHARD = 0
 
 
 def scenario(duration: float) -> dict:
-    return {
-        "parties": 7,
-        "faults": 2,
-        "shards": 3,
-        "seed": 5,
-        "clients": 4,
-        "tx_rate": 200.0,
-        "tx_size": 32,
-        "duration": duration,
-        "delta": 0.2,
-        "tob_delay_bound": 0.3,
-        "latency": {"base": 0.002, "jitter": 0.008},
-        "protocol": {
-            "max_batch_size": 50,
-            "max_batch_latency": 0.1,
-            "round_interval": 0.02,
-            "t_forward": 0.3,
-            "t_complain": 0.3,
-            "bucket_period": 0.05,
-        },
-        "drain": 20.0,
-        "adversaries": [
-            {"party": 0, "kind": "equivocate_batch"},
-            {"party": 1, "kind": "withhold_bas"},
-        ],
-    }
+    return dict(config("suite1/23"), shards=3, seed=5, tx_rate=200.0, duration=duration)
 
 
 def sizes(duration: float) -> dict[str, int]:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from shardbft.batcher import required_sample_size, sample_verify
-from shardbft.behaviors import BEHAVIOR_KINDS
 from shardbft.cli import main as cli_main
 from shardbft.consensus import filter_event, process_round
 from shardbft.core import (
@@ -28,15 +27,8 @@ from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
-from helpers import (
-    as_pending,
-    assembler_prefix_check,
-    batcher_forks,
-    deposed_correct_primaries,
-    pending_oracle,
-    run_checked,
-    run_with_fold_checked,
-)
+from families import ADVERSARY_KINDS, config, load
+from helpers import as_pending, checked_draw, pending_oracle, run_with_fold_checked
 
 US = 1_000_000
 
@@ -50,92 +42,8 @@ def _verdict(num, name, ok, detail=""):
 
 
 # --------------------------------------------------------------------------
-# Suite-1 grid: 200 seeded runs over topology x shards x adversary.
-
-TOPOLOGIES = [(4, 1), (7, 2)]
-SHARD_COUNTS = [1, 2, 4]
-ADVERSARY_KINDS = ["none", "crash", "censor_tx", "inject_bogus", "withhold_bas", "equivocate_batch"]
-
-
-def _adversaries(kind, f):
-    if kind == "none":
-        return []
-    if kind == "crash":
-        out = [{"party": 0, "kind": "crash", "crash_at": 0.25}]
-        if f >= 2:
-            out.append({"party": 1, "kind": "crash", "crash_at": 0.45})
-        return out
-    if kind == "equivocate_batch":
-        out = [{"party": 0, "kind": "equivocate_batch"}]
-        if f >= 2:
-            out.append({"party": 1, "kind": "withhold_bas"})
-        return out
-    if kind == "censor_tx":
-        return [{"party": p, "kind": "censor_tx", "censor_clients": [0]} for p in range(f)]
-    return [{"party": p, "kind": kind} for p in range(f)]
-
-
-def _grid_config(i):
-    combos = [
-        (topo, shards, kind)
-        for topo in TOPOLOGIES
-        for shards in SHARD_COUNTS
-        for kind in ADVERSARY_KINDS
-    ]
-    (n, f), shards, kind = combos[i % len(combos)]
-    return ScenarioConfig.from_dict(
-        {
-            "parties": n,
-            "faults": f,
-            "shards": shards,
-            "seed": 1000 + i,
-            "clients": 4,
-            "tx_rate": 100.0,
-            "tx_size": 32,
-            "duration": 0.6,
-            "delta": 0.2,
-            "tob_delay_bound": 0.3,
-            "latency": {"base": 0.002, "jitter": 0.008},
-            "protocol": {
-                "max_batch_size": 50,
-                "max_batch_latency": 0.1,
-                "round_interval": 0.02,
-                "t_forward": 0.3,
-                "t_complain": 0.3,
-                "bucket_period": 0.05,
-            },
-            "drain": 20.0,
-            "adversaries": _adversaries(kind, f),
-        }
-    )
-
-
-def draw(rng) -> dict:
-    """One scenario of the randomized gate: the grid config at a random
-    N = 3F+1, shard count, seed, rate and GST, with up to F adversaries of
-    any kind at distinct parties."""
-    n, f = rng.choice([(4, 1), (7, 2)])
-    advs = []
-    for p in rng.sample(range(n), rng.randint(0, f)):
-        kind = rng.choice(BEHAVIOR_KINDS)
-        a = {"party": p, "kind": kind}
-        if kind == "crash":
-            a["crash_at"] = rng.choice([0, 0.25, 0.5])
-        if kind == "censor_tx":
-            a["censor_clients"] = [rng.randrange(4)]
-        advs.append(a)
-    d = _grid_config(0).to_dict()
-    d.update(
-        parties=n,
-        faults=f,
-        adversaries=advs,
-        shards=rng.randint(1, 6),
-        seed=rng.randrange(1 << 20),
-        tx_rate=rng.choice([50, 100, 200, 400]),
-        gst=rng.choice([0, 0.2, 0.5, 1.0, 1.5]),
-    )
-    return d
-
+# Suite-1 grid: 200 seeded runs over topology x shards x adversary
+# (``suite1/I`` in `tests/families.py`).
 
 def _leftover_state(runner, cfg) -> list[str]:
     """What a correct party's header path still holds once its run ends: an
@@ -162,7 +70,7 @@ def suite1_runs():
     start = time.time()
     runs, leftovers = [], {}
     for i in range(200):
-        cfg = _grid_config(i)
+        cfg = load(f"suite1/{i}")
         runner = _Runner(cfg)
         runs.append((cfg, runner.run()))
         leftovers[cfg.seed] = _leftover_state(runner, cfg)
@@ -244,27 +152,16 @@ _FORKED_AT_A_TERM_CHANGE = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize(
-    "seed, shards, tx_rate, kind",
+    "name",
     [
-        pytest.param(58667, 2, 100.0, "equivocate_batch", marks=_FORKED_AT_A_TERM_CHANGE, id="58667"),
-        pytest.param(676174, 5, 200.0, "inject_bogus", marks=_FORKED_AT_A_TERM_CHANGE, id="676174"),
+        pytest.param("repro/loss-58667", marks=_FORKED_AT_A_TERM_CHANGE, id="58667"),
+        pytest.param("repro/loss-676174", marks=_FORKED_AT_A_TERM_CHANGE, id="676174"),
     ],
 )
-def test_a_term_change_loses_no_acked_tx(seed, shards, tx_rate, kind):
-    # ROADMAP item 1's loss repros, built as its scenario generator builds
-    # them: the grid config at N=4, F=1 and gst 1.5, one adversary at party
-    # 1. A moved delay stream shows as an XPASS.
-    doc = _grid_config(0).to_dict()
-    doc.update(
-        parties=4,
-        faults=1,
-        shards=shards,
-        seed=seed,
-        tx_rate=tx_rate,
-        gst=1.5,
-        adversaries=[{"party": 1, "kind": kind}],
-    )
-    report = run_scenario(ScenarioConfig.from_dict(doc))
+def test_a_term_change_loses_no_acked_tx(name):
+    # ROADMAP item 1's loss repros: suite1/0 at N=4, F=1 and gst 1.5, one
+    # adversary at party 1. A moved delay stream shows as an XPASS.
+    report = run_scenario(load(name))
     check = report.checks["no_loss_no_unbounded_dup"]
     assert check["pass"], check
     assert report.quiescent
@@ -280,36 +177,35 @@ _BOUND_FROM_SUBMIT_DRAWS = {16, 44}  # each a censor_tx at N=4
 
 
 def _generated_draws(count: int, mark, marked: set[int]) -> list:
-    rng = random.Random(20261018)
+    # Tier-1's generated scenarios, draw/20261018/0 to 99. Each oracle test
+    # below reads the one run ``checked_draw`` makes of each per session.
     return [
-        pytest.param(doc, marks=mark if i in marked else (), id=str(i))
-        for i, doc in enumerate(draw(rng) for _ in range(count))
+        pytest.param(f"draw/20261018/{i}", marks=mark if i in marked else (), id=str(i)) for i in range(count)
     ]
 
 
-@pytest.mark.parametrize("doc", _generated_draws(100, _BOUND_FROM_SUBMIT, _BOUND_FROM_SUBMIT_DRAWS))
-def test_a_generated_scenario_passes_every_check(doc):
+@pytest.mark.parametrize("name", _generated_draws(100, _BOUND_FROM_SUBMIT, _BOUND_FROM_SUBMIT_DRAWS))
+def test_a_generated_scenario_passes_every_check(name):
     # ROADMAP item 16's assembler prefix is checked after every delivery.
-    cfg = ScenarioConfig.from_dict(doc)
-    prefix, broken = assembler_prefix_check(cfg)
-    report = run_checked(cfg, prefix)
-    failed = {name: check for name, check in report.checks.items() if not check["pass"]}
+    verdict = checked_draw(name)
+    failed = {check: entry for check, entry in verdict.checks.items() if not entry["pass"]}
     bound = failed.pop("censorship_bound", None)
     # Only the bound raises AssertionError, so a pinned draw that fails
     # anything else is reported as a failure, not as its xfail.
-    if failed or not report.quiescent or broken:
-        pytest.fail(f"quiescent={report.quiescent}, failed checks: {failed}, assembler prefix: {broken}")
+    if failed or not verdict.quiescent or verdict.prefix:
+        pytest.fail(f"quiescent={verdict.quiescent}, failed checks: {failed}, assembler prefix: {verdict.prefix}")
     assert bound is None, bound
 
 
-@pytest.mark.parametrize("doc", _generated_draws(20, (), set()))
-def test_the_commit_fold_matches_a_scan_of_the_ledgers(doc):
-    run_with_fold_checked(ScenarioConfig.from_dict(doc))
+@pytest.mark.parametrize("name", _generated_draws(20, (), set()))
+def test_the_commit_fold_matches_a_scan_of_the_ledgers(name):
+    # checked_draw checks the fold after every delivery on these draws.
+    checked_draw(name)
 
 
 def test_the_commit_fold_keeps_a_committed_bogus_tx_in_its_side_map():
     # The grid's inject_bogus run 9 commits txs that no client submitted.
-    runner, _report = run_with_fold_checked(_grid_config(9))
+    runner, _report = run_with_fold_checked(load("suite1/9"))
     assert runner.unrecorded and set(runner.unrecorded.values()) == {runner.everyone}
 
 
@@ -324,15 +220,13 @@ _BATCHERS_FORK_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("doc", _generated_draws(100, _BATCHERS_FORK, _BATCHERS_FORK_DRAWS))
-def test_correct_batchers_agree_up_to_the_thresholded_seq(doc):
-    # ROADMAP item 16's batcher agreement, judged at run end over the same
-    # draws as the test above. A fix shows as passes, a moved stream as an
-    # XPASS or a failure.
-    cfg = ScenarioConfig.from_dict(doc)
-    runner = _Runner(cfg)
-    runner.run()
-    assert batcher_forks(runner, cfg) == []
+@pytest.mark.parametrize("name", _generated_draws(100, _BATCHERS_FORK, _BATCHERS_FORK_DRAWS))
+def test_correct_batchers_agree_up_to_the_thresholded_seq(name):
+    # ROADMAP item 16's batcher agreement, checked after every delivery over
+    # the same draws as the test above. A fix shows as passes, a moved
+    # stream as an XPASS or a failure.
+    verdict = checked_draw(name)
+    assert verdict.batcher_forks == [], verdict.forks
 
 
 _CORRECT_PRIMARY_DEPOSED = pytest.mark.xfail(
@@ -343,13 +237,12 @@ _CORRECT_PRIMARY_DEPOSED = pytest.mark.xfail(
 )
 
 
-@pytest.mark.parametrize("doc", _generated_draws(100, _CORRECT_PRIMARY_DEPOSED, {88}))
-def test_no_correct_primary_is_deposed_after_gst_plus_delta(doc):
-    # ROADMAP item 16's third oracle, judged at run end over the same draws.
-    cfg = ScenarioConfig.from_dict(doc)
-    runner = _Runner(cfg)
-    runner.run()
-    assert deposed_correct_primaries(runner, cfg) == []
+@pytest.mark.parametrize("name", _generated_draws(100, _CORRECT_PRIMARY_DEPOSED, {88}))
+def test_no_correct_primary_is_deposed_after_gst_plus_delta(name):
+    # ROADMAP item 16's third oracle, checked after every delivery over the
+    # same draws.
+    verdict = checked_draw(name)
+    assert verdict.deposed_correct_primaries == [], verdict.deposed
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
@@ -358,7 +251,7 @@ def test_more_than_3f_plus_1_parties_pass_every_check(n, f, kind):
     # The grid config at N > 3F+1, where the quorum ceil((N+F+1)/2) is not
     # 2F+1, with no adversary or with F adversaries of one kind.
     extra = {"crash": {"crash_at": 0.25}, "censor_tx": {"censor_clients": [0]}}.get(kind, {})
-    doc = _grid_config(0).to_dict()
+    doc = config("suite1/0")
     doc.update(
         parties=n,
         faults=f,
@@ -374,30 +267,10 @@ def test_more_than_3f_plus_1_parties_pass_every_check(n, f, kind):
 def test_criterion_3_censorship_bound():
     results = []
     for seed in range(50):
+        # suite1/0 at k=2 with a censor at party 0.
+        censor = [{"party": 0, "kind": "censor_tx", "censor_clients": [0]}]
         cfg = ScenarioConfig.from_dict(
-            {
-                "parties": 4,
-                "faults": 1,
-                "shards": 2,
-                "seed": 3000 + seed,
-                "clients": 4,
-                "tx_rate": 80.0,
-                "tx_size": 32,
-                "duration": 0.5,
-                "delta": 0.2,
-                "tob_delay_bound": 0.3,
-                "latency": {"base": 0.002, "jitter": 0.008},
-                "protocol": {
-                    "max_batch_size": 50,
-                    "max_batch_latency": 0.1,
-                    "round_interval": 0.02,
-                    "t_forward": 0.3,
-                    "t_complain": 0.3,
-                    "bucket_period": 0.05,
-                },
-                "drain": 20.0,
-                "adversaries": [{"party": 0, "kind": "censor_tx", "censor_clients": [0]}],
-            }
+            dict(config("suite1/0"), shards=2, seed=3000 + seed, tx_rate=80.0, duration=0.5, adversaries=censor)
         )
         report = run_scenario(cfg)
         check = report.checks["censorship_bound"]
@@ -424,39 +297,8 @@ def test_criterion_3_censorship_bound():
 def test_a_lone_equivocator_keeps_the_censorship_bound():
     # The benchmark's censor workload with an equivocating primary in place
     # of the censor: no check enables the bound for this adversary kind.
-    cfg = ScenarioConfig.from_dict(
-        {
-            "parties": 7,
-            "faults": 2,
-            "shards": 3,
-            "seed": 1,
-            "clients": 4,
-            "tx_rate": 300.0,
-            "tx_size": 64,
-            "duration": 10.0,
-            "gst": 0.0,
-            "delta": 0.2,
-            "tob_delay_bound": 0.3,
-            "latency": {"base": 0.002, "jitter": 0.01},
-            "scheme": "test_mac",
-            "protocol": {
-                "max_batch_size": 10,
-                "max_batch_latency": 0.1,
-                "min_propose_interval": 0.01,
-                "bucket_period": 0.05,
-                "t_forward": 0.4,
-                "t_complain": 0.4,
-                "epoch_length": 1.0,
-                "epoch_window": 2,
-                "alpha": 0.5,
-                "p_fail": 9.313225746154785e-10,
-                "round_interval": 0.02,
-                "fetch_timeout": 0.25,
-            },
-            "drain": 20.0,
-            "adversaries": [{"party": 0, "kind": "equivocate_batch"}],
-        }
-    )
+    equivocator = [{"party": 0, "kind": "equivocate_batch"}]
+    cfg = ScenarioConfig.from_dict(dict(config("perfbench/censor/1"), adversaries=equivocator))
     report = run_scenario(cfg)
     check = check_censorship_bound(report, cfg.censorship_bound_us())
     assert check["pass"], check
@@ -558,33 +400,10 @@ def test_criterion_6_correct_primary_never_deposed():
     runs = 0
     for n, f, seeds in ((4, 1, range(50)), (7, 2, range(50))):
         for seed in seeds:
-            cfg = ScenarioConfig.from_dict(
-                {
-                    "parties": n,
-                    "faults": f,
-                    "shards": 1,
-                    "seed": 6000 + seed,
-                    "clients": 4,
-                    "tx_rate": 75.0,
-                    "tx_size": 32,
-                    "duration": 0.4,
-                    "delta": 0.2,
-                    "tob_delay_bound": 0.3,
-                    "latency": {"base": 0.002, "jitter": 0.008},
-                    "protocol": {
-                        "max_batch_size": 50,
-                        "max_batch_latency": 0.1,
-                        "round_interval": 0.02,
-                        "t_forward": 0.3,
-                        "t_complain": 0.3,
-                        "bucket_period": 0.05,
-                    },
-                    "drain": 10.0,
-                    "adversaries": [
-                        {"party": p, "kind": "false_complaint"} for p in range(1, f + 1)
-                    ],
-                }
-            )
+            # suite1/0 at k=1 with F false complainers.
+            complainers = [{"party": p, "kind": "false_complaint"} for p in range(1, f + 1)]
+            doc = dict(config("suite1/0"), parties=n, faults=f, seed=6000 + seed, tx_rate=75.0, duration=0.4)
+            cfg = ScenarioConfig.from_dict(dict(doc, drain=10.0, adversaries=complainers))
             report = run_scenario(cfg)
             runs += 1
             term_changes += len(report.term_changes)
@@ -727,9 +546,9 @@ def test_criterion_8_dedup_and_gc(party_keys):
 
 def test_criterion_9_determinism(tmp_path):
     configs = [
-        _grid_config(0),  # fault free
-        _grid_config(1),  # crash
-        _grid_config(2),  # censorship
+        load("suite1/0"),  # fault free
+        load("suite1/1"),  # crash
+        load("suite1/2"),  # censorship
     ]
     mismatches = 0
     for cfg in configs:

@@ -25,8 +25,8 @@ from shardbft.core import (
 from shardbft.crypto import Signature, sign
 from shardbft.sim.scenario import ScenarioConfig
 
+from families import load
 from helpers import StubCtx, assembler_prefix_check, make_deployment, make_tx, run_checked
-from test_regression import SCENARIOS
 
 
 def _pubs(party_keys, n=4):
@@ -254,7 +254,7 @@ def test_each_header_is_verified_once_on_arrival(monkeypatch, name):
         seen = len(calls)
 
     monkeypatch.setattr(assembler, "verify_header", counted)
-    run_checked(ScenarioConfig.from_dict(SCENARIOS[name]()), check)
+    run_checked(load(f"pinned/{name}"), check)
     assert headers and len(calls) == headers
 
 
@@ -313,7 +313,7 @@ def test_no_key_being_fetched_is_held(monkeypatch, name):
         fetch(node, key, attempt, ctx)
 
     monkeypatch.setattr(AssemblerNode, "_fetch", counted)
-    run_checked(ScenarioConfig.from_dict(SCENARIOS[name]()), check)
+    run_checked(load(f"pinned/{name}"), check)
     assert 0 in attempts and max(attempts) > 0
 
 

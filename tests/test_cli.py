@@ -15,28 +15,10 @@ from shardbft.sim.report import JSON_CHUNK_RECORDS, report_to_json
 from shardbft.sim.runner import run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
-BASE_CONFIG = {
-    "parties": 4,
-    "faults": 1,
-    "shards": 2,
-    "seed": 17,
-    "clients": 4,
-    "tx_rate": 80.0,
-    "tx_size": 32,
-    "duration": 1.0,
-    "delta": 0.2,
-    "tob_delay_bound": 0.3,
-    "latency": {"base": 0.002, "jitter": 0.008},
-    "protocol": {
-        "max_batch_size": 50,
-        "max_batch_latency": 0.1,
-        "round_interval": 0.02,
-        "t_forward": 0.3,
-        "t_complain": 0.3,
-        "bucket_period": 0.05,
-    },
-    "drain": 10.0,
-}
+from families import config
+
+# suite1/0 at k=2 and 80 tx/s for 1 s.
+BASE_CONFIG = dict(config("suite1/0"), shards=2, seed=17, tx_rate=80.0, duration=1.0, drain=10.0)
 
 
 @pytest.fixture

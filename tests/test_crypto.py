@@ -11,7 +11,9 @@ import threading
 from pathlib import Path
 
 import pytest
-from test_regression import _ed25519_short, _rebind
+from test_regression import _rebind
+
+import families
 
 import shardbft
 from shardbft import crypto
@@ -340,7 +342,7 @@ def test_bulk_calls_lose_nothing_on_more_threads_than_cores(sodium, swap_backend
 
 @pytest.mark.parametrize("case", ["test_mac", "fallback", "one_cpu"])
 def test_a_run_that_cannot_gain_starts_no_thread(case, swap_backend, cpus, threads_started):
-    doc = _ed25519_short()
+    doc = families.config("pinned/ed25519_short")
     cpus(1 if case == "one_cpu" else 2)
     if case == "test_mac":
         doc["scheme"] = SCHEME_TEST_MAC
@@ -355,7 +357,7 @@ def test_a_libsodium_run_signs_and_warms_on_threads(sodium, swap_backend, cpus, 
     # 50 txs, one window: one worker thread signs, one warms the memo.
     swap_backend(sodium)
     cpus(2)
-    run_scenario(ScenarioConfig.from_dict(_ed25519_short()))
+    run_scenario(families.load("pinned/ed25519_short"))
     assert len(threads_started) == 2
 
 
@@ -372,7 +374,7 @@ def test_no_client_triple_is_verified_twice(monkeypatch, cpus):
 
     _rebind(monkeypatch, memo, counting)
     memo.cache_clear()
-    run_scenario(ScenarioConfig.from_dict(_ed25519_short()))
+    run_scenario(families.load("pinned/ed25519_short"))
     assert memo.cache_info().misses == len(set(calls))
 
 
@@ -520,7 +522,7 @@ def test_a_miscomputing_library_fails_test1(sodium):
 
 def _run_outputs(tmp_path, name) -> dict:
     config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(_ed25519_short()))
+    config.write_text(json.dumps(families.config("pinned/ed25519_short")))
     out = tmp_path / name
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0

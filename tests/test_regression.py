@@ -1,106 +1,33 @@
 """Regression guards that need no timing: call counts and golden digests.
 
 The digests pin the exact bytes `shardbft run` writes for each shipped
-config and for a few short scenarios that reach paths those do not. A change that only makes the
-simulator faster must leave every one of them as it is; a change that is
-meant to alter behaviour updates them and says why.
+config and for a few short scenarios that reach paths those do not (the
+``pinned/NAME`` and ``grid/20261018/I`` names of `tests/families.py`). A
+change that only makes the simulator faster must leave every one of them as
+it is; a change that is meant to alter behaviour updates them and says why.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import random
 import sys
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from itertools import chain
-from pathlib import Path
 
 import pytest
 
 from shardbft import core, crypto, router
 from shardbft import messages as msg
 from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
-from shardbft.behaviors import BEHAVIOR_KINDS, CENSOR_TX, CRASH
 from shardbft.cli import main
 from shardbft.router import REASON_BAD_SIGNATURE, REASON_MALFORMED, REASON_UNKNOWN_CLIENT
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def _ed25519_short() -> dict:
-    doc = json.loads((CONFIGS / "baseline.json").read_text())
-    doc.update(scheme="standard_signature", duration=0.5, tx_rate=100.0)
-    return doc
-
-
-def _ordering_short() -> dict:
-    # Same-slot keys of an equivocator, term changes and the pre-GST delay
-    # branch: the ordering paths the shipped configs do not reach.
-    doc = json.loads((CONFIGS / "censorship.json").read_text())
-    doc.update(
-        parties=7,
-        faults=2,
-        shards=3,
-        duration=1.0,
-        tx_rate=200,
-        gst=0.5,
-        seed=11,
-        adversaries=[
-            {"party": 0, "kind": "censor_tx", "censor_clients": [0]},
-            {"party": 1, "kind": "equivocate_batch"},
-        ],
-    )
-    return doc
-
-
-def _late_gst() -> dict:
-    # Every arrival is acked after `duration`, so goal checks run while
-    # client arrivals are still held back from the event heap.
-    doc = json.loads((CONFIGS / "baseline.json").read_text())
-    doc.update(duration=0.3, gst=0.6, tx_rate=1000)
-    return doc
-
-
-def _adversarial_short(adversaries: list) -> dict:
-    doc = json.loads((CONFIGS / "censorship.json").read_text())
-    doc.update(
-        parties=7, faults=2, shards=2, duration=1.0, tx_rate=200, seed=13, adversaries=adversaries
-    )
-    return doc
-
-
-def _bogus_short() -> dict:
-    # Bogus batches and a false complaint: two term changes and the
-    # validity check.
-    return _adversarial_short(
-        [
-            {"party": 0, "kind": "inject_bogus", "bogus_fraction": 0.5},
-            {"party": 1, "kind": "false_complaint"},
-        ]
-    )
-
-
-def _withhold_short() -> dict:
-    return _adversarial_short(
-        [{"party": 1, "kind": "withhold_bas"}, {"party": 2, "kind": "silent_secondary"}]
-    )
-
-
-SCENARIOS = {
-    "baseline": lambda: json.loads((CONFIGS / "baseline.json").read_text()),
-    "censorship": lambda: json.loads((CONFIGS / "censorship.json").read_text()),
-    "failover": lambda: json.loads((CONFIGS / "failover.json").read_text()),
-    "ed25519_short": _ed25519_short,
-    "ordering_short": _ordering_short,
-    "late_gst": _late_gst,
-    "bogus_short": _bogus_short,
-    "withhold_short": _withhold_short,
-}
+from families import PINNED, config, load
 
 # sha256 of every file `shardbft run` writes, recorded when each batcher began
 # acknowledging straight to the hub. Only report.json moved, by its ack
@@ -183,56 +110,22 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_run_artifacts_match_golden_digests(name, tmp_path):
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(SCENARIOS[name]()))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config(f"pinned/{name}")))
     out = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == GOLDEN[name]
 
 
-def random_grid(rng_seed: int, count: int) -> list[dict]:
-    """``count`` scenarios drawn from `configs/censorship.json` by a seeded
-    generator: (N, F), 1-4 shards, rate, duration, GST and 0-F adversaries
-    of any kind at distinct parties."""
-    rng = random.Random(rng_seed)
-    base = json.loads((CONFIGS / "censorship.json").read_text())
-    docs = []
-    for _ in range(count):
-        n, f = rng.choice(((4, 1), (7, 2)))
-        adversaries = []
-        for party in rng.sample(range(n), rng.randint(0, f)):
-            spec = {"party": party, "kind": rng.choice(BEHAVIOR_KINDS)}
-            if spec["kind"] == CRASH:
-                spec["crash_at"] = rng.choice((0.0, 0.25, 0.5))
-            elif spec["kind"] == CENSOR_TX:
-                spec["censor_clients"] = [rng.randrange(base["clients"])]
-            adversaries.append(spec)
-        docs.append(
-            dict(
-                base,
-                parties=n,
-                faults=f,
-                shards=rng.randint(1, 4),
-                seed=rng.randrange(1 << 20),
-                tx_rate=rng.choice((100, 200, 400)),
-                duration=rng.choice((1, 2)),
-                gst=rng.choice((0, 0.5)),
-                drain=5,
-                adversaries=adversaries,
-            )
-        )
-    return docs
-
-
-def grid_digest(docs) -> str:
-    """One sha256 over the `report.json` bytes of every scenario, in order."""
+def grid_digest(names) -> str:
+    """One sha256 over the `report.json` bytes of every named scenario, in order."""
     digest = hashlib.sha256()
-    for doc in docs:
-        digest.update(report_to_json(run_scenario(ScenarioConfig.from_dict(doc))).encode())
+    for name in names:
+        digest.update(report_to_json(run_scenario(load(name))).encode())
     return digest.hexdigest()
 
 
@@ -245,7 +138,7 @@ def test_random_grid_reports_match_golden_digest():
     # All seven adversary kinds, alone and mixed, with and without GST, on
     # 1-4 shards at N=4 and N=7: combinations the pinned scenarios above
     # miss (among them a censor with GST > 0 and crashes at N=7).
-    assert grid_digest(random_grid(20261018, 40)) == GRID_DIGEST
+    assert grid_digest(f"grid/20261018/{i}" for i in range(40)) == GRID_DIGEST
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -267,7 +160,7 @@ def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
 
     _rebind(monkeypatch, memo, counting)
     memo.cache_clear()
-    run_scenario(ScenarioConfig.from_dict(_ed25519_short()))
+    run_scenario(load("pinned/ed25519_short"))
     distinct = len(set(calls))
     info = memo.cache_info()
     assert distinct < crypto.VERIFY_CACHE_SIZE
@@ -275,16 +168,6 @@ def test_verify_primitive_runs_once_per_distinct_triple(monkeypatch):
     assert info.hits == len(calls) - distinct
     # Every party re-checks what the others checked: the memo must pay off.
     assert len(calls) > 3 * distinct
-
-
-def _workload(name: str, seed: int) -> dict:
-    """perfbench's ``name`` workload scenario at ``seed`` (``steady``: 6,000 test_mac txs)."""
-    root = str(CONFIGS.parent)
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    from perfbench.workloads import BY_NAME
-
-    return BY_NAME[name].scenario(seed)
 
 
 @pytest.mark.parametrize("name", ["steady", "censor", "ed25519"])
@@ -302,7 +185,7 @@ def test_the_memo_keeps_every_verdict_a_benchmark_run_reads_again(monkeypatch, n
 
     _rebind(monkeypatch, memo, counting)
     memo.cache_clear()
-    run_scenario(ScenarioConfig.from_dict(_workload(name, 505)))
+    run_scenario(load(f"perfbench/{name}/505"))
     info, distinct = memo.cache_info(), len(set(calls))
     assert info.maxsize == crypto.VERIFY_CACHE_SIZE
     assert info.misses == distinct
@@ -320,7 +203,7 @@ def test_each_transaction_builds_its_signing_bytes_once(monkeypatch):
         return built(client_id, payload)
 
     _rebind(monkeypatch, built, counting)
-    runner = _Runner(ScenarioConfig.from_dict(_workload("steady", 505)))
+    runner = _Runner(load("perfbench/steady/505"))
     runner.run()
     assert len(calls) == len(runner.submissions) == 6000
     for submission in runner.submissions:
@@ -355,7 +238,7 @@ def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
         return sign(keypair, message)
 
     _rebind(monkeypatch, sign, counting_sign)
-    report = run_scenario(ScenarioConfig.from_dict(_ordering_short()))
+    report = run_scenario(load("pinned/ordering_short"))
     assert report.quiescent and report.all_checks_pass()
     assert calls["BatchAttestationShare"] == signed[b"\x42"] > 0
     assert calls["ComplaintVote"] == signed[b"\x43"] > 0
@@ -377,7 +260,7 @@ def test_report_validates_txs_only_with_a_bogus_adversary(monkeypatch):
 
     _rebind(monkeypatch, validate, counting)
     for name, revalidates in (("baseline", False), ("bogus_short", True)):
-        runner = _Runner(ScenarioConfig.from_dict(SCENARIOS[name]()))
+        runner = _Runner(load(f"pinned/{name}"))
         build = runner._build_report
 
         def observed(quiescent, build=build):
@@ -404,7 +287,7 @@ def test_each_batch_is_encoded_once(monkeypatch, tmp_path):
         return encode(batch)
 
     _rebind(monkeypatch, encode, counting)
-    cfg = ScenarioConfig.from_dict(SCENARIOS["baseline"]())
+    cfg = load("pinned/baseline")
     report = run_scenario(cfg)
     assert report.quiescent and report.all_checks_pass()
     for party, blocks in sorted(report.ledgers.items()):
@@ -435,7 +318,7 @@ def _observe_pushes(runner, observe):
 
 
 def test_event_count_and_heap_size_on_baseline():
-    cfg = ScenarioConfig.from_dict(SCENARIOS["baseline"]())
+    cfg = load("pinned/baseline")
     runner = _Runner(cfg)
     peak = [0]
     pushed = {}  # id -> message; holding each message keeps its id unique
@@ -468,7 +351,7 @@ def test_event_count_and_heap_size_on_baseline():
 
 def test_every_message_class_is_sent():
     # A message class that nothing sends is dead code; failover sends them all.
-    runner = _Runner(ScenarioConfig.from_dict(SCENARIOS["failover"]()))
+    runner = _Runner(load("pinned/failover"))
     sent = set()
     _observe_pushes(runner, lambda message: sent.add(type(message)))
     runner.run()
@@ -478,7 +361,7 @@ def test_every_message_class_is_sent():
 
 def test_no_node_mutates_a_message_once_sent():
     # Longer than ordering_short, so that more than 10,000 messages are checked.
-    runner = _Runner(ScenarioConfig.from_dict(dict(_ordering_short(), duration=1.5)))
+    runner = _Runner(ScenarioConfig.from_dict(dict(config("pinned/ordering_short"), duration=1.5)))
     sent = []
 
     def snapshot(message):
@@ -510,7 +393,7 @@ def test_routers_keep_no_state(monkeypatch):
         handled[type(message).__name__] += 1
 
     monkeypatch.setattr(router.RouterNode, "handle", observed)
-    run_scenario(ScenarioConfig.from_dict(_ordering_short()))
+    run_scenario(load("pinned/ordering_short"))
     # A router handles only submissions: each batcher acks to the hub itself.
     assert set(handled) == {"SubmitTx"} and handled["SubmitTx"] > 1_000
 
@@ -519,7 +402,7 @@ def test_protocol_objects_travel_as_themselves(monkeypatch):
     # A router forwards the object it received, and a batcher sends an ack,
     # share, complaint or persisted batch as the object it built, never a
     # wrapper around it.
-    runner = _Runner(ScenarioConfig.from_dict(_ordering_short()))
+    runner = _Runner(load("pinned/ordering_short"))
     d, nodes = runner.d, runner.nodes
     routers, batchers = set(d.router), set(chain.from_iterable(d.batcher))
     handling = {}  # router node id -> the message it is handling

@@ -2,6 +2,7 @@
 they read node attributes and perfbench names directly, so a rename would
 otherwise break them unnoticed."""
 
+import json
 import re
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import byte_sweep
 import fork_sweep
+import repro
 import state_sizes
+from families import config, load
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,12 +23,26 @@ def test_state_sizes_reads_every_structure():
 
 
 def test_byte_sweep_builds_every_scenario():
-    assert len(byte_sweep.scenarios()) == 622
+    names = byte_sweep.scenarios()
+    assert len(set(names)) == 622 and all(load(name) for name in names)
+    assert not [name for name in names if name.startswith("repro/")]
 
 
 def test_fork_sweep_flags_the_pinned_forked_draws():
     # Tier-1's first draws, whose forks test_acceptance.py pins as xfails.
     assert list(fork_sweep.forked_draws(20261018, 11)) == [2, 5, 7, 8, 10]
+
+
+def test_repro_prints_the_config_and_names_the_first_violation(capsys):
+    # ROADMAP item 1's tiny repro, which deposes the correct p1 38 ms into
+    # its term until item 1 closes it.
+    status = repro.main(["repro/tiny"])
+    out, err = capsys.readouterr()
+    assert json.loads(out) == config("repro/tiny")
+    first, failed, quiescent = err.splitlines()
+    assert re.fullmatch(r"first violation: (none|t=\d+\.\d{6} s: .+)", first), first
+    assert failed.startswith("failed checks: ") and quiescent in ("quiescent: True", "quiescent: False")
+    assert status == (err != "first violation: none\nfailed checks: none\nquiescent: True\n")
 
 
 def test_unreached_lists_what_a_selection_never_runs():

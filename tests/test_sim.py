@@ -34,32 +34,13 @@ from shardbft.router import REASON_MALFORMED, RouterNode
 from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
+from families import config
 from helpers import StubCtx, make_tx, run_with_fold_checked
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-BASE = {
-    "parties": 4,
-    "faults": 1,
-    "shards": 2,
-    "seed": 5,
-    "clients": 4,
-    "tx_rate": 100.0,
-    "tx_size": 32,
-    "duration": 1.0,
-    "delta": 0.2,
-    "tob_delay_bound": 0.3,
-    "latency": {"base": 0.002, "jitter": 0.008},
-    "protocol": {
-        "max_batch_size": 50,
-        "max_batch_latency": 0.1,
-        "round_interval": 0.02,
-        "t_forward": 0.3,
-        "t_complain": 0.3,
-        "bucket_period": 0.05,
-    },
-    "drain": 10.0,
-}
+# suite1/0 at k=2 for 1 s.
+BASE = dict(config("suite1/0"), shards=2, seed=5, duration=1.0, drain=10.0)
 
 
 def _cfg(**over):
