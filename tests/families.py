@@ -15,7 +15,8 @@ returns a fresh dict that ``ScenarioConfig.from_dict`` and
 - ``pinned/NAME``: the regression scenarios whose run artifacts
   `tests/test_regression.py` pins by digest.
 - ``perfbench/W/SEED``: perfbench's workload W at simulator seed SEED.
-- ``repro/NAME``: ROADMAP item 1's repros that no generator index names.
+- ``repro/NAME``: ROADMAP items 1 and 2's repros that no generator index
+  names.
 
     python3 tests/repro.py draw/8/574   # print a config, run it, name its first violation
 """
@@ -224,7 +225,7 @@ PINNED = {
 }
 
 
-# --- repro: ROADMAP item 1's repros ----------------------------------------------------
+# --- repro: ROADMAP items 1 and 2's repros -------------------------------------------
 
 
 def _loss(seed: int, shards: int, tx_rate: float, kind: str) -> dict:
@@ -238,4 +239,18 @@ REPROS = {
     "loss-676174": lambda: _loss(676174, 5, 200.0, "inject_bogus"),
     # Item 1's mechanism (ii): N=4, k=1 and inject_bogus at party 0, 6 txs.
     "tiny": lambda: dict(suite1(3), seed=0, tx_rate=20.0, duration=0.3),
+    # Item 2(c): perfbench's censor workload at seed 1 as it stood when this
+    # repro was written, with an equivocating primary in place of the censor.
+    "lone-equivocator": lambda: dict(
+        _shipped("censorship"),
+        parties=7,
+        faults=2,
+        shards=3,
+        seed=1,
+        tx_rate=300.0,
+        duration=10.0,
+        latency={"base": 0.002, "jitter": 0.01},
+        protocol=dict(_shipped("censorship")["protocol"], max_batch_size=10, t_forward=0.4, t_complain=0.4),
+        adversaries=[{"party": 0, "kind": "equivocate_batch"}],
+    ),
 }

@@ -2,14 +2,13 @@
 to count ROADMAP item 1's forks over many draws.
 
 Scenario ``i`` is ``draw/SEED/i`` (`tests/families.py`), run once by
-``checked_draw`` (`tests/helpers.py`) with every item-16 oracle checked
-after each delivery. A scenario forks when two correct batchers of a shard
-hold batches of different terms at a seq up to the shard's highest
-thresholded one. Each forked index prints on its own line, next to the
-delivery that made its first fork visible. The last line sums them up,
-together with the draws in which a correct primary is deposed after
-GST + Delta and those in which two correct assemblers' ledgers are not
-prefixes of one another:
+``checked_draw`` (`tests/helpers.py`) with every item-16 oracle. A
+scenario forks when two correct batchers of a shard hold batches of
+different terms at a seq up to the shard's highest thresholded one. Each
+forked index prints on its own line, next to the delivery that made its
+first fork visible. The last line sums them up, together with the draws
+in which a correct primary is deposed after GST + Delta and those in
+which two correct assemblers' ledgers are not prefixes of one another:
 
     python3 tests/fork_sweep.py 7 1500
     python3 tests/fork_sweep.py 20261018 100   # tier-1's draws
@@ -35,7 +34,7 @@ from helpers import checked_draw  # noqa: E402
 
 def forked_draws(seed: int, count: int):
     """Yield the index of each of the first ``count`` draws that forks."""
-    return (i for i in range(count) if checked_draw(f"draw/{seed}/{i}").batcher_forks)
+    return (i for i in range(count) if checked_draw(f"draw/{seed}/{i}").forks)
 
 
 def main(argv: list[str]) -> None:

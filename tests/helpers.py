@@ -2,13 +2,13 @@
 attestation shares, a deployment wired to the fixture keys, a context
 that records what a node does, and a run checked after every delivery.
 
-ROADMAP item 16's oracles run after every delivery, and each names the
-delivery that made a violation visible: the assembler prefix, batcher
-agreement, and no correct primary deposed after GST + Delta. The last two
-are also scans of a finished run (``batcher_forks`` and
-``deposed_correct_primaries``), the references their per-delivery results
-must equal. ``checked_draw`` runs a generated scenario once per process
-with all of them, and keeps only its ``Verdict``."""
+ROADMAP item 16's oracles each name the delivery that made a violation
+visible: the assembler prefix and batcher agreement are checked after
+every delivery (batcher agreement also by ``batcher_forks``, a scan of the
+finished run its per-delivery result must equal), and "no correct primary
+deposed after GST + Delta" reads the term change log, whose entries carry
+their delivery's time. ``checked_draw`` runs a generated scenario once per
+process with all of them, and keeps only its ``Verdict``."""
 
 from __future__ import annotations
 
@@ -59,6 +59,10 @@ def pending_oracle(pending_shares, batch, f):
     return winners, dropped, [share for share in shares if share.key.slot() not in slots]
 
 
+def _at(t_us: int) -> str:
+    return f"t={t_us / 1e6:.6f} s"
+
+
 def batcher_forks(runner, cfg) -> list[tuple[int, int]]:
     """Every (shard, seq) at which two correct batchers of the shard hold
     ledger batches of different terms, for seq up to the highest seq among
@@ -74,20 +78,27 @@ def batcher_forks(runner, cfg) -> list[tuple[int, int]]:
     return forks
 
 
-def deposed_correct_primaries(runner, cfg) -> list[tuple[int, int]]:
-    """Every (shard, term) whose primary (``primary_for_term``) is correct, which
+def deposed_correct_primaries(runner, cfg) -> list[tuple[int, tuple[int, int], str]]:
+    """Every term whose primary (``primary_for_term``) is correct, which
     began at or after GST + Delta and which a later term ended, as the first
     correct consensus node's ``term_change_log`` records them: ROADMAP item
-    16's "no correct primary deposed after GST + Delta", judged when
-    ``runner`` has run. Term 0 begins at time 0."""
+    16's "no correct primary deposed after GST + Delta". Each is (the time
+    of the term change, (shard, term), a line naming it), in log order.
+    Term 0 begins at time 0.
+
+    A log entry's time is that of the delivery that appended it, so this
+    scan of a finished run names each violation's delivery, as a check
+    after every delivery would."""
     correct = cfg.correct_parties()
     after = cfg.gst_us + cfg.delta_us
     current = {shard: (0, 0) for shard in range(cfg.shard_count)}  # shard -> (term, began at)
     deposed = []
     for at, shard, term in runner.consensus[correct[0]].term_change_log:
         old, began = current[shard]
-        if began >= after and primary_for_term(old, cfg.n_parties) in correct:
-            deposed.append((shard, old))
+        primary = primary_for_term(old, cfg.n_parties)
+        if began >= after and primary in correct:
+            line = f"{_at(at)}: shard {shard} leaves term {old}, whose primary p{primary} is correct"
+            deposed.append((at, (shard, old), f"{line} and began at {began / 1e6:.6f} s"))
         current[shard] = (term, at)
     return deposed
 
@@ -116,18 +127,13 @@ def assembler_prefix_check(cfg):
             if seq == len(first_at):
                 first_at.append((digest, party))
             elif first_at[seq][0] != digest:
-                t = node.throughput_series[seq][0]
                 violations.append(
-                    f"t={t / 1e6:.6f} s: p{party} appends block {seq} on a {type(message).__name__}, "
-                    f"not p{first_at[seq][1]}'s block {seq}"
+                    f"{_at(node.throughput_series[seq][0])}: p{party} appends block {seq} on a "
+                    f"{type(message).__name__}, not p{first_at[seq][1]}'s block {seq}"
                 )
         checked[party] = len(ledger)
 
     return check, violations
-
-
-def _at(t_us: int) -> str:
-    return f"t={t_us / 1e6:.6f} s"
 
 
 def batcher_agreement_check(runner, cfg):
@@ -175,37 +181,6 @@ def batcher_agreement_check(runner, cfg):
                 fork(shard, seq, f"p{party}'s {event} thresholds seq {top[shard]}")
 
     return check, forks
-
-
-def deposed_primary_check(runner, cfg):
-    """``deposed_correct_primaries`` as a ``run_checked`` check on ``runner``:
-    after every delivery to the first correct consensus node, each new
-    ``term_change_log`` entry is checked. Returns the check and a dict
-    (shard, term) -> the term change that deposed that term's correct
-    primary."""
-    correct = cfg.correct_parties()
-    watched = runner.consensus[correct[0]]
-    after = cfg.gst_us + cfg.delta_us
-    current = [(0, 0)] * cfg.shard_count  # shard -> (term, began at)
-    deposed: dict[tuple[int, int], str] = {}
-    logged = 0
-
-    def check(node, _message) -> None:
-        nonlocal logged
-        if node is not watched or logged == len(node.term_change_log):
-            return
-        for at, shard, term in node.term_change_log[logged:]:
-            old, began = current[shard]
-            primary = primary_for_term(old, cfg.n_parties)
-            if began >= after and primary in correct:
-                deposed[shard, old] = (
-                    f"{_at(at)}: shard {shard} leaves term {old}, whose primary p{primary} is correct "
-                    f"and began at {began / 1e6:.6f} s"
-                )
-            current[shard] = (term, at)
-        logged = len(node.term_change_log)
-
-    return check, deposed
 
 
 def first_commits(runner, cfg) -> dict[bytes, dict[int, int]]:
@@ -305,9 +280,8 @@ def _checked(node, handle, check):
 @dataclass(frozen=True)
 class Verdict:
     """What the oracle tests and the sweeps read of one run, which keeps no
-    runner alive: the report's checks and quiescence, each per-delivery
-    oracle's violations, the earliest of them, and the run-end scans the
-    per-delivery ``forks`` and ``deposed`` equal."""
+    runner alive: the report's checks and quiescence, each item-16
+    oracle's violations, and the earliest of them."""
 
     checks: dict
     quiescent: bool
@@ -315,54 +289,49 @@ class Verdict:
     forks: dict[tuple[int, int], str]
     deposed: dict[tuple[int, int], str]
     first: str | None
-    batcher_forks: list[tuple[int, int]]
-    deposed_correct_primaries: list[tuple[int, int]]
 
 
 def checked_run(cfg: ScenarioConfig, fold: bool = False) -> Verdict:
-    """Run ``cfg`` with every item-16 oracle checked after each delivery,
-    and with ``fold_check`` too if ``fold``. Raises if a per-delivery oracle
-    and its run-end scan disagree: that is a fault of the oracle, not of the
-    run, so it is not an AssertionError a strict xfail could absorb."""
+    """Run ``cfg`` with the assembler prefix and batcher agreement checked
+    after each delivery, and with ``fold_check`` too if ``fold``; the
+    deposed-primary oracle reads the finished run's term change log. Raises
+    if the per-delivery forks differ from ``batcher_forks``: that is a
+    fault of the oracle, not of the run, so it is not an AssertionError a
+    strict xfail could absorb."""
     runner = _Runner(cfg)
     prefix, broken = assembler_prefix_check(cfg)
     agreement, forks = batcher_agreement_check(runner, cfg)
-    primaries, deposed = deposed_primary_check(runner, cfg)
-    oracles = [prefix, agreement, primaries, *([fold_check(runner, cfg)] if fold else [])]
-    first: list[str] = []
+    oracles = [prefix, agreement, *([fold_check(runner, cfg)] if fold else [])]
+    first: list[tuple[int, str]] = []  # the time and line of the first prefix break or fork
 
     def check(node, message) -> None:
         for each in oracles:
             each(node, message)
-        if not first and (broken or forks or deposed):
-            first.append([*broken, *forks.values(), *deposed.values()][0])
+        if not first and (broken or forks):
+            first.append((runner.now_us, [*broken, *forks.values()][0]))
 
     check_each_delivery(runner, check)
     report = runner.run()
     if fold:
         assert_fold_matches_ledgers(runner, cfg, ended=True)
-    verdict = Verdict(
-        report.checks,
-        report.quiescent,
-        broken,
-        forks,
-        deposed,
-        first[0] if first else None,
-        batcher_forks(runner, cfg),
-        deposed_correct_primaries(runner, cfg),
-    )
-    if sorted(forks) != verdict.batcher_forks or sorted(deposed) != sorted(verdict.deposed_correct_primaries):
-        raise RuntimeError(f"a per-delivery oracle disagrees with its run-end scan: {verdict}")
-    return verdict
+    if sorted(forks) != batcher_forks(runner, cfg):
+        raise RuntimeError(f"per-delivery forks {sorted(forks)} differ from the run-end scan's")
+    deposed = deposed_correct_primaries(runner, cfg)
+    # Both lists are in time order; a tie goes to the prefix break or fork.
+    heads = [*first, *[(at, line) for at, _term, line in deposed[:1]]]
+    earliest = min(heads, key=lambda head: head[0])[1] if heads else None
+    return Verdict(report.checks, report.quiescent, broken, forks, {term: line for _t, term, line in deposed}, earliest)
 
 
-FOLD_CHECKED_DRAWS = 20  # draws 0-19 of each generator seed also check the commit fold
+TIER1_DRAWS = "draw/20261018"  # tier-1's generated scenarios are TIER1_DRAWS/0 to 99
+FOLD_CHECKED_DRAWS = 20  # of which 0-19 also check the commit fold
 
 
 @cache
 def checked_draw(name: str) -> Verdict:
     """``checked_run`` of the ``draw/R/I`` scenario ``name``, once per process."""
-    return checked_run(families.load(name), fold=int(name.rsplit("/", 1)[1]) < FOLD_CHECKED_DRAWS)
+    family, i = name.rsplit("/", 1)
+    return checked_run(families.load(name), fold=family == TIER1_DRAWS and int(i) < FOLD_CHECKED_DRAWS)
 
 
 class StubCtx:

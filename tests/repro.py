@@ -1,12 +1,13 @@
 """Print a named scenario's config as JSON, then run it with every item-16
-oracle checked after each delivery, and name its first violation.
+oracle, and name its first violation.
 
 NAME is any name of `tests/families.py`, such as ``draw/8/574`` or
 ``repro/tiny``. The config goes to stdout, in the JSON ``shardbft run
---config`` reads; the verdict goes to stderr: the first per-delivery
-violation (assembler prefix, batcher agreement or a correct primary
-deposed after GST + Delta), the report checks that fail, and quiescence.
-The exit status is 1 if any of them fails:
+--config`` reads; the verdict goes to stderr: the earliest violation
+(assembler prefix, batcher agreement or a correct primary deposed after
+GST + Delta), named by the delivery that made it visible, the report
+checks that fail, and quiescence. The exit status is 1 if any of them
+fails:
 
     python3 tests/repro.py repro/tiny > tiny.json
     shardbft run --config tiny.json --out out/

@@ -28,7 +28,7 @@ from shardbft.sim.runner import _Runner, run_scenario
 from shardbft.sim.scenario import ScenarioConfig
 
 from families import ADVERSARY_KINDS, config, load
-from helpers import as_pending, checked_draw, pending_oracle, run_with_fold_checked
+from helpers import FOLD_CHECKED_DRAWS, TIER1_DRAWS, as_pending, checked_draw, pending_oracle, run_with_fold_checked
 
 US = 1_000_000
 
@@ -179,9 +179,7 @@ _BOUND_FROM_SUBMIT_DRAWS = {16, 44}  # each a censor_tx at N=4
 def _generated_draws(count: int, mark, marked: set[int]) -> list:
     # Tier-1's generated scenarios, draw/20261018/0 to 99. Each oracle test
     # below reads the one run ``checked_draw`` makes of each per session.
-    return [
-        pytest.param(f"draw/20261018/{i}", marks=mark if i in marked else (), id=str(i)) for i in range(count)
-    ]
+    return [pytest.param(f"{TIER1_DRAWS}/{i}", marks=mark if i in marked else (), id=str(i)) for i in range(count)]
 
 
 @pytest.mark.parametrize("name", _generated_draws(100, _BOUND_FROM_SUBMIT, _BOUND_FROM_SUBMIT_DRAWS))
@@ -197,9 +195,10 @@ def test_a_generated_scenario_passes_every_check(name):
     assert bound is None, bound
 
 
-@pytest.mark.parametrize("name", _generated_draws(20, (), set()))
+@pytest.mark.parametrize("name", _generated_draws(FOLD_CHECKED_DRAWS, (), set()))
 def test_the_commit_fold_matches_a_scan_of_the_ledgers(name):
-    # checked_draw checks the fold after every delivery on these draws.
+    # checked_draw checks the fold after every delivery on these draws, and
+    # only on these.
     checked_draw(name)
 
 
@@ -226,7 +225,7 @@ def test_correct_batchers_agree_up_to_the_thresholded_seq(name):
     # the same draws as the test above. A fix shows as passes, a moved
     # stream as an XPASS or a failure.
     verdict = checked_draw(name)
-    assert verdict.batcher_forks == [], verdict.forks
+    assert verdict.forks == {}, verdict.forks
 
 
 _CORRECT_PRIMARY_DEPOSED = pytest.mark.xfail(
@@ -239,10 +238,10 @@ _CORRECT_PRIMARY_DEPOSED = pytest.mark.xfail(
 
 @pytest.mark.parametrize("name", _generated_draws(100, _CORRECT_PRIMARY_DEPOSED, {88}))
 def test_no_correct_primary_is_deposed_after_gst_plus_delta(name):
-    # ROADMAP item 16's third oracle, checked after every delivery over the
-    # same draws.
+    # ROADMAP item 16's third oracle, over the same draws: each deposal is
+    # named by the time of the term change that made it.
     verdict = checked_draw(name)
-    assert verdict.deposed_correct_primaries == [], verdict.deposed
+    assert verdict.deposed == {}, verdict.deposed
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
@@ -295,10 +294,10 @@ def test_criterion_3_censorship_bound():
     "batcher first, so each equivocated block waits a round trip and blocks queue; ROADMAP item 2(c)",
 )
 def test_a_lone_equivocator_keeps_the_censorship_bound():
-    # The benchmark's censor workload with an equivocating primary in place
-    # of the censor: no check enables the bound for this adversary kind.
-    equivocator = [{"party": 0, "kind": "equivocate_batch"}]
-    cfg = ScenarioConfig.from_dict(dict(config("perfbench/censor/1"), adversaries=equivocator))
+    # The benchmark's censor workload at seed 1 with an equivocating primary
+    # in place of the censor: no check enables the bound for this adversary
+    # kind.
+    cfg = load("repro/lone-equivocator")
     report = run_scenario(cfg)
     check = check_censorship_bound(report, cfg.censorship_bound_us())
     assert check["pass"], check
