@@ -5,7 +5,9 @@ its party, otherwise it is a secondary. Primaries bundle pooled transactions
 into batches, persist them, attest them, and serve them to pullers.
 Secondaries pull batches in ledger order, spot-check a random sample of the
 transactions inside, persist and attest the good ones, and raise complaint
-votes when the primary misbehaves or starves their pooled transactions.
+votes when the primary misbehaves or starves their pooled transactions. The
+shard-sequence rule is two pure functions that the node calls: ``pull_verdict``
+judges a pulled batch, and ``term_redo`` picks what a new primary re-queues.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE, RequestPool
 from .router import validate_transaction
 
 _LONG_AGO, _NEVER = -(10**18), 10**18
+IGNORE, COMPLAIN, PERSIST = "ignore", "complain", "persist"
 
 
 def required_sample_size(alpha: float, p_fail: float) -> int:
@@ -86,6 +89,21 @@ def all_txs_valid(batch: Batch, d) -> bool:
     return cached[1]
 
 
+def pull_verdict(batch: Batch, responder: int, height: int, term: int, primary: int, sample_ok) -> str:
+    """IGNORE, COMPLAIN or PERSIST: a secondary at ``height`` in ``term``, led by ``primary``, on ``batch``
+    from ``responder``. It complains of a later term, another primary in this term, or a failed ``sample_ok``."""
+    if responder != primary or batch.seq != height:
+        return IGNORE
+    if batch.term > term or (batch.term == term and batch.primary != primary):
+        return COMPLAIN
+    return PERSIST if sample_ok(batch) else COMPLAIN
+
+
+def term_redo(ledger: list[Batch], thresholded) -> list[Transaction]:
+    """The txs a new primary re-queues: every unthresholded ledger batch's, in ledger order."""
+    return [tx for batch in ledger if batch.key() not in thresholded for tx in batch.txs]
+
+
 class BatcherNode:
     """The batcher of party ``party`` for shard ``shard`` in the deployment ``d``."""
 
@@ -109,9 +127,7 @@ class BatcherNode:
         self.last_propose_at = _LONG_AGO
         self.propose_at = _NEVER  # the time of the one live ProposeKick
         self.reproposed_tx_ids: list[bytes] = []
-        self._adv_rng = random.Random(
-            int.from_bytes(sha256(b"adv" + u64(d.seed) + u64(party) + u64(shard)), "big")
-        )
+        self._adv_rng = random.Random(int.from_bytes(sha256(b"adv" + u64(d.seed) + u64(party) + u64(shard)), "big"))
         self.pool = RequestPool(d.protocol.max_batch_size, d.protocol.pool_capacity)
 
     # --- role -----------------------------------------------------------
@@ -267,41 +283,28 @@ class BatcherNode:
     # --- secondary: pulling, verifying, persisting --------------------------------
 
     def _issue_pull(self, ctx) -> None:
-        if self.is_primary or self.halted or self.kind == SILENT_SECONDARY:
-            return
-        ctx.send(self.d.batcher[self.primary][self.shard], msg.PullRequest(self.height, self.party))
+        if self.kind != SILENT_SECONDARY:
+            ctx.send(self.d.batcher[self.primary][self.shard], msg.PullRequest(self.height, self.party))
 
     def _on_pull_response(self, m: msg.PullResponse, ctx) -> None:
         if self.is_primary or self.halted:
             return
-        if m.responder_party != self.primary:
-            return
-        batch = m.batch
-        if batch.seq != self.height:
-            return
-        current = batch.term == self.term and batch.primary == self.primary
-        historical = batch.term < self.term
-        if not (current or historical):
-            # Mislabelled batch served by the live primary: misbehavior.
+        verdict = pull_verdict(m.batch, m.responder_party, self.height, self.term, self.primary, self._sample_ok)
+        if verdict == PERSIST:
+            self._persist(m.batch, ctx)
+            self._issue_pull(ctx)
+        elif verdict == COMPLAIN:
             self._send_complaint(ctx)
             self.halted = True
-            return
+
+    def _sample_ok(self, batch: Batch) -> bool:
         d = self.d
         # Only a batch holding an invalid tx can fail; the RNG feeds nothing else.
-        if not all_txs_valid(batch, d):
-            rng = verification_rng(d.seed, self.party, self.shard, batch.seq)
-            bad = sample_verify(
-                batch,
-                d.sample_count,
-                rng,
-                lambda tx: validate_transaction(tx, d.client_directory, d.protocol.max_tx_size) is None,
-            )
-            if bad is not None:
-                self._send_complaint(ctx)
-                self.halted = True
-                return
-        self._persist(batch, ctx)
-        self._issue_pull(ctx)
+        if all_txs_valid(batch, d):
+            return True
+        rng = verification_rng(d.seed, self.party, self.shard, batch.seq)
+        is_valid = lambda tx: validate_transaction(tx, d.client_directory, d.protocol.max_tx_size) is None
+        return sample_verify(batch, d.sample_count, rng, is_valid) is None
 
     # --- complaints and censorship --------------------------------------------------
 
@@ -337,10 +340,7 @@ class BatcherNode:
         self.halted = False
         self.pool.new_term(ctx.now())
         if self.is_primary:
-            redo: list[Transaction] = []
-            for batch in self.ledger:
-                if batch.key() not in self.thresholded:
-                    redo.extend(batch.txs)
+            redo = term_redo(self.ledger, self.thresholded)
             # No persisted tx is pooled, so every one of them is queued, once.
             self.pool.push_front(redo)
             self.reproposed_tx_ids.extend(tx.tx_id for tx in redo)

@@ -84,9 +84,9 @@ def _read_keys(path):
         raise ValueError(f"need integer parties >= 3*faults+1, got parties={n!r}, faults={f!r}")
     if not isinstance(keys, dict) or not all(isinstance(k, str) for k in keys.values()):
         raise ValueError("party_keys must map party ids to hex strings")
-    # Exactly "0" .. "parties-1": an alias such as "01" or " 0" would make
-    # the verdict depend on key order, and an extra id would count to a quorum.
-    if set(keys) != {str(p) for p in range(n)}:
+    # Exactly "0" .. "parties-1": an alias such as "01" or " 0" would make the verdict depend
+    # on key order, and an extra id would count to a quorum. The count goes first: n is untrusted.
+    if len(keys) != n or set(keys) != {str(p) for p in range(n)}:
         raise ValueError(f"party_keys must name exactly the parties 0..{n - 1}")
     party_keys = {int(p): bytes.fromhex(k) for p, k in keys.items()}
     for party, key in party_keys.items():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,10 +6,15 @@ import pytest
 
 from shardbft import messages as msg
 from shardbft.batcher import (
+    COMPLAIN,
+    IGNORE,
+    PERSIST,
     BatcherNode,
     all_txs_valid,
+    pull_verdict,
     required_sample_size,
     sample_verify,
+    term_redo,
     verification_rng,
 )
 from shardbft.core import Batch, BatchAttestationShare, ComplaintVote, Transaction
@@ -395,6 +401,78 @@ def test_secondary_accepts_historical_batch_from_current_primary(
     old = Batch(0, 0, 0, 0, tuple(txs))  # term 0, proposed by party 0
     node.handle(msg.PullResponse(old, 1), ctx)  # served by party 1, the term-1 primary
     assert node.height == 1
+
+
+# The rule for a batch that the primary serves at the secondary's height, by
+# the batch's term against the secondary's, whether the batch names this
+# term's primary, and the sample. Any other responder or seq is ignored.
+LABEL_RULE = {
+    ("earlier", "own", "valid"): PERSIST,
+    ("earlier", "own", "bogus"): COMPLAIN,
+    ("earlier", "foreign", "valid"): PERSIST,
+    ("earlier", "foreign", "bogus"): COMPLAIN,
+    ("same", "own", "valid"): PERSIST,
+    ("same", "own", "bogus"): COMPLAIN,
+    ("same", "foreign", "valid"): COMPLAIN,
+    ("same", "foreign", "bogus"): COMPLAIN,
+    ("later", "own", "valid"): COMPLAIN,
+    ("later", "own", "bogus"): COMPLAIN,
+    ("later", "foreign", "valid"): COMPLAIN,
+    ("later", "foreign", "bogus"): COMPLAIN,
+}
+PULL_CASES = list(
+    itertools.product(
+        ("primary", "other"), ("height", "ahead"), ("earlier", "same", "later"), ("own", "foreign"), ("valid", "bogus")
+    )
+)
+
+
+@pytest.mark.parametrize("responder, seq, term, label, sample", PULL_CASES, ids=["-".join(c) for c in PULL_CASES])
+def test_the_node_acts_on_pull_verdict(
+    client_directory, client_keys, party_keys, responder, seq, term, label, sample
+):
+    # A term-1 secondary (party 2; party 1 leads term 1) at height 0.
+    node = _node(2, client_directory, party_keys)
+    ctx = StubCtx()
+    node.start(ctx)
+    node.handle(msg.OrderedUpdate((), new_term=1), ctx)
+    ctx.take_sent()
+    if sample == "valid":
+        txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(4)]
+    else:
+        txs = [Transaction(70 + i, b"zz", Signature("test_mac", b"\x00" * 32)) for i in range(4)]
+    terms = {"earlier": 0, "same": 1, "later": 2}
+    batch = Batch(0, {"height": 0, "ahead": 1}[seq], terms[term], {"own": 1, "foreign": 3}[label], tuple(txs))
+    served_by = {"primary": 1, "other": 0}[responder]
+    expected = LABEL_RULE[term, label, sample] if (responder, seq) == ("primary", "height") else IGNORE
+    sample_ok = lambda _batch: sample == "valid"
+    assert pull_verdict(batch, served_by, node.height, node.term, node.primary, sample_ok) == expected
+
+    node.handle(msg.PullResponse(batch, served_by), ctx)
+    votes = [m for _, m in _sent_of(ctx, ComplaintVote)]
+    if node.ledger:
+        acted = PERSIST
+        assert node.ledger == [batch] and not votes and not node.halted
+    elif node.halted:
+        acted = COMPLAIN
+        assert [v.term for v in votes] == [1]
+    else:
+        acted = IGNORE
+        assert ctx.sent == []
+    assert acted == expected
+
+
+def test_term_redo_requeues_unthresholded_batches_in_ledger_order(client_keys):
+    txs = [make_tx(i % 4, bytes([i + 1]) * 6, client_keys) for i in range(5)]
+    ledger = [
+        Batch(0, 0, 0, 0, (txs[0], txs[1])),
+        Batch(0, 1, 0, 0, (txs[2],)),
+        Batch(0, 2, 1, 1, (txs[3], txs[4])),
+    ]
+    assert term_redo(ledger, set()) == txs
+    assert term_redo(ledger, {ledger[1].key()}) == [txs[0], txs[1], txs[3], txs[4]]
+    assert term_redo(ledger, {b.key() for b in ledger}) == []
+    assert term_redo([], set()) == []
 
 
 def test_censorship_forward_once_then_complain(client_directory, client_keys, party_keys):

@@ -293,6 +293,8 @@ def test_run_seed_out_of_range_exits_2(tmp_path, capsys, config_path, seed):
         lambda doc: {**doc, "party_keys": {(" 0" if p == "0" else p): k for p, k in doc["party_keys"].items()}},
         lambda doc: {**doc, "party_keys": {**doc["party_keys"], "9": doc["party_keys"]["0"]}},
         lambda doc: {**doc, "party_keys": {p: k for p, k in doc["party_keys"].items() if p != "0"}},
+        # Must exit at once, not build 10**18 party ids first.
+        lambda doc: {**doc, "parties": 10**18},
     ],
     ids=[
         "list_root",
@@ -308,6 +310,7 @@ def test_run_seed_out_of_range_exits_2(tmp_path, capsys, config_path, seed):
         "padded_id",
         "extra_id",
         "missing_id",
+        "huge_parties",
     ],
 )
 def test_verify_malformed_keys_exit_2(produced, tmp_path, capsys, edit):

@@ -46,8 +46,11 @@ def test_repro_prints_the_config_and_names_the_first_violation(capsys):
 
 
 def test_unreached_lists_what_a_selection_never_runs():
+    # The pool tests without their Hypothesis state machine, which doubles the
+    # traced run time and reaches no statement that the other pool tests miss.
+    selection = ["tests/test_pools.py", "-k", "not TestRequestPool"]
     out = subprocess.run(
-        [sys.executable, "tests/unreached.py", "-q", "-p", "no:cacheprovider", "tests/test_pools.py"],
+        [sys.executable, "tests/unreached.py", "-q", "-p", "no:cacheprovider", *selection],
         cwd=ROOT,
         capture_output=True,
         text=True,
