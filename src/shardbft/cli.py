@@ -132,8 +132,9 @@ def _cmd_stats(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
         table = summarize(report)
-    except (OSError, KeyError, ValueError, TypeError, AttributeError, RecursionError) as exc:
-        # A report of the wrong shape fails inside summarize: same verdict.
+    except (OSError, KeyError, ValueError, TypeError, AttributeError, RecursionError, OverflowError) as exc:
+        # A report of the wrong shape, or with an integer past the float
+        # range, fails inside summarize: same verdict.
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
     print(table)

@@ -2,8 +2,9 @@
 
 One virtual clock (integer microseconds), one event heap. Events are
 ordered by (time, sender id, per-sender sequence) so ties are broken
-deterministically. Each (sender, dest) link draws its latency from its
-own RNG, seeded from the run seed and the two ids, so a message's delay
+deterministically. Each (sender, dest) link is one function from send
+time to arrival time (``link_arrival``), which draws from the link's own
+RNG, seeded from the run seed and the two ids, so a message's delay
 depends only on the messages sent before it on the same link, never on
 traffic elsewhere. Messages sent before GST may be delayed arbitrarily
 (but land by GST + Delta); after GST every correct-to-correct message
@@ -69,27 +70,34 @@ def derive_keys(role: bytes, seed: int, count: int, scheme: str) -> dict[int, Ke
     return {i: keygen(sha256(role + u64(seed) + u64(i)), scheme) for i in range(count)}
 
 
-def link_delay_sampler(rng: random.Random, base_us: int, jitter_us: int):
-    """A function returning ``base_us + rng.randint(0, jitter_us)`` (no draw
-    when ``jitter_us`` is 0).
+def link_arrival(rng: random.Random, base_us: int, jitter_us: int, gst_us: int, delta_us: int):
+    """The function from a message's send time to its arrival time on one link.
 
-    It inlines CPython's ``randint``: one ``getrandbits`` of the width's bit
-    length, redrawn while out of range. The calls on ``rng`` are the same,
-    so the stream and every later draw are unchanged.
+    Every send first draws a delay, ``base_us + rng.randint(0, jitter_us)``
+    (no draw when ``jitter_us`` is 0), with CPython's ``randint`` inlined: one
+    ``getrandbits`` of the width's bit length, redrawn while out of range, the
+    same calls on ``rng`` that ``randint`` makes. From GST on, the message
+    lands that delay after its send. Before GST the adversary picks
+    ``randint(delay, gst_us - now + delta_us)`` after the send, capped at GST
+    plus a second delay, so it lands in ``[now + base_us, gst_us + base_us +
+    jitter_us]``, by GST + Delta.
     """
-    if not jitter_us:
-        return lambda: base_us
     width = jitter_us + 1
     bits = width.bit_length()
     getrandbits = rng.getrandbits
 
-    def link_delay() -> int:
-        r = getrandbits(bits)
-        while r >= width:
+    def arrival(now: int) -> int:
+        r = 0
+        if jitter_us:
             r = getrandbits(bits)
-        return base_us + r
+            while r >= width:
+                r = getrandbits(bits)
+        if now >= gst_us:
+            return now + base_us + r
+        chosen = now + rng.randint(base_us + r, gst_us - now + delta_us)
+        return min(chosen, gst_us + base_us + (rng.randint(0, jitter_us) if jitter_us else 0))
 
-    return link_delay
+    return arrival
 
 
 class Deployment:
@@ -151,9 +159,8 @@ class _Runner:
         self.rng_client = random.Random(self._derive(b"client"))
 
         d = self.d = Deployment(cfg)
-        # links[sender][dest] is that link's delay sampler, made on first use.
+        # links[sender][dest] maps a send time on that link to its arrival time (made on first use).
         self.links = [[None] * d.node_count for _ in range(d.node_count)]
-        self.link_rngs: dict[tuple[int, int], random.Random] = {}
         self.party_pubs = d.party_pubs
         self.consensus = {p: ConsensusNode(d, p) for p in range(d.n)}
         self.assemblers = {p: AssemblerNode(d, p) for p in range(d.n)}
@@ -176,8 +183,8 @@ class _Runner:
         self.everyone = sum(1 << p for p in self.folded)
         self.unrecorded: dict[bytes, int] = {}
         self.submissions: list[msg.SubmitTx] = []  # the hub's, in submission order
-        # The hub's tally: landed[i * n + p] is the earliest landing of party p's ok
-        # replies to submission i; hub_busy_us the latest of any reply, counted or not.
+        # The hub's tally: landed[i * n + p] is the landing of party p's ok reply to
+        # submission i (a party replies once); hub_busy_us the latest of any reply.
         self.landed = array("q", [_NEVER]) * (cfg.resolved_tx_count() * d.n)
         self.hub_busy_us = 0
         # Sequencer state.
@@ -203,29 +210,19 @@ class _Runner:
         record = self.tx_records[message.submission_id]
         if message.ok:
             record.acks |= 1 << message.party
-            i = message.submission_id * self.d.n + message.party
-            if t < self.landed[i]:
-                self.landed[i] = t
+            self.landed[message.submission_id * self.d.n + message.party] = t
         else:
             record.rejects[message.reason] = record.rejects.get(message.reason, 0) + 1
 
     def _new_link(self, sender: int, dest: int):
-        rng = self.link_rngs[sender, dest] = random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
-        latency = self.cfg.latency
-        link = self.links[sender][dest] = link_delay_sampler(rng, latency.base_us, latency.jitter_us)
+        cfg, rng = self.cfg, random.Random(self._derive(b"net" + u64(sender) + u64(dest)))
+        link = link_arrival(rng, cfg.latency.base_us, cfg.latency.jitter_us, cfg.gst_us, cfg.delta_us)
+        self.links[sender][dest] = link
         return link
 
     def network_send(self, sender: int, dest: int, message) -> None:
-        now = self.now_us
         link = self.links[sender][dest] or self._new_link(sender, dest)
-        gst = self.cfg.gst_us
-        if now >= gst:
-            self.push(now + link(), sender, dest, message)
-        else:
-            # Adversarial pre-GST scheduling, still bounded by GST + Delta.
-            slack = (gst - now) + self.cfg.delta_us
-            chosen = now + self.link_rngs[sender, dest].randint(link(), slack)
-            self.push(min(chosen, gst + link()), sender, dest, message)
+        self.push(link(self.now_us), sender, dest, message)
 
     # --- clients -----------------------------------------------------------
 

@@ -43,6 +43,10 @@ INT, NUMBER, SECONDS, CHOICE, INTS, OBJECT, OBJECTS = (
 )
 MAX_SECONDS = 10**9
 TICK = 1e-6
+# The most txs a run submits: the runner signs each one and sizes the hub's
+# tally by the count before the first event, so a larger count is a config
+# error, not a failed run.
+MAX_TX_COUNT = 10**7
 
 
 def _key(name: str, kind: str, default=MISSING, *, lo=None, hi=None, of=None):
@@ -120,7 +124,7 @@ class ScenarioConfig:
     tx_size: int = _key("tx_size", INT, 64, lo=8)
     duration_us: int = _key("duration", SECONDS, us(1.0), lo=TICK)
     # Overrides tx_rate * duration when set.
-    tx_count: int | None = _key("tx_count", INT, None, lo=1)
+    tx_count: int | None = _key("tx_count", INT, None, lo=1, hi=MAX_TX_COUNT)
     gst_us: int = _key("gst", SECONDS, 0, lo=0)
     # Declared post-GST delivery bound and total-order latency bound.
     delta_us: int = _key("delta", SECONDS, us(1.0), lo=0)
@@ -163,6 +167,8 @@ class ScenarioConfig:
             if a.party in listed:
                 raise ConfigError(f"config.adversaries[{i}].party lists party {a.party} again")
             listed.add(a.party)
+        if self.tx_count is None and (txs := self.tx_rate * seconds(self.duration_us)) > MAX_TX_COUNT:
+            raise ConfigError(f"config.tx_rate * duration must be <= {MAX_TX_COUNT} txs, got {txs:g}")
         if self.latency.max_us > self.delta_us:
             raise ConfigError(f"config.delta must be >= latency.base + jitter = {seconds(self.latency.max_us)}")
         if (tob := p.round_interval_us + 3 * self.latency.max_us) > self.tob_delay_bound_us:

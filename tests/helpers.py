@@ -1,6 +1,7 @@
 """Builders shared by the unit tests: transactions, batches, pending
 attestation shares, a deployment wired to the fixture keys, a context
-that records what a node does, and a run checked after every delivery.
+that records what a node does, a run checked after every delivery, and
+links held back until GST.
 
 ROADMAP item 16's oracles each name the delivery that made a violation
 visible: the assembler prefix and batcher agreement are checked after
@@ -267,6 +268,20 @@ def check_each_delivery(runner, check) -> None:
     its handler table, so the check sees the state that delivery left."""
     for node in runner.nodes[2:]:
         node.handle = _checked(node, node.handle, check)
+
+
+def hold_until_gst(runner, party: int) -> None:
+    """Make every link into ``party``'s batchers deliver at ``max(now, GST) +
+    base``: a partition of those batchers that heals at GST. Each link is one
+    function from send time to arrival time, so the hold replaces it."""
+    gst, base = runner.cfg.gst_us, runner.cfg.latency.base_us
+
+    def held(now: int) -> int:
+        return max(now, gst) + base
+
+    for links in runner.links:
+        for dest in runner.d.batcher[party]:
+            links[dest] = held
 
 
 def _checked(node, handle, check):

@@ -225,14 +225,23 @@ def test_stats_missing_report_exit_2(tmp_path):
     assert main(["stats", "--report", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("doc", ["[]", '{"txs": 5}', '{"txs": [1]}'])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "[]",
+        '{"txs": 5}',
+        '{"txs": [1]}',
+        # An integer past the float range, divided into seconds.
+        pytest.param('{"txs": [], "end_time_us": 1%s}' % ("0" * 400), id="end_time_10**400"),
+    ],
+)
 def test_stats_malformed_report_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "report.json"
     path.write_text(doc)
     assert main(["stats", "--report", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("cannot read report: ")
+    assert captured.err.startswith("cannot read report: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_flags_rejected(config_path, tmp_path):
@@ -260,14 +269,28 @@ def test_seed_override_changes_run(tmp_path, config_path):
         json.dumps({**BASE_CONFIG, "adversaries": [{"party": 0, "kind": "crash", "typo": 1}]}),
         json.dumps([BASE_CONFIG]),
         "{not json",
+        # More txs than a run can hold, refused before the runner sizes its tally.
+        json.dumps({**BASE_CONFIG, "tx_rate": 1e30}),
+        json.dumps({**BASE_CONFIG, "tx_count": 10**30}),
     ],
-    ids=["zero_round_interval", "zero_bucket_period", "string_seed", "list_latency", "adversary_typo", "list_root", "not_json"],
+    ids=[
+        "zero_round_interval",
+        "zero_bucket_period",
+        "string_seed",
+        "list_latency",
+        "adversary_typo",
+        "list_root",
+        "not_json",
+        "huge_tx_rate",
+        "huge_tx_count",
+    ],
 )
 def test_run_malformed_config_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: config")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

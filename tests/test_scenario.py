@@ -114,6 +114,7 @@ def test_non_object_root_is_a_config_error(root):
         # An integer beyond the float range is not a finite number.
         pytest.param(("tx_rate",), 10**400, "config.tx_rate", id="path22-10**400-config.tx_rate"),
         (("lossy_party",), 2, "config has unknown keys: ['lossy_party']"),
+        pytest.param(("tx_count",), 10**7 + 1, "config.tx_count", id="tx_count_past_MAX_TX_COUNT"),
     ],
 )
 def test_rejection_names_the_key_path(path, value, where):
@@ -146,6 +147,9 @@ def test_cross_key_rules_still_apply():
         ScenarioConfig.from_dict({"protocol": {"p_fail": 0}})
     # An explicit sample count makes alpha and p_fail irrelevant.
     ScenarioConfig.from_dict({"protocol": {"p_fail": 0, "alpha": 7, "sample_count": 3}})
+    # So does an explicit tx count the tx rate, and the count may reach MAX_TX_COUNT.
+    assert ScenarioConfig.from_dict({"tx_rate": 1e30, "tx_count": 10**7}).resolved_tx_count() == 10**7
+    assert ScenarioConfig.from_dict({"tx_rate": 10**7, "duration": 1.0}).resolved_tx_count() == 10**7
 
 
 @pytest.mark.parametrize(
@@ -158,6 +162,7 @@ def test_cross_key_rules_still_apply():
         ({"tob_delay_bound": 0.1}, "config.tob_delay_bound"),
         ({"protocol": {"alpha": 1}}, "config.protocol.alpha"),
         ({"protocol": {"p_fail": 0}}, "config.protocol.p_fail"),
+        ({"tx_rate": 1e30}, "config.tx_rate"),
     ],
 )
 def test_cross_key_rejections_name_the_key_path(doc, where):

@@ -31,11 +31,11 @@ from shardbft.crypto import Signature
 from shardbft.sim.checks import check_agreement, check_censorship_bound, check_no_loss_no_unbounded_dup
 from shardbft.sim.report import RunReport, TxRecord, report_to_json
 from shardbft.router import REASON_MALFORMED, RouterNode
-from shardbft.sim.runner import _Runner, link_delay_sampler, run_scenario
+from shardbft.sim.runner import _Runner, link_arrival, run_scenario
 from shardbft.sim.scenario import ConfigError, ScenarioConfig
 
-from families import config
-from helpers import StubCtx, make_tx, run_with_fold_checked
+from families import config, load
+from helpers import StubCtx, hold_until_gst, make_tx, run_with_fold_checked
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -498,15 +498,63 @@ def test_standard_signature_scheme_end_to_end():
     assert all(v["pass"] for v in report.checks.values())
 
 
-@pytest.mark.parametrize("jitter", [0, 1, 2**30, 2**31 - 1, 2**32 + 12345, 2**40 + 7])
-def test_link_delay_sampler_draws_exactly_what_randint_draws(jitter):
+JITTERS = [0, 1, 2**30, 2**31 - 1, 2**32 + 12345, 2**40 + 7]
+
+
+@pytest.mark.parametrize("jitter", JITTERS)
+def test_link_arrival_after_gst_draws_exactly_what_randint_draws(jitter):
     # Widths of 31, 32, 33 and 41 bits; 2**31 is a power of two (no redraws).
-    base = 2000
+    base, gst = 2000, 5000
     ours, reference = random.Random(77), random.Random(77)
-    draw = link_delay_sampler(ours, base, jitter)
-    for _ in range(2000):
-        assert draw() == base + (reference.randint(0, jitter) if jitter else 0)
+    arrival = link_arrival(ours, base, jitter, gst, base + jitter)
+    for now in range(gst, gst + 2000):
+        assert arrival(now) == now + base + (reference.randint(0, jitter) if jitter else 0)
     assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("jitter", JITTERS)
+def test_link_arrival_before_gst_draws_randint_and_lands_by_gst_plus_delta(jitter):
+    # Delta above base + jitter, so the pick can pass GST plus a delay.
+    base, gst, delta = 2000, 3 * (jitter + 1000), 2000 + jitter + 1000
+    ours, reference, sends = random.Random(78), random.Random(78), random.Random(5)
+
+    def delay() -> int:
+        return base + (reference.randint(0, jitter) if jitter else 0)
+
+    arrival = link_arrival(ours, base, jitter, gst, delta)
+    capped = 0  # sends whose adversarial pick the second delay cuts short
+    for now in [0, gst - 1, *sorted(sends.randrange(gst) for _ in range(2000))]:
+        chosen = now + reference.randint(delay(), gst - now + delta)
+        cap = gst + delay()
+        capped += cap < chosen
+        t = arrival(now)
+        assert t == min(chosen, cap)
+        assert now + base <= t <= gst + base + jitter <= gst + delta
+    assert ours.getstate() == reference.getstate()
+    assert 0 < capped < 2002
+
+
+def test_batchers_held_until_gst_hear_nothing_before_it_and_the_run_still_passes():
+    # pinned/late_gst: GST 0.6 s, N=4, k=2, every tx submitted by 0.3 s.
+    cfg = load("pinned/late_gst")
+    runner = _Runner(cfg)
+    hold_until_gst(runner, 3)
+    held, push = set(runner.d.batcher[3]), runner.push
+    early, sent = [], 0  # deliveries to the held batchers before GST; sends to them before GST
+
+    def observe(t, sender, dest, message):
+        nonlocal sent
+        if dest in held and sender != dest:
+            sent += runner.now_us < cfg.gst_us
+            if t < cfg.gst_us:
+                early.append((t, sender, dest, message))
+        push(t, sender, dest, message)
+
+    runner.push = observe
+    report = runner.run()
+    assert sent > 0 and not early
+    assert all(v["pass"] for v in report.checks.values())
+    assert report.quiescent
 
 
 def test_dedup_stays_in_epoch_order_and_expires_from_the_front(monkeypatch):
