@@ -29,13 +29,11 @@ from .core import (
     BatchKey,
     ComplaintVote,
     Transaction,
-    encode_bas_payload,
-    encode_complaint_payload,
     primary_for_term,
     sha256,
     u64,
 )
-from .crypto import Signature, sign
+from .crypto import Signature
 from .pools import INSERT_ACCEPTED, INSERT_DUPLICATE, RequestPool
 from .router import validate_transaction
 
@@ -260,8 +258,7 @@ class BatcherNode:
 
     def _send_attestation(self, batch: Batch, ctx) -> None:
         key, epoch = batch.key(), ctx.now() // self.d.protocol.epoch_length_us
-        signature = sign(self.keypair, encode_bas_payload(key, epoch))
-        ctx.send(self.d.sequencer, BatchAttestationShare(self.party, key, epoch, signature))
+        ctx.send(self.d.sequencer, BatchAttestationShare.signed(self.party, key, epoch, self.keypair))
 
     # --- serving pulls ----------------------------------------------------------
 
@@ -312,8 +309,7 @@ class BatcherNode:
         if self.complained_term >= self.term:
             return
         self.complained_term = self.term
-        payload = encode_complaint_payload(self.term, self.shard)
-        ctx.send(self.d.sequencer, ComplaintVote(self.party, self.term, self.shard, sign(self.keypair, payload)))
+        ctx.send(self.d.sequencer, ComplaintVote.signed(self.party, self.term, self.shard, self.keypair))
 
     def _on_bucket_tick(self, ctx) -> None:
         proto = self.d.protocol

@@ -15,8 +15,6 @@ swap, publish and drop. No state keeps a share once it is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import messages as msg
 from .core import (
     BatchAttestationShare,
@@ -28,6 +26,7 @@ from .core import (
     quorum_size,
 )
 from .crypto import Signature, sign, verify
+from .record import Record
 
 DROP_BAD_SIGNATURE = "bad_signature"
 DROP_STALE_EPOCH = "stale_epoch"
@@ -36,20 +35,36 @@ DROP_STALE_TERM = "stale_term"
 DROP_UNKNOWN_SHARD = "unknown_shard"
 
 
-@dataclass
-class ConsensusState:
-    epoch_window: int
-    shard_count: int
-    # key -> the signers of its admitted shares, keys in first-appearance order.
-    pending: dict[BatchKey, set[int]] = field(default_factory=dict)
-    # One header ever per ledger slot (shard, seq, primary) while its entry
-    # lives; the value is the ordered epoch the slot was won in.
-    dedup: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    complaint_signers: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    terms: dict[int, int] = field(default_factory=dict)
-    prev_hash: bytes = ZERO_DIGEST
-    next_block_seq: int = 0
-    ordered_epoch: int = 0  # the max epoch of admitted ordered shares
+class ConsensusState(Record):
+    __slots__ = _fields = (
+        "epoch_window", "shard_count", "pending", "dedup", "complaint_signers", "terms",
+        "prev_hash", "next_block_seq", "ordered_epoch",
+    )
+
+    def __init__(
+        self,
+        epoch_window: int,
+        shard_count: int,
+        pending: dict[BatchKey, set[int]] | None = None,
+        dedup: dict[tuple[int, int, int], int] | None = None,
+        complaint_signers: dict[tuple[int, int], set[int]] | None = None,
+        terms: dict[int, int] | None = None,
+        prev_hash: bytes = ZERO_DIGEST,
+        next_block_seq: int = 0,
+        ordered_epoch: int = 0,
+    ):
+        self.epoch_window = epoch_window
+        self.shard_count = shard_count
+        # key -> the signers of its admitted shares, keys in first-appearance order.
+        self.pending = {} if pending is None else pending
+        # One header ever per ledger slot (shard, seq, primary) while its entry
+        # lives; the value is the ordered epoch the slot was won in.
+        self.dedup = {} if dedup is None else dedup
+        self.complaint_signers = {} if complaint_signers is None else complaint_signers
+        self.terms = {} if terms is None else terms
+        self.prev_hash = prev_hash
+        self.next_block_seq = next_block_seq
+        self.ordered_epoch = ordered_epoch  # the max epoch of admitted ordered shares
 
 
 def verify_event(event, party_keys) -> bool:

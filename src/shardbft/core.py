@@ -13,10 +13,19 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
-from .crypto import Signature
+from .crypto import KeyPair, Signature, sign
+from .record import Frozen
+
+_set = object.__setattr__  # how a frozen record's __init__ stores a field
+
+
+def _store(obj, *values) -> None:
+    """Store ``values`` into a frozen record's slots, in ``__slots__`` order."""
+    for name, value in zip(type(obj).__slots__, values):
+        _set(obj, name, value)
+
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -101,22 +110,20 @@ def tx_signing_bytes(client_id: int, payload: bytes) -> bytes:
     return u64(client_id) + payload
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    client_id: int
-    payload: bytes
-    signature: Signature
+class Transaction(Frozen):
+    _fields = ("client_id", "payload", "signature")
     # Computed once at construction; derived, so not part of ==, hash or repr.
-    signing_bytes: bytes = field(init=False, compare=False, repr=False)
-    tx_id: bytes = field(init=False, compare=False, repr=False)
-    # The signer's own ``tx_signing_bytes(client_id, payload)``, when it has
-    # them, so they are not built again.
-    signed_over: InitVar[bytes | None] = None
+    __slots__ = (*_fields, "signing_bytes", "tx_id")
 
-    def __post_init__(self, signed_over):
-        signing_bytes = tx_signing_bytes(self.client_id, self.payload) if signed_over is None else signed_over
-        object.__setattr__(self, "signing_bytes", signing_bytes)
-        object.__setattr__(self, "tx_id", sha256(signing_bytes))
+    def __init__(self, client_id: int, payload: bytes, signature: Signature, signed_over: bytes | None = None):
+        # ``signed_over`` is the signer's own ``tx_signing_bytes(client_id,
+        # payload)``, when it has them, so they are not built again.
+        signing_bytes = tx_signing_bytes(client_id, payload) if signed_over is None else signed_over
+        _set(self, "client_id", client_id)
+        _set(self, "payload", payload)
+        _set(self, "signature", signature)
+        _set(self, "signing_bytes", signing_bytes)
+        _set(self, "tx_id", sha256(signing_bytes))
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -144,15 +151,17 @@ def decode_transaction(buf: bytes, off: int, scheme: str) -> tuple[Transaction, 
 # Batches
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Ordered transactions proposed for one shard at one ledger position."""
+class Batch(Frozen):
+    """Ordered transactions proposed for one shard at one ledger position.
 
-    shard: int
-    seq: int
-    term: int
-    primary: int
-    txs: tuple[Transaction, ...]
+    Not slotted: its derived caches (``_encoded``, ``_digest`` and the
+    batcher's ``_all_txs_valid``) are filled in ``__dict__`` when first read.
+    """
+
+    _fields = ("shard", "seq", "term", "primary", "txs")
+
+    def __init__(self, shard: int, seq: int, term: int, primary: int, txs: tuple[Transaction, ...]):
+        self.__dict__.update(shard=shard, seq=seq, term=term, primary=primary, txs=txs)
 
     def encoded(self) -> bytes:
         """``encode_batch(self)``, computed once: the digest and every ledger file reuse it."""
@@ -229,22 +238,27 @@ def _decode_key(buf: bytes, off: int) -> tuple[BatchKey, int]:
     return BatchKey(seq, shard, digest, primary), off
 
 
-@dataclass(frozen=True, slots=True)
-class BatchAttestationShare:
+class BatchAttestationShare(Frozen):
     """One party's signed claim that the batch ``key`` names is persisted on its disk."""
 
-    signer: int
-    key: BatchKey
-    epoch: int
-    signature: Signature
+    _fields = ("signer", "key", "epoch", "signature")
     # Computed once at construction; derived, so not part of ==, hash or repr.
     # The payload is None when the digest has the wrong length: such a share
     # has no signing payload and never verifies.
-    signing_payload: bytes | None = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "signing_payload")
 
-    def __post_init__(self):
-        payload = encode_bas_payload(self.key, self.epoch) if len(self.key.digest) == DIGEST_LEN else None
-        object.__setattr__(self, "signing_payload", payload)
+    def __init__(self, signer: int, key: BatchKey, epoch: int, signature: Signature):
+        payload = encode_bas_payload(key, epoch) if len(key.digest) == DIGEST_LEN else None
+        _store(self, signer, key, epoch, signature, payload)
+
+    @classmethod
+    def signed(cls, signer: int, key: BatchKey, epoch: int, keypair: KeyPair) -> BatchAttestationShare:
+        """``signer``'s share, signed with ``keypair``: one encode of the
+        payload serves both the signature and the share."""
+        payload = encode_bas_payload(key, epoch)
+        share = cls.__new__(cls)
+        _store(share, signer, key, epoch, sign(keypair, payload), payload)
+        return share
 
 
 def encode_bas_payload(key: BatchKey, epoch: int) -> bytes:
@@ -258,19 +272,24 @@ def encode_bas_payload(key: BatchKey, epoch: int) -> bytes:
 # Complaints
 
 
-@dataclass(frozen=True, slots=True)
-class ComplaintVote:
+class ComplaintVote(Frozen):
     """Signed accusation against the proposing party of (shard, term)."""
 
-    signer: int
-    term: int
-    shard: int
-    signature: Signature
+    _fields = ("signer", "term", "shard", "signature")
     # Computed once at construction; derived, so not part of ==, hash or repr.
-    signing_payload: bytes = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "signing_payload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "signing_payload", encode_complaint_payload(self.term, self.shard))
+    def __init__(self, signer: int, term: int, shard: int, signature: Signature):
+        _store(self, signer, term, shard, signature, encode_complaint_payload(term, shard))
+
+    @classmethod
+    def signed(cls, signer: int, term: int, shard: int, keypair: KeyPair) -> ComplaintVote:
+        """``signer``'s complaint, signed with ``keypair``: one encode of the
+        payload serves both the signature and the vote."""
+        payload = encode_complaint_payload(term, shard)
+        vote = cls.__new__(cls)
+        _store(vote, signer, term, shard, sign(keypair, payload), payload)
+        return vote
 
 
 def encode_complaint_payload(term: int, shard: int) -> bytes:
@@ -281,19 +300,18 @@ def encode_complaint_payload(term: int, shard: int) -> bytes:
 # Block headers and blocks
 
 
-@dataclass(frozen=True, slots=True)
-class BlockHeader:
-    block_seq: int
-    prev_header_hash: bytes
-    batch_digests: tuple[BatchKey, ...]
+class BlockHeader(Frozen):
+    _fields = ("block_seq", "prev_header_hash", "batch_digests")
     # Computed once at construction; derived, so not part of ==, hash or repr.
-    signing_payload: bytes = field(init=False, compare=False, repr=False)
-    header_hash: bytes = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "signing_payload", "header_hash")
 
-    def __post_init__(self):
+    def __init__(self, block_seq: int, prev_header_hash: bytes, batch_digests: tuple[BatchKey, ...]):
+        _set(self, "block_seq", block_seq)
+        _set(self, "prev_header_hash", prev_header_hash)
+        _set(self, "batch_digests", batch_digests)
         payload = encode_header_payload(self)
-        object.__setattr__(self, "signing_payload", payload)
-        object.__setattr__(self, "header_hash", sha256(payload))
+        _set(self, "signing_payload", payload)
+        _set(self, "header_hash", sha256(payload))
 
 
 def encode_header_payload(header: BlockHeader) -> bytes:
@@ -306,13 +324,15 @@ def header_digest(header: BlockHeader) -> bytes:
     return header.header_hash
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """A quorum-signed header joined with the batches it references."""
 
-    header: BlockHeader
-    quorum_sigs: tuple[tuple[int, Signature], ...]  # (signer, signature), signer-sorted
-    batches: tuple[Batch, ...]
+    __slots__ = _fields = ("header", "quorum_sigs", "batches")
+
+    def __init__(self, header: BlockHeader, quorum_sigs: tuple[tuple[int, Signature], ...], batches: tuple[Batch, ...]):
+        _set(self, "header", header)
+        _set(self, "quorum_sigs", quorum_sigs)  # (signer, signature), signer-sorted
+        _set(self, "batches", batches)
 
 
 def encode_block(block: Block) -> bytes:

@@ -46,9 +46,10 @@ import hashlib
 import hmac
 import os
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+from .record import Frozen
 
 SCHEME_TEST_MAC = "test_mac"
 SCHEME_ED25519 = "standard_signature"
@@ -79,11 +80,13 @@ class Signature(NamedTuple):
     data: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class KeyPair:
-    scheme: str
-    secret: bytes
-    public: bytes
+class KeyPair(Frozen):
+    __slots__ = _fields = ("scheme", "secret", "public")
+
+    def __init__(self, scheme: str, secret: bytes, public: bytes):
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "secret", secret)
+        object.__setattr__(self, "public", public)
 
 
 def keygen(seed: bytes, scheme: str = SCHEME_TEST_MAC) -> KeyPair:

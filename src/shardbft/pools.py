@@ -12,21 +12,23 @@ does not change with the role.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 
 from .core import Transaction
+from .record import Record
 
 INSERT_ACCEPTED = "accepted"
 INSERT_DUPLICATE = "duplicate"
 INSERT_BACKPRESSURE = "backpressure"
 
 
-@dataclass
-class Bucket:
-    sealed_at: int
-    txs: dict[bytes, Transaction]
-    forwarded_at: int | None = None
+class Bucket(Record):
+    __slots__ = _fields = ("sealed_at", "txs", "forwarded_at")
+
+    def __init__(self, sealed_at: int, txs: dict[bytes, Transaction], forwarded_at: int | None = None):
+        self.sealed_at = sealed_at
+        self.txs = txs
+        self.forwarded_at = forwarded_at
 
 
 class RequestPool:

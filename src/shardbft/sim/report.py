@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from bisect import insort
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+
+from ..record import Record
 
 # Transaction records encoded per piece of ``report.json``: only one chunk's
 # values are alive at a time, so the encoder's transient memory stays flat as
@@ -24,44 +25,92 @@ _TX_TEMPLATE = (
 )
 
 
-@dataclass(slots=True)
-class TxRecord:
-    index: int
-    tx_id: bytes
-    client: int
-    shard: int
-    submit_us: int
-    censored: bool = False
-    acks: int = 0  # bitmask of the parties that acked
-    ack_quorum_us: int | None = None
-    rejects: dict = field(default_factory=dict)
-    first_commit_us: int | None = None
-    last_commit_us: int | None = None
-    commit_count: int = 0
-    # Bitmask of the correct parties whose ledgers hold the tx; not in report.json.
-    holders: int = 0
+class TxRecord(Record):
+    __slots__ = _fields = (
+        "index", "tx_id", "client", "shard", "submit_us", "censored", "acks", "ack_quorum_us", "rejects",
+        "first_commit_us", "last_commit_us", "commit_count", "holders",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        tx_id: bytes,
+        client: int,
+        shard: int,
+        submit_us: int,
+        censored: bool = False,
+        acks: int = 0,
+        ack_quorum_us: int | None = None,
+        rejects: dict | None = None,
+        first_commit_us: int | None = None,
+        last_commit_us: int | None = None,
+        commit_count: int = 0,
+        holders: int = 0,
+    ):
+        self.index = index
+        self.tx_id = tx_id
+        self.client = client
+        self.shard = shard
+        self.submit_us = submit_us
+        self.censored = censored
+        self.acks = acks  # bitmask of the parties that acked
+        self.ack_quorum_us = ack_quorum_us
+        self.rejects = {} if rejects is None else rejects
+        self.first_commit_us = first_commit_us
+        self.last_commit_us = last_commit_us
+        self.commit_count = commit_count
+        # Bitmask of the correct parties whose ledgers hold the tx; not in report.json.
+        self.holders = holders
 
 
-@dataclass
-class RunReport:
-    config: dict
-    quiescent: bool
-    end_time_us: int
-    tx_records: list[TxRecord]
-    term_changes: list[tuple[int, int, int]]  # (time_us, shard, new_term)
-    reproposed_tx_ids: list[str]
-    pending_series: list[tuple[int, int]]
-    throughput_series: list[tuple[int, int]]
-    ledger_digests: dict[int, str]
-    committed_total: int
-    duplicate_commits: int
-    bogus_batch_commits: int
-    per_shard: dict[int, dict]
-    drops: dict[str, int]
-    checks: dict[str, dict]
-    # In-memory artifacts, serialized separately as ledger files.
-    ledgers: dict = field(default_factory=dict, repr=False)
-    party_keys: dict = field(default_factory=dict, repr=False)  # party -> public key
+class RunReport(Record):
+    # The in-memory artifacts ``ledgers`` and ``party_keys`` (party -> public
+    # key) are written separately, as ledger files, and stay outside == and
+    # repr: ``ledger_digests`` stands for the ledgers, ``config`` for the keys.
+    _fields = (
+        "config", "quiescent", "end_time_us", "tx_records", "term_changes", "reproposed_tx_ids", "pending_series",
+        "throughput_series", "ledger_digests", "committed_total", "duplicate_commits", "bogus_batch_commits",
+        "per_shard", "drops", "checks",
+    )
+    __slots__ = (*_fields, "ledgers", "party_keys")
+
+    def __init__(
+        self,
+        config: dict,
+        quiescent: bool,
+        end_time_us: int,
+        tx_records: list[TxRecord],
+        term_changes: list[tuple[int, int, int]],  # (time_us, shard, new_term)
+        reproposed_tx_ids: list[str],
+        pending_series: list[tuple[int, int]],
+        throughput_series: list[tuple[int, int]],
+        ledger_digests: dict[int, str],
+        committed_total: int,
+        duplicate_commits: int,
+        bogus_batch_commits: int,
+        per_shard: dict[int, dict],
+        drops: dict[str, int],
+        checks: dict[str, dict],
+        ledgers: dict | None = None,
+        party_keys: dict | None = None,
+    ):
+        self.config = config
+        self.quiescent = quiescent
+        self.end_time_us = end_time_us
+        self.tx_records = tx_records
+        self.term_changes = term_changes
+        self.reproposed_tx_ids = reproposed_tx_ids
+        self.pending_series = pending_series
+        self.throughput_series = throughput_series
+        self.ledger_digests = ledger_digests
+        self.committed_total = committed_total
+        self.duplicate_commits = duplicate_commits
+        self.bogus_batch_commits = bogus_batch_commits
+        self.per_shard = per_shard
+        self.drops = drops
+        self.checks = checks
+        self.ledgers = {} if ledgers is None else ledgers
+        self.party_keys = {} if party_keys is None else party_keys
 
     def all_checks_pass(self) -> bool:
         return all(entry["pass"] for entry in self.checks.values())

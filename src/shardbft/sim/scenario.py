@@ -4,22 +4,23 @@ Configs are plain JSON (see docs/formats.md for the schema). All durations
 in the file are seconds; internally everything runs on an integer
 microsecond clock (one tick = 1 microsecond).
 
-Each key is declared once, as a dataclass field: its default is the field
-default and its metadata gives the JSON name, the kind and the allowed
-range. ``_decode`` and ``_encode`` walk those fields, so parsing, per-key
-checks and serialization read one table; ``validate`` keeps only the rules
-that span keys.
+Each key is declared once, as a ``_key(...)`` class attribute of a frozen
+config class: it gives the JSON name, the kind, the default and the allowed
+range, and the attribute's name is the field's. ``_Config`` collects them
+in order into ``_keys``, which its constructor, ``_decode`` and ``_encode``
+walk, so parsing, per-key checks and serialization read one table;
+``validate`` keeps only the rules that span keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
 
 from ..batcher import required_sample_size
 from ..behaviors import BEHAVIOR_KINDS, CENSOR_TX
 from ..crypto import SCHEMES, SCHEME_TEST_MAC
+from ..record import Frozen
 
 
 class ConfigError(ValueError):
@@ -35,7 +36,7 @@ def seconds(micros: int) -> float:
 
 
 # Key kinds. SECONDS is a JSON number of seconds stored as integer
-# microseconds; OBJECT and OBJECTS hold one or a list of nested dataclasses.
+# microseconds; OBJECT and OBJECTS hold one or a list of nested configs.
 # Durations are capped at MAX_SECONDS so that every microsecond count writes
 # back to the same seconds value; TICK is the least positive duration.
 INT, NUMBER, SECONDS, CHOICE, INTS, OBJECT, OBJECTS = (
@@ -47,22 +48,64 @@ TICK = 1e-6
 # tally by the count before the first event, so a larger count is a config
 # error, not a failed run.
 MAX_TX_COUNT = 10**7
+# The most nodes a run may have (``ScenarioConfig.node_count``). The runner
+# keeps one link slot per (sender, dest) pair, so its set-up time and memory
+# grow with the square of the count: 512 nodes is 262,144 slots, 2 MB of
+# pointers. That is four times the 119 nodes of N=13, k=6.
+MAX_NODES = 512
+
+_REQUIRED = object()  # the default of a key that has none
 
 
-def _key(name: str, kind: str, default=MISSING, *, lo=None, hi=None, of=None):
+class _Key:
+    __slots__ = ("key", "kind", "default", "lo", "hi", "of")
+
+    def __init__(self, key: str, kind: str, default, lo, hi, of):
+        self.key, self.kind, self.default, self.lo, self.hi, self.of = key, kind, default, lo, hi, of
+
+
+def _key(name: str, kind: str, default=_REQUIRED, *, lo=None, hi=None, of=None) -> _Key:
     """One config key. ``lo``/``hi`` bound the JSON value inclusively; ``of``
-    is a CHOICE's options or the dataclass of an OBJECT/OBJECTS. A None
-    default makes the key nullable."""
+    is a CHOICE's options or the config class of an OBJECT/OBJECTS, whose
+    default is that class's defaults. A None default makes the key nullable."""
     if kind == SECONDS:
         hi = MAX_SECONDS
-    meta = {"key": name, "kind": kind, "lo": lo, "hi": hi, "of": of}
     if kind == OBJECT:
-        return field(default_factory=of, metadata=meta)
-    return field(default=default, metadata=meta)
+        default = of()
+    return _Key(name, kind, default, lo, hi, of)
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class _Config(Frozen):
+    """A frozen config; its fields are its ``_key(...)`` class attributes, in order.
+
+    The constructor takes them positionally or by name, as declared, and
+    fills each one left out with its default.
+    """
+
+    _keys: dict[str, _Key] = {}  # field name -> its key
+
+    def __init_subclass__(cls):
+        cls._keys = {name: k for name, k in vars(cls).items() if isinstance(k, _Key)}
+        cls._fields = tuple(cls._keys)
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes at most {len(self._fields)} positional arguments")
+        values = dict(zip(self._fields, args))
+        for field in kwargs:
+            if field not in self._keys or field in values:
+                raise TypeError(f"{name} got an unexpected or repeated argument {field!r}")
+        values.update(kwargs)
+        for field, k in self._keys.items():
+            if field not in values:
+                if k.default is _REQUIRED:
+                    raise TypeError(f"{name} is missing the argument {field!r}")
+                values[field] = k.default
+        self.__dict__.update(values)
+
+
+class LatencyModel(_Config):
     base_us: int = _key("base", SECONDS, us(0.005), lo=0)
     jitter_us: int = _key("jitter", SECONDS, us(0.02), lo=0)
 
@@ -71,8 +114,7 @@ class LatencyModel:
         return self.base_us + self.jitter_us
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(_Config):
     party: int = _key("party", INT, lo=0)
     kind: str = _key("kind", CHOICE, of=BEHAVIOR_KINDS)
     crash_at_us: int = _key("crash_at", SECONDS, 0, lo=0)
@@ -83,8 +125,7 @@ class AdversarySpec:
         return self.kind == CENSOR_TX and tx.client_id in self.censor_clients
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(_Config):
     max_batch_size: int = _key("max_batch_size", INT, 10_000, lo=1)
     max_batch_latency_us: int = _key("max_batch_latency", SECONDS, us(0.5), lo=TICK)
     min_propose_interval_us: int = _key("min_propose_interval", SECONDS, us(0.01), lo=0)
@@ -112,8 +153,7 @@ class ProtocolParams:
         return self.t_forward_us + self.t_complain_us
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Config):
     n_parties: int = _key("parties", INT, 4, lo=2)
     f: int = _key("faults", INT, 1, lo=0)
     shard_count: int = _key("shards", INT, 1, lo=1)
@@ -149,15 +189,25 @@ class ScenarioConfig:
         bad = self.adversary_parties()
         return [p for p in range(self.n_parties) if p not in bad]
 
+    def node_count(self) -> int:
+        """The sequencer, the hub, and per party a router, a consensus node,
+        an assembler and one batcher per shard."""
+        return 2 + self.n_parties * (3 + self.shard_count)
+
     def censorship_bound_us(self) -> int:
         # F * T_censor + delta(Delta) + 2 * Delta
         return self.f * self.protocol.t_censor_us + self.tob_delay_bound_us + 2 * self.delta_us
 
     def validate(self) -> None:
-        """The rules that span keys, each naming the key it blames; a key's own range is in its field."""
+        """The rules that span keys, each naming the key it blames; a key's own range is in its ``_key``."""
         p, n, f = self.protocol, self.n_parties, self.f
         if n < 3 * f + 1:
             raise ConfigError(f"config.parties must be >= 3*faults+1, got parties={n}, faults={f}")
+        if (nodes := self.node_count()) > MAX_NODES:
+            raise ConfigError(
+                f"config.parties * (3 + config.shards) + 2 must be <= {MAX_NODES} nodes, "
+                f"got parties={n}, shards={self.shard_count}: {nodes}"
+            )
         if len(self.adversary_parties()) > f:
             raise ConfigError(f"config.adversaries names more parties than faults={f} allows")
         listed = set()
@@ -207,22 +257,22 @@ class ScenarioConfig:
 def _decode(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
-    spec = {f.metadata["key"]: f for f in fields(cls)}
+    spec = {k.key: (field, k) for field, k in cls._keys.items()}
     unknown = set(data) - set(spec)
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown, key=str)}")
     values = {}
-    for key, f in spec.items():
+    for key, (field, k) in spec.items():
         if key in data:
-            values[f.name] = _decode_value(f, data[key], f"{where}.{key}")
-        elif f.default is MISSING and f.default_factory is MISSING:
+            values[field] = _decode_value(k, data[key], f"{where}.{key}")
+        elif k.default is _REQUIRED:
             raise ConfigError(f"{where}.{key} is required")
     return cls(**values)
 
 
-def _decode_value(f, value, where: str):
-    kind, lo, hi, of = (f.metadata[k] for k in ("kind", "lo", "hi", "of"))
-    if value is None and f.default is None:
+def _decode_value(k: _Key, value, where: str):
+    kind, lo, hi, of = k.kind, k.lo, k.hi, k.of
+    if value is None and k.default is None:
         return None
     if kind == OBJECT:
         return _decode(of, value, where)
@@ -261,10 +311,10 @@ def _finite(value) -> bool:
 
 def _encode(obj) -> dict:
     out = {}
-    for f in fields(obj):
-        meta, value = f.metadata, getattr(obj, f.name)
+    for field, k in obj._keys.items():
+        value = getattr(obj, field)
         if value is not None:
-            kind = meta["kind"]
+            kind = k.kind
             if kind == SECONDS:
                 value = seconds(value)
             elif kind == OBJECT:
@@ -273,5 +323,5 @@ def _encode(obj) -> dict:
                 value = [_encode(item) for item in value]
             elif kind == INTS:
                 value = list(value)
-        out[meta["key"]] = value
+        out[k.key] = value
     return out

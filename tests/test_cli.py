@@ -272,6 +272,8 @@ def test_seed_override_changes_run(tmp_path, config_path):
         # More txs than a run can hold, refused before the runner sizes its tally.
         json.dumps({**BASE_CONFIG, "tx_rate": 1e30}),
         json.dumps({**BASE_CONFIG, "tx_count": 10**30}),
+        # More nodes than MAX_NODES, refused before the runner sizes its link table.
+        json.dumps({**BASE_CONFIG, "parties": 300, "shards": 6}),
     ],
     ids=[
         "zero_round_interval",
@@ -283,6 +285,7 @@ def test_seed_override_changes_run(tmp_path, config_path):
         "not_json",
         "huge_tx_rate",
         "huge_tx_count",
+        "too_many_nodes",
     ],
 )
 def test_run_malformed_config_exits_2(tmp_path, capsys, text):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -37,11 +36,11 @@ from helpers import StubCtx, as_pending, make_deployment, pending_oracle
 def make_share(party_keys, signer, seq, digest=None, shard=0, primary=0, epoch=0):
     digest = digest if digest is not None else sha256(b"batch" + u64(seq) + u64(shard) + u64(primary))
     key = BatchKey(seq, shard, digest, primary)
-    return BatchAttestationShare(signer, key, epoch, sign(party_keys[signer], encode_bas_payload(key, epoch)))
+    return BatchAttestationShare.signed(signer, key, epoch, party_keys[signer])
 
 
 def make_complaint(party_keys, signer, term, shard=0):
-    return ComplaintVote(signer, term, shard, sign(party_keys[signer], encode_complaint_payload(term, shard)))
+    return ComplaintVote.signed(signer, term, shard, party_keys[signer])
 
 
 def make_node(party_keys, party=0, n=4, f=1, shards=1, epoch_length=10, window=2):
@@ -111,15 +110,29 @@ def test_filter_drops_bad_signature(party_keys):
     state = ConsensusState(epoch_window=2, shard_count=1)
     key = share.key
     for forged in (
-        dataclasses.replace(share, signer=1),
-        dataclasses.replace(share, key=key._replace(seq=1)),
-        dataclasses.replace(share, key=key._replace(shard=1)),
-        dataclasses.replace(share, key=key._replace(primary=1)),
-        dataclasses.replace(share, key=key._replace(digest=sha256(b"other"))),
-        dataclasses.replace(share, epoch=1),
+        BatchAttestationShare(1, key, share.epoch, share.signature),
+        BatchAttestationShare(share.signer, key._replace(seq=1), share.epoch, share.signature),
+        BatchAttestationShare(share.signer, key._replace(shard=1), share.epoch, share.signature),
+        BatchAttestationShare(share.signer, key._replace(primary=1), share.epoch, share.signature),
+        BatchAttestationShare(share.signer, key._replace(digest=sha256(b"other")), share.epoch, share.signature),
+        BatchAttestationShare(share.signer, key, 1, share.signature),
     ):
         ok, reason = filter_event(forged, state, pubs(party_keys))
         assert not ok and reason == DROP_BAD_SIGNATURE
+
+
+def test_a_signed_share_or_complaint_is_the_one_its_fields_build(party_keys):
+    # ``signed`` encodes the payload once, for the signature and the object.
+    # The object equals the one the constructor builds from its fields and
+    # that signature, carries the same payload, and verifies.
+    share = make_share(party_keys, 1, 4, epoch=3)
+    vote = make_complaint(party_keys, 2, 5, shard=1)
+    for event, twin, payload in (
+        (share, BatchAttestationShare(1, share.key, 3, share.signature), encode_bas_payload(share.key, 3)),
+        (vote, ComplaintVote(2, 5, 1, vote.signature), encode_complaint_payload(5, 1)),
+    ):
+        assert event == twin and event.signing_payload == twin.signing_payload == payload
+        assert verify_event(event, pubs(party_keys))
 
 
 def test_filter_drops_stale_term_complaint(party_keys):

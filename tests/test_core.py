@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -211,17 +210,10 @@ def test_tx_id_is_hash_of_signing_bytes_and_survives_encoding(client_keys, schem
 
 def test_tx_id_excluded_from_eq_hash_repr(client_keys):
     tx = make_tx(3, b"derived field", client_keys)
-    twin = Transaction(tx.client_id, tx.payload, tx.signature)
-    object.__setattr__(twin, "tx_id", b"\x00" * 32)
-    object.__setattr__(twin, "signing_bytes", b"")
-    assert twin == tx
-    assert hash(twin) == hash(tx)
-    assert repr(twin) == repr(tx)
-    assert "tx_id" not in repr(tx)
-    assert "signing_bytes" not in repr(tx)
-    assert [f.name for f in dataclasses.fields(Transaction) if f.compare] == ["client_id", "payload", "signature"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        tx.tx_id = b"x"
+    twin = Transaction(tx.client_id, tx.payload, tx.signature, signed_over=b"other bytes")
+    assert twin.signing_bytes == b"other bytes" and twin.tx_id != tx.tx_id
+    assert twin == tx and hash(twin) == hash(tx) and repr(twin) == repr(tx)
+    _assert_derived(tx, ("signing_bytes", "tx_id"), ["client_id", "payload", "signature"])
 
 
 @given(_keys)
@@ -238,18 +230,28 @@ def test_batch_key_hash_is_computed_once_and_unchanged(key):
         key.seq = 1
 
 
-def _assert_derived(obj, names, compared):
-    """``names`` are derived fields: outside ==, hash and repr, and frozen."""
-    twin = dataclasses.replace(obj)
-    for name in names:
+def _assert_derived(obj, derived, compared):
+    """``compared`` are the constructor's leading parameters and the fields
+    that ==, hash and repr read; ``derived`` fields are outside all three.
+    Every field is frozen: assigning or deleting one raises AttributeError."""
+    twin = type(obj)(*(getattr(obj, name) for name in compared))
+    for name in derived:
         object.__setattr__(twin, name, None)
         assert not re.search(rf"\b{name}=", repr(obj))
-    assert twin == obj
-    assert hash(twin) == hash(obj)
-    assert repr(twin) == repr(obj)
-    assert [f.name for f in dataclasses.fields(obj) if f.compare] == compared
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(obj, names[0], b"x")
+    assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+    assert obj != tuple(getattr(obj, name) for name in compared)  # only a record of its own class is equal
+    for name in compared:
+        assert re.search(rf"\b{name}=", repr(obj))
+        other = type(obj)(*(getattr(obj, field) for field in compared))
+        object.__setattr__(other, name, object())
+        assert other != obj, name
+    for name in (*compared, *derived):
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, b"x")
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
 
 
 @settings(max_examples=200)
@@ -261,8 +263,8 @@ def test_share_caches_its_key_and_signing_payload(args, signer, sig):
     share = BatchAttestationShare(signer, key, epoch, Signature("test_mac", sig))
     assert share.key == key and share.signing_payload == _bas_layout(key, epoch)
     moved = key._replace(seq=key.seq + 1)
-    assert dataclasses.replace(share, key=moved).signing_payload == _bas_layout(moved, epoch)
-    assert dataclasses.replace(share, epoch=epoch + 1).signing_payload == _bas_layout(key, epoch + 1)
+    assert BatchAttestationShare(signer, moved, epoch, share.signature).signing_payload == _bas_layout(moved, epoch)
+    assert BatchAttestationShare(signer, key, epoch + 1, share.signature).signing_payload == _bas_layout(key, epoch + 1)
     _assert_derived(share, ("signing_payload",), ["signer", "key", "epoch", "signature"])
 
 

@@ -11,10 +11,11 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields, is_dataclass
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from shardbft import core, crypto, router
 from shardbft import messages as msg
 from shardbft.assembler import read_ledger, verify_ledger_blocks, write_ledger
 from shardbft.cli import main
+from shardbft.record import Record
 from shardbft.router import REASON_BAD_SIGNATURE, REASON_MALFORMED, REASON_UNKNOWN_CLIENT
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import _Runner, run_scenario
@@ -213,22 +215,25 @@ def test_each_transaction_builds_its_signing_bytes_once(monkeypatch):
 
 
 def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
-    # Each share, complaint and header is encoded when it is built, and a
-    # share or complaint once more where its batcher signs it. No node
-    # encodes one again: 7 consensus nodes check every event twice.
+    # Each header is encoded when it is built. Each share or complaint is
+    # encoded once, where its batcher signs it, and the object it builds
+    # keeps those bytes. No node encodes one again: 7 consensus nodes check
+    # every event twice.
     calls = {}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
     for name in ("encode_bas_payload", "encode_complaint_payload", "encode_header_payload"):
         _rebind(monkeypatch, getattr(core, name), counted(name, getattr(core, name)))
     for cls in (core.BatchAttestationShare, core.ComplaintVote, core.BlockHeader):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for cls in (core.BatchAttestationShare, core.ComplaintVote):  # how a batcher builds and signs one
+        monkeypatch.setattr(cls, "signed", classmethod(counted(cls.__name__, cls.signed.__func__)))
     signed = {b"\x42": 0, b"\x43": 0}
     sign = crypto.sign
 
@@ -243,9 +248,39 @@ def test_ordering_payloads_are_encoded_once_per_object(monkeypatch):
     assert calls["BatchAttestationShare"] == signed[b"\x42"] > 0
     assert calls["ComplaintVote"] == signed[b"\x43"] > 0
     assert calls["BlockHeader"] > 0
-    assert calls["encode_bas_payload"] == calls["BatchAttestationShare"] + signed[b"\x42"]
-    assert calls["encode_complaint_payload"] == calls["ComplaintVote"] + signed[b"\x43"]
+    assert calls["encode_bas_payload"] == signed[b"\x42"]
+    assert calls["encode_complaint_payload"] == signed[b"\x43"]
     assert calls["encode_header_payload"] == calls["BlockHeader"]
+
+
+@pytest.mark.parametrize("name, shares, complaints", [("steady", 480, 0), ("censor", 2275, 18)])
+def test_each_share_and_complaint_encodes_its_payload_once(monkeypatch, name, shares, complaints):
+    # A batcher builds each share and complaint with ``signed``, which
+    # signs the payload it encoded and keeps it instead of encoding it again.
+    encoders = {core.BatchAttestationShare: core.encode_bas_payload, core.ComplaintVote: core.encode_complaint_payload}
+    calls = Counter()
+
+    def counting(cls, encode):
+        def wrapper(*args):
+            calls[cls] += 1
+            return encode(*args)
+
+        return wrapper
+
+    for cls, encode in encoders.items():
+        _rebind(monkeypatch, encode, counting(cls, encode))
+    runner = _Runner(load(f"perfbench/{name}/505"))
+    sent = {}  # id -> event; holding each event keeps its id unique
+    _observe_pushes(runner, lambda m: sent.setdefault(id(m), m) if type(m) in encoders else None)
+    runner.run()
+    built = Counter(type(event) for event in sent.values())
+    assert (built[core.BatchAttestationShare], built[core.ComplaintVote]) == (shares, complaints)
+    assert calls == built
+    for event in sent.values():
+        if isinstance(event, core.BatchAttestationShare):
+            assert event.signing_payload == core.encode_bas_payload(event.key, event.epoch)
+        else:
+            assert event.signing_payload == core.encode_complaint_payload(event.term, event.shard)
 
 
 def test_report_validates_txs_only_with_a_bogus_adversary(monkeypatch):
@@ -349,14 +384,28 @@ def test_event_count_and_heap_size_on_baseline():
     assert len(pushed) == 3407
 
 
+def test_importing_the_simulator_and_cli_imports_no_dataclasses():
+    # Every record class is hand-written: a fresh interpreter that imports
+    # the simulator and the CLI never pays for `dataclasses` (its decorators
+    # exec generated methods) nor for the `inspect` module it pulls in.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import shardbft.sim.runner, shardbft.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_every_message_class_is_sent():
     # A message class that nothing sends is dead code; failover sends them all.
     runner = _Runner(load("pinned/failover"))
     sent = set()
     _observe_pushes(runner, lambda message: sent.add(type(message)))
     runner.run()
-    defined = {c for c in vars(msg).values() if is_dataclass(c) and c.__module__ == msg.__name__}
-    assert len(defined) > 10 and not defined - sent, defined - sent
+    records = {c for c in vars(msg).values() if isinstance(c, type) and issubclass(c, Record)}
+    defined = {c for c in records if c.__module__ == msg.__name__}
+    assert len(defined) == 14 and not defined - sent, defined - sent
 
 
 def test_no_node_mutates_a_message_once_sent():
@@ -364,14 +413,26 @@ def test_no_node_mutates_a_message_once_sent():
     runner = _Runner(ScenarioConfig.from_dict(dict(config("pinned/ordering_short"), duration=1.5)))
     sent = []
 
+    def names(kind):
+        # Every slot: the fields and the values derived from them, such as a
+        # share's signing payload. Batch has no slots; its caches stay out.
+        return kind.__dict__.get("__slots__", kind._fields)
+
     def snapshot(message):
-        sent.append((message, [getattr(message, f.name) for f in fields(message)]))
+        sent.append((message, [getattr(message, name) for name in names(type(message))]))
 
     _observe_pushes(runner, snapshot)
     runner.run()
     assert len(sent) > 10_000
+    kinds = {type(message) for message, _values in sent}
+    assert {core.Batch, core.BatchAttestationShare, core.ComplaintVote} <= kinds
+    assert all(kind._fields for kind in kinds - {msg.BucketTick, msg.RoundTick}), kinds
+    for kind in (core.BatchAttestationShare, core.ComplaintVote):
+        assert "signing_payload" in names(kind)
+        message, values = next(item for item in sent if type(item[0]) is kind)
+        assert message.signing_payload is not None and values[-1] is message.signing_payload
     for message, values in sent:
-        assert [getattr(message, f.name) for f in fields(message)] == values, message
+        assert [getattr(message, name) for name in names(type(message))] == values, message
 
 
 def test_routers_keep_no_state(monkeypatch):

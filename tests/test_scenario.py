@@ -4,7 +4,6 @@ serialization round-trips, and docs/formats.md names exactly the schema keys."""
 import copy
 import json
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,15 @@ from hypothesis import strategies as st
 from shardbft.cli import main as cli_main
 from shardbft.sim.report import report_to_json
 from shardbft.sim.runner import run_scenario
-from shardbft.sim.scenario import OBJECT, OBJECTS, ConfigError, ScenarioConfig
+from shardbft.sim.scenario import (
+    OBJECT,
+    OBJECTS,
+    AdversarySpec,
+    ConfigError,
+    LatencyModel,
+    ProtocolParams,
+    ScenarioConfig,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -23,13 +30,13 @@ CENSORSHIP = json.loads((ROOT / "configs" / "censorship.json").read_text())
 
 def schema_paths(cls=ScenarioConfig, prefix=()):
     """Every key path of the schema; 0 stands for an entry of a list of objects."""
-    for f in fields(cls):
-        path = prefix + (f.metadata["key"],)
+    for k in cls._keys.values():
+        path = prefix + (k.key,)
         yield path
-        if f.metadata["kind"] == OBJECT:
-            yield from schema_paths(f.metadata["of"], path)
-        elif f.metadata["kind"] == OBJECTS:
-            yield from schema_paths(f.metadata["of"], path + (0,))
+        if k.kind == OBJECT:
+            yield from schema_paths(k.of, path)
+        elif k.kind == OBJECTS:
+            yield from schema_paths(k.of, path + (0,))
 
 
 PATHS = list(schema_paths())
@@ -189,6 +196,30 @@ def test_shipped_configs_round_trip(path):
     cfg = ScenarioConfig.from_json_file(path)
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.to_dict() == ScenarioConfig.from_dict(json.loads(path.read_text())).to_dict()
+
+
+def test_configs_are_frozen_and_built_from_their_keys():
+    # The constructor takes each key's field positionally or by name and
+    # fills the rest with defaults; a built config refuses any assignment.
+    cfg = ScenarioConfig(n_parties=7, f=2, adversaries=(AdversarySpec(1, "crash"),))
+    assert cfg == ScenarioConfig.from_dict({"parties": 7, "faults": 2, "adversaries": [{"party": 1, "kind": "crash"}]})
+    assert hash(cfg) == hash(ScenarioConfig.from_dict(cfg.to_dict()))
+    assert cfg.protocol == ProtocolParams() and cfg.adversaries[0].crash_at_us == 0
+    for build in (
+        lambda: AdversarySpec(1),
+        lambda: AdversarySpec(1, "crash", party=2),
+        lambda: ScenarioConfig(parties=4),
+        lambda: LatencyModel(1, 2, 3),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    for obj, name in ((cfg, "seed"), (cfg.protocol, "alpha"), (cfg.latency, "base_us")):
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == value
 
 
 def test_to_dict_keeps_unset_keys_and_numbers_as_given():

@@ -32,7 +32,7 @@ from shardbft.sim.checks import check_agreement, check_censorship_bound, check_n
 from shardbft.sim.report import RunReport, TxRecord, report_to_json
 from shardbft.router import REASON_MALFORMED, RouterNode
 from shardbft.sim.runner import _Runner, link_arrival, run_scenario
-from shardbft.sim.scenario import ConfigError, ScenarioConfig
+from shardbft.sim.scenario import MAX_NODES, ConfigError, ScenarioConfig
 
 from families import config, load
 from helpers import StubCtx, hold_until_gst, make_tx, run_with_fold_checked
@@ -81,6 +81,14 @@ def test_different_seeds_differ():
 def test_config_rejects_insufficient_parties():
     with pytest.raises(ConfigError):
         _cfg(parties=3, faults=1)
+
+
+def test_config_bounds_the_node_count():
+    # 2 + parties * (3 + shards) nodes: 512 at 5 parties and 99 shards is
+    # the most a run may have, and one shard more is refused.
+    assert _cfg(parties=5, shards=99).node_count() == MAX_NODES == 512
+    with pytest.raises(ConfigError, match=r"config\.parties \* \(3 \+ config\.shards\) \+ 2 must be <= 512"):
+        _cfg(parties=5, shards=100)
 
 
 def test_config_rejects_excess_adversaries():
@@ -268,6 +276,7 @@ def test_node_id_layout(n, k):
     assert d.batcher == tuple(tuple(2 + 3 * n + p * k + s for s in range(k)) for p in range(n))
     batcher_parties = [p for p in range(n) for _ in range(k)]
     assert runner.nodes[:2] == [None, None] and len(runner.nodes) == 2 + 3 * n + n * k
+    assert d.node_count == runner.cfg.node_count()  # the bound validate checks counts these nodes
     assert [node.party for node in runner.nodes[2:]] == [*range(n), *range(n), *range(n), *batcher_parties]
     for nid, node in enumerate(runner.nodes[2:], start=2):
         assert node.node_id == nid
@@ -807,24 +816,30 @@ def test_no_loss_names_the_acked_records_without_a_last_commit(client_keys):
 @pytest.mark.parametrize(
     "terms, changed_shards, allowed",
     [
-        ((0, 0), (0,), False),  # two copies in one term
-        ((0, 1), (1,), False),  # across terms, but shard 0 never changed term
-        ((0, 1, 1), (0,), False),  # a third copy for one change
-        ((0, 1), (0,), True),  # one extra copy for one change
+        # One batch per entry: its term and the txs it holds, by name.
+        (((0, "a"), (0, "a")), (0,), False),  # two copies in one term
+        (((0, "a"), (1, "a")), (1,), False),  # across terms, but shard 0 never changed term
+        (((0, "a"), (1, "a"), (1, "a")), (0,), False),  # a third copy for one change
+        (((0, "a"), (1, "a")), (0,), True),  # one extra copy for one change
+        (((0, "aa"), (1, "a")), (0,), False),  # repeated inside one batch: three copies for one change
+        (((0, "aa"), (1, "a")), (0, 0), True),  # which two changes allow
+        (((0, "a"), (0, "b"), (0, "b"), (0, "a")), (), False),  # b repeats first, but a is named
     ],
 )
 def test_no_loss_bounds_duplicates_by_their_shard_term_changes(client_keys, terms, changed_shards, allowed):
-    tx = make_tx(0, b"dup", client_keys)
+    txs = {name: make_tx(i, name.encode(), client_keys) for i, name in enumerate("ab")}
     chain = []
-    for i, term in enumerate(terms):
-        batch = Batch(0, i, term, 0, (tx,))
+    for i, (term, names) in enumerate(terms):
+        batch = Batch(0, i, term, 0, tuple(txs[name] for name in names))
         chain.append(Block(BlockHeader(i, ZERO_DIGEST, (batch.key(),)), (), (batch,)))
     changes = [(10, shard, 1) for shard in changed_shards]
     verdict = check_no_loss_no_unbounded_dup(_report([], {0: chain}, changes))
     if allowed:
         assert verdict == {"pass": True, "lost": 0, "bad_duplicates": 0}
     else:
-        expected = {"pass": False, "lost": 0, "bad_duplicates": 1, "first_bad_duplicate": tx.tx_id.hex()}
+        held = "".join(names for _term, names in terms)
+        bad = len({name for name in held if held.count(name) > 1})
+        expected = {"pass": False, "lost": 0, "bad_duplicates": bad, "first_bad_duplicate": txs["a"].tx_id.hex()}
         assert verdict == expected
 
 
